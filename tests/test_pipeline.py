@@ -758,16 +758,36 @@ def test_zorder_key_and_clustering(ray_session):
     assert np.mean(spans) < 256 * 256 / 4
 
 
-def test_fetch_docs_point_lookup(ray_session, tmp_path):
-    import pandas as pd
-    import ray.data
+def _encoded_corpus(tmp_path, layout):
+    """The sf0.001 token table encoded in 64-doc chunks, either as a
+    plain ``encode_tokens(...).write_parquet`` directory or through
+    ``encode_corpus`` (two files -> two ``group=*`` directories).
+    Returns (enc_dir, token Dataset)."""
+    import pyarrow.parquet as pq
 
-    from tokrle.pipelines.encode import encode_tokens, fetch_docs
+    from tokrle.pipelines.corpus import encode_corpus
+    from tokrle.pipelines.encode import encode_tokens
     from tokrle.sources.tokens import documents_to_tokens
 
-    enc_dir = str(tmp_path / "fetch_enc")
+    enc_dir = str(tmp_path / f"enc_{layout}")
     tok = documents_to_tokens(SF)
-    encode_tokens(tok, batch_size=64).write_parquet(enc_dir)
+    if layout == "plain":
+        encode_tokens(tok, batch_size=64).write_parquet(enc_dir)
+        return enc_dir, tok
+    in_dir = str(tmp_path / "in")
+    os.makedirs(in_dir)
+    df = tok.to_pandas()
+    pq.write_table(pa.Table.from_pandas(df.iloc[:250]), f"{in_dir}/a.parquet")
+    pq.write_table(pa.Table.from_pandas(df.iloc[250:]), f"{in_dir}/b.parquet")
+    encode_corpus(in_dir, enc_dir, batch_size=64, group_files=1)
+    return enc_dir, tok
+
+
+@pytest.mark.parametrize("layout", ["plain", "grouped"])
+def test_fetch_docs_point_lookup(ray_session, tmp_path, layout):
+    from tokrle.pipelines.encode import fetch_docs
+
+    enc_dir, tok = _encoded_corpus(tmp_path, layout)
     want = tok.to_pandas()
     want["doc_id"] = want["doc_id"].astype(str)
 
@@ -982,22 +1002,19 @@ def test_encoded_group_agg_pure_and_mixed(ray_session, tmp_path):
             assert counters["pure_chunks"] > 0, counters
 
 
-def test_doc_index_point_lookup(ray_session, tmp_path):
+@pytest.mark.parametrize("layout", ["plain", "grouped"])
+def test_doc_index_point_lookup(ray_session, tmp_path, layout):
     """Persistent doc index: indexed fetch returns exactly the same docs
     as the scan-based fetch_docs AND the source table; the lookup reads
     only the requested ids' bucket partitions (path-level pruning)."""
     import glob as _glob
 
     import pandas as _pd
-    import ray.data
 
-    from tokrle.pipelines.encode import (build_doc_index, encode_tokens,
-                                         fetch_docs, fetch_docs_indexed)
-    from tokrle.sources.tokens import documents_to_tokens
+    from tokrle.pipelines.encode import (build_doc_index, fetch_docs,
+                                         fetch_docs_indexed)
 
-    enc_dir = str(tmp_path / "enc")
-    ds = documents_to_tokens(SF)
-    encode_tokens(ds, batch_size=64).write_parquet(enc_dir)
+    enc_dir, ds = _encoded_corpus(tmp_path, layout)
     idx_dir = build_doc_index(enc_dir, n_buckets=16)
     parts = _glob.glob(os.path.join(idx_dir, "bucket=*"))
     assert len(parts) > 4      # ids actually spread over buckets
@@ -1021,6 +1038,76 @@ def test_doc_index_point_lookup(ray_session, tmp_path):
     assert len(set(b.tolist())) == 1 and len(parts) > 1
     # unknown ids return empty, not an error
     assert fetch_docs_indexed(enc_dir, ["no-such-doc"]).count() == 0
+    empty = fetch_docs_indexed(enc_dir, [])
+    assert empty.count() == 0
+    assert empty.schema().names == ["doc_id", "tokens", "n_tok", "source"]
+
+
+def test_stale_doc_index_raises_until_rebuilt(ray_session, tmp_path):
+    """An upsert rewrites the chunk holding a replaced doc, so a doc
+    index built before it names a chunk the live view no longer has: the
+    indexed fetch must raise (it used to drop that doc silently), and
+    after build_doc_index it returns the new tokens."""
+    import ray.data
+
+    from tokrle.pipelines.corpus import upsert_corpus
+    from tokrle.pipelines.encode import build_doc_index, fetch_docs_indexed
+
+    enc_dir, tok = _encoded_corpus(tmp_path, "grouped")
+    build_doc_index(enc_dir, n_buckets=8)
+    df = tok.to_pandas()
+    upd, other = str(df["doc_id"].iloc[5]), str(df["doc_id"].iloc[300])
+    upsert_corpus(enc_dir, ray.data.from_arrow(pa.table({
+        "doc_id": pa.array([int(upd)], type=pa.int64()),
+        "tokens": pa.array([[9, 8, 7, 6]], type=pa.list_(pa.int32())),
+        "n_tok": pa.array([4], type=pa.int32()),
+        "source": pa.array(["sX"]),
+    })), batch_size=64)
+    with pytest.raises(ValueError, match="build_doc_index"):
+        fetch_docs_indexed(enc_dir, [upd, other])
+
+    build_doc_index(enc_dir, n_buckets=8)
+    got = fetch_docs_indexed(enc_dir, [upd, other]).to_pandas()
+    toks = {d: list(t) for d, t in zip(got["doc_id"], got["tokens"])}
+    assert set(toks) == {upd, other}
+    assert toks[upd] == [9, 8, 7, 6]
+    assert toks[other] == list(df["tokens"].iloc[300])
+
+
+def test_decode_tokens_fuses_read_and_decode(ray_session, tmp_path):
+    """decode_tokens over one 10-chunk file (a block of two 4-chunk
+    slices and a remainder) is bit-identical to the source, and Ray runs
+    the read and the decode as ONE fused operator."""
+    import re
+
+    import pyarrow.parquet as pq
+    import ray.data
+
+    from tokrle.pipelines.encode import decode_tokens, encode_tokens
+    from tokrle.sources.tokens import documents_to_tokens
+
+    def table(ds):
+        return pa.concat_tables(list(ds.iter_batches(batch_format="pyarrow",
+                                                     batch_size=None)))
+
+    tok = table(documents_to_tokens(SF))       # 500 docs in one block
+    enc = table(encode_tokens(ray.data.from_arrow(tok), batch_size=50))
+    assert enc.num_rows == 10
+    path = str(tmp_path / "chunks.parquet")
+    pq.write_table(enc, path)
+
+    # one read block of all 10 chunks: Ray fuses a map into a read only
+    # when it does not split the read's blocks afterwards
+    ds = decode_tokens(ray.data.read_parquet(
+        path, override_num_blocks=1)).materialize()
+    got = _tokens_by_doc(ds.to_pandas())
+    want = _tokens_by_doc(tok.to_pandas())
+    assert len(got) == ds.count() == len(want)
+    for d in want:
+        assert got[str(d)].dtype == np.int32
+        assert np.array_equal(got[str(d)], want[d]), d
+    ops = re.findall(r"^Operator \d+ (\S+):", ds.stats(), re.M)
+    assert ops == ["ReadParquet->MapBatches(_decode_block)"], ops
 
 
 def test_live_groups_ignores_crashed_tmp_dirs(tmp_path):

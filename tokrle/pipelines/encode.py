@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from tokrle.stages.encoder import TokenEncoder, decode_chunks
+from tokrle.stages.encoder import TOKEN_SCHEMA, TokenEncoder, decode_chunks
 
 # ~1M tokens per encoded chunk: big enough to amortize codec headers and
 # profiling, small enough that the transient bit matrix (n*4B) plus batch
@@ -141,10 +141,22 @@ def encode_tokens(ds, *, batch_size: int = DEFAULT_BATCH_SIZE,
                           fn_constructor_kwargs={"local_group": local_group})
 
 
-def decode_tokens(encoded_ds, *, batch_size: int = 4):
-    """Encoded-chunk Dataset -> token-table Dataset (stateless inverse)."""
-    return encoded_ds.map_batches(decode_chunks, batch_size=batch_size,
+def decode_tokens(encoded_ds):
+    """Encoded-chunk Dataset -> token-table Dataset (stateless inverse).
+
+    Maps whole blocks (no ``batch_size``), so Ray fuses a Parquet read
+    with the decode into ONE task per read block and no encoded block
+    crosses the object store (unless Ray splits the read's blocks, as it
+    does for few files on many CPUs); :func:`_decode_block` still hands
+    ``decode_chunks`` at most 4 chunks per call."""
+    return encoded_ds.map_batches(_decode_block, batch_size=None,
                                   batch_format="pyarrow")
+
+
+def _decode_block(block: pa.Table):
+    # an empty block still yields one typed empty table
+    for s in range(0, max(block.num_rows, 1), 4):
+        yield decode_chunks(block.slice(s, 4))
 
 
 def roundtrip_check(src_ds, decoded_ds) -> dict:
@@ -196,36 +208,28 @@ def roundtrip_check(src_ds, decoded_ds) -> dict:
 def fetch_docs(enc_dir: str, doc_ids):
     """Point lookups on the encoded corpus WITHOUT full decode.
 
-    Pass 1 reads only the (chunk_id, doc_id) metadata columns — column
-    pruning keeps every payload byte in storage — and finds the chunks
-    holding requested docs with one vectorized is_in + segment-any per
-    batch.  Pass 2 reads just those chunks (``chunk_id isin`` pushed to
-    the Parquet scan) and decodes ONLY each requested doc's row range via
-    codec random access (:func:`tokrle.codecs.core.decode_range` —
-    O(doc tokens) for the bit-addressable codecs, full-chunk fallback for
-    the sequential ones).  Returns a token-table Dataset of the requested
-    docs; the per-doc Python loop in pass 2 runs over the REQUESTED set
-    only, which is small by the definition of a point lookup.
+    Pass 1 is a Ray job over the whole corpus that reads only the
+    (chunk_id, doc_id) metadata columns — column pruning keeps every
+    payload byte in storage — and finds the chunks holding requested docs
+    with one vectorized is_in per batch.  Pass 2
+    (:func:`_fetch_chunks`) runs in the calling process: it reads just
+    those chunks and decodes ONLY each requested doc's row range via codec
+    random access (:func:`tokrle.codecs.core.decode_range` — O(doc
+    tokens) for the bit-addressable codecs, full-chunk fallback for the
+    sequential ones).  Returns a token-table Dataset of the requested
+    docs.
     """
     import pyarrow.compute as pc
     import ray.data
-
-    from tokrle.codecs.core import decode_range
 
     wanted_arr = pa.array(sorted({str(d) for d in doc_ids}),
                           type=pa.string())
 
     def find(batch: pa.Table) -> pa.Table:
         col = batch.column("doc_id").combine_chunks()
-        lens = pc.list_value_length(col).to_numpy(
-            zero_copy_only=False).astype(np.int64)
-        flat = col.flatten()
-        hit = pc.is_in(flat, value_set=wanted_arr).to_numpy(
-            zero_copy_only=False).astype(np.int64)
-        cs = np.concatenate(([0], np.cumsum(hit)))
-        ends = np.cumsum(lens)
-        keep = (cs[ends] - cs[ends - lens]) > 0
-        return batch.select(["chunk_id"]).filter(pa.array(keep))
+        hit = pc.is_in(col.flatten(), value_set=wanted_arr)
+        rows = np.unique(pc.list_parent_indices(col).filter(hit).to_numpy())
+        return batch.select(["chunk_id"]).take(pa.array(rows, pa.int64()))
 
     from tokrle.pipelines.corpus import corpus_files
 
@@ -237,64 +241,58 @@ def fetch_docs(enc_dir: str, doc_ids):
     return _fetch_chunks(enc_dir, chunk_ids, wanted_arr)
 
 
-def _empty_token_ds():
-    import ray.data
-
-    return ray.data.from_arrow(pa.table({
-        "doc_id": pa.array([], type=pa.string()),
-        "tokens": pa.array([], type=pa.list_(pa.int32())),
-        "n_tok": pa.array([], type=pa.int32()),
-        "source": pa.array([], type=pa.string()),
-    }))
-
-
 def _fetch_chunks(enc_dir: str, chunk_ids: list, wanted_arr: pa.Array):
-    """Pass 2 of a point lookup: read ONLY the named chunks (isin pushed
-    to the Parquet scan) and range-decode just the requested docs."""
+    """Pass 2 of a point lookup, in the calling process: read ONLY the
+    named chunks of the live view (``chunk_id isin`` skips row groups by
+    their chunk_id statistics), range-decode just the requested docs and
+    hand them back as a token-table Dataset.  A named chunk that is not in
+    the live view means the doc index predates an upsert or compaction:
+    that raises rather than silently dropping the docs it held."""
     import pyarrow.compute as pc
+    import pyarrow.dataset as pds
     import ray.data
 
     from tokrle.codecs.core import decode_range
-
-    if not chunk_ids:       # empty isin set is a null-typed Arrow error
-        return _empty_token_ds()
-
     from tokrle.pipelines.corpus import corpus_files
 
-    enc = ray.data.read_parquet(
-        corpus_files(enc_dir), filter=pc.field("chunk_id").isin(chunk_ids))
-
-    def extract(batch: pa.Table) -> pa.Table:
-        out_ids, out_srcs, out_toks = [], [], []
-        for i in range(len(batch)):
-            ids = batch.column("doc_id")[i].values
-            mask = pc.is_in(ids, value_set=wanted_arr).to_numpy(
-                zero_copy_only=False)
-            rows = np.flatnonzero(mask)
-            if not len(rows):
-                continue
-            offs = np.asarray(batch.column("row_offsets")[i].as_py(),
-                              dtype=np.int64)
-            codec = batch.column("codec")[i].as_py()
-            payload = memoryview(batch.column("payload")[i].as_buffer())
-            n = batch.column("n_tokens")[i].as_py()
-            srcs = batch.column("doc_source")[i].values
-            for r in rows:
-                out_ids.append(ids[int(r)].as_py())
-                out_srcs.append(srcs[int(r)].as_py())
-                out_toks.append(decode_range(codec, payload, n, np.int32,
-                                             int(offs[r]),
-                                             int(offs[r + 1])))
-        return pa.table({
-            "doc_id": pa.array(out_ids, type=pa.string()),
-            "tokens": pa.array([t.tolist() for t in out_toks],
-                               type=pa.list_(pa.int32())),
-            "n_tok": pa.array([len(t) for t in out_toks],
-                              type=pa.int32()),
-            "source": pa.array(out_srcs, type=pa.string()),
-        })
-
-    return enc.map_batches(extract, batch_format="pyarrow")
+    if not chunk_ids:       # empty isin set is a null-typed Arrow error
+        return ray.data.from_arrow(TOKEN_SCHEMA.empty_table())
+    t = pds.dataset(corpus_files(enc_dir), format="parquet").to_table(
+        columns=["chunk_id", "codec", "payload", "n_tokens", "row_offsets",
+                 "doc_id", "doc_source"],
+        filter=pc.field("chunk_id").isin(chunk_ids))
+    missing = set(chunk_ids) - set(t.column("chunk_id").to_pylist())
+    if missing:
+        raise ValueError(
+            f"{len(missing)} chunk(s) named by the doc index are not in the "
+            f"live view of {enc_dir}: the corpus changed after the index "
+            "was built; rerun build_doc_index")
+    ids = t.column("doc_id").combine_chunks()
+    flat = ids.flatten()
+    hits = np.flatnonzero(pc.is_in(flat, value_set=wanted_arr)
+                          .to_numpy(zero_copy_only=False))
+    parent = pc.list_parent_indices(ids).to_numpy()
+    rows = parent[hits]      # chunk row of each hit; j = its doc in there
+    toks = []
+    for r, j in zip(rows.tolist(),
+                    (hits - np.searchsorted(parent, rows)).tolist()):
+        offs = t.column("row_offsets")[r].values
+        toks.append(decode_range(
+            t.column("codec")[r].as_py(),
+            memoryview(t.column("payload")[r].as_buffer()),
+            t.column("n_tokens")[r].as_py(), np.int32,
+            offs[j].as_py(), offs[j + 1].as_py()))
+    lens = np.array([len(x) for x in toks], dtype=np.int32)
+    sel = pa.array(hits, type=pa.int64())
+    return ray.data.from_arrow(pa.table({
+        "doc_id": flat.take(sel).cast(pa.string()),
+        "tokens": pa.ListArray.from_arrays(
+            pa.array(np.concatenate(([0], np.cumsum(lens))), pa.int32()),
+            pa.array(np.concatenate(toks) if toks else [], pa.int32())),
+        "n_tok": pa.array(lens, type=pa.int32()),
+        "source": t.column("doc_source").combine_chunks().flatten()
+        .take(sel).cast(pa.string()),
+    }))
 
 
 def build_doc_index(enc_dir: str, index_dir: str | None = None, *,
@@ -309,7 +307,9 @@ def build_doc_index(enc_dir: str, index_dir: str | None = None, *,
     of scanning every chunk's doc list (:func:`fetch_docs` pass 1).  The
     index is a SNAPSHOT of the corpus: rebuild it after
     ``upsert_corpus`` / ``compact_corpus`` (the builder overwrites in
-    place; ``meta.json`` records n_buckets and the build time).
+    place; ``meta.json`` records n_buckets and the build time).  A lookup
+    through a stale index that names a rewritten chunk raises
+    ``ValueError``; ids added after the build are simply not found.
     """
     import json
     import os
@@ -351,17 +351,19 @@ def build_doc_index(enc_dir: str, index_dir: str | None = None, *,
 
 def fetch_docs_indexed(enc_dir: str, doc_ids,
                        index_dir: str | None = None):
-    """Point lookups through the persistent doc index: hash the requested
-    ids to their buckets, read ONLY those index partitions (pruned at the
-    path level, like the LSH/IVF query paths), then range-decode the
-    located chunks — pass 1 touches ~|ids|/n_buckets of the index rather
-    than every chunk's doc list."""
+    """Point lookups through the persistent doc index, with no Ray job:
+    hash the requested ids to their buckets, read ONLY those index
+    partitions in the calling process (pruned at the path level, like the
+    LSH/IVF query paths; ~|ids|/n_buckets of the index), then
+    range-decode the located chunks (:func:`_fetch_chunks`).  Raises
+    ``ValueError`` when the index is older than the corpus's live view
+    (rerun :func:`build_doc_index`)."""
     import json
     import os
 
     import pandas as pd
     import pyarrow.compute as pc
-    import ray.data
+    import pyarrow.parquet as pq
 
     from tokrle.functions.ann import _partition_paths
 
@@ -369,21 +371,14 @@ def fetch_docs_indexed(enc_dir: str, doc_ids,
     with open(os.path.join(index_dir, "meta.json")) as f:
         n_buckets = json.load(f)["n_buckets"]
     wanted = sorted({str(d) for d in doc_ids})
-    if not wanted:
-        return _empty_token_ds()
     wanted_arr = pa.array(wanted, type=pa.string())
-    ids_np = np.asarray(wanted, dtype=object)
-    buckets = np.unique(pd.util.hash_array(ids_np, categorize=False)
+    buckets = np.unique(pd.util.hash_array(np.asarray(wanted, dtype=object),
+                                           categorize=False)
                         % np.uint64(n_buckets)).astype(np.int64)
     paths = _partition_paths(index_dir, "bucket", buckets.tolist())
-    if not paths:
-        return _empty_token_ds()
-    idx = ray.data.read_parquet(paths, columns=["doc_id", "chunk_id"])
-
-    def probe(batch: pa.Table) -> pa.Table:
-        keep = pc.is_in(batch.column("doc_id"), value_set=wanted_arr)
-        return batch.filter(keep).select(["chunk_id"])
-
-    hits = idx.map_batches(probe, batch_format="pyarrow").to_pandas()
-    chunk_ids = sorted(set(hits["chunk_id"])) if len(hits) else []
-    return _fetch_chunks(enc_dir, chunk_ids, wanted_arr)
+    if not paths:       # no ids, or none in a bucket the index holds
+        return _fetch_chunks(enc_dir, [], wanted_arr)
+    idx = pq.read_table(paths, columns=["doc_id", "chunk_id"])
+    hits = idx.filter(pc.is_in(idx.column("doc_id"), value_set=wanted_arr))
+    return _fetch_chunks(enc_dir, sorted(set(hits.column("chunk_id")
+                                             .to_pylist())), wanted_arr)

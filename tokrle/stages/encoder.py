@@ -35,6 +35,12 @@ from tokrle.codecs.core import decode as codec_decode
 from tokrle.select import auto_encode
 
 
+# the token-table schema every decode path returns
+TOKEN_SCHEMA = pa.schema([("doc_id", pa.string()),
+                          ("tokens", pa.list_(pa.int32())),
+                          ("n_tok", pa.int32()), ("source", pa.string())])
+
+
 def _flat_tokens(batch: pa.Table) -> tuple[np.ndarray, np.ndarray]:
     """(flat int32 values, int64 row offsets) from the tokens list column,
     zero-copy where Arrow allows."""
@@ -172,12 +178,7 @@ def decode_chunks(batch: pa.Table) -> pa.Table:
         out_doc_ids.append(batch.column("doc_id")[i].values)
         out_sources.append(batch.column("doc_source")[i].values)
     if not out_values:
-        return pa.table({
-            "doc_id": pa.array([], type=pa.string()),
-            "tokens": pa.array([], type=pa.list_(pa.int32())),
-            "n_tok": pa.array([], type=pa.int32()),
-            "source": pa.array([], type=pa.string()),
-        })
+        return TOKEN_SCHEMA.empty_table()
     flat = np.concatenate(out_values)
     offsets_all = _merge_row_offsets(out_offsets)
     if offsets_all[-1] <= np.iinfo(np.int32).max:
