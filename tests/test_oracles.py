@@ -27,6 +27,11 @@ SUBSET = [
     "csv_source_stats",
     "jsonl_source_stats",
     "simhash_signatures",
+    "encoded_range_agg_stats",
+    "encoded_predicate_stats",
+    "encoded_range_count_stats",
+    "encoded_filtered_agg_stats",
+    "encoded_conjunction_stats",
 ]
 
 

@@ -925,8 +925,8 @@ def test_encoded_column_agg_rejects_nullable(ray_session, tmp_path):
 
 def test_encoded_range_agg_three_way_split(ray_session, tmp_path):
     """Clustered table: filtered SUM must split chunks into skipped /
-    interior (compressed-domain) / boundary (decode) classes and match
-    a direct pandas aggregate exactly."""
+    ALL-match (compressed-domain) / boundary (run-list) classes and
+    match a direct pandas aggregate exactly."""
     import pandas as pd
     import ray.data
 
@@ -951,13 +951,13 @@ def test_encoded_range_agg_three_way_split(ray_session, tmp_path):
     assert got.loc[0, "sum_v1"] == int(sel["v1"].sum())
     assert got.loc[0, "sum_v2"] == int(sel["v2"].sum())
     assert counters["chunks_skipped"] > 0, counters
-    assert counters["chunks_interior"] > 0, counters
-    assert counters["chunks_boundary"] > 0, counters
-    assert sum(counters[k] for k in
-               ("chunks_skipped", "chunks_interior",
-                "chunks_boundary")) == counters["chunks_total"]
+    assert counters["all_hit_chunks"] > 0, counters
+    assert counters["chunks_scanned"] > counters["all_hit_chunks"], \
+        counters
+    assert counters["chunks_skipped"] + counters["chunks_scanned"] == \
+        counters["chunks_total"]
 
-    # unclustered table: still exact, everything lands in boundary
+    # unclustered table: still exact, no chunk is an ALL-match
     shuf = df.sample(frac=1, random_state=0).reset_index(drop=True)
     out2 = str(tmp_path / "ra2")
     encode_table_columns(ray.data.from_pandas(shuf), ["k", "v1"],
@@ -965,7 +965,7 @@ def test_encoded_range_agg_three_way_split(ray_session, tmp_path):
     got2, c2 = encoded_range_agg(out2, "k", lo, hi, ["v1"])
     assert got2.loc[0, "n_rows"] == len(sel)
     assert got2.loc[0, "sum_v1"] == int(sel["v1"].sum())
-    assert c2["chunks_interior"] == 0 and c2["chunks_skipped"] == 0
+    assert c2["all_hit_chunks"] == 0 and c2["chunks_skipped"] == 0
 
 
 def test_encoded_group_agg_pure_and_mixed(ray_session, tmp_path):
@@ -1220,26 +1220,6 @@ def test_recompress_skips_docindex_and_tmp_leftovers(ray_session, tmp_path):
     assert chk["source"] == chk["decoded"]
 
 
-def test_encoded_range_agg_nullable_key_raises(ray_session, tmp_path):
-    """A nullable KEY chunk must raise, not silently classify null rows
-    as key==0 (nulls encode as the fill value)."""
-    import pandas as pd
-    import ray.data
-
-    from tokrle.pipelines.table_encode import (encode_table_columns,
-                                               encoded_range_agg)
-
-    df = pd.DataFrame({
-        "k": pd.array([1, 2, None, 4] * 100, dtype="Int64"),
-        "v": np.arange(400, dtype=np.int64),
-    })
-    enc = str(tmp_path / "enc")
-    encode_table_columns(ray.data.from_pandas(df), ["k", "v"],
-                         batch_size=128).write_parquet(enc)
-    with pytest.raises(Exception, match="nullable"):
-        encoded_range_agg(enc, "k", 0, 10, ["v"])
-
-
 def test_clean_corpus_rerun_counts_stable(ray_session, tmp_path):
     """Re-running clean_corpus into the same out_dir must not count (or
     leave live) the previous run's shards."""
@@ -1330,26 +1310,10 @@ def test_encoded_value_count_compressed_domain(ray_session, tmp_path):
     assert counters["chunks_scanned"] == 0, counters
 
 
-def test_encoded_value_count_rejects_nullable(ray_session, tmp_path):
-    import ray.data
-
-    from tokrle.pipelines.table_encode import (encode_table_columns,
-                                               encoded_value_count)
-
-    ds = ray.data.from_arrow(
-        pa.table({"x": pa.array([1, None, 0] * 100, type=pa.int64())}))
-    out_dir = str(tmp_path / "pred_null")
-    encode_table_columns(ds, ["x"], batch_size=64).write_parquet(out_dir)
-    # nulls encode as 0 — counting value==0 over a nullable chunk would
-    # silently include them, so the chunk must raise instead
-    with pytest.raises(Exception, match="nullable"):
-        encoded_value_count(out_dir, "x", 0)
-
-
 def test_encoded_range_count_three_way_split(ray_session, tmp_path):
     """Range COUNT over a clustered table must prune outside chunks,
-    answer interior chunks from metadata alone, count boundary chunks in
-    the compressed domain, and match pandas exactly — clustered and
+    answer ALL-match chunks from metadata alone, count boundary chunks
+    in the compressed domain, and match pandas exactly — clustered and
     unclustered layouts both."""
     import pandas as pd
     import ray.data
@@ -1370,11 +1334,11 @@ def test_encoded_range_count_three_way_split(ray_session, tmp_path):
     assert int(got["n_match"].iloc[0]) == \
         int(df["key"].between(12, 30).sum())
     assert counters["chunks_skipped"] > 0, counters
-    assert counters["chunks_interior"] > 0, counters
-    assert counters["chunks_interior"] + counters["chunks_boundary"] + \
+    assert counters["all_hit_chunks"] > 0, counters
+    assert counters["chunks_scanned"] + \
         counters["chunks_skipped"] == counters["chunks_total"]
 
-    # unclustered column: boundary everywhere, still exact
+    # unclustered column: run-lists everywhere, still exact
     got, counters = encoded_range_count(out_dir, "tag", 2, 4)
     assert int(got["n_match"].iloc[0]) == \
         int(df["tag"].between(2, 4).sum())
@@ -1382,21 +1346,68 @@ def test_encoded_range_count_three_way_split(ray_session, tmp_path):
     # disjoint window: every chunk pruned
     got, counters = encoded_range_count(out_dir, "key", 100, 200)
     assert int(got["n_match"].iloc[0]) == 0
-    assert counters["chunks_interior"] + counters["chunks_boundary"] == 0
+    assert counters["chunks_scanned"] == 0
 
 
-def test_encoded_range_count_rejects_nullable(ray_session, tmp_path):
+@pytest.fixture(scope="module")
+def nullable_kv(ray_session, tmp_path_factory):
+    """(table, encoded dir) with NULLs in both ``k`` and ``v``; the
+    first 512 rows are null-free, so null-free and nullable chunks
+    mix, and value 0 (the encoder's null filler) occurs in both."""
     import ray.data
 
-    from tokrle.pipelines.table_encode import (encode_table_columns,
-                                               encoded_range_count)
+    from tokrle.pipelines.table_encode import encode_table_columns
 
-    ds = ray.data.from_arrow(
-        pa.table({"x": pa.array([1, None, 0] * 100, type=pa.int64())}))
-    out_dir = str(tmp_path / "rcount_null")
-    encode_table_columns(ds, ["x"], batch_size=64).write_parquet(out_dir)
-    with pytest.raises(Exception, match="nullable"):
-        encoded_range_count(out_dir, "x", 0, 1)
+    rng = np.random.default_rng(41)
+    n = 4096
+    kmask = rng.random(n) < 0.2
+    vmask = rng.random(n) < 0.2
+    kmask[:512] = vmask[:512] = False
+    tbl = pa.table({
+        "k": pa.array(np.sort(rng.integers(0, 8, n)), mask=kmask),
+        "v": pa.array(rng.integers(-3, 4, n), mask=vmask)})
+    out_dir = str(tmp_path_factory.mktemp("nullable_kv"))
+    encode_table_columns(ray.data.from_arrow(tbl), ["k", "v"],
+                         batch_size=128).write_parquet(out_dir)
+    return tbl, out_dir
+
+
+#: wrapper -> (args after enc_dir, SQL WHERE, output columns)
+_NULLABLE_CASES = {
+    "encoded_range_agg": (("k", 0, 2, ["v"]), "k BETWEEN 0 AND 2",
+                          ["n_rows", "sum_v"]),
+    "encoded_value_count": (("k", 0), "k = 0", ["n_match"]),
+    "encoded_range_count": (("v", -1, 0), "v BETWEEN -1 AND 0",
+                            ["n_match"]),
+    "encoded_filtered_agg": (("k", 0, ["v"]), "k = 0",
+                             ["n_match", "sum_v"]),
+    "encoded_conjunction_agg": (
+        ([("range", "k", 0, 3), ("eq", "v", 0)], ["k", "v"]),
+        "k BETWEEN 0 AND 3 AND v = 0", ["n_match", "sum_k", "sum_v"]),
+}
+
+
+@pytest.mark.parametrize("fn", list(_NULLABLE_CASES))
+def test_pushdown_wrappers_nullable_match_duckdb(nullable_kv, fn):
+    """Every single-predicate / conjunctive pushdown entry point answers
+    nullable key AND aggregate columns like SQL: a NULL never matches a
+    predicate (not even ``= 0``, the null filler) and SUM skips NULLs."""
+    import duckdb
+
+    from tokrle.pipelines import table_encode
+
+    args, where, cols = _NULLABLE_CASES[fn]
+    tbl, out_dir = nullable_kv
+    got, counters = getattr(table_encode, fn)(out_dir, *args)
+    sel = ", ".join(f"coalesce(sum({c[4:]}), 0)" if c.startswith("sum_")
+                    else "count(*)" for c in cols)
+    con = duckdb.connect()
+    con.register("t", tbl)
+    exp = con.execute(f"SELECT {sel} FROM t WHERE {where}").fetchone()
+    assert [int(got.loc[0, c]) for c in cols] == \
+        [int(x) for x in exp], (fn, counters)
+    assert counters["chunks_scanned"] + counters["chunks_skipped"] == \
+        counters["chunks_total"]
 
 
 def test_encoded_distinct_count_closed_form(ray_session, tmp_path):
@@ -2049,7 +2060,7 @@ def test_encoded_filtered_agg_matches_pandas(ray_session, tmp_path):
     """Filtered aggregate (SUM WHERE key = value) against the encoded
     layout: exact vs pandas on clustered AND shuffled layouts; the
     clustered layout must prune chunks and hit the metadata-only
-    pure-hit path; absent values answer from zone maps alone."""
+    ALL-match path; absent values answer from zone maps alone."""
     import pandas as pd
     import ray.data
 
@@ -2081,28 +2092,12 @@ def test_encoded_filtered_agg_matches_pandas(ray_session, tmp_path):
             assert got.loc[0, "sum_v2"] == int(sel["v2"].sum())
             if layout == "clustered":
                 assert counters["chunks_skipped"] > 0, (key, counters)
-                assert counters["pure_hit_chunks"] > 0, (key, counters)
+                assert counters["all_hit_chunks"] > 0, (key, counters)
         # absent value: zone maps answer with zero chunks scanned
         got, counters = encoded_filtered_agg(out_dir, "k", 99,
                                              ["v1", "v2"])
         assert got.loc[0, "n_match"] == 0 and counters["chunks_scanned"] \
             == 0 and got.loc[0, "sum_v1"] == 0
-
-
-def test_encoded_filtered_agg_rejects_nullable(ray_session, tmp_path):
-    import pandas as pd
-    import ray.data
-
-    from tokrle.pipelines.table_encode import (encode_table_columns,
-                                               encoded_filtered_agg)
-
-    df = pd.DataFrame({"k": pd.array([1, 1, 2, None], dtype="Int64"),
-                       "v": pd.array([5, 6, 7, 8], dtype="Int64")})
-    out_dir = str(tmp_path / "nullable")
-    encode_table_columns(ray.data.from_pandas(df), ["k", "v"],
-                         batch_size=64).write_parquet(out_dir)
-    with pytest.raises(Exception, match="nullable chunks"):
-        encoded_filtered_agg(out_dir, "k", 1, ["v"])
 
 
 def test_encoded_conjunction_agg_matches_pandas(ray_session, tmp_path):
@@ -2136,7 +2131,7 @@ def test_encoded_conjunction_agg_matches_pandas(ray_session, tmp_path):
         sel = frame[(frame["k"] == 5) & frame["r"].between(20, 60)]
         assert got.loc[0, "n_match"] == len(sel), layout
         assert got.loc[0, "sum_v"] == int(sel["v"].sum()), layout
-        assert counters["intersected_chunks"] > 0, (layout, counters)
+        assert counters["run_chunks"] > 0, (layout, counters)
         if layout == "clustered":
             assert counters["chunks_skipped"] > 0, counters
 

@@ -186,8 +186,9 @@ def main(argv=None) -> int:
     ta.add_argument("--columns", required=True,
                     help="comma-separated integer columns to aggregate")
     ta.add_argument("--where", default=None,
-                    help="col:lo:hi inclusive key range (zone-map "
-                         "split: interior chunks never decode)")
+                    help="col:lo:hi inclusive key range (zone maps "
+                         "prune chunks outside it; chunks wholly inside "
+                         "never decode; NULL keys never match)")
     ta.add_argument("--group-by", default=None,
                     help="integer group column (group-pure chunks "
                          "never decode)")

@@ -2042,11 +2042,11 @@ RANGE_AGG_LO, RANGE_AGG_HI = 3, 6
 def encoded_range_agg_stats(sf_dir: str) -> pd.DataFrame:
     """Filtered aggregation pushed into the encoded layout: lineitem is
     clustered (sorted) on l_suppkey and table-encoded; SUM/COUNT over a
-    key range then splits chunks three ways — outside chunks' payloads
-    never leave storage, INTERIOR chunks aggregate in the compressed
-    domain (agg_sum over codec streams, no decode), and only the two
-    cluster-boundary chunks decode.  Asserts all three classes are
-    non-empty before returning the SQL-comparable row."""
+    key range then prunes outside chunks at the Parquet scan, answers
+    chunks inside the range as ALL-match (agg_sum over codec streams,
+    no decode), and builds a selection run-list only on the
+    cluster-boundary chunks.  Asserts pruning and the ALL-match path
+    both ran before returning the SQL-comparable row."""
     import os
     import shutil
 
@@ -2066,7 +2066,7 @@ def encoded_range_agg_stats(sf_dir: str) -> pd.DataFrame:
         ["l_orderkey", "l_partkey"])
     if counters["chunks_total"] > 8:
         assert counters["chunks_skipped"] > 0, counters
-        assert counters["chunks_interior"] > 0, \
+        assert counters["all_hit_chunks"] > 0, \
             f"compressed-domain path never ran: {counters}"
     return df
 
@@ -2076,13 +2076,14 @@ def encoded_predicate_stats(sf_dir: str) -> pd.DataFrame:
     clustered (sorted) on l_suppkey and table-encoded, then COUNT(*)
     WHERE col = value is answered from the compressed domain — zone maps
     prune non-overlapping chunks at the Parquet scan, and the surviving
-    chunks count matches inside the codec streams (rle: O(#runs)
-    run-length sum; dict: searchsorted + code compare; for/bitpack:
-    frame test) without ever materializing a decoded column.  Three
-    predicates pin three paths: the clustered key (pruned to a handful
-    of chunks), an unclustered low-cardinality column (no pruning,
-    compressed-domain compare everywhere), and an absent value (answered
-    from zone maps alone — zero chunks scanned)."""
+    chunks build their match run-list inside the codec streams
+    (match_eq — rle: the matching runs; dict: searchsorted + code
+    compare; for/bitpack: frame test) without ever materializing a
+    decoded column.  Three predicates pin three paths: the clustered
+    key (pruned to a handful of chunks), an unclustered low-cardinality
+    column (no pruning, compressed-domain compare everywhere), and an
+    absent value (answered from zone maps alone — zero chunks
+    scanned)."""
     import os
     import shutil
 
@@ -2117,14 +2118,14 @@ def encoded_predicate_stats(sf_dir: str) -> pd.DataFrame:
 
 def encoded_range_count_stats(sf_dir: str) -> pd.DataFrame:
     """Range predicates pushed into the encoded layout: COUNT(*) WHERE
-    col BETWEEN lo AND hi splits chunks three ways on the zone maps —
-    outside chunks' payloads never leave storage, INTERIOR chunks answer
-    from the chunk's own row count (metadata only, not even the payload
-    is fetched), and boundary chunks count inside the compressed domain
-    via count_range (rle O(#runs), dict double-searchsorted, for/bitpack
-    window clamp).  Three predicates pin three shapes: the clustered key
-    (interior + pruning), an unclustered column (boundary everywhere,
-    still zero decode), and a disjoint range (all chunks pruned)."""
+    col BETWEEN lo AND hi on the zone maps — outside chunks' payloads
+    never leave storage, chunks inside the range are ALL-match and
+    answer from their row count, and straddling chunks count a
+    match_range run-list (rle O(#runs), dict double-searchsorted,
+    for/bitpack window clamp), with no decode.  Three predicates pin
+    three shapes: the clustered key (ALL-match + pruning), an
+    unclustered column (run-lists everywhere, still zero decode), and a
+    disjoint range (all chunks pruned)."""
     import os
     import shutil
 
@@ -2146,11 +2147,10 @@ def encoded_range_count_stats(sf_dir: str) -> pd.DataFrame:
         if col == "l_suppkey" and lo == 3 and \
                 counters["chunks_total"] > 8:
             assert counters["chunks_skipped"] > 0, counters
-            assert counters["chunks_interior"] > 0, \
-                f"metadata-only interior path never ran: {counters}"
+            assert counters["all_hit_chunks"] > 0, \
+                f"metadata-only ALL-match path never ran: {counters}"
         if lo == -9:
-            assert counters["chunks_interior"] + \
-                counters["chunks_boundary"] == 0, \
+            assert counters["chunks_scanned"] == 0, \
                 f"disjoint range should prune every chunk: {counters}"
         rows.append({"col": col, "lo": lo, "hi": hi,
                      "n_match": int(df["n_match"].iloc[0])})
@@ -2703,7 +2703,7 @@ def encoded_filtered_agg_stats(sf_dir: str) -> pd.DataFrame:
     selection runs against value runs with the reference's run-merge
     idiom as a prefix-weighted closed form).  Three predicates pin the
     three chunk classes: the clustered key (zone-map pruning +
-    PURE-HIT chunks that answer with no positional work), an
+    ALL-match chunks that answer with no positional work), an
     unclustered low-cardinality key (selection runs everywhere), and an
     absent value (answered from zone maps alone)."""
     import os
@@ -2732,9 +2732,9 @@ def encoded_filtered_agg_stats(sf_dir: str) -> pd.DataFrame:
                     f"zone maps never pruned the clustered key: {counters}"
             if int(df["n_match"].iloc[0]) > 2 * chunk:
                 # the key's cluster spans >2 chunks, so at least one
-                # interior chunk must be a metadata-only pure hit
-                assert counters["pure_hit_chunks"] > 0, \
-                    f"clustered layout gave no pure-hit chunks: {counters}"
+                # interior chunk must be a metadata-only ALL-match
+                assert counters["all_hit_chunks"] > 0, \
+                    f"clustered layout gave no ALL-match chunks: {counters}"
         if value == -7:
             assert counters["chunks_scanned"] == 0, \
                 f"absent value should be answered by zone maps: {counters}"
@@ -2787,7 +2787,7 @@ def encoded_conjunction_stats(sf_dir: str) -> pd.DataFrame:
         if name == "eq_x_range" and counters["chunks_total"] > 16:
             assert counters["chunks_skipped"] > 0, \
                 f"zone maps never pruned: {counters}"
-            assert counters["intersected_chunks"] > 0, \
+            assert counters["run_chunks"] > 0, \
                 f"no chunk took the intersection path: {counters}"
         if name == "impossible":
             assert counters["chunks_scanned"] == 0, \

@@ -13,6 +13,7 @@ Decode is the stateless inverse; round-trips are bit-identical per row.
 
 from __future__ import annotations
 
+import functools
 import os
 
 import numpy as np
@@ -445,278 +446,6 @@ def encoded_column_agg(enc_dir: str, columns: list[str]):
     })
 
 
-def encoded_range_agg(enc_dir: str, key_col: str, lo: int, hi: int,
-                      agg_cols: list[str]):
-    """COUNT/SUM of ``agg_cols`` over rows with ``key_col`` in
-    ``[lo, hi]``, answered from a clustered table-encode directory with
-    a three-way chunk split:
-
-    - chunks whose zone map lies OUTSIDE the range: payloads never leave
-      storage (predicate pushed into the Parquet scan);
-    - INTERIOR chunks (``vmin >= lo and vmax <= hi``): every row
-      qualifies, so SUM comes from :func:`tokrle.codecs.core.agg_sum`
-      in the compressed domain — neither the key nor the agg column is
-      decoded;
-    - BOUNDARY chunks: decode the key, mask, decode + mask-sum the agg
-      columns (the only decode in the whole query, proportional to the
-      cluster boundary, not the selected volume).
-
-    Returns ``(DataFrame, counters)`` where counters report the chunk
-    split so callers can assert the layout actually pruned and the
-    compressed-domain path actually ran.  Integer columns only; the
-    table should be clustered (sorted / z-ordered) on ``key_col`` for
-    the split to be effective — on an unclustered table everything
-    lands in the boundary class, which is correct but decodes."""
-    import pandas as pd
-    import pyarrow.compute as pc
-    import ray.data
-    from ray.data.aggregate import Sum
-
-    from tokrle.codecs.core import agg_sum, decode as codec_decode
-
-    inside = (pc.field(f"{key_col}__vmin") >= lo) & \
-        (pc.field(f"{key_col}__vmax") <= hi)
-    overlap = (pc.field(f"{key_col}__vmax") >= lo) & \
-        (pc.field(f"{key_col}__vmin") <= hi)
-    boundary = overlap & ~inside
-
-    meta_cols = ["n_rows", f"{key_col}__vmin", f"{key_col}__vmax"]
-    n_total = _n_chunks(enc_dir)
-    agg_payload_cols = ["n_rows"] + [
-        f"{c}__{part}" for c in agg_cols
-        for part in ("codec", "payload", "dtype", "valid")]
-
-    def _check_valid(batch: pa.Table, c: str, i: int) -> None:
-        if len(batch.column(f"{c}__valid")[i].as_py() or b""):
-            raise ValueError(
-                f"column {c!r}: nullable chunks not supported by the "
-                "compressed-domain aggregate")
-
-    def interior_partial(batch: pa.Table) -> pa.Table:
-        nrows = batch.column("n_rows").to_numpy(zero_copy_only=False)
-        out = {"n": pa.array([int(nrows.sum())], type=pa.int64()),
-               "chunks": pa.array([len(batch)], type=pa.int64())}
-        for i in range(len(batch)):
-            _check_valid(batch, key_col, i)  # nulls-as-0 keys misclassify
-        for c in agg_cols:
-            total = 0
-            for i in range(len(batch)):
-                _check_valid(batch, c, i)
-                total += agg_sum(
-                    batch.column(f"{c}__codec")[i].as_py(),
-                    memoryview(batch.column(f"{c}__payload")[i]
-                               .as_buffer()),
-                    int(nrows[i]),
-                    np.dtype(batch.column(f"{c}__dtype")[i].as_py()))
-            out[f"sum_{c}"] = pa.array([total], type=pa.int64())
-        return pa.table(out)
-
-    def boundary_partial(batch: pa.Table) -> pa.Table:
-        nrows = batch.column("n_rows").to_numpy(zero_copy_only=False)
-        n_sel = 0
-        sums = dict.fromkeys(agg_cols, 0)
-        for i in range(len(batch)):
-            n = int(nrows[i])
-            # the KEY's validity matters as much as the aggregates':
-            # nulls encode as 0, so a nullable key chunk would silently
-            # classify null rows as key==0 instead of raising
-            _check_valid(batch, key_col, i)
-            key = codec_decode(
-                batch.column(f"{key_col}__codec")[i].as_py(),
-                memoryview(batch.column(f"{key_col}__payload")[i]
-                           .as_buffer()),
-                n, np.dtype(batch.column(f"{key_col}__dtype")[i].as_py()))
-            mask = (key >= lo) & (key <= hi)
-            n_sel += int(np.count_nonzero(mask))
-            for c in agg_cols:
-                _check_valid(batch, c, i)
-                v = codec_decode(
-                    batch.column(f"{c}__codec")[i].as_py(),
-                    memoryview(batch.column(f"{c}__payload")[i]
-                               .as_buffer()),
-                    n, np.dtype(batch.column(f"{c}__dtype")[i].as_py()))
-                sums[c] += int(v[mask].astype(np.int64).sum())
-        out = {"n": pa.array([n_sel], type=pa.int64()),
-               "chunks": pa.array([len(batch)], type=pa.int64())}
-        for c in agg_cols:
-            out[f"sum_{c}"] = pa.array([sums[c]], type=pa.int64())
-        return pa.table(out)
-
-    def _run(filt, cols, fn):
-        ds = ray.data.read_parquet(enc_dir, columns=cols, filter=filt)
-        aggs = [Sum("n", alias_name="n"),
-                Sum("chunks", alias_name="chunks")] + \
-            [Sum(f"sum_{c}", alias_name=f"sum_{c}") for c in agg_cols]
-        row = ds.map_batches(fn, batch_format="pyarrow").aggregate(*aggs)
-        return {k: int(row[k] or 0) for k in
-                ["n", "chunks"] + [f"sum_{c}" for c in agg_cols]}
-
-    ri = _run(inside, list(dict.fromkeys(
-        agg_payload_cols + [f"{key_col}__valid"])), interior_partial)
-    rb = _run(boundary, list(dict.fromkeys(
-        agg_payload_cols + [f"{key_col}__{p}"
-                            for p in ("codec", "payload", "dtype",
-                                      "valid")])),
-        boundary_partial)
-    counters = {"chunks_total": n_total,
-                "chunks_interior": ri["chunks"],
-                "chunks_boundary": rb["chunks"],
-                "chunks_skipped": n_total - ri["chunks"] - rb["chunks"]}
-    df = pd.DataFrame({
-        "n_rows": [ri["n"] + rb["n"]],
-        **{f"sum_{c}": [ri[f"sum_{c}"] + rb[f"sum_{c}"]]
-           for c in agg_cols},
-    })
-    return df, counters
-
-
-def encoded_value_count(enc_dir: str, col: str, value: int):
-    """COUNT of rows with ``col == value`` over a table-encode directory,
-    answered without decoding anything:
-
-    - chunks whose zone map excludes the value (``value < vmin or
-      value > vmax``) never leave storage — the predicate is pushed into
-      the Parquet scan over the ``__vmin``/``__vmax`` columns;
-    - surviving chunks count matches inside the compressed domain via
-      :func:`tokrle.codecs.core.count_eq` (rle: O(#runs) run-length sum;
-      dict: one searchsorted + a code compare; for/bitpack: a frame test
-      that often answers 0 with no code-stream work) — the decoded
-      column is never materialized anywhere.
-
-    Integer/timestamp zone-mapped columns only (uint64 columns carry no
-    zone maps — see :func:`encode_table_columns`); nullable chunks raise
-    (encode fills nulls with 0, which would miscount ``value == 0``).
-    Returns ``(DataFrame(n_match), counters)`` where counters report the
-    chunk split so callers can assert the layout actually pruned."""
-    import pandas as pd
-    import pyarrow.compute as pc
-    import ray.data
-    from ray.data.aggregate import Sum
-
-    from tokrle.codecs.core import count_eq
-
-    value = int(value)
-    overlap = (pc.field(f"{col}__vmin") <= value) & \
-        (pc.field(f"{col}__vmax") >= value)
-    n_total = _n_chunks(enc_dir)
-    need = ["n_rows"] + [f"{col}__{p}"
-                         for p in ("codec", "payload", "dtype", "valid")]
-
-    def partial(batch: pa.Table) -> pa.Table:
-        nrows = batch.column("n_rows").to_numpy(zero_copy_only=False)
-        payloads = batch.column(f"{col}__payload")
-        codecs = batch.column(f"{col}__codec").to_pylist()
-        dtypes = batch.column(f"{col}__dtype").to_pylist()
-        valids = batch.column(f"{col}__valid")
-        total = 0
-        for i, codec in enumerate(codecs):
-            if len(valids[i].as_py() or b""):
-                raise ValueError(
-                    f"column {col!r}: nullable chunks not supported by "
-                    "the compressed-domain count (encode fills nulls "
-                    "with 0)")
-            total += count_eq(codec,
-                              memoryview(payloads[i].as_buffer()),
-                              int(nrows[i]), np.dtype(dtypes[i]), value)
-        return pa.table({
-            "n_match": pa.array([total], type=pa.int64()),
-            "chunks": pa.array([len(batch)], type=pa.int64())})
-
-    ds = ray.data.read_parquet(enc_dir, columns=need, filter=overlap)
-    row = ds.map_batches(partial, batch_format="pyarrow").aggregate(
-        Sum("n_match", alias_name="n_match"),
-        Sum("chunks", alias_name="chunks"))
-    scanned = int(row["chunks"] or 0)
-    counters = {"chunks_total": n_total,
-                "chunks_scanned": scanned,
-                "chunks_skipped": n_total - scanned}
-    return pd.DataFrame({"n_match": [int(row["n_match"] or 0)]}), counters
-
-
-def encoded_range_count(enc_dir: str, col: str, lo: int, hi: int):
-    """COUNT of rows with ``col`` in ``[lo, hi]`` over a table-encode
-    directory, split three ways on the zone maps:
-
-    - chunks OUTSIDE the range: payloads never leave storage (predicate
-      pushed into the Parquet scan);
-    - INTERIOR chunks (``vmin >= lo and vmax <= hi``): every row
-      qualifies, so the count is the chunk's ``n_rows`` — a
-      metadata-only read, not even the payload column is fetched;
-    - BOUNDARY chunks: count inside the compressed domain via
-      :func:`tokrle.codecs.core.count_range` (rle: O(#runs); dict: two
-      searchsorted calls; for/bitpack: window clamp) — still no decode.
-
-    Same contracts as :func:`encoded_value_count` (integer zone-mapped
-    columns, nullable chunks raise).  Returns ``(DataFrame(n_match),
-    counters)`` with the chunk split."""
-    import pandas as pd
-    import pyarrow.compute as pc
-    import ray.data
-    from ray.data.aggregate import Sum
-
-    from tokrle.codecs.core import count_range
-
-    lo, hi = int(lo), int(hi)
-    inside = (pc.field(f"{col}__vmin") >= lo) & \
-        (pc.field(f"{col}__vmax") <= hi)
-    overlap = (pc.field(f"{col}__vmax") >= lo) & \
-        (pc.field(f"{col}__vmin") <= hi)
-    boundary = overlap & ~inside
-    n_total = _n_chunks(enc_dir)
-
-    def interior_partial(batch: pa.Table) -> pa.Table:
-        valids = batch.column(f"{col}__valid")
-        for i in range(len(batch)):
-            if len(valids[i].as_py() or b""):
-                raise ValueError(
-                    f"column {col!r}: nullable chunks not supported by "
-                    "the compressed-domain count (encode fills nulls "
-                    "with 0)")
-        nrows = batch.column("n_rows").to_numpy(zero_copy_only=False)
-        return pa.table({
-            "n_match": pa.array([int(nrows.sum())], type=pa.int64()),
-            "chunks": pa.array([len(batch)], type=pa.int64())})
-
-    def boundary_partial(batch: pa.Table) -> pa.Table:
-        nrows = batch.column("n_rows").to_numpy(zero_copy_only=False)
-        payloads = batch.column(f"{col}__payload")
-        codecs = batch.column(f"{col}__codec").to_pylist()
-        dtypes = batch.column(f"{col}__dtype").to_pylist()
-        valids = batch.column(f"{col}__valid")
-        total = 0
-        for i, codec in enumerate(codecs):
-            if len(valids[i].as_py() or b""):
-                raise ValueError(
-                    f"column {col!r}: nullable chunks not supported by "
-                    "the compressed-domain count (encode fills nulls "
-                    "with 0)")
-            total += count_range(codec,
-                                 memoryview(payloads[i].as_buffer()),
-                                 int(nrows[i]), np.dtype(dtypes[i]),
-                                 lo, hi)
-        return pa.table({
-            "n_match": pa.array([total], type=pa.int64()),
-            "chunks": pa.array([len(batch)], type=pa.int64())})
-
-    def _run(filt, cols, fn):
-        ds = ray.data.read_parquet(enc_dir, columns=cols, filter=filt)
-        row = ds.map_batches(fn, batch_format="pyarrow").aggregate(
-            Sum("n_match", alias_name="n_match"),
-            Sum("chunks", alias_name="chunks"))
-        return int(row["n_match"] or 0), int(row["chunks"] or 0)
-
-    ni, ci = _run(inside, ["n_rows", f"{col}__valid"], interior_partial)
-    nb, cb = _run(boundary,
-                  ["n_rows"] + [f"{col}__{p}" for p in
-                                ("codec", "payload", "dtype", "valid")],
-                  boundary_partial)
-    counters = {"chunks_total": n_total,
-                "chunks_interior": ci,
-                "chunks_boundary": cb,
-                "chunks_skipped": n_total - ci - cb}
-    return pd.DataFrame({"n_match": [ni + nb]}), counters
-
-
 def encoded_distinct_count(enc_dir: str, col: str,
                            expr: tuple | None = None):
     """Exact COUNT(DISTINCT col) over a table-encode directory without
@@ -737,9 +466,11 @@ def encoded_distinct_count(enc_dir: str, col: str,
 
     Intended for low/moderate-cardinality columns (keys, labels, enum
     codes); for high-cardinality columns the distinct set itself is the
-    data — use the HLL sketch (`functions.sketch`) there.  Same
-    contracts as :func:`encoded_value_count` (integer zone-mapped not
-    required without ``expr``; nullable chunks raise).  Returns
+    data — use the HLL sketch (`functions.sketch`) there.  Integer
+    columns; only the ``expr`` columns need zone maps.  Predicate
+    columns may be nullable (SQL three-valued logic), but a selected
+    nullable chunk of ``col`` raises: the encoder fills null slots
+    with 0, which would count as a distinct value.  Returns
     ``(DataFrame(n_distinct), counters)`` where counters report how
     many chunks answered from a closed form (dict/rle or ALL-match)
     vs decode/gather."""
@@ -762,14 +493,6 @@ def encoded_distinct_count(enc_dir: str, col: str,
              if f"{c}__valid" not in need]
     need = list(dict.fromkeys(need))
     n_total = _n_chunks(enc_dir)
-
-    def _chunk_col3(batch, c, i):
-        return (batch.column(f"{c}__codec")[i].as_py(),
-                memoryview(batch.column(f"{c}__payload")[i].as_buffer()),
-                np.dtype(batch.column(f"{c}__dtype")[i].as_py()))
-
-    def _valid(batch, c, i) -> bytes:
-        return batch.column(f"{c}__valid")[i].as_py() or b""
 
     def partial(batch: pa.Table) -> pa.Table:
         nrows = batch.column("n_rows").to_numpy(zero_copy_only=False)
@@ -797,9 +520,9 @@ def encoded_distinct_count(enc_dir: str, col: str,
                     continue
                 sel = _expr_eval(
                     expr, i, n, zmin, zmax,
-                    lambda c2, j: _chunk_col3(batch, c2, j),
+                    lambda c2, j: _chunk_col(batch, c2, j),
                     lambda c2, j: _chunk_str_col(batch, c2, j),
-                    lambda c2, j: _valid(batch, c2, j))
+                    lambda c2, j: _chunk_valid(batch, c2, j))
                 if not isinstance(sel, str) and not len(sel[0]):
                     continue
                 if isinstance(sel, str):
@@ -809,7 +532,7 @@ def encoded_distinct_count(enc_dir: str, col: str,
                         decoded += 1
                 else:
                     gathered += 1
-            if _valid(batch, col, i):
+            if _chunk_valid(batch, col, i):
                 raise ValueError(
                     f"column {col!r}: nullable chunks not supported by "
                     "the compressed-domain distinct (encode fills nulls "
@@ -1507,14 +1230,6 @@ def _boolean_value_hist(enc_dir: str, expr: tuple, agg_col: str):
     need += [f"{c}__valid" for c in null_cols
              if f"{c}__valid" not in need]
 
-    def _chunk_col(batch, c, i):
-        return (batch.column(f"{c}__codec")[i].as_py(),
-                memoryview(batch.column(f"{c}__payload")[i].as_buffer()),
-                np.dtype(batch.column(f"{c}__dtype")[i].as_py()))
-
-    def _valid(batch, c, i) -> bytes:
-        return batch.column(f"{c}__valid")[i].as_py() or b""
-
     def partial(batch: pa.Table) -> pa.Table:
         nrows = batch.column("n_rows").to_numpy(zero_copy_only=False)
         zmin = {c: batch.column(f"{c}__vmin").to_numpy(
@@ -1530,10 +1245,10 @@ def _boolean_value_hist(enc_dir: str, expr: tuple, agg_col: str):
             sel = _expr_eval(expr, i, n, zmin, zmax,
                              lambda col, j: _chunk_col(batch, col, j),
                              lambda col, j: _chunk_str_col(batch, col, j),
-                             lambda col, j: _valid(batch, col, j))
+                             lambda col, j: _chunk_valid(batch, col, j))
             if not isinstance(sel, str) and not len(sel[0]):
                 continue  # provably empty selection: nullability moot
-            if _valid(batch, agg_col, i):
+            if _chunk_valid(batch, agg_col, i):
                 raise ValueError(
                     f"column {agg_col!r}: nullable chunks not supported "
                     "by the compressed-domain quantile (encode fills "
@@ -1724,14 +1439,6 @@ def encoded_group_where_quantiles(enc_dir: str, expr: tuple,
              if f"{c}__valid" not in need]
     need = list(dict.fromkeys(need))
 
-    def _chunk_col(batch, c, i):
-        return (batch.column(f"{c}__codec")[i].as_py(),
-                memoryview(batch.column(f"{c}__payload")[i].as_buffer()),
-                np.dtype(batch.column(f"{c}__dtype")[i].as_py()))
-
-    def _valid(batch, c, i) -> bytes:
-        return batch.column(f"{c}__valid")[i].as_py() or b""
-
     def partial(batch: pa.Table) -> pa.Table:
         nrows = batch.column("n_rows").to_numpy(zero_copy_only=False)
         zmin = {c: batch.column(f"{c}__vmin").to_numpy(
@@ -1751,12 +1458,12 @@ def encoded_group_where_quantiles(enc_dir: str, expr: tuple,
             sel = _expr_eval(expr, i, n, zmin, zmax,
                              lambda col, j: _chunk_col(batch, col, j),
                              lambda col, j: _chunk_str_col(batch, col, j),
-                             lambda col, j: _valid(batch, col, j))
+                             lambda col, j: _chunk_valid(batch, col, j))
             is_all = isinstance(sel, str)
             if not is_all and not len(sel[0]):
                 continue
             for c in (group_col, agg_col):
-                if _valid(batch, c, i):
+                if _chunk_valid(batch, c, i):
                     raise ValueError(
                         f"column {c!r}: nullable chunks not supported "
                         "by the compressed-domain grouped quantile")
@@ -1831,248 +1538,6 @@ def encoded_group_where_quantiles(enc_dir: str, expr: tuple,
                 "groups": int(hist["grp"].nunique()),
                 "hist_rows": int(len(hist))}
     return _group_quantile_frame(hist, qs, group_col, is_u64), counters
-
-
-def encoded_filtered_agg(enc_dir: str, key_col: str, value: int,
-                         agg_cols: list[str]):
-    """``SELECT count(*), sum(agg_cols...) WHERE key_col == value`` over
-    a table-encode directory, evaluated against the compressed layout:
-
-    - chunks whose zone map excludes the value never leave storage (the
-      predicate is pushed into the Parquet scan over ``__vmin/__vmax``);
-    - PURE-HIT chunks (``vmin == vmax == value``: every row matches —
-      the common case when the table is clustered on the key) answer
-      count from the chunk row count and each SUM via
-      :func:`tokrle.codecs.core.agg_sum` — no positional work at all;
-    - the rest build a selection run-list from the KEY column via
-      :func:`tokrle.codecs.core.match_eq` (rle: the matching runs ARE
-      the selection; dict: one searchsorted + a code compare) and sum
-      each agg column inside those runs via
-      :func:`tokrle.codecs.core.agg_sum_runs` (rle agg columns zip
-      selection runs against value runs with a prefix-weighted closed
-      form — the reference's run-merge idiom as a filtered aggregate);
-      neither column ever materializes its n-element decode when both
-      sides have compressed-domain paths.
-
-    The exchange carries ONE partial row per batch.  Integer key and agg
-    columns only; nullable chunks raise.  Returns ``(DataFrame(n_match,
-    sum_<c>...), counters)`` with the chunk-class split so callers can
-    assert the layout actually pruned."""
-    import pandas as pd
-    import pyarrow.compute as pc
-    import ray.data
-    from ray.data.aggregate import Sum
-
-    from tokrle.codecs.core import agg_sum, agg_sum_runs, match_eq
-
-    value = int(value)
-    overlap = (pc.field(f"{key_col}__vmin") <= value) & \
-        (pc.field(f"{key_col}__vmax") >= value)
-    n_total = _n_chunks(enc_dir)
-    need = ["n_rows", f"{key_col}__vmin", f"{key_col}__vmax"] + [
-        f"{c}__{p}" for c in dict.fromkeys([key_col] + agg_cols)
-        for p in ("codec", "payload", "dtype", "valid")]
-
-    def _chunk_col(batch, c, i):
-        if len(batch.column(f"{c}__valid")[i].as_py() or b""):
-            raise ValueError(
-                f"column {c!r}: nullable chunks not supported by the "
-                "compressed-domain filtered aggregate")
-        return (batch.column(f"{c}__codec")[i].as_py(),
-                memoryview(batch.column(f"{c}__payload")[i].as_buffer()),
-                np.dtype(batch.column(f"{c}__dtype")[i].as_py()))
-
-    def partial(batch: pa.Table) -> pa.Table:
-        nrows = batch.column("n_rows").to_numpy(zero_copy_only=False)
-        vmins = batch.column(f"{key_col}__vmin").to_numpy(
-            zero_copy_only=False)
-        vmaxs = batch.column(f"{key_col}__vmax").to_numpy(
-            zero_copy_only=False)
-        n_match, pure_hit, run_scanned = 0, 0, 0
-        sums = {c: 0 for c in agg_cols}
-        for i in range(len(batch)):
-            n = int(nrows[i])
-            if int(vmins[i]) == int(vmaxs[i]) == value:
-                # every row matches: count from metadata, sums via the
-                # whole-chunk closed form — no selection built
-                pure_hit += 1
-                n_match += n
-                for c in agg_cols:
-                    codec, payload, dt = _chunk_col(batch, c, i)
-                    sums[c] += agg_sum(codec, payload, n, dt)
-                continue
-            codec, payload, dt = _chunk_col(batch, key_col, i)
-            starts, lengths = match_eq(codec, payload, n, dt, value)
-            if not len(starts):
-                continue
-            run_scanned += 1
-            n_match += int(lengths.sum())
-            for c in agg_cols:
-                codec, payload, dt = _chunk_col(batch, c, i)
-                sums[c] += agg_sum_runs(codec, payload, n, dt,
-                                        starts, lengths)
-        out = {"n_match": pa.array([n_match], type=pa.int64()),
-               "chunks": pa.array([len(batch)], type=pa.int64()),
-               "pure_hit": pa.array([pure_hit], type=pa.int64()),
-               "run_scanned": pa.array([run_scanned], type=pa.int64())}
-        for c in agg_cols:
-            out[f"sum_{c}"] = pa.array([sums[c]], type=pa.int64())
-        return pa.table(out)
-
-    ds = ray.data.read_parquet(enc_dir, columns=need, filter=overlap)
-    aggs = [Sum("n_match", alias_name="n_match"),
-            Sum("chunks", alias_name="chunks"),
-            Sum("pure_hit", alias_name="pure_hit"),
-            Sum("run_scanned", alias_name="run_scanned")] + \
-        [Sum(f"sum_{c}", alias_name=f"sum_{c}") for c in agg_cols]
-    row = ds.map_batches(partial, batch_format="pyarrow").aggregate(*aggs)
-    scanned = int(row["chunks"] or 0)
-    counters = {"chunks_total": n_total,
-                "chunks_scanned": scanned,
-                "chunks_skipped": n_total - scanned,
-                "pure_hit_chunks": int(row["pure_hit"] or 0),
-                "run_scanned_chunks": int(row["run_scanned"] or 0)}
-    data = {"n_match": [int(row["n_match"] or 0)]}
-    for c in agg_cols:
-        data[f"sum_{c}"] = [int(row[f"sum_{c}"] or 0)]
-    return pd.DataFrame(data), counters
-
-
-def encoded_conjunction_agg(enc_dir: str, predicates: list[tuple],
-                            agg_cols: list[str]):
-    """``SELECT count(*), sum(agg_cols...) WHERE p1 AND p2 AND ...``
-    over a table-encode directory, with every predicate evaluated in
-    the compressed domain and the conjunction taken by RUN-LIST
-    INTERSECTION (:func:`tokrle.codecs.core.runs_intersect` — the
-    reference's run-merge inner loop as set algebra, output bounded by
-    the two lists' combined length).
-
-    ``predicates`` is a list of ``("eq", col, value)`` /
-    ``("range", col, lo, hi)`` tuples.  Per chunk:
-
-    - the scan filter is the AND of every predicate's zone-map overlap
-      test — a chunk any predicate excludes never leaves storage;
-    - a predicate whose zone map proves the WHOLE chunk matches
-      (eq: ``vmin == vmax == value``; range: ``lo <= vmin and
-      vmax <= hi``) contributes no run-list at all (ALL-match);
-    - the rest build selection run-lists via match_eq / match_range and
-      fold through runs_intersect, short-circuiting to nothing on the
-      first empty result;
-    - all-ALL chunks answer count from metadata and sums via the
-      whole-chunk closed form; otherwise agg_sum_runs sums inside the
-      intersected selection.
-
-    One partial row per batch on the exchange; integer columns only;
-    nullable chunks raise.  Returns ``(DataFrame(n_match, sum_<c>...),
-    counters)``."""
-    import pandas as pd
-    import pyarrow.compute as pc
-    import ray.data
-    from ray.data.aggregate import Sum
-
-    from tokrle.codecs.core import (agg_sum, agg_sum_runs, match_eq,
-                                    match_range, runs_intersect)
-
-    preds = []
-    for p in predicates:
-        if p[0] == "eq":
-            preds.append(("eq", p[1], int(p[2]), int(p[2])))
-        elif p[0] == "range":
-            preds.append(("range", p[1], int(p[2]), int(p[3])))
-        else:
-            raise ValueError(f"unknown predicate kind {p[0]!r}")
-
-    overlap = None
-    for _, col, lo, hi in preds:
-        t = (pc.field(f"{col}__vmin") <= hi) & \
-            (pc.field(f"{col}__vmax") >= lo)
-        overlap = t if overlap is None else overlap & t
-    n_total = _n_chunks(enc_dir)
-    pred_cols = list(dict.fromkeys(c for _, c, _, _ in preds))
-    need = ["n_rows"] + [f"{c}__{p}" for c in pred_cols
-                         for p in ("vmin", "vmax")] + [
-        f"{c}__{p}"
-        for c in dict.fromkeys(pred_cols + list(agg_cols))
-        for p in ("codec", "payload", "dtype", "valid")]
-
-    def _chunk_col(batch, c, i):
-        if len(batch.column(f"{c}__valid")[i].as_py() or b""):
-            raise ValueError(
-                f"column {c!r}: nullable chunks not supported by the "
-                "compressed-domain conjunction aggregate")
-        return (batch.column(f"{c}__codec")[i].as_py(),
-                memoryview(batch.column(f"{c}__payload")[i].as_buffer()),
-                np.dtype(batch.column(f"{c}__dtype")[i].as_py()))
-
-    def partial(batch: pa.Table) -> pa.Table:
-        nrows = batch.column("n_rows").to_numpy(zero_copy_only=False)
-        zmin = {c: batch.column(f"{c}__vmin").to_numpy(
-            zero_copy_only=False) for c in pred_cols}
-        zmax = {c: batch.column(f"{c}__vmax").to_numpy(
-            zero_copy_only=False) for c in pred_cols}
-        n_match, all_hit, intersected = 0, 0, 0
-        sums = {c: 0 for c in agg_cols}
-        for i in range(len(batch)):
-            n = int(nrows[i])
-            sel = None          # None == ALL positions so far
-            alive = True
-            for kind, col, lo, hi in preds:
-                if lo <= int(zmin[col][i]) and int(zmax[col][i]) <= hi:
-                    continue    # zone map proves the whole chunk matches
-                codec, payload, dt = _chunk_col(batch, col, i)
-                if kind == "eq":
-                    runs = match_eq(codec, payload, n, dt, lo)
-                else:
-                    runs = match_range(codec, payload, n, dt, lo, hi)
-                if not len(runs[0]):
-                    alive = False
-                    break
-                sel = runs if sel is None else \
-                    runs_intersect(*sel, *runs)
-                if not len(sel[0]):
-                    alive = False
-                    break
-            if not alive:
-                continue
-            if sel is None:
-                # every predicate was an ALL-match: metadata count +
-                # whole-chunk closed-form sums, no selection built
-                all_hit += 1
-                n_match += n
-                for c in agg_cols:
-                    codec, payload, dt = _chunk_col(batch, c, i)
-                    sums[c] += agg_sum(codec, payload, n, dt)
-                continue
-            intersected += 1
-            n_match += int(sel[1].sum())
-            for c in agg_cols:
-                codec, payload, dt = _chunk_col(batch, c, i)
-                sums[c] += agg_sum_runs(codec, payload, n, dt, *sel)
-        out = {"n_match": pa.array([n_match], type=pa.int64()),
-               "chunks": pa.array([len(batch)], type=pa.int64()),
-               "all_hit": pa.array([all_hit], type=pa.int64()),
-               "intersected": pa.array([intersected], type=pa.int64())}
-        for c in agg_cols:
-            out[f"sum_{c}"] = pa.array([sums[c]], type=pa.int64())
-        return pa.table(out)
-
-    ds = ray.data.read_parquet(enc_dir, columns=need, filter=overlap)
-    aggs = [Sum("n_match", alias_name="n_match"),
-            Sum("chunks", alias_name="chunks"),
-            Sum("all_hit", alias_name="all_hit"),
-            Sum("intersected", alias_name="intersected")] + \
-        [Sum(f"sum_{c}", alias_name=f"sum_{c}") for c in agg_cols]
-    row = ds.map_batches(partial, batch_format="pyarrow").aggregate(*aggs)
-    scanned = int(row["chunks"] or 0)
-    counters = {"chunks_total": n_total,
-                "chunks_scanned": scanned,
-                "chunks_skipped": n_total - scanned,
-                "all_hit_chunks": int(row["all_hit"] or 0),
-                "intersected_chunks": int(row["intersected"] or 0)}
-    data = {"n_match": [int(row["n_match"] or 0)]}
-    for c in agg_cols:
-        data[f"sum_{c}"] = [int(row[f"sum_{c}"] or 0)]
-    return pd.DataFrame(data), counters
 
 
 def _n_chunks(enc_dir: str) -> int:
@@ -2156,6 +1621,21 @@ def _expr_str_cols(expr) -> list[str]:
     maps)."""
     return list(dict.fromkeys(lf[1] for lf in _expr_leaves(expr)
                               if lf[0] in _STR_LEAVES))
+
+
+def _chunk_col(batch: pa.Table, c: str, i: int):
+    """(codec, payload, dtype) of integer chunk ``i`` — the inputs of
+    the :mod:`tokrle.codecs.core` match / aggregate kernels.  Null slots
+    read as the encoder's 0 filler; null-aware callers pair it with
+    :func:`_chunk_valid`."""
+    return (batch.column(f"{c}__codec")[i].as_py(),
+            memoryview(batch.column(f"{c}__payload")[i].as_buffer()),
+            np.dtype(batch.column(f"{c}__dtype")[i].as_py()))
+
+
+def _chunk_valid(batch: pa.Table, c: str, i: int) -> bytes:
+    """Packed ``{c}__valid`` bitmap of chunk ``i``; b'' when null-free."""
+    return batch.column(f"{c}__valid")[i].as_py() or b""
 
 
 def _chunk_str_col(batch: pa.Table, c: str, i: int):
@@ -2420,7 +1900,7 @@ def encoded_boolean_agg(enc_dir: str, expr: tuple, agg_cols: list[str],
     and/or of the leaves' overlap tests, while any ``not`` branch is
     unprunable (the complement of a zone test is not sound) and reads
     everything.  One partial row per batch on the exchange; integer
-    columns only; nullable chunks raise.
+    aggregate columns only.
 
     ``with_minmax=True`` adds exact per-column MIN/MAX of the selected
     rows: ALL-match chunks answer from the aggregate column's own zone
@@ -2465,14 +1945,6 @@ def encoded_boolean_agg(enc_dir: str, expr: tuple, agg_cols: list[str],
                  for p in ("vmin", "vmax")
                  if f"{c}__{p}" not in need]
 
-    def _chunk_col(batch, c, i):
-        return (batch.column(f"{c}__codec")[i].as_py(),
-                memoryview(batch.column(f"{c}__payload")[i].as_buffer()),
-                np.dtype(batch.column(f"{c}__dtype")[i].as_py()))
-
-    def _valid(batch, c, i) -> bytes:
-        return batch.column(f"{c}__valid")[i].as_py() or b""
-
     def partial(batch: pa.Table) -> pa.Table:
         nrows = batch.column("n_rows").to_numpy(zero_copy_only=False)
         zmin = {c: batch.column(f"{c}__vmin").to_numpy(
@@ -2495,13 +1967,13 @@ def encoded_boolean_agg(enc_dir: str, expr: tuple, agg_cols: list[str],
             sel = _expr_eval(expr, i, n, zmin, zmax,
                              lambda col, j: _chunk_col(batch, col, j),
                              lambda col, j: _chunk_str_col(batch, col, j),
-                             lambda col, j: _valid(batch, col, j))
+                             lambda col, j: _chunk_valid(batch, col, j))
             if isinstance(sel, str):
                 all_hit += 1
                 n_match += n
                 for c in agg_cols:
                     codec, payload, dt = _chunk_col(batch, c, i)
-                    vb = _valid(batch, c, i)
+                    vb = _chunk_valid(batch, c, i)
                     # the encoder fills null slots with 0, so the
                     # whole-payload sum equals SQL's null-skipping SUM
                     sums[c] += agg_sum(codec, payload, n, dt)
@@ -2531,7 +2003,7 @@ def encoded_boolean_agg(enc_dir: str, expr: tuple, agg_cols: list[str],
             n_match += int(sel[1].sum())
             for c in agg_cols:
                 codec, payload, dt = _chunk_col(batch, c, i)
-                vb = _valid(batch, c, i)
+                vb = _chunk_valid(batch, c, i)
                 # restrict to VALID selected positions on nullable
                 # chunks — null slots neither count nor aggregate
                 sv = sel if not vb else \
@@ -2597,6 +2069,59 @@ def encoded_boolean_agg(enc_dir: str, expr: tuple, agg_cols: list[str],
             data[f"min_{c}"] = [int(row[f"min_{c}"]) if nv else None]
             data[f"max_{c}"] = [int(row[f"max_{c}"]) if nv else None]
     return pd.DataFrame(data), counters
+
+
+# Single-predicate and conjunctive entry points: each is one predicate
+# tree handed to encoded_boolean_agg, so they share its zone-map
+# pruning, its run-list evaluation, its SQL null semantics and its
+# counters (chunks_total / chunks_scanned / chunks_skipped /
+# all_hit_chunks / run_chunks / nvalid_<c>).
+
+def encoded_range_agg(enc_dir: str, key_col: str, lo: int, hi: int,
+                      agg_cols: list[str]):
+    """COUNT/SUM of ``agg_cols`` over rows with ``key_col`` in
+    ``[lo, hi]``: the ``("range", key_col, lo, hi)`` leaf of
+    :func:`encoded_boolean_agg`.  Chunks inside the range are
+    ``all_hit_chunks`` (summed by ``agg_sum``, nothing decoded); on a
+    table clustered on ``key_col`` only the cluster-boundary chunks
+    build a selection.  Returns ``(DataFrame(n_rows, sum_<c>...),
+    counters)``."""
+    df, counters = encoded_boolean_agg(
+        enc_dir, ("range", key_col, lo, hi), agg_cols)
+    return df.rename(columns={"n_match": "n_rows"}), counters
+
+
+def encoded_value_count(enc_dir: str, col: str, value: int):
+    """COUNT of rows with ``col == value``: the ``("eq", col, value)``
+    leaf of :func:`encoded_boolean_agg` with no aggregate column.
+    Returns ``(DataFrame(n_match), counters)``."""
+    return encoded_boolean_agg(enc_dir, ("eq", col, value), [])
+
+
+def encoded_range_count(enc_dir: str, col: str, lo: int, hi: int):
+    """COUNT of rows with ``col`` in ``[lo, hi]``: the
+    ``("range", col, lo, hi)`` leaf of :func:`encoded_boolean_agg` with
+    no aggregate column.  Returns ``(DataFrame(n_match), counters)``."""
+    return encoded_boolean_agg(enc_dir, ("range", col, lo, hi), [])
+
+
+def encoded_filtered_agg(enc_dir: str, key_col: str, value: int,
+                         agg_cols: list[str]):
+    """``SELECT count(*), sum(agg_cols...) WHERE key_col == value``: the
+    ``("eq", key_col, value)`` leaf of :func:`encoded_boolean_agg`.
+    Returns ``(DataFrame(n_match, sum_<c>...), counters)``."""
+    return encoded_boolean_agg(enc_dir, ("eq", key_col, value), agg_cols)
+
+
+def encoded_conjunction_agg(enc_dir: str, predicates: list[tuple],
+                            agg_cols: list[str]):
+    """``SELECT count(*), sum(agg_cols...) WHERE p1 AND p2 AND ...``:
+    the non-empty leaf list ``predicates`` (``("eq", col, value)`` /
+    ``("range", col, lo, hi)``) folded into nested ``("and", a, b)``
+    nodes for :func:`encoded_boolean_agg`.  Returns
+    ``(DataFrame(n_match, sum_<c>...), counters)``."""
+    expr = functools.reduce(lambda a, b: ("and", a, b), predicates)
+    return encoded_boolean_agg(enc_dir, expr, agg_cols)
 
 
 def encoded_filtered_group_agg(enc_dir: str, group_col: str, expr: tuple,
