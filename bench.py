@@ -88,7 +88,6 @@ def bench_encode(in_dir: str, *, num_cpus: int, passes: int = 1) -> dict:
         shutil.rmtree(out_dir, ignore_errors=True)
         t0 = time.perf_counter()
         run = encode_corpus(in_dir, out_dir, batch_size=batch,
-                            concurrency=(1, num_cpus),
                             by_source=by_source or False)
         # best pass: the host has minutes-long steal episodes (see
         # BASELINE.md); the fastest of the warm passes is the engine
@@ -159,16 +158,6 @@ def main() -> None:
     lg_ratio = (lg["raw_bytes"] / lg["encoded_bytes"]
                 if lg["encoded_bytes"] else 0.0)
 
-    # bucketed-hash variant: one hash exchange co-locating whole sources
-    # (no boundary sampling, no within-block sort)
-    hg_out = os.path.join(WORK, "encoded_hashgroup")
-    shutil.rmtree(hg_out, ignore_errors=True)
-    t0 = time.perf_counter()
-    hg = encode_corpus(in_dir, hg_out, batch_size=8192, by_source="hash")
-    timings["encode_hashgroup"] = round(time.perf_counter() - t0, 3)
-    hg_ratio = (hg["raw_bytes"] / hg["encoded_bytes"]
-                if hg["encoded_bytes"] else 0.0)
-
     first_pass: dict = {}
     for name, fn in [("coverage_total", Q.coverage_total),
                      ("coverage_add", Q.coverage_add),
@@ -224,11 +213,9 @@ def main() -> None:
     except Exception:
         pass
 
-    # round-1-comparable subtotal: the r2 suite ADDED the (deliberately
-    # redundant, known-slower) hashgroup variant and r3 added new
-    # operators; excluding them keeps round-over-round totals
-    # apples-to-apples
-    _NOT_CORE = {"encode_hashgroup", "decontam_stats", "dup_span_stats",
+    # round-1-comparable subtotal: r3 added new operators; excluding them
+    # keeps round-over-round totals apples-to-apples
+    _NOT_CORE = {"decontam_stats", "dup_span_stats",
                  "asof_attribution_stats", "range_overlap_stats",
                  "epoch_shuffle", "token_rarity_stats",
                  "split_sequences_stats", "zonemap_pruned_scan",
@@ -254,7 +241,6 @@ def main() -> None:
         "compression_ratio": round(enc["compression_ratio"], 3),
         "compression_ratio_bysource": round(bys_ratio, 3),
         "compression_ratio_localgroup": round(lg_ratio, 3),
-        "compression_ratio_hashgroup": round(hg_ratio, 3),
         **_host_health(),
     }
     print(json.dumps(out))
@@ -345,8 +331,7 @@ def volume_prep() -> None:
         training_examples(docs).write_parquet(stage)
         t_stage = time.perf_counter() - t0
         t0 = time.perf_counter()
-        run = encode_corpus(stage, enc, batch_size=8192,
-                            concurrency=(1, NUM_CPUS), by_source="local")
+        run = encode_corpus(stage, enc, batch_size=8192, by_source="local")
         t_encode = time.perf_counter() - t0
         total = t_stage + t_encode
         out["queries"][label] = {
@@ -415,7 +400,6 @@ def volume() -> None:
             shutil.rmtree(enc_out, ignore_errors=True)
             t0 = time.perf_counter()
             this = encode_corpus(in_dir, enc_out, batch_size=8192,
-                                 concurrency=(1, NUM_CPUS),
                                  by_source="local")
             elapsed = time.perf_counter() - t0
             if elapsed < dt:

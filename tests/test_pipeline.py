@@ -79,8 +79,10 @@ def test_roundtrip_check_streaming(ray_session, token_ds):
     assert res["source"]["n_docs"] == 500
 
 
-def test_corpus_encode_resume(ray_session, tmp_path):
-    """Killed-run resume: second invocation skips completed units."""
+@pytest.mark.parametrize("by_source", [False, "local", "sort"])
+def test_corpus_encode_resume(ray_session, tmp_path, by_source):
+    """Killed-run resume: second invocation skips completed units, on the
+    fused single-job paths and on the per-group sort-shuffle path."""
     import pyarrow.parquet as pq
 
     from tokrle.pipelines.corpus import encode_corpus
@@ -93,10 +95,12 @@ def test_corpus_encode_resume(ray_session, tmp_path):
     pq.write_table(pa.Table.from_pandas(df.iloc[:250]), f"{in_dir}/a.parquet")
     pq.write_table(pa.Table.from_pandas(df.iloc[250:]), f"{in_dir}/b.parquet")
 
-    r1 = encode_corpus(in_dir, out_dir, batch_size=64, group_files=1)
+    r1 = encode_corpus(in_dir, out_dir, batch_size=64, group_files=1,
+                       by_source=by_source)
     assert r1["units_total"] == 2 and r1["units_skipped"] == 0
-    assert r1["n_tokens"] > 0
-    r2 = encode_corpus(in_dir, out_dir, batch_size=64, group_files=1)
+    assert r1["n_tokens"] == int(df["n_tok"].sum())
+    r2 = encode_corpus(in_dir, out_dir, batch_size=64, group_files=1,
+                       by_source=by_source)
     assert r2["units_skipped"] == 2 and r2["n_tokens"] == 0
     # decoded output matches source bit-identically
     import ray.data
@@ -495,7 +499,8 @@ def test_plan_groups_size_aware(tmp_path):
         assert total <= 400 or len(g) == 1
 
 
-def test_recompress_roundtrip_and_resume(ray_session, tmp_path):
+@pytest.mark.parametrize("by_source", [False, "local", "sort"])
+def test_recompress_roundtrip_and_resume(ray_session, tmp_path, by_source):
     import ray.data
 
     from tokrle.pipelines.corpus import encode_corpus, recompress
@@ -506,9 +511,9 @@ def test_recompress_roundtrip_and_resume(ray_session, tmp_path):
     synth_tokens(2000).repartition(4).write_parquet(src)
     enc1 = str(tmp_path / "enc1")
     encode_corpus(src, enc1, batch_size=512)
-    # recompress with local source grouping (codec-fit migration)
+    # recompress under each skew mode (codec-fit migration)
     enc2 = str(tmp_path / "enc2")
-    run = recompress(enc1, enc2, batch_size=1024, by_source="local")
+    run = recompress(enc1, enc2, batch_size=1024, by_source=by_source)
     assert run["units_skipped"] == 0 and run["n_tokens"] > 0
     # decoded output identical to the original token stream
     chk = roundtrip_check(
@@ -517,8 +522,9 @@ def test_recompress_roundtrip_and_resume(ray_session, tmp_path):
             "codec", "payload", "n_tokens", "row_offsets", "doc_id",
             "doc_source"])))
     assert chk["source"] == chk["decoded"]
+    assert run["n_tokens"] == chk["source"]["n_tokens"]
     # second run resumes: everything skipped
-    run2 = recompress(enc1, enc2, batch_size=1024, by_source="local")
+    run2 = recompress(enc1, enc2, batch_size=1024, by_source=by_source)
     assert run2["units_skipped"] == run["units_total"]
 
 

@@ -87,16 +87,6 @@ def test_chunk_id_content_deterministic(ray_session, regime_ds):
     assert len(ids_b) == len(b)
 
 
-def test_actor_pool_variant_matches_task_variant(ray_session, regime_ds):
-    from tokrle.pipelines.encode import encode_tokens
-
-    t = encode_tokens(regime_ds, batch_size=128).to_pandas()
-    a = encode_tokens(regime_ds, batch_size=128, use_actors=True,
-                      concurrency=(1, 2)).to_pandas()
-    assert t["n_tokens"].sum() == a["n_tokens"].sum()
-    assert t["encoded_bytes"].sum() == a["encoded_bytes"].sum()
-
-
 def test_local_grouping_matches_sort_compression(ray_session, regime_ds):
     """Per-batch local source grouping must achieve (nearly) the sorted
     pipeline's compression without any shuffle."""
@@ -113,29 +103,34 @@ def test_local_grouping_matches_sort_compression(ray_session, regime_ds):
     assert all(len(set(s)) == 1 for s in loc["doc_source"] if len(s))
 
 
-def test_hash_bucket_rebalance_preserves_content(ray_session, regime_ds):
-    from tokrle.pipelines.encode import decode_tokens, encode_tokens
-
-    enc = encode_tokens(regime_ds, batch_size=64, by_source="hash")
-    dec = decode_tokens(enc).to_pandas()
-    src = regime_ds.to_pandas()
-    got = _by_doc(dec)
-    want = _by_doc(src)
-    assert set(got) == set(want)
-    for d in want:
-        assert np.array_equal(got[d], want[d])
-
-
-def test_hash_bucket_chunks_are_single_source(ray_session, regime_ds):
-    """Hash co-location + local grouping should give fully source-pure
-    chunks: whole sources land in one partition, and the encoder groups
-    each batch by source before chunking."""
+@pytest.mark.parametrize("by_source", ["hash", "Local"])
+@pytest.mark.parametrize("entry", ["encode_tokens", "encode_corpus",
+                                   "recompress", "upsert_corpus",
+                                   "compact_corpus"])
+def test_unknown_by_source_rejected(ray_session, regime_ds, tmp_path, entry,
+                                    by_source):
+    """Every encode entry point reads ``by_source`` through one normalizer:
+    an unknown value raises before anything runs or is written, instead
+    of silently falling back to the sort shuffle."""
+    from tokrle.pipelines import corpus
     from tokrle.pipelines.encode import encode_tokens
 
-    enc = encode_tokens(regime_ds, batch_size=64,
-                        by_source="hash").to_pandas()
-    for srcs in enc["doc_source"]:
-        assert len(set(srcs)) == 1
+    out = tmp_path / "out"
+    call = {
+        "encode_tokens": lambda: encode_tokens(regime_ds,
+                                               by_source=by_source),
+        "encode_corpus": lambda: corpus.encode_corpus(
+            str(tmp_path), str(out), by_source=by_source),
+        "recompress": lambda: corpus.recompress(
+            str(tmp_path), str(out), by_source=by_source),
+        "upsert_corpus": lambda: corpus.upsert_corpus(
+            str(out), regime_ds, by_source=by_source),
+        "compact_corpus": lambda: corpus.compact_corpus(
+            str(out), by_source=by_source),
+    }[entry]
+    with pytest.raises(ValueError, match="'sort', 'local'"):
+        call()
+    assert not out.exists()
 
 
 def test_skew_join_rejects_overlapping_non_key_columns(ray_session):

@@ -1,7 +1,7 @@
 """CLI entry point — the unit a cluster run submits via ``ray job submit``:
 
     ray job submit --working-dir . -- python -m tokrle.cli encode \
-        --in-dir /data/tokens --out-dir /data/encoded [--by-source]
+        --in-dir /data/tokens --out-dir /data/encoded [--by-source sort|local]
 
     python -m tokrle.cli decode --in-dir /data/encoded --out-dir /data/tokens2
     python -m tokrle.cli verify --tokens /data/tokens --encoded /data/encoded
@@ -46,11 +46,10 @@ def main(argv=None) -> int:
     enc.add_argument("--out-dir", required=True)
     enc.add_argument("--batch-size", type=int, default=2048)
     enc.add_argument("--by-source", nargs="?", const="sort", default=False,
-                     choices=["sort", "local", "hash"],
+                     choices=["sort", "local"],
                      help="co-locate sources before encoding: 'sort' = "
                           "global range shuffle, 'local' = per-batch "
-                          "grouping (no shuffle), 'hash' = bucketed "
-                          "hash exchange")
+                          "grouping (no shuffle)")
     enc.add_argument("--group-files", type=int, default=None,
                      help="resume-unit size in input files "
                           "(default: size-aware auto grouping, ~1GB/unit)")
@@ -62,7 +61,8 @@ def main(argv=None) -> int:
     rec.add_argument("--out-dir", required=True)
     rec.add_argument("--batch-size", type=int, default=2048)
     rec.add_argument("--by-source", nargs="?", const="sort", default=False,
-                     choices=["sort", "local", "hash"])
+                     choices=["sort", "local"],
+                     help="sort|local, as for encode")
     rec.add_argument("--num-cpus", type=int, default=None)
 
     ups = sub.add_parser("upsert",

@@ -3,7 +3,7 @@ Parquet + lineage, restartable at partition granularity.
 
 Resume unit = a GROUP of input files (default 32): each group runs as ONE
 streaming Dataset pipeline (read -> encode -> write -> manifest publish),
-so actor-pool spin-up and pipeline startup amortize over the group while a
+so worker and pipeline startup amortize over the group while a
 killed run loses at most one group's work.  Groups are deterministic
 (sorted file list, fixed group size), so re-runs resume exactly.
 
@@ -19,7 +19,8 @@ import hashlib
 import os
 import time
 
-from tokrle.pipelines.encode import DEFAULT_BATCH_SIZE, encode_tokens
+from tokrle.pipelines.encode import (DEFAULT_BATCH_SIZE, encode_tokens,
+                                     normalize_by_source)
 from tokrle.state.manifest import Manifest
 
 GROUP_FILES = 32
@@ -64,6 +65,19 @@ def _group_id(paths: list[str]) -> str:
     return h.hexdigest()
 
 
+_LINEAGE_SUMS = ("n_tokens", "raw_bytes", "encoded_bytes")
+# the encoded-chunk columns decode_chunks needs
+_CHUNK_COLUMNS = ["codec", "payload", "n_tokens", "row_offsets", "doc_id",
+                  "doc_source"]
+
+
+def _lineage_sums(enc: "pa.Table") -> tuple[int, int, int]:
+    """(n_tokens, raw_bytes, encoded_bytes) summed over encoded chunks."""
+    import pyarrow.compute as pc
+
+    return tuple(pc.sum(enc.column(k)).as_py() or 0 for k in _LINEAGE_SUMS)
+
+
 def _drain_unit_metrics(metrics_ds, unit_key: str, n_per_unit: dict,
                         on_unit_done, on_row=None) -> None:
     """Stream per-file metrics rows from a fused single-job Dataset and
@@ -82,7 +96,7 @@ def _drain_unit_metrics(metrics_ds, unit_key: str, n_per_unit: dict,
 
 def _encode_corpus_single_job(groups, done, manifest, out_dir, run, *,
                               batch_size: int, local_group: bool,
-                              task_fn=None, concurrency=None) -> dict:
+                              task_fn=None) -> dict:
     """Shuffle-free encode path: every pending group's files run in ONE
     Dataset job of fused read->encode->write tasks
     (:func:`_encode_write_file_task`, or ``task_fn`` — e.g.
@@ -116,16 +130,11 @@ def _encode_corpus_single_job(groups, done, manifest, out_dir, run, *,
     t0 = time.perf_counter()
     items = [{"path": p, "group": gid} for gid, grp in pending for p in grp]
     paths = ray.data.from_items(items, override_num_blocks=len(items))
-    # task pools take an int cap only — callers may pass the actor-pool
-    # (min, max) tuple form, whose max is the equivalent bound here
-    if isinstance(concurrency, (tuple, list)):
-        concurrency = concurrency[-1]
     metrics_ds = paths.map_batches(
         functools.partial(task_fn or _encode_write_file_task,
                           out_dir=out_dir,
                           batch_size=batch_size, local_group=local_group),
-        batch_size=1, batch_format="numpy",
-        **({"concurrency": concurrency} if concurrency else {}))
+        batch_size=1, batch_format="numpy")
     per_group: dict[str, dict] = {
         gid: {"n_files": len(grp), "first_file": grp[0], "n_tokens": 0,
               "raw_bytes": 0, "encoded_bytes": 0, "seconds": 0.0}
@@ -138,7 +147,7 @@ def _encode_corpus_single_job(groups, done, manifest, out_dir, run, *,
 
     def publish(gid: str) -> None:
         manifest.mark_done(gid, per_group[gid])
-        for k in ("n_tokens", "raw_bytes", "encoded_bytes"):
+        for k in _LINEAGE_SUMS:
             run[k] += per_group[gid][k]
 
     # stream the metrics rows and publish each group's manifest row the
@@ -169,28 +178,36 @@ def _encode_write_file_task(batch: dict, *, out_dir: str, batch_size: int,
     path, written via tmp + ``os.replace``; a retried or re-run task
     atomically overwrites its own previous partial output.
     """
-    import pyarrow as pa
     import pyarrow.parquet as pq
 
     from tokrle.pipelines.encode import _encode_batch
+
+    def encode_file(path: str) -> list:
+        table = pq.read_table(path, columns=["doc_id", "tokens", "n_tok",
+                                             "source"])
+        return [_encode_batch(table.slice(start, batch_size),
+                              local_group=local_group)
+                for start in range(0, len(table), batch_size)]
+
+    return _write_file_parts(batch, out_dir, encode_file)
+
+
+def _write_file_parts(batch: dict, out_dir: str, to_parts) -> "pa.Table":
+    """Per-file loop of the fused encode and recompress tasks:
+    ``to_parts(path)`` returns the file's encoded part tables, published
+    by :func:`_write_encoded_parts`; returns one metrics row per file."""
+    import pyarrow as pa
 
     rows: dict[str, list] = {"group": [], "path": [], "n_tokens": [],
                              "raw_bytes": [], "encoded_bytes": [],
                              "seconds": []}
     for path, gid in zip(batch["path"], batch["group"]):
         t0 = time.perf_counter()
-        table = pq.read_table(path, columns=["doc_id", "tokens", "n_tok",
-                                             "source"])
-        parts = [_encode_batch(table.slice(start, batch_size),
-                               local_group=local_group)
-                 for start in range(0, len(table), batch_size)]
-        n_tok, raw_b, enc_b = _write_encoded_parts(parts, out_dir, gid,
-                                                   path)
+        sums = _write_encoded_parts(to_parts(path), out_dir, gid, path)
         rows["group"].append(gid)
         rows["path"].append(path)
-        rows["n_tokens"].append(n_tok)
-        rows["raw_bytes"].append(raw_b)
-        rows["encoded_bytes"].append(enc_b)
+        for k, v in zip(_LINEAGE_SUMS, sums):
+            rows[k].append(v)
         rows["seconds"].append(time.perf_counter() - t0)
     return pa.table(rows)
 
@@ -211,11 +228,7 @@ def _write_encoded_parts(parts: list, out_dir: str, gid: str,
     enc = pa.concat_tables(parts)
     if not enc.num_rows:
         return 0, 0, 0
-    import pyarrow.compute as pc
-
-    n_tok = pc.sum(enc.column("n_tokens")).as_py() or 0
-    raw_b = pc.sum(enc.column("raw_bytes")).as_py() or 0
-    enc_b = pc.sum(enc.column("encoded_bytes")).as_py() or 0
+    n_tok, raw_b, enc_b = _lineage_sums(enc)
     gdir = os.path.join(out_dir, f"group={gid}")
     os.makedirs(gdir, exist_ok=True)
     final = os.path.join(gdir, f"part-{_unit_id(src_path)}.parquet")
@@ -223,6 +236,47 @@ def _write_encoded_parts(parts: list, out_dir: str, gid: str,
     pq.write_table(enc, tmp)
     os.replace(tmp, final)
     return n_tok, raw_b, enc_b
+
+
+def _encode_groups_sorted(groups, done, manifest, out_dir, run, *,
+                          batch_size: int, to_tokens) -> dict:
+    """Sort-shuffle encode path of :func:`encode_corpus` and
+    :func:`recompress`: the global ``sort("source")`` needs a Dataset
+    exchange, so each pending group runs as its own job (``to_tokens(files)``
+    -> token-table Dataset -> encode -> write) and publishes its manifest
+    row once written.  The lineage sums are a column-pruned pyarrow read of
+    the three metric columns just written, never the payloads."""
+    import shutil
+
+    import pyarrow.parquet as pq
+
+    for grp in groups:
+        gid = _group_id(grp)
+        if gid in done:
+            run["units_skipped"] += 1
+            continue
+        t0 = time.perf_counter()
+        unit_out = os.path.join(out_dir, f"group={gid}")
+        # a previous CRASHED attempt may have left partial files (its
+        # manifest row was never published); clear them or the re-run would
+        # append duplicate chunks
+        if os.path.isdir(unit_out):
+            shutil.rmtree(unit_out)
+        encode_tokens(to_tokens(grp), batch_size=batch_size,
+                      by_source="sort").write_parquet(unit_out)
+        # a group whose inputs were all empty writes no files at all:
+        # record zero metrics, don't crash
+        files = sorted(glob.glob(os.path.join(unit_out, "*.parquet")))
+        sums = _lineage_sums(pq.read_table(files, columns=list(
+            _LINEAGE_SUMS))) if files else (0, 0, 0)
+        dt = time.perf_counter() - t0
+        metrics = {"n_files": len(grp), "first_file": grp[0],
+                   **dict(zip(_LINEAGE_SUMS, sums)), "seconds": dt}
+        manifest.mark_done(gid, metrics)
+        for k in _LINEAGE_SUMS:
+            run[k] += metrics[k]
+        run["seconds"] += dt
+    return run
 
 
 def _recompress_file_task(batch: dict, *, out_dir: str, batch_size: int,
@@ -237,28 +291,14 @@ def _recompress_file_task(batch: dict, *, out_dir: str, batch_size: int,
     Decoded rows are buffered and re-sliced to uniform ``batch_size``
     chunks across the whole file (one tail chunk per file), matching what
     the Dataset map_batches path produced per block."""
-    import pyarrow as pa
     import pyarrow.parquet as pq
 
-    rows: dict[str, list] = {"group": [], "path": [], "n_tokens": [],
-                             "raw_bytes": [], "encoded_bytes": [],
-                             "seconds": []}
-    for path, gid in zip(batch["path"], batch["group"]):
-        t0 = time.perf_counter()
-        enc_in = pq.read_table(
-            path, columns=["codec", "payload", "n_tokens", "row_offsets",
-                           "doc_id", "doc_source"])
-        parts = _decode_reencode_stream([enc_in], batch_size=batch_size,
-                                        local_group=local_group)
-        n_tok, raw_b, enc_b = _write_encoded_parts(parts, out_dir, gid,
-                                                   path)
-        rows["group"].append(gid)
-        rows["path"].append(path)
-        rows["n_tokens"].append(n_tok)
-        rows["raw_bytes"].append(raw_b)
-        rows["encoded_bytes"].append(enc_b)
-        rows["seconds"].append(time.perf_counter() - t0)
-    return pa.table(rows)
+    def reencode_file(path: str) -> list:
+        return _decode_reencode_stream(
+            [pq.read_table(path, columns=_CHUNK_COLUMNS)],
+            batch_size=batch_size, local_group=local_group)
+
+    return _write_file_parts(batch, out_dir, reencode_file)
 
 
 def _decode_reencode_stream(enc_tables, *, batch_size: int,
@@ -301,7 +341,7 @@ def _decode_reencode_stream(enc_tables, *, batch_size: int,
 
 def recompress(in_encoded: str, out_dir: str, *,
                batch_size: int = DEFAULT_BATCH_SIZE,
-               by_source: bool = False, concurrency=None) -> dict:
+               by_source: bool | str = False) -> dict:
     """Re-encode an already-encoded corpus (codec migration / compaction /
     re-chunking): streaming decode -> encode per resume group — the decoded
     token stream never materializes, and a killed run resumes at group
@@ -312,8 +352,9 @@ def recompress(in_encoded: str, out_dir: str, *,
     """
     import ray.data
 
-    from tokrle.pipelines.encode import decode_tokens, encode_tokens
+    from tokrle.pipelines.encode import decode_tokens
 
+    mode = normalize_by_source(by_source)
     manifest = Manifest(out_dir)
     # scan the LIVE view only: a raw recursive glob would ingest
     # _docindex partitions (wrong schema), *.tmp/*.old crash leftovers,
@@ -325,56 +366,23 @@ def recompress(in_encoded: str, out_dir: str, *,
     done = manifest.completed_units()
     run = {"units_total": len(groups), "units_skipped": 0,
            "n_tokens": 0, "raw_bytes": 0, "encoded_bytes": 0, "seconds": 0.0}
-    if by_source in (False, "", "local"):
+    if mode != "sort":
         # shuffle-free settings: single-job fused decode->encode->write
         # tasks, same shape (and same resume/crash semantics) as
         # encode_corpus's fast path
         return _encode_corpus_single_job(
             groups, done, manifest, out_dir, run, batch_size=batch_size,
-            local_group=by_source == "local",
-            task_fn=_recompress_file_task, concurrency=concurrency)
-    for grp in groups:
-        gid = _group_id(grp)
-        if gid in done:
-            run["units_skipped"] += 1
-            continue
-        t0 = time.perf_counter()
-        enc_in = ray.data.read_parquet(grp,
-                                       override_num_blocks=len(grp))
-        tokens = decode_tokens(enc_in)
-        enc_out = encode_tokens(tokens, batch_size=batch_size,
-                                concurrency=concurrency,
-                                by_source=by_source)
-        unit_out = os.path.join(out_dir, f"group={gid}")
-        if os.path.isdir(unit_out):
-            import shutil
-
-            shutil.rmtree(unit_out)
-        enc_out.write_parquet(unit_out)
-        agg = ray.data.read_parquet(
-            unit_out, columns=["n_tokens", "raw_bytes", "encoded_bytes"]
-        ).sum(["n_tokens", "raw_bytes", "encoded_bytes"])
-        dt = time.perf_counter() - t0
-        metrics = {
-            "n_files": len(grp),
-            "first_file": grp[0],
-            "n_tokens": int(agg["sum(n_tokens)"] or 0),
-            "raw_bytes": int(agg["sum(raw_bytes)"] or 0),
-            "encoded_bytes": int(agg["sum(encoded_bytes)"] or 0),
-            "seconds": dt,
-        }
-        manifest.mark_done(gid, metrics)
-        for k in ("n_tokens", "raw_bytes", "encoded_bytes"):
-            run[k] += metrics[k]
-        run["seconds"] += dt
-    return run
+            local_group=mode == "local", task_fn=_recompress_file_task)
+    return _encode_groups_sorted(
+        groups, done, manifest, out_dir, run, batch_size=batch_size,
+        to_tokens=lambda grp: decode_tokens(ray.data.read_parquet(
+            grp, override_num_blocks=len(grp))))
 
 
 def encode_corpus(in_dir: str, out_dir: str, *,
                   batch_size: int = DEFAULT_BATCH_SIZE,
-                  concurrency=None, by_source: bool = False,
-                  group_files: int | None = None,
-                  file_tasks: bool | None = None) -> dict:
+                  by_source: bool | str = False,
+                  group_files: int | None = None) -> dict:
     """Encode every token Parquet file under ``in_dir`` into ``out_dir``,
     skipping groups already recorded in the manifest. Returns run metrics.
 
@@ -382,18 +390,14 @@ def encode_corpus(in_dir: str, out_dir: str, *,
     (:func:`plan_groups`, ~1 GB or 64 files per resume unit); an int keeps
     the fixed files-per-group behavior.
 
-    ``file_tasks``: read each input file inside its encode task
-    (see _encode_write_file_task), so read -> encode -> write fuses into
-    single tasks and NO raw token bytes cross the object store.  Default (None):
-    on for the shuffle-free paths (plain / by_source="local"), off for
-    the sort shuffle (which needs the Dataset exchange anyway).  Measured
-    faster at every parallelism level since the chunked bit-packing change
-    removed the other fault source; round-1's opposite measurement
-    predated that fix."""
+    The shuffle-free settings (plain / by_source="local") read each input
+    file inside its encode task (see _encode_write_file_task), so read ->
+    encode -> write fuses into single tasks and NO raw token bytes cross
+    the object store; the sort shuffle needs the Dataset exchange and runs
+    one job per group (see _encode_groups_sorted)."""
     import ray.data
 
-    if file_tasks is None:
-        file_tasks = by_source in (False, "", "local")
+    mode = normalize_by_source(by_source)
     manifest = Manifest(out_dir)
     units = list_units(in_dir)
     if group_files is None:
@@ -404,69 +408,18 @@ def encode_corpus(in_dir: str, out_dir: str, *,
     done = manifest.completed_units()
     run = {"units_total": len(groups), "units_skipped": 0,
            "n_tokens": 0, "raw_bytes": 0, "encoded_bytes": 0, "seconds": 0.0}
-    if file_tasks and by_source in (False, "", "local"):
+    if mode != "sort":
         return _encode_corpus_single_job(
             groups, done, manifest, out_dir, run,
-            batch_size=batch_size, local_group=by_source == "local",
-            concurrency=concurrency)
-    for grp in groups:
-        gid = _group_id(grp)
-        if gid in done:
-            run["units_skipped"] += 1
-            continue
-        t0 = time.perf_counter()
-        # one block per input file: avoids the SplitBlocks stage, so
-        # blocks stay file-sized and far fewer objects cross the store;
-        # the encode stage slices blocks into batch_size chunks anyway
-        ds = ray.data.read_parquet(
+            batch_size=batch_size, local_group=mode == "local")
+    # one block per input file: avoids the SplitBlocks stage, so blocks
+    # stay file-sized and far fewer objects cross the store; the encode
+    # stage slices blocks into batch_size chunks anyway
+    return _encode_groups_sorted(
+        groups, done, manifest, out_dir, run, batch_size=batch_size,
+        to_tokens=lambda grp: ray.data.read_parquet(
             grp, columns=["doc_id", "tokens", "n_tok", "source"],
-            override_num_blocks=len(grp))
-        enc = encode_tokens(ds, batch_size=batch_size,
-                            concurrency=concurrency, by_source=by_source)
-        unit_out = os.path.join(out_dir, f"group={gid}")
-        # a previous CRASHED attempt may have left partial files (its
-        # manifest row was never published); clear them or the re-run would
-        # append duplicate chunks
-        if os.path.isdir(unit_out):
-            import shutil
-
-            shutil.rmtree(unit_out)
-        enc.write_parquet(unit_out)
-        # lineage aggregate over the 3 small metric columns of what was just
-        # written — a column-pruned local scan (duckdb), touching only those
-        # columns' pages, never the payloads.  A group whose inputs were all
-        # empty writes no files at all: record zero metrics, don't crash.
-        if not glob.glob(os.path.join(unit_out, "*.parquet")):
-            row = (0, 0, 0)
-        else:
-            try:
-                import duckdb
-
-                row = duckdb.sql(
-                    "SELECT sum(n_tokens), sum(raw_bytes), "
-                    "sum(encoded_bytes) "
-                    f"FROM '{unit_out}/*.parquet'").fetchone()
-            except ImportError:
-                agg = ray.data.read_parquet(
-                    unit_out,
-                    columns=["n_tokens", "raw_bytes", "encoded_bytes"]
-                ).sum(["n_tokens", "raw_bytes", "encoded_bytes"])
-                row = (agg["sum(n_tokens)"], agg["sum(raw_bytes)"],
-                       agg["sum(encoded_bytes)"])
-        dt = time.perf_counter() - t0
-        metrics = {
-            "n_files": len(grp),
-            "first_file": grp[0],
-            "n_tokens": int(row[0] or 0),
-            "raw_bytes": int(row[1] or 0),
-            "encoded_bytes": int(row[2] or 0),
-            "seconds": dt,
-        }
-        manifest.mark_done(gid, metrics)
-        for k in ("n_tokens", "raw_bytes", "encoded_bytes"):
-            run[k] += metrics[k]
-        run["seconds"] += dt
-    return run
+            override_num_blocks=len(grp)))
 
 
 def _adopt_plain_layout(enc_dir: str) -> None:
@@ -505,7 +458,7 @@ def _adopt_plain_layout(enc_dir: str) -> None:
 
 def upsert_corpus(enc_dir: str, delta_ds, *,
                   batch_size: int = DEFAULT_BATCH_SIZE,
-                  by_source: bool = False) -> dict:
+                  by_source: bool | str = False) -> dict:
     """Doc-level upsert into an encoded corpus (LSM-style merge): rows of
     ``delta_ds`` (token-table schema: doc_id, tokens, n_tok, source)
     REPLACE same-doc_id documents already in the corpus and append
@@ -541,6 +494,7 @@ def upsert_corpus(enc_dir: str, delta_ds, *,
 
     from tokrle.pipelines.encode import decode_tokens
 
+    mode = normalize_by_source(by_source)
     manifest = Manifest(enc_dir)
     recover_groups(enc_dir)  # converge any interrupted prior swap first
     _adopt_plain_layout(enc_dir)  # plain write_parquet output -> group=base
@@ -608,7 +562,7 @@ def upsert_corpus(enc_dir: str, delta_ds, *,
                                  "upsert_rewrite": True,
                                  "seconds": time.perf_counter() - t0})
 
-    if group_dirs and by_source in (False, "", "local"):
+    if group_dirs and mode != "sort":
         # ALL affected groups rewrite in ONE Dataset job of fused
         # decode->drop->re-encode->write tasks (one per member file);
         # each group's atomic swap publishes the moment its last file
@@ -625,7 +579,7 @@ def upsert_corpus(enc_dir: str, delta_ds, *,
             items, override_num_blocks=len(items)).map_batches(
             functools.partial(_upsert_rewrite_file_task,
                               batch_size=batch_size,
-                              local_group=by_source == "local",
+                              local_group=mode == "local",
                               ids_ref=ref),
             batch_size=1, batch_format="numpy")
         _drain_unit_metrics(
@@ -702,12 +656,9 @@ def _upsert_rewrite_file_task(batch: dict, *, batch_size: int,
     rows: dict[str, list] = {"gdir": [], "path": [], "seconds": []}
     for gdir, path in zip(batch["gdir"], batch["path"]):
         t0 = time.perf_counter()
-        enc_in = pq.read_table(
-            path, columns=["codec", "payload", "n_tokens", "row_offsets",
-                           "doc_id", "doc_source"])
-        parts = _decode_reencode_stream([enc_in], batch_size=batch_size,
-                                        local_group=local_group,
-                                        filter_fn=drop)
+        parts = _decode_reencode_stream(
+            [pq.read_table(path, columns=_CHUNK_COLUMNS)],
+            batch_size=batch_size, local_group=local_group, filter_fn=drop)
         if parts:
             enc = pa.concat_tables(parts)
             if enc.num_rows:
@@ -839,9 +790,7 @@ def _compact_bin_task(batch: dict, *, enc_dir: str, batch_size: int,
         t0 = time.perf_counter()
         files = [f for f in files_s.split("\x00") if f]
         parts = _decode_reencode_stream(
-            (pq.read_table(f, columns=["codec", "payload", "n_tokens",
-                                       "row_offsets", "doc_id",
-                                       "doc_source"]) for f in files),
+            (pq.read_table(f, columns=_CHUNK_COLUMNS) for f in files),
             batch_size=batch_size, local_group=local_group)
         tmp_dir = os.path.join(enc_dir, name) + ".tmp"
         os.makedirs(tmp_dir, exist_ok=True)
@@ -849,10 +798,7 @@ def _compact_bin_task(batch: dict, *, enc_dir: str, batch_size: int,
         if parts:
             enc = pa.concat_tables(parts)
             if enc.num_rows:
-                import pyarrow.compute as pc
-
-                n_tok = pc.sum(enc.column("n_tokens")).as_py() or 0
-                enc_b = pc.sum(enc.column("encoded_bytes")).as_py() or 0
+                n_tok, _, enc_b = _lineage_sums(enc)
                 pq.write_table(enc, os.path.join(tmp_dir,
                                                  "part-000.parquet"))
         rows["bin"].append(name)
@@ -864,7 +810,7 @@ def _compact_bin_task(batch: dict, *, enc_dir: str, batch_size: int,
 
 def compact_corpus(enc_dir: str, *, target_bytes: int = GROUP_TARGET_BYTES,
                    batch_size: int = DEFAULT_BATCH_SIZE,
-                   by_source: bool = False) -> dict:
+                   by_source: bool | str = False) -> dict:
     """Merge undersized groups (LSM compaction): repeated
     :func:`upsert_corpus` deltas and fully-rewritten groups accumulate
     many small directories; this folds every group under
@@ -884,6 +830,7 @@ def compact_corpus(enc_dir: str, *, target_bytes: int = GROUP_TARGET_BYTES,
 
     from tokrle.pipelines.encode import decode_tokens
 
+    mode = normalize_by_source(by_source)
     manifest = Manifest(enc_dir)
     recover_groups(enc_dir)  # never let '.old' leftovers enter the pointer
     _adopt_plain_layout(enc_dir)
@@ -916,8 +863,6 @@ def compact_corpus(enc_dir: str, *, target_bytes: int = GROUP_TARGET_BYTES,
         bins.append(cur)
     bins = [b for b in bins if len(b) >= 2]
     live = set(groups)
-    local_group = by_source in ("local",)
-    single_job = by_source in (False, "", "local") and bins
 
     def _finish_bin(new_name: str, members: list[str],
                     n_files: int) -> None:
@@ -956,7 +901,7 @@ def compact_corpus(enc_dir: str, *, target_bytes: int = GROUP_TARGET_BYTES,
         shutil.rmtree(new_dir, ignore_errors=True)
         plan[new_name] = (members, files)
 
-    if single_job:
+    if plan and mode != "sort":
         # ALL bins in ONE Dataset job (one fused decode->re-batch->encode
         # ->write task per bin — compaction's full-batch re-chunking is
         # preserved because each task streams its WHOLE bin), with each
@@ -969,8 +914,9 @@ def compact_corpus(enc_dir: str, *, target_bytes: int = GROUP_TARGET_BYTES,
             items, override_num_blocks=len(items)).map_batches(
             functools.partial(_compact_bin_task, enc_dir=enc_dir,
                               batch_size=batch_size,
-                              local_group=local_group),
+                              local_group=mode == "local"),
             batch_size=1, batch_format="numpy")
+
         def finish(name: str) -> None:
             members, files = plan[name]
             _finish_bin(name, members, len(files))

@@ -1,7 +1,7 @@
 """The flagship pipeline: token table -> encoded chunk table (+ reverse).
 
 Idiomatic Ray Data throughout: ``read_parquet`` -> optional skew rebalance ->
-``map_batches`` encode (fused task stage by default, actor pool opt-in) ->
+``map_batches`` encode (one fused task stage) ->
 ``write_parquet`` with per-partition lineage; decode is the stateless
 inverse.  Checkpoint/resume operates at input-file-group granularity via
 the manifest in tokrle.state.
@@ -25,7 +25,22 @@ from tokrle.stages.encoder import TOKEN_SCHEMA, TokenEncoder, decode_chunks
 DEFAULT_BATCH_SIZE = 2048  # docs per chunk (~1M tokens at mean 512)
 
 
-def rebalance_by_source(ds, num_blocks: int | None = None):
+def normalize_by_source(by_source) -> str:
+    """The one reading of the ``by_source`` skew setting every encode entry
+    point shares: ``False`` -> ``""`` (no grouping), ``True``/``"sort"`` ->
+    ``"sort"`` (global shuffle), ``"local"`` -> ``"local"`` (per-batch
+    grouping).  Anything else raises instead of silently picking a mode."""
+    if by_source is False:
+        return ""
+    if by_source is True or by_source == "sort":
+        return "sort"
+    if by_source == "local":
+        return "local"
+    raise ValueError(f"by_source must be one of False, True/'sort', "
+                     f"'local'; got {by_source!r}")
+
+
+def rebalance_by_source(ds):
     """Skew stage: co-locate rows of one source and split into ~equal-token
     blocks (north_rule: "groupby-on-source + repartition before encoding").
 
@@ -34,52 +49,9 @@ def rebalance_by_source(ds, num_blocks: int | None = None):
     range, so chunks are (almost always) single-source and codec choice can
     exploit per-source value distributions.  At 100 TB this is the only
     shuffle in the pipeline and is executed by Ray Data's shuffle operator
-    (hash/range partitioned, spillable), not on the driver.
+    (range partitioned, spillable), not on the driver.
     """
-    ds = ds.sort("source")
-    if num_blocks:
-        ds = ds.repartition(num_blocks)
-    return ds
-
-
-def rebalance_by_source_bucket(ds, num_blocks: int | None = None):
-    """Bucketed-hash alternative to :func:`rebalance_by_source`: one
-    hash-partitioned exchange on the (tiny) source key co-locates every
-    source's rows in one output partition — no boundary-sampling scan and
-    no within-block sort, the two extra passes ``sort("source")`` pays.
-    Output blocks hold a few WHOLE sources each, so the encoder's local
-    per-batch source grouping recovers source-pure chunks.
-
-    Key-based repartition needs ``shuffle_strategy=HASH_SHUFFLE``; it is
-    set on THIS dataset lineage's captured DataContext only — the global
-    context (and unrelated pipelines) keep their strategy.  Aggregator
-    actors are capped at CPUs/2: each exchange partition is an actor
-    holding a CPU slot, and more aggregators than free CPUs stalls the
-    streaming executor (same sizing rule as dedup._join_partitions).
-
-    Skew note: one giant source still lands in one partition — the
-    encoder slices it into chunk-sized pieces, so only that partition's
-    task runs long; nothing accumulates in memory.
-    """
-    import ray
-    from ray.data.context import ShuffleStrategy
-
-    from tokrle.functions.dedup import _join_partitions, _upstream_size_hint
-
-    cpus = max(1, int(ray.cluster_resources().get("CPU", 8)))
-    if num_blocks is None:
-        # byte-aware: small inputs get few exchange partitions (aggregator
-        # actor spin-up dominates tiny exchanges; see dedup._join_partitions)
-        num_blocks = _join_partitions(None,
-                                      size_bytes=_upstream_size_hint(ds))
-    ds.context.shuffle_strategy = ShuffleStrategy.HASH_SHUFFLE
-    ds.context.max_hash_shuffle_aggregators = min(num_blocks,
-                                                  max(2, cpus // 2))
-    # downstream hash aggregates in this lineage inherit the context; pin
-    # the partition default (Ray's 200) to the same CPU-sized count so a
-    # trailing small groupby doesn't become a 200-way exchange
-    ds.context.default_hash_shuffle_parallelism = num_blocks
-    return ds.repartition(num_blocks, keys=["source"])
+    return ds.sort("source")
 
 
 _TASK_ENCODERS: dict[bool, TokenEncoder] = {}
@@ -99,46 +71,23 @@ def _encode_batch(batch, local_group: bool = False):
 
 
 def encode_tokens(ds, *, batch_size: int = DEFAULT_BATCH_SIZE,
-                  concurrency=None, by_source: bool = False,
-                  num_blocks: int | None = None, use_actors: bool = False):
-    """Token-table Dataset -> encoded-chunk Dataset (lazy).
-
-    Default is a fused task stage (see _encode_batch).  ``use_actors=True``
-    switches to an explicit actor pool — the right call when the encoder
-    grows genuinely heavy per-actor state (trained FSST tables, shared
-    dictionaries); pass ``concurrency=(min, max)`` to size it.
+                  by_source: bool | str = False):
+    """Token-table Dataset -> encoded-chunk Dataset (lazy), as one fused
+    task stage (see _encode_batch).
 
     ``by_source``: ``"sort"``/True = the global sort("source") shuffle
     (chunks near-perfectly source-pure); ``"local"`` = per-batch source
     grouping inside the encoder — no shuffle at all, smaller chunks, most
-    of the codec-fit benefit (see BASELINE.md); ``"hash"`` = one bucketed
-    hash exchange co-locating whole sources (run under
-    :func:`hash_shuffle`), then local grouping — source-pure chunks at a
-    cheaper exchange than the sort.
+    of the codec-fit benefit (see BASELINE.md).
     """
-    local_group = by_source in ("local", "hash")
-    if by_source == "hash":
-        ds = rebalance_by_source_bucket(ds, num_blocks)
-    elif by_source and not local_group:
-        ds = rebalance_by_source(ds, num_blocks)
-    if not use_actors:
-        import functools
+    import functools
 
-        kwargs = {}
-        if isinstance(concurrency, int):
-            kwargs["concurrency"] = concurrency
-        fn = (functools.partial(_encode_batch, local_group=True)
-              if local_group else _encode_batch)
-        return ds.map_batches(fn, batch_size=batch_size,
-                              batch_format="pyarrow", **kwargs)
-    if concurrency is None or isinstance(concurrency, int):
-        import ray
-
-        n = max(1, int(ray.cluster_resources().get("CPU", 8)))
-        concurrency = (1, concurrency if isinstance(concurrency, int) else n)
-    return ds.map_batches(TokenEncoder, batch_size=batch_size,
-                          batch_format="pyarrow", concurrency=concurrency,
-                          fn_constructor_kwargs={"local_group": local_group})
+    mode = normalize_by_source(by_source)
+    if mode == "sort":
+        ds = rebalance_by_source(ds)
+    fn = (functools.partial(_encode_batch, local_group=True)
+          if mode == "local" else _encode_batch)
+    return ds.map_batches(fn, batch_size=batch_size, batch_format="pyarrow")
 
 
 def decode_tokens(encoded_ds):

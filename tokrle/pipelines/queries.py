@@ -74,14 +74,15 @@ def encode_roundtrip_stats_localgroup(sf_dir: str) -> pd.DataFrame:
 
 
 def encode_roundtrip_stats_hashgroup(sf_dir: str) -> pd.DataFrame:
-    """Same as encode_roundtrip_stats but through the bucketed-hash
-    source co-location path (one hash exchange, no sort) — same SQL
-    oracle (aggregates are order-free)."""
+    """Same as encode_roundtrip_stats but through the global
+    sort("source") shuffle (:func:`rebalance_by_source`) — same SQL oracle
+    (aggregates are order-free).  The bucketed-hash path this name once
+    measured is gone; the name is kept for registry continuity."""
     from tokrle.pipelines.encode import decode_tokens, encode_tokens
     from tokrle.sources.tokens import documents_to_tokens
 
     ds = documents_to_tokens(sf_dir)
-    dec = decode_tokens(encode_tokens(ds, batch_size=256, by_source="hash"))
+    dec = decode_tokens(encode_tokens(ds, batch_size=256, by_source="sort"))
     return _per_source_token_stats(dec)
 
 

@@ -1,10 +1,11 @@
 """Encoder / decoder map_batches stages.
 
-``TokenEncoder`` is the stateful per-batch encoder — a callable class for
-``ds.map_batches(TokenEncoder, concurrency=N, batch_format="pyarrow")`` so
-codec registry / scratch state is constructed once per actor
-(ref north_star: "map_batches encoder actors that profile value
-distributions ... and auto-select codecs per chunk").
+``TokenEncoder`` is the per-batch encoder: a callable class whose instance
+``tokrle.pipelines.encode._encode_batch`` caches once per worker process,
+so setup is paid once per worker while the encode stays a task stage that
+Ray Data fuses with the read and the write.  That serves ref north_star's
+"map_batches encoder actors that profile value distributions ... and
+auto-select codecs per chunk" without an actor pool.
 
 One input batch -> one encoded chunk row:
 
@@ -57,7 +58,9 @@ def _flat_tokens(batch: pa.Table) -> tuple[np.ndarray, np.ndarray]:
 
 
 class TokenEncoder:
-    """Stateful encoder stage (actor pool): profile -> select -> encode.
+    """Worker-cached encoder for the encode task stage: profile -> select
+    -> encode (one instance per worker process, see
+    ``tokrle.pipelines.encode._encode_batch``).
 
     ``local_group=True`` sorts each batch by source and emits one chunk per
     (batch, source) — chunk purity for codec fit WITHOUT the global
@@ -67,10 +70,10 @@ class TokenEncoder:
 
     def __init__(self, local_group: bool = False) -> None:
         self.local_group = local_group
-        # once-per-actor setup: one small dummy encode primes numpy ufunc
+        # once-per-worker setup: one small dummy encode primes numpy ufunc
         # dispatch and the malloc arena's small size-classes; the first real
         # batch still pays first-touch faults on its large buffers, but that
-        # is a one-time per-actor cost that amortizes over the actor's life
+        # is a one-time per-worker cost that amortizes over the worker's life
         self._hasher = hashlib.blake2b
         dummy = (np.arange(1 << 14, dtype=np.int32) * 2654435761) % 50021
         auto_encode(dummy)
