@@ -32,6 +32,12 @@ SUBSET = [
     "encoded_range_count_stats",
     "encoded_filtered_agg_stats",
     "encoded_conjunction_stats",
+    "encoded_histogram_stats",
+    "encoded_quantile_stats",
+    "encoded_ts_quantile_stats",
+    "encoded_group_quantile_stats",
+    "encoded_group_agg_stats",
+    "encoded_group_minmax_stats",
 ]
 
 

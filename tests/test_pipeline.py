@@ -913,22 +913,6 @@ def test_encoded_column_agg_compressed_domain(ray_session, tmp_path):
         assert got.loc[c, "max_val"] == int(df[c].max()), c
 
 
-def test_encoded_column_agg_rejects_nullable(ray_session, tmp_path):
-    import pandas as pd
-    import ray.data
-
-    from tokrle.pipelines.table_encode import (encode_table_columns,
-                                               encoded_column_agg)
-
-    df = pd.DataFrame({"x": pd.array([1, None, 3] * 100,
-                                     dtype=pd.Int64Dtype())})
-    ds = ray.data.from_arrow(pa.table({"x": pa.array(df["x"])}))
-    out_dir = str(tmp_path / "agg_null")
-    encode_table_columns(ds, ["x"], batch_size=64).write_parquet(out_dir)
-    with pytest.raises(Exception, match="nullable"):
-        encoded_column_agg(out_dir, ["x"])
-
-
 def test_encoded_range_agg_three_way_split(ray_session, tmp_path):
     """Clustered table: filtered SUM must split chunks into skipped /
     ALL-match (compressed-domain) / boundary (run-list) classes and
@@ -1005,7 +989,7 @@ def test_encoded_group_agg_pure_and_mixed(ray_session, tmp_path):
         assert list(got["n"]) == list(want["n"]), layout
         assert list(got["sum_v"]) == list(want["sum_v"]), layout
         if layout == "clustered":
-            assert counters["pure_chunks"] > 0, counters
+            assert counters["pure_group_chunks"] > 0, counters
 
 
 @pytest.mark.parametrize("layout", ["plain", "grouped"])
@@ -1359,7 +1343,12 @@ def test_encoded_range_count_three_way_split(ray_session, tmp_path):
 def nullable_kv(ray_session, tmp_path_factory):
     """(table, encoded dir) with NULLs in both ``k`` and ``v``; the
     first 512 rows are null-free, so null-free and nullable chunks
-    mix, and value 0 (the encoder's null filler) occurs in both."""
+    mix, and value 0 (the encoder's null filler) occurs in both.  Over
+    the 128-row chunks, the null-free sorted group key ``g`` has
+    chunk-aligned groups 0-3 (group-pure chunks only), a 100-row group
+    4 (mixed chunks only) and groups spanning both.  ``w`` never holds
+    0, so a counted null filler shows, and is all NULL in groups 2
+    and 4."""
     import ray.data
 
     from tokrle.pipelines.table_encode import encode_table_columns
@@ -1369,11 +1358,17 @@ def nullable_kv(ray_session, tmp_path_factory):
     kmask = rng.random(n) < 0.2
     vmask = rng.random(n) < 0.2
     kmask[:512] = vmask[:512] = False
-    tbl = pa.table({
-        "k": pa.array(np.sort(rng.integers(0, 8, n)), mask=kmask),
-        "v": pa.array(rng.integers(-3, 4, n), mask=vmask)})
+    k = np.sort(rng.integers(0, 8, n))
+    v = rng.integers(-3, 4, n)
+    g = np.repeat(np.arange(16), [256] * 4 + [100, 356, 200, 312, 100, 412,
+                                              256, 300, 236, 300, 200, 300])
+    wmask = (rng.random(n) < 0.2) | (g == 2) | (g == 4)
+    tbl = pa.table({"k": pa.array(k, mask=kmask),
+                    "v": pa.array(v, mask=vmask),
+                    "g": pa.array(g),
+                    "w": pa.array(rng.integers(1, 10, n), mask=wmask)})
     out_dir = str(tmp_path_factory.mktemp("nullable_kv"))
-    encode_table_columns(ray.data.from_arrow(tbl), ["k", "v"],
+    encode_table_columns(ray.data.from_arrow(tbl), ["k", "v", "g", "w"],
                          batch_size=128).write_parquet(out_dir)
     return tbl, out_dir
 
@@ -1414,6 +1409,111 @@ def test_pushdown_wrappers_nullable_match_duckdb(nullable_kv, fn):
         [int(x) for x in exp], (fn, counters)
     assert counters["chunks_scanned"] + counters["chunks_skipped"] == \
         counters["chunks_total"]
+
+
+def _quartile_sql(group_col: str, agg: str, where: str = "true") -> str:
+    """DuckDB rows ``(group, q_num, q_den, quantile_disc, count)`` in the
+    layout of the grouped quantile entry points."""
+    return " UNION ALL ".join(
+        f"SELECT {group_col}, {a}, {b}, quantile_disc({agg}, {a / b}), "
+        f"count({agg}) FROM t WHERE {where} GROUP BY {group_col}"
+        for a, b in ((1, 4), (1, 2), (3, 4)))
+
+
+#: case -> (entry point, args after enc_dir, kwargs, SQL); the entry
+#: point's output columns map onto the SQL select list in order
+_NULL_SKIP_CASES = {
+    "encoded_column_agg": (
+        "encoded_column_agg", (["k", "v", "w"],), {},
+        "SELECT c, count(*), coalesce(sum(x), 0), min(x), max(x) FROM "
+        "(SELECT 'k' c, k x FROM t UNION ALL SELECT 'v', v FROM t "
+        "UNION ALL SELECT 'w', w FROM t) GROUP BY c"),
+    "encoded_histogram": (
+        "encoded_histogram", ("w",), {},
+        "SELECT w, count(*) FROM t WHERE w IS NOT NULL GROUP BY w"),
+    "encoded_group_agg": (
+        "encoded_group_agg", ("g", ["v", "w"]), {"with_minmax": True},
+        "SELECT g, count(*), coalesce(sum(v), 0), coalesce(sum(w), 0), "
+        "min(v), min(w), max(v), max(w) FROM t GROUP BY g"),
+    "encoded_filtered_group_agg": (
+        "encoded_filtered_group_agg", ("g", ("range", "k", 0, 3), ["w"]),
+        {"with_minmax": True},
+        "SELECT g, count(*), coalesce(sum(w), 0), min(w), max(w) FROM t "
+        "WHERE k BETWEEN 0 AND 3 GROUP BY g"),
+    "encoded_group_quantiles": (
+        "encoded_group_quantiles", ("g", "w"), {}, _quartile_sql("g", "w")),
+    "encoded_group_where_quantiles": (
+        "encoded_group_where_quantiles",
+        (("not", ("eq", "k", 5)), "g", "v"), {},
+        _quartile_sql("g", "v", "NOT (k = 5)")),
+    "encoded_distinct_count": (
+        "encoded_distinct_count", ("w",), {},
+        "SELECT count(DISTINCT w) FROM t"),
+    "encoded_distinct_count-where": (
+        "encoded_distinct_count", ("w",), {"expr": ("range", "k", 0, 3)},
+        "SELECT count(DISTINCT w) FROM t WHERE k BETWEEN 0 AND 3"),
+}
+
+
+@pytest.mark.parametrize("case", list(_NULL_SKIP_CASES))
+def test_null_skipping_aggregates_match_duckdb(nullable_kv, case):
+    """The unfiltered aggregates (thin wrappers over the where-family
+    cores), the grouped cores and COUNT(DISTINCT) answer nullable
+    columns like SQL: aggregates and DISTINCT skip NULLs — value 0, the
+    encoder's null filler, is never counted for a NULL slot — and
+    NULL predicate operands never match.  Multi-row outputs compare as
+    sorted row lists."""
+    import duckdb
+
+    from tokrle.pipelines import table_encode
+
+    fn, args, kwargs, sql = _NULL_SKIP_CASES[case]
+    tbl, out_dir = nullable_kv
+    res = getattr(table_encode, fn)(out_dir, *args, **kwargs)
+    got = res[0] if isinstance(res, tuple) else res
+    con = duckdb.connect()
+    con.register("t", tbl)
+    want = con.execute(sql).fetchall()
+
+    def py(v):
+        return v if v is None or isinstance(v, str) else int(v)
+
+    assert sorted(tuple(py(v) for v in row)
+                  for row in got.itertuples(index=False)) == \
+        sorted(tuple(py(v) for v in row) for row in want), case
+
+
+@pytest.mark.parametrize("fn", ["encoded_group_agg",
+                                "encoded_filtered_group_agg",
+                                "encoded_group_quantiles",
+                                "encoded_group_where_quantiles"])
+def test_null_group_key_raises(ray_session, tmp_path, fn):
+    """A NULL group key never lands in group 0: the encoder fills NULL
+    slots with 0, so an all-NULL key chunk looks group-pure (zone map
+    0..0) next to a real group-0 chunk.  Every grouped entry point
+    raises from the shared GROUP BY key check instead of merging
+    them."""
+    import ray.data
+
+    from tokrle.pipelines import table_encode
+
+    g = np.repeat([0, 1, 0, 2], 128)
+    tbl = pa.table({"g": pa.array(g, mask=np.repeat([0, 0, 1, 0], 128)
+                                  .astype(bool)),
+                    "v": pa.array(np.arange(512) % 8)})
+    out_dir = str(tmp_path / "null_group")
+    table_encode.encode_table_columns(
+        ray.data.from_arrow(tbl), ["g", "v"],
+        batch_size=128).write_parquet(out_dir)
+    assert table_encode._n_chunks(out_dir) == 4
+    args = {"encoded_group_agg": ("g", ["v"]),
+            "encoded_filtered_group_agg": ("g", ("range", "v", 0, 7),
+                                           ["v"]),
+            "encoded_group_quantiles": ("g", "v"),
+            "encoded_group_where_quantiles": (("range", "v", 0, 7), "g",
+                                              "v")}[fn]
+    with pytest.raises(Exception, match="GROUP BY key"):
+        getattr(table_encode, fn)(out_dir, *args)
 
 
 def test_encoded_distinct_count_closed_form(ray_session, tmp_path):
@@ -1525,20 +1625,6 @@ def test_encoded_distinct_filtered_uint64_mixed_batches(ray_session,
     mask = (key < 10) | (key > 40)
     want = len(np.unique(h[mask]))
     assert int(got["n_distinct"].iloc[0]) == want, counters
-
-
-def test_encoded_distinct_count_rejects_nullable(ray_session, tmp_path):
-    import ray.data
-
-    from tokrle.pipelines.table_encode import (encode_table_columns,
-                                               encoded_distinct_count)
-
-    ds = ray.data.from_arrow(
-        pa.table({"x": pa.array([1, None, 2] * 50, type=pa.int64())}))
-    out_dir = str(tmp_path / "distinct_null")
-    encode_table_columns(ds, ["x"], batch_size=32).write_parquet(out_dir)
-    with pytest.raises(Exception, match="nullable"):
-        encoded_distinct_count(out_dir, "x")
 
 
 def test_encoded_histogram_matches_pandas(ray_session, tmp_path):
@@ -1659,7 +1745,7 @@ def test_encoded_group_quantiles_match_duckdb(ray_session, tmp_path):
                 (group_col, agg_col, int(w["grp"]))
             assert (sub["n_rows"] == int(w["n"])).all()
         if group_col == "key":
-            assert counters["pure_chunks"] > 0, counters
+            assert counters["closed_form_chunks"] > 0, counters
 
 
 def test_encoded_boolean_quantiles_match_duckdb(ray_session, tmp_path):
@@ -1712,10 +1798,15 @@ def test_encoded_boolean_quantiles_match_duckdb(ray_session, tmp_path):
                         (3, 4): want[2]}, (where, counters)
         assert (got["n_rows"] == int(want[3])).all()
 
-    # a nullable AGG column must raise (matching the histogram contract)
-    with pytest.raises(Exception, match="nullable"):
-        encoded_boolean_quantiles(out_dir, ("range", "key", 0, 50),
-                                  "flag")
+    # a nullable AGG column skips its NULLs, like SQL quantile_disc
+    got, _ = encoded_boolean_quantiles(out_dir, ("range", "key", 0, 50),
+                                       "flag")
+    want = con.sql("""
+        select quantile_disc(flag, 0.25), quantile_disc(flag, 0.50),
+               quantile_disc(flag, 0.75), count(flag)
+        from t where key between 0 and 50""").fetchone()
+    assert [int(q) for q in got["quantile"]] == list(want[:3])
+    assert (got["n_rows"] == int(want[3])).all()
 
 
 def test_encoded_quantiles_uint64_full_range(ray_session, tmp_path):
@@ -1959,20 +2050,6 @@ def test_encoded_quantiles_overflow_guard(ray_session, tmp_path):
     encode_table_columns(ds, ["x"], batch_size=256).write_parquet(out_dir)
     with pytest.raises(OverflowError, match="sum_v2"):
         encoded_quantiles(out_dir, "x")
-
-
-def test_encoded_histogram_rejects_nullable(ray_session, tmp_path):
-    import ray.data
-
-    from tokrle.pipelines.table_encode import (encode_table_columns,
-                                               encoded_histogram)
-
-    ds = ray.data.from_arrow(
-        pa.table({"x": pa.array([4, None, 2] * 50, type=pa.int64())}))
-    out_dir = str(tmp_path / "hist_null")
-    encode_table_columns(ds, ["x"], batch_size=32).write_parquet(out_dir)
-    with pytest.raises(Exception, match="nullable"):
-        encoded_histogram(out_dir, "x")
 
 
 def test_encoded_string_value_count(ray_session, tmp_path):

@@ -368,82 +368,37 @@ def range_scan(enc_dir: str, columns: list[str],
 
 
 def encoded_column_agg(enc_dir: str, columns: list[str]):
-    """COUNT/SUM/MIN/MAX over encoded integer columns WITHOUT decoding.
+    """COUNT/SUM/MIN/MAX over encoded integer columns WITHOUT decoding:
+    the ``expr=None`` case of :func:`encoded_boolean_agg` with MIN/MAX.
+    SUM comes per chunk from :func:`tokrle.codecs.core.agg_sum` (rle:
+    runs x values; dict: code histogram x dictionary; for/pfor: ref*n +
+    code sums) and MIN/MAX from the zone-map extrema recorded at encode
+    time; only nullable chunks gather their valid values for MIN/MAX.
 
-    Reads only the metadata + payload columns of a table-encode directory
-    (column-pruned Parquet scan), answers SUM per chunk in the compressed
-    domain via :func:`tokrle.codecs.core.agg_sum` (rle: runs x values
-    over nruns elements; dict: code histogram x dictionary; for/pfor:
-    ref*n + code sums) and MIN/MAX from the zone-map extrema recorded at
-    encode time — the decoded column is never materialized anywhere.
-
-    Exactness: per-chunk sums are Python-int exact; cross-chunk partials
-    travel as Arrow int64, so a |partial| >= 2^63 raises loudly instead
-    of wrapping.  Nullable chunks raise (encode fills nulls with 0, which
-    would silently skew SUM/MIN/MAX).  Returns one row per column:
-    ``(col, n, sum_val, min_val, max_val)``.
-    """
+    NULLs follow SQL: ``n`` is COUNT(*), SUM/MIN/MAX skip NULLs, and
+    MIN/MAX are None for a column without a non-NULL value.  uint64
+    columns raise ``TypeError`` (their sums can exceed the int64
+    partial-row domain).  Returns one row per column:
+    ``(col, n, sum_val, min_val, max_val)``."""
     import pandas as pd
-    import ray.data
-    from ray.data.aggregate import Max, Min, Sum
 
-    from tokrle.codecs.core import agg_sum
-
-    need = ["n_rows"]
     for c in columns:
-        need += [f"{c}__codec", f"{c}__payload", f"{c}__dtype",
-                 f"{c}__vmin", f"{c}__vmax", f"{c}__valid"]
-    ds = ray.data.read_parquet(enc_dir, columns=need)
-
-    def partial(batch: pa.Table) -> pa.Table:
-        nrows = batch.column("n_rows").to_numpy(zero_copy_only=False)
-        out = {"n": pa.array([int(nrows.sum())], type=pa.int64())}
-        for c in columns:
-            codecs = batch.column(f"{c}__codec").to_pylist()
-            dtypes = batch.column(f"{c}__dtype").to_pylist()
-            payloads = batch.column(f"{c}__payload")
-            valids = batch.column(f"{c}__valid")
-            total = 0
-            for i, codec in enumerate(codecs):
-                if np.dtype(dtypes[i]) == np.uint64:
-                    raise TypeError(
-                        f"column {c!r}: uint64 sums can exceed the int64 "
-                        "partial-row domain; decode and reduce instead")
-                if len(valids[i].as_py() or b""):
-                    raise ValueError(
-                        f"column {c!r}: nullable chunks not supported by "
-                        "the compressed-domain aggregate (encode fills "
-                        "nulls with 0)")
-                total += agg_sum(codec,
-                                 memoryview(payloads[i].as_buffer()),
-                                 int(nrows[i]), np.dtype(dtypes[i]))
-            vmin = batch.column(f"{c}__vmin").to_numpy(
-                zero_copy_only=False)
-            vmax = batch.column(f"{c}__vmax").to_numpy(
-                zero_copy_only=False)
-            keep = nrows > 0
-            out[f"sum_{c}"] = pa.array([total], type=pa.int64())
-            out[f"min_{c}"] = pa.array(
-                [int(vmin[keep].min()) if keep.any() else None],
-                type=pa.int64())
-            out[f"max_{c}"] = pa.array(
-                [int(vmax[keep].max()) if keep.any() else None],
-                type=pa.int64())
-        return pa.table(out)
-
-    aggs = [Sum("n", alias_name="n")]
-    for c in columns:
-        aggs += [Sum(f"sum_{c}", alias_name=f"sum_{c}"),
-                 Min(f"min_{c}", alias_name=f"min_{c}"),
-                 Max(f"max_{c}", alias_name=f"max_{c}")]
-    row = ds.map_batches(partial, batch_format="pyarrow").aggregate(*aggs)
-    return pd.DataFrame({
+        if _col_dtype_probe(enc_dir, c) == np.uint64:
+            raise TypeError(
+                f"column {c!r}: uint64 sums can exceed the int64 "
+                "partial-row domain; decode and reduce instead")
+    df, _ = encoded_boolean_agg(enc_dir, None, columns, with_minmax=True)
+    out = pd.DataFrame({
         "col": columns,
-        "n": [int(row["n"])] * len(columns),
-        "sum_val": [int(row[f"sum_{c}"]) for c in columns],
-        "min_val": [int(row[f"min_{c}"]) for c in columns],
-        "max_val": [int(row[f"max_{c}"]) for c in columns],
-    })
+        "n": [int(df["n_match"].iloc[0])] * len(columns),
+        "sum_val": [int(df[f"sum_{c}"].iloc[0]) for c in columns]})
+    for nm in ("min", "max"):
+        vals = [df[f"{nm}_{c}"].iloc[0] for c in columns]
+        # object only when a None (SQL NULL) is present: a mixed list
+        # would otherwise round through float64
+        out[f"{nm}_val"] = pd.Series(
+            vals, dtype=object if None in vals else "int64")
+    return out
 
 
 def encoded_distinct_count(enc_dir: str, col: str,
@@ -467,79 +422,48 @@ def encoded_distinct_count(enc_dir: str, col: str,
     Intended for low/moderate-cardinality columns (keys, labels, enum
     codes); for high-cardinality columns the distinct set itself is the
     data — use the HLL sketch (`functions.sketch`) there.  Integer
-    columns; only the ``expr`` columns need zone maps.  Predicate
-    columns may be nullable (SQL three-valued logic), but a selected
-    nullable chunk of ``col`` raises: the encoder fills null slots
-    with 0, which would count as a distinct value.  Returns
+    columns; only the ``expr`` columns need zone maps.  NULLs follow
+    SQL ``COUNT(DISTINCT)``: predicate columns evaluate under
+    three-valued logic, and NULL slots of ``col`` are skipped (a
+    nullable chunk gathers only its valid selected positions, so the
+    encoder's 0 filler never counts).  Returns
     ``(DataFrame(n_distinct), counters)`` where counters report how
-    many chunks answered from a closed form (dict/rle or ALL-match)
-    vs decode/gather."""
+    many chunks answered from a closed form (dict/rle, wholly selected
+    and null-free) vs decode/gather."""
     import pandas as pd
     import ray.data
     from ray.data.aggregate import Sum
 
     from tokrle.codecs.core import distinct_values, gather_runs
 
-    pred_cols = _expr_pred_cols(expr) if expr is not None else []
-    str_cols = _expr_str_cols(expr) if expr is not None else []
-    null_cols = _expr_null_cols(expr) if expr is not None else []
-    need = ["n_rows"] + [f"{c}__{p}" for c in pred_cols
-                         for p in ("vmin", "vmax")] + [
-        f"{c}__{p}" for c in dict.fromkeys(pred_cols + [col])
-        for p in ("codec", "payload", "dtype", "valid")] + [
-        f"{c}__{p}" for c in str_cols
-        for p in ("codec", "payload", "lens_payload", "valid")]
-    need += [f"{c}__valid" for c in null_cols
-             if f"{c}__valid" not in need]
-    need = list(dict.fromkeys(need))
+    pred_cols = _expr_pred_cols(expr)
     n_total = _n_chunks(enc_dir)
 
     def partial(batch: pa.Table) -> pa.Table:
         nrows = batch.column("n_rows").to_numpy(zero_copy_only=False)
         codecs = batch.column(f"{col}__codec").to_pylist()
-        zmin = {c: batch.column(f"{c}__vmin").to_numpy(
-            zero_copy_only=False) for c in pred_cols}
-        zmax = {c: batch.column(f"{c}__vmax").to_numpy(
-            zero_copy_only=False) for c in pred_cols}
+        zmin, zmax = _zone_maps(batch, pred_cols)
         parts = []
         closed = decoded = gathered = 0
         for i, codec in enumerate(codecs):
             n = int(nrows[i])
-            if expr is None:
-                # an empty chunk is trivially answered; classify it so
-                # closed+decoded keeps summing to chunks_total
+            # an empty chunk is trivially answered; classify it so
+            # closed+decoded keeps summing to chunks_total when unfiltered
+            sel = _ALL if n == 0 else _valid_sel(
+                _chunk_sel(expr, batch, i, n, zmin, zmax),
+                _chunk_valid(batch, col, i), n)
+            if isinstance(sel, str):
                 if codec in ("dict", "rle"):
                     closed += 1
                 else:
                     decoded += 1
-                if n == 0:
-                    continue
-                sel = "all"
+            elif len(sel[0]):
+                gathered += 1
             else:
-                if n == 0:
-                    continue
-                sel = _expr_eval(
-                    expr, i, n, zmin, zmax,
-                    lambda c2, j: _chunk_col(batch, c2, j),
-                    lambda c2, j: _chunk_str_col(batch, c2, j),
-                    lambda c2, j: _chunk_valid(batch, c2, j))
-                if not isinstance(sel, str) and not len(sel[0]):
-                    continue
-                if isinstance(sel, str):
-                    if codec in ("dict", "rle"):
-                        closed += 1
-                    else:
-                        decoded += 1
-                else:
-                    gathered += 1
-            if _chunk_valid(batch, col, i):
-                raise ValueError(
-                    f"column {col!r}: nullable chunks not supported by "
-                    "the compressed-domain distinct (encode fills nulls "
-                    "with 0)")
-            payload = memoryview(
-                batch.column(f"{col}__payload")[i].as_buffer())
-            dt = np.dtype(batch.column(f"{col}__dtype")[i].as_py())
+                continue
+            if n == 0:
+                continue
+            _, payload, dt = _chunk_col(batch, col, i)
             u = distinct_values(codec, payload, n, dt) \
                 if isinstance(sel, str) else \
                 np.unique(gather_runs(codec, payload, n, dt, *sel))
@@ -564,8 +488,8 @@ def encoded_distinct_count(enc_dir: str, col: str,
                 (np.zeros(len(u), np.int64),
                  [closed, decoded, gathered])))})
 
-    flt = _expr_zone_filter(expr) if expr is not None else None
-    ds = ray.data.read_parquet(enc_dir, columns=need, filter=flt)
+    ds = ray.data.read_parquet(enc_dir, columns=_scan_columns(expr, [col]),
+                               filter=_expr_zone_filter(expr))
     agg = ds.map_batches(partial, batch_format="pyarrow") \
         .groupby(["kind", "v"]).aggregate(
         Sum("m", alias_name="m")).to_pandas()
@@ -700,66 +624,29 @@ def encoded_string_value_count(enc_dir: str, col: str, value: str):
 
 
 def encoded_histogram(enc_dir: str, col: str):
-    """Exact GROUP BY ``col`` COUNT(*) over a table-encode directory:
-    each chunk's (value, count) histogram comes from the codec streams
-    via :func:`tokrle.codecs.core.value_counts` (dict: dictionary + one
-    bincount over the narrow code stream, no value gather; rle:
-    run-length fold per unique run value in O(#runs log #runs)), and a
-    hash-partitioned sum over the per-chunk pairs produces the global
-    histogram — the exchange carries (value, partial_count) pairs
-    bounded by chunk cardinality, never rows.
+    """Exact GROUP BY ``col`` COUNT(*) over a table-encode directory: the
+    ``expr=None`` case of :func:`_boolean_value_hist`, so each chunk's
+    (value, count) histogram comes from the codec streams via
+    :func:`tokrle.codecs.core.value_counts` (dict: dictionary + one
+    bincount over the narrow code stream; rle: run-length fold per
+    unique run value) and the caller sums the cardinality-bounded pairs.
 
-    Same cardinality guidance and null contract as
+    NULLs are skipped (the histogram of the non-NULL values — what
+    ``quantile_disc`` and ``COUNT(DISTINCT)`` see), and ``value`` keeps
+    the column's stored dtype (uint64 unbiased, datetime columns as
+    datetime64).  Same cardinality guidance as
     :func:`encoded_distinct_count`.  Returns ``(DataFrame(value, n)
     sorted by value, counters)``."""
     import pandas as pd
-    import ray.data
-    from ray.data.aggregate import Sum
 
-    from tokrle.codecs.core import value_counts
-
-    need = ["n_rows"] + [f"{col}__{p}"
-                         for p in ("codec", "payload", "dtype", "valid")]
-
-    def partial(batch: pa.Table) -> pa.Table:
-        nrows = batch.column("n_rows").to_numpy(zero_copy_only=False)
-        payloads = batch.column(f"{col}__payload")
-        codecs = batch.column(f"{col}__codec").to_pylist()
-        dtypes = batch.column(f"{col}__dtype").to_pylist()
-        valids = batch.column(f"{col}__valid")
-        vs, cs = [], []
-        for i, codec in enumerate(codecs):
-            if len(valids[i].as_py() or b""):
-                raise ValueError(
-                    f"column {col!r}: nullable chunks not supported by "
-                    "the compressed-domain histogram (encode fills "
-                    "nulls with 0)")
-            v, c = value_counts(codec,
-                                memoryview(payloads[i].as_buffer()),
-                                int(nrows[i]), np.dtype(dtypes[i]))
-            vs.append(v)
-            cs.append(c)
-        if not vs:
-            return pa.table({"v": pa.array([], type=pa.int64()),
-                             "c": pa.array([], type=pa.int64())})
-        # combine within the batch before the exchange: one more
-        # unique-fold so repeated values across chunks ship once
-        v_all = np.concatenate(vs)
-        c_all = np.concatenate(cs)
-        uniq, inv = np.unique(v_all, return_inverse=True)
-        sums = np.zeros(len(uniq), dtype=np.int64)
-        np.add.at(sums, inv, c_all)
-        return pa.table({"v": pa.array(uniq), "c": pa.array(sums)})
-
-    ds = ray.data.read_parquet(enc_dir, columns=need)
-    hist = ds.map_batches(partial, batch_format="pyarrow") \
-        .groupby("v").aggregate(Sum("c", alias_name="n")).to_pandas()
-    hist = hist.rename(columns={"v": "value"})
-    hist["n"] = hist["n"].astype("int64")
-    n_chunks = _n_chunks(enc_dir)
-    counters = {"chunks_total": int(n_chunks),
-                "hist_rows": int(len(hist))}
-    return hist.sort_values("value").reset_index(drop=True), counters
+    hist, counters, dt = _boolean_value_hist(enc_dir, None, col)
+    values = hist.index.to_numpy()
+    if dt == np.uint64:
+        values = values.view(np.uint64) ^ _U64_FLIP
+    elif dt is not None:
+        values = values.astype(dt)
+    return pd.DataFrame({"value": values,
+                         "n": hist.to_numpy().astype(np.int64)}), counters
 
 
 def _hist_rank_idx(cum: np.ndarray, n: int, q_num: int,
@@ -826,16 +713,19 @@ def _group_quantile_frame(hist, qs: tuple, group_col: str,
         cum = np.cumsum(sub["c"].to_numpy())
         n = int(cum[-1])
         for q_num, q_den in qs:
-            q = _hist_rank(values, cum, n, q_num, q_den)
-            quants.append(_hist_unbias_u64(q) if is_u64 else q)
+            # a group whose values are all NULL has no quantile (NULL)
+            q = None if n == 0 else _hist_rank(values, cum, n, q_num,
+                                               q_den)
+            quants.append(_hist_unbias_u64(q) if is_u64 and n else q)
             rows.append({group_col: int(grp), "q_num": q_num,
                          "q_den": q_den, "n_rows": n})
     out = pd.DataFrame(rows, columns=[group_col, "q_num", "q_den",
                                       "n_rows"])
     for c in out.columns:
         out[c] = out[c].astype("int64")
-    out.insert(3, "quantile", np.array(
-        quants, dtype=np.uint64 if is_u64 else np.int64))
+    out.insert(3, "quantile", pd.Series(quants, dtype=object)
+               if None in quants else
+               np.array(quants, dtype=np.uint64 if is_u64 else np.int64))
     return out.sort_values([group_col, "q_num", "q_den"]) \
         .reset_index(drop=True)
 
@@ -938,369 +828,103 @@ def encoded_quantiles(enc_dir: str, col: str,
 
 def encoded_group_agg(enc_dir: str, group_col: str, agg_cols: list[str],
                       *, with_minmax: bool = False):
-    """GROUP BY ``group_col`` with COUNT/SUM (and optionally MIN/MAX, see
-    below) of ``agg_cols`` over a table-encode directory, split per chunk
-    on the group column's zone map:
-
-    - PURE chunks (``vmin == vmax``: one group spans the whole chunk —
-      the common case when the table is clustered on the group key):
-      the group id comes from the zone map and each SUM from
-      :func:`tokrle.codecs.core.agg_sum` — neither column decodes;
-    - MIXED chunks decode and fold with one lexsort + ``add.reduceat``
-      per chunk (only the cluster boundaries, on a clustered layout).
-
-    Partials from both classes meet in one small ``groupby(group).sum``
-    over per-chunk rows — the exchange carries (group, partial sums),
-    never table rows.  Returns ``(DataFrame, counters)``; integer
-    columns only, nullable chunks raise.
-
-    ``with_minmax=True`` adds per-group MIN/MAX: pure chunks answer from
-    the agg column's own ZONE MAP (``__vmin``/``__vmax`` — zero decode,
-    like the SUM), mixed chunks from ``minimum/maximum.reduceat`` in the
-    same sorted pass the sums already make."""
-    import pandas as pd
-    import pyarrow.compute as pc
-    import ray.data
-    from ray.data.aggregate import Max, Min, Sum
-
-    from tokrle.codecs.core import agg_sum, decode as codec_decode
-
-    pure = pc.field(f"{group_col}__vmin") == pc.field(f"{group_col}__vmax")
-    base_cols = ["n_rows", f"{group_col}__vmin"] + [
-        f"{c}__{part}" for c in agg_cols
-        for part in ("codec", "payload", "dtype", "valid")]
-    if with_minmax:
-        base_cols += [f"{c}__{p}" for c in agg_cols for p in ("vmin",
-                                                              "vmax")]
-
-    def _chunk_col(batch, c, i, n):
-        if len(batch.column(f"{c}__valid")[i].as_py() or b""):
-            raise ValueError(
-                f"column {c!r}: nullable chunks not supported by the "
-                "compressed-domain aggregate")
-        return (batch.column(f"{c}__codec")[i].as_py(),
-                memoryview(batch.column(f"{c}__payload")[i].as_buffer()),
-                n, np.dtype(batch.column(f"{c}__dtype")[i].as_py()))
-
-    def pure_partial(batch: pa.Table) -> pa.Table:
-        nrows = batch.column("n_rows").to_numpy(zero_copy_only=False)
-        groups = batch.column(f"{group_col}__vmin").to_numpy(
-            zero_copy_only=False)
-        out = {"grp": pa.array(groups.astype(np.int64), type=pa.int64()),
-               "n": pa.array(nrows.astype(np.int64), type=pa.int64()),
-               "pure_chunks": pa.array(np.ones(len(batch), np.int64),
-                                       type=pa.int64())}
-        for c in agg_cols:
-            sums = [agg_sum(*_chunk_col(batch, c, i, int(nrows[i])))
-                    for i in range(len(batch))]
-            out[f"sum_{c}"] = pa.array(sums, type=pa.int64())
-            if with_minmax:
-                out[f"min_{c}"] = batch.column(f"{c}__vmin") \
-                    .cast(pa.int64())
-                out[f"max_{c}"] = batch.column(f"{c}__vmax") \
-                    .cast(pa.int64())
-        return pa.table(out)
-
-    def mixed_partial(batch: pa.Table) -> pa.Table:
-        nrows = batch.column("n_rows").to_numpy(zero_copy_only=False)
-        grp_parts, n_parts, sum_parts = [], [], {c: [] for c in agg_cols}
-        min_parts = {c: [] for c in agg_cols}
-        max_parts = {c: [] for c in agg_cols}
-        for i in range(len(batch)):
-            n = int(nrows[i])
-            g = codec_decode(*_chunk_col(batch, group_col, i, n)) \
-                .astype(np.int64)
-            order = np.argsort(g, kind="mergesort")
-            gs = g[order]
-            starts = np.flatnonzero(
-                np.concatenate(([True], gs[1:] != gs[:-1])))
-            grp_parts.append(gs[starts])
-            n_parts.append(np.diff(np.concatenate((starts, [n]))))
-            for c in agg_cols:
-                v = codec_decode(*_chunk_col(batch, c, i, n)) \
-                    .astype(np.int64)[order]
-                sum_parts[c].append(np.add.reduceat(v, starts))
-                if with_minmax:
-                    min_parts[c].append(np.minimum.reduceat(v, starts))
-                    max_parts[c].append(np.maximum.reduceat(v, starts))
-        grp = np.concatenate(grp_parts) if grp_parts else \
-            np.empty(0, np.int64)
-        out = {"grp": pa.array(grp, type=pa.int64()),
-               "n": pa.array(np.concatenate(n_parts).astype(np.int64)
-                             if n_parts else np.empty(0, np.int64),
-                             type=pa.int64()),
-               "pure_chunks": pa.array(np.zeros(len(grp), np.int64),
-                                       type=pa.int64())}
-        for c in agg_cols:
-            out[f"sum_{c}"] = pa.array(
-                np.concatenate(sum_parts[c]) if sum_parts[c]
-                else np.empty(0, np.int64), type=pa.int64())
-            if with_minmax:
-                for nm, parts in ((f"min_{c}", min_parts[c]),
-                                  (f"max_{c}", max_parts[c])):
-                    out[nm] = pa.array(
-                        np.concatenate(parts) if parts
-                        else np.empty(0, np.int64), type=pa.int64())
-        return pa.table(out)
-
-    pure_ds = ray.data.read_parquet(enc_dir, columns=base_cols,
-                                    filter=pure) \
-        .map_batches(pure_partial, batch_format="pyarrow")
-    mixed_ds = ray.data.read_parquet(
-        enc_dir,
-        columns=list(dict.fromkeys(base_cols + [
-            f"{group_col}__{p}" for p in ("codec", "payload", "dtype",
-                                          "valid")])),
-        filter=~pure).map_batches(mixed_partial, batch_format="pyarrow")
-
-    aggs = [Sum("n", alias_name="n"),
-            Sum("pure_chunks", alias_name="pure_chunks")] + \
-        [Sum(f"sum_{c}", alias_name=f"sum_{c}") for c in agg_cols]
-    if with_minmax:
-        aggs += [Min(f"min_{c}", alias_name=f"min_{c}") for c in agg_cols]
-        aggs += [Max(f"max_{c}", alias_name=f"max_{c}") for c in agg_cols]
-    df = pure_ds.union(mixed_ds).groupby("grp").aggregate(*aggs) \
-        .to_pandas()
-    pure_chunks = int(df["pure_chunks"].sum())
-    counters = {"pure_chunks": pure_chunks,
-                "groups": len(df)}
-    df = df.drop(columns=["pure_chunks"]) \
-        .rename(columns={"grp": group_col}) \
-        .sort_values(group_col).reset_index(drop=True)
-    for c in df.columns:
-        if c != group_col:
-            df[c] = df[c].astype("int64")
-    return df, counters
+    """GROUP BY ``group_col`` with COUNT/SUM (and, with ``with_minmax``,
+    MIN/MAX) of ``agg_cols``: the ``expr=None`` case of
+    :func:`encoded_filtered_group_agg`.  Group-pure chunks (group zone
+    map ``vmin == vmax``, the common case on a table clustered by the
+    key) take the group id from the zone map, SUM from
+    :func:`tokrle.codecs.core.agg_sum` and MIN/MAX from the aggregate
+    column's zone map — nothing decodes; mixed chunks decode and fold
+    with one argsort + ``reduceat``.  A nullable group key raises; NULL
+    aggregate values are skipped.  Returns ``(DataFrame(group_col, n,
+    sum_<c>..., [min_<c>..., max_<c>...]) sorted by group,
+    counters)``."""
+    return encoded_filtered_group_agg(enc_dir, group_col, None, agg_cols,
+                                      with_minmax=with_minmax)
 
 
 def encoded_group_quantiles(enc_dir: str, group_col: str, agg_col: str,
                             qs: tuple = ((1, 4), (1, 2), (3, 4))):
-    """Exact per-group discrete quantiles of ``agg_col`` GROUP BY
-    ``group_col`` from the encoded layout — the GROUP BY split of
-    :func:`encoded_group_agg` composed with the histogram sufficient
-    statistic of :func:`encoded_quantiles`:
-
-    - PURE chunks (group zone map ``vmin == vmax``): the group id comes
-      from the zone map (group column never decodes) and the agg
-      column's (value, count) histogram from
-      :func:`tokrle.codecs.core.value_counts` (dict/rle closed forms);
-    - MIXED chunks decode both and fold one histogram per (group, value)
-      pair with a single lexsort + run-length count per chunk.
-
-    The exchange carries (group, value, partial_count) triples — bounded
-    by group cardinality x per-chunk value cardinality, never rows — and
-    the driver folds per-group ranks with the same exact integer
-    ceil-division as :func:`encoded_quantiles` (SQL ``quantile_disc``
-    semantics).  Integer columns only, nullable chunks raise.  Returns
-    ``(DataFrame(group_col, q_num, q_den, quantile, n_rows), counters)``
-    with one row per (group, q)."""
-    import pandas as pd
-    import pyarrow.compute as pc
-    import ray.data
-
-    from tokrle.codecs.core import decode as codec_decode
-    from tokrle.codecs.core import value_counts
-
-    pure = pc.field(f"{group_col}__vmin") == pc.field(f"{group_col}__vmax")
-    base_cols = ["n_rows", f"{group_col}__vmin"] + [
-        f"{agg_col}__{p}" for p in ("codec", "payload", "dtype", "valid")]
-
-    def _chunk_col(batch, c, i, n):
-        if len(batch.column(f"{c}__valid")[i].as_py() or b""):
-            raise ValueError(
-                f"column {c!r}: nullable chunks not supported by the "
-                "compressed-domain grouped quantile")
-        return (batch.column(f"{c}__codec")[i].as_py(),
-                memoryview(batch.column(f"{c}__payload")[i].as_buffer()),
-                n, np.dtype(batch.column(f"{c}__dtype")[i].as_py()))
-
-    def pure_partial(batch: pa.Table) -> pa.Table:
-        nrows = batch.column("n_rows").to_numpy(zero_copy_only=False)
-        groups = batch.column(f"{group_col}__vmin").to_numpy(
-            zero_copy_only=False).astype(np.int64)
-        gs, vs, cs, flags = [], [], [], []
-        for i in range(len(batch)):
-            v, c = value_counts(*_chunk_col(batch, agg_col, i,
-                                            int(nrows[i])))
-            gs.append(np.full(len(v), groups[i], np.int64))
-            vs.append(_agg_fold_u64(v))
-            cs.append(c)
-            # per-CHUNK counter: flag only the chunk's first triple
-            f = np.zeros(len(v), np.int64)
-            if len(f):
-                f[0] = 1
-            flags.append(f)
-        empty = np.empty(0, np.int64)
-        return pa.table({
-            "grp": pa.array(np.concatenate(gs) if gs else empty),
-            "v": pa.array(np.concatenate(vs) if vs else empty),
-            "c": pa.array(np.concatenate(cs).astype(np.int64) if cs
-                          else empty),
-            "pure_chunks": pa.array(np.concatenate(flags) if flags
-                                    else empty)})
-
-    def mixed_partial(batch: pa.Table) -> pa.Table:
-        nrows = batch.column("n_rows").to_numpy(zero_copy_only=False)
-        gs, vs, cs = [], [], []
-        for i in range(len(batch)):
-            n = int(nrows[i])
-            g, v, c = _group_value_run_fold(
-                codec_decode(*_chunk_col(batch, group_col, i, n))
-                .astype(np.int64),
-                _agg_fold_u64(codec_decode(*_chunk_col(batch, agg_col,
-                                                       i, n))))
-            gs.append(g)
-            vs.append(v)
-            cs.append(c)
-        empty = np.empty(0, np.int64)
-        return pa.table({
-            "grp": pa.array(np.concatenate(gs) if gs else empty),
-            "v": pa.array(np.concatenate(vs) if vs else empty),
-            "c": pa.array(np.concatenate(cs).astype(np.int64)
-                          if cs else empty),
-            "pure_chunks": pa.array(
-                np.zeros(sum(len(g) for g in gs), np.int64)
-                if gs else empty)})
-
-    pure_ds = ray.data.read_parquet(enc_dir, columns=base_cols,
-                                    filter=pure) \
-        .map_batches(pure_partial, batch_format="pyarrow")
-    mixed_ds = ray.data.read_parquet(
-        enc_dir,
-        columns=list(dict.fromkeys(base_cols + [
-            f"{group_col}__{p}" for p in ("codec", "payload", "dtype",
-                                          "valid")])),
-        filter=~pure).map_batches(mixed_partial, batch_format="pyarrow")
-
-    # the triples are cardinality-bounded partials: fold them on the
-    # driver (same shape as the repo's other driver folds) — one pandas
-    # groupby over (group, value), then per-group rank selection
-    part = pure_ds.union(mixed_ds).to_pandas()
-    if part.empty:
-        # every chunk was empty (or the table had zero rows): not even
-        # one triple exists, so there are no groups to report
-        part = pd.DataFrame({"grp": pd.Series(dtype="int64"),
-                             "v": pd.Series(dtype="int64"),
-                             "c": pd.Series(dtype="int64"),
-                             "pure_chunks": pd.Series(dtype="int64")})
-    is_u64 = _col_dtype_probe(enc_dir, agg_col) == np.dtype(np.uint64)
-    pure_chunks = int(part["pure_chunks"].sum()) if len(part) else 0
-    hist = part.groupby(["grp", "v"], sort=True)["c"].sum().reset_index()
-    counters = {"pure_chunks": pure_chunks,
-                "groups": int(hist["grp"].nunique()),
-                "hist_rows": int(len(hist))}
-    return _group_quantile_frame(hist, qs, group_col, is_u64), counters
+    """Exact per-group discrete quantiles (SQL ``quantile_disc``) of
+    ``agg_col`` GROUP BY ``group_col``: the ``expr=None`` case of
+    :func:`encoded_group_where_quantiles`.  Group-pure chunks take the
+    group id from the zone map and the agg histogram from the codec
+    streams (``closed_form_chunks``); mixed chunks fold one lexsort
+    run-length count.  A nullable group key raises; NULL aggregate
+    values are skipped (``n_rows`` counts the non-NULL values).
+    Returns ``(DataFrame(group_col, q_num, q_den, quantile, n_rows),
+    counters)`` with one row per (group, q)."""
+    return encoded_group_where_quantiles(enc_dir, None, group_col,
+                                         agg_col, qs)
 
 
-def _boolean_value_hist(enc_dir: str, expr: tuple, agg_col: str):
-    """Shared core of the filtered histogram family: evaluate the
-    predicate TREE per chunk (zone-map leaf short-circuits, 3VL on
-    nullable predicate columns, conservative scan filter — exactly as
-    in :func:`encoded_boolean_agg`) and fold the (value, count)
-    histogram of ``agg_col`` over ONLY the selected rows:
+def _boolean_value_hist(enc_dir: str, expr: tuple | None, agg_col: str):
+    """Shared core of the histogram family: evaluate the predicate TREE
+    per chunk (zone-map leaf short-circuits, 3VL on nullable predicate
+    columns, conservative scan filter — exactly as in
+    :func:`encoded_boolean_agg`; ``expr=None`` selects every row) and
+    fold the (value, count) histogram of ``agg_col`` over ONLY the
+    selected rows whose ``agg_col`` is not NULL:
 
-    - ALL-match chunks take their histogram from
+    - ALL-match null-free chunks take their histogram from
       :func:`tokrle.codecs.core.value_counts` (dict/rle closed forms —
       zero decode);
-    - run-list chunks late-materialize ONLY the selected positions
-      (:func:`gather_runs`) and fold their counts.
+    - every other chunk late-materializes ONLY the selected valid
+      positions (:func:`gather_runs`) and folds their counts.
 
     The exchange carries (value, partial_count) pairs bounded by chunk
     cardinality — never rows — plus three counter rows.  uint64 agg
     columns fold in the order-preserving xor-2^63 image.  Returns
-    ``(hist, counters, is_u64)`` where ``hist`` is a pandas Series
-    (index = folded value, possibly biased; values = exact counts)
-    sorted by value."""
-    import pandas as pd
+    ``(hist, counters, dtype)`` where ``hist`` is a pandas Series
+    (index = folded int64 value, biased for uint64; values = exact
+    counts) sorted by value and ``dtype`` is ``agg_col``'s stored dtype
+    (None for a directory without rows)."""
     import ray.data
 
     from tokrle.codecs.core import gather_runs, value_counts
 
     pred_cols = _expr_pred_cols(expr)
-    str_cols = _expr_str_cols(expr)
-    null_cols = _expr_null_cols(expr)
-    n_total = _n_chunks(enc_dir)
-    need = ["n_rows"] + [f"{c}__{p}" for c in pred_cols
-                         for p in ("vmin", "vmax")] + [
-        f"{c}__{p}"
-        for c in dict.fromkeys(pred_cols + [agg_col])
-        for p in ("codec", "payload", "dtype", "valid")] + [
-        f"{c}__{p}" for c in str_cols
-        for p in ("codec", "payload", "lens_payload", "valid")]
-    need += [f"{c}__valid" for c in null_cols
-             if f"{c}__valid" not in need]
 
     def partial(batch: pa.Table) -> pa.Table:
         nrows = batch.column("n_rows").to_numpy(zero_copy_only=False)
-        zmin = {c: batch.column(f"{c}__vmin").to_numpy(
-            zero_copy_only=False) for c in pred_cols}
-        zmax = {c: batch.column(f"{c}__vmax").to_numpy(
-            zero_copy_only=False) for c in pred_cols}
+        zmin, zmax = _zone_maps(batch, pred_cols)
         vs, cs = [], []
         all_hit = run_chunks = 0
         for i in range(len(batch)):
             n = int(nrows[i])
             if n == 0:
                 continue
-            sel = _expr_eval(expr, i, n, zmin, zmax,
-                             lambda col, j: _chunk_col(batch, col, j),
-                             lambda col, j: _chunk_str_col(batch, col, j),
-                             lambda col, j: _chunk_valid(batch, col, j))
-            if not isinstance(sel, str) and not len(sel[0]):
-                continue  # provably empty selection: nullability moot
-            if _chunk_valid(batch, agg_col, i):
-                raise ValueError(
-                    f"column {agg_col!r}: nullable chunks not supported "
-                    "by the compressed-domain quantile (encode fills "
-                    "nulls with 0)")
+            sel = _chunk_sel(expr, batch, i, n, zmin, zmax)
+            if _rp_empty(sel):
+                continue
+            all_hit += isinstance(sel, str)
+            run_chunks += not isinstance(sel, str)
+            sel = _valid_sel(sel, _chunk_valid(batch, agg_col, i), n)
+            if _rp_empty(sel):
+                continue
             codec, payload, dt = _chunk_col(batch, agg_col, i)
             if isinstance(sel, str):
-                all_hit += 1
                 v, c = value_counts(codec, payload, n, dt)
             else:
-                run_chunks += 1
-                picked = gather_runs(codec, payload, n, dt, *sel)
-                v, c = np.unique(picked, return_counts=True)
-            # uint64 folds in the order-preserving xor-2^63 image (the
-            # driver unbiases); anything else is plain int64
-            vs.append(_hist_bias_u64(v) if v.dtype == np.uint64
-                      else v.astype(np.int64))
-            cs.append(c.astype(np.int64))
-        empty = np.empty(0, np.int64)
-        v_all = np.concatenate(vs) if vs else empty
-        c_all = np.concatenate(cs) if cs else empty
-        # three counter rows ride the same exchange under kind=1 so one
-        # streaming pass carries data and instrumentation
-        return pa.table({
-            "kind": pa.array(np.concatenate(
-                (np.zeros(len(v_all), np.int64), np.arange(1, 4))),
-                type=pa.int64()),
-            "v": pa.array(np.concatenate(
-                (v_all, [len(batch), all_hit, run_chunks])),
-                type=pa.int64()),
-            "c": pa.array(np.concatenate((c_all, [1, 1, 1])),
-                          type=pa.int64())})
+                v, c = np.unique(gather_runs(codec, payload, n, dt, *sel),
+                                 return_counts=True)
+            vs.append(_agg_fold_u64(v))
+            cs.append(c)
+        return _with_meters(
+            {"v": np.concatenate(vs) if vs else np.empty(0, np.int64),
+             "c": np.concatenate(cs) if cs else np.empty(0, np.int64)},
+            "v", [len(batch), all_hit, run_chunks])
 
-    flt = _expr_zone_filter(expr)
-    part = ray.data.read_parquet(enc_dir, columns=need, filter=flt) \
-        .map_batches(partial, batch_format="pyarrow").to_pandas()
-    if part.empty:
-        # the scan filter pruned EVERY chunk: no batch ever ran, so not
-        # even counter rows exist — the selection is provably empty
-        part = pd.DataFrame({"kind": pd.Series(dtype="int64"),
-                             "v": pd.Series(dtype="int64"),
-                             "c": pd.Series(dtype="int64")})
-    meters = part[part["kind"] > 0].groupby("kind")["v"].sum()
-    hist = part[part["kind"] == 0].groupby("v", sort=True)["c"].sum()
-    is_u64 = _col_dtype_probe(enc_dir, agg_col) == np.dtype(np.uint64)
-    scanned = int(meters.get(1, 0))
-    counters = {"chunks_total": n_total,
-                "chunks_scanned": scanned,
-                "chunks_skipped": n_total - scanned,
-                "all_hit_chunks": int(meters.get(2, 0)),
-                "run_chunks": int(meters.get(3, 0)),
-                "hist_rows": int(len(hist))}
-    return hist, counters, is_u64
+    n_total = _n_chunks(enc_dir)
+    ds = ray.data.read_parquet(
+        enc_dir, columns=_scan_columns(expr, [agg_col]),
+        filter=_expr_zone_filter(expr)).map_batches(
+        partial, batch_format="pyarrow")
+    rows, counters = _collect_partials(ds, ["v", "c"], "v", n_total,
+                                       ["all_hit_chunks", "run_chunks"])
+    hist = rows.groupby("v", sort=True)["c"].sum()
+    counters["hist_rows"] = int(len(hist))
+    return hist, counters, _col_dtype_probe(enc_dir, agg_col)
 
 
 def encoded_boolean_quantiles(enc_dir: str, expr: tuple, agg_col: str,
@@ -1309,13 +933,15 @@ def encoded_boolean_quantiles(enc_dir: str, expr: tuple, agg_col: str,
     boolean predicate TREE holds — order statistics joining the
     predicate algebra over the :func:`_boolean_value_hist` sufficient
     statistic; the driver folds ranks with the shared exact integer
-    ceil-division.  Integer non-null agg columns only (the predicate
-    side may be nullable — 3VL applies).  Returns
+    ceil-division.  Integer agg columns; NULLs on either side follow
+    SQL (3VL predicates, NULL agg values skipped, ``n_rows`` counts the
+    non-NULL selected values).  Returns
     ``(DataFrame(q_num, q_den, quantile, n_rows), counters)``;
     ``quantile`` is None when nothing matches (SQL NULL)."""
     import pandas as pd
 
-    hist, counters, is_u64 = _boolean_value_hist(enc_dir, expr, agg_col)
+    hist, counters, dt = _boolean_value_hist(enc_dir, expr, agg_col)
+    is_u64 = dt == np.uint64
     values = hist.index.to_numpy()
     cum = np.cumsum(hist.to_numpy())
     n = int(cum[-1]) if len(cum) else 0
@@ -1350,9 +976,9 @@ def encoded_boolean_histogram(enc_dir: str, expr: tuple, agg_col: str):
     ``(DataFrame(value, n) sorted by value, counters)``."""
     import pandas as pd
 
-    hist, counters, is_u64 = _boolean_value_hist(enc_dir, expr, agg_col)
+    hist, counters, dt = _boolean_value_hist(enc_dir, expr, agg_col)
     values = hist.index.to_numpy()
-    if is_u64:
+    if dt == np.uint64:
         values = (values.view(np.uint64) ^ _U64_FLIP)
     out = pd.DataFrame({"value": values,
                         "n": hist.to_numpy().astype(np.int64)})
@@ -1373,7 +999,7 @@ def encoded_boolean_topk(enc_dir: str, expr: tuple, col: str, k: int):
     and the predicate's zone pruning still skips non-overlapping
     chunks.  Returns ``(DataFrame(value, n) sorted desc with
     sum(n) == min(k, selected rows), counters)``."""
-    hist, counters, is_u64 = _boolean_value_hist(enc_dir, expr, col)
+    hist, counters, dt = _boolean_value_hist(enc_dir, expr, col)
     values = hist.index.to_numpy()[::-1]          # descending
     counts = hist.to_numpy()[::-1].astype(np.int64)
     cum = np.cumsum(counts)
@@ -1384,14 +1010,14 @@ def encoded_boolean_topk(enc_dir: str, expr: tuple, col: str, k: int):
         counts[-1] -= int(cum[-1] - k)
     import pandas as pd
 
-    if is_u64:
+    if dt == np.uint64:
         values = values.view(np.uint64) ^ _U64_FLIP
     out = pd.DataFrame({"value": values, "n": counts})
     out = out[out["n"] > 0]
     return out.reset_index(drop=True), counters
 
 
-def encoded_group_where_quantiles(enc_dir: str, expr: tuple,
+def encoded_group_where_quantiles(enc_dir: str, expr: tuple | None,
                                   group_col: str, agg_col: str,
                                   qs: tuple = ((1, 4), (1, 2), (3, 4))):
     """Per-group exact quantiles of ``agg_col`` over only the rows WHERE
@@ -1401,92 +1027,72 @@ def encoded_group_where_quantiles(enc_dir: str, expr: tuple,
     - the tree evaluates to ``_ALL`` / a selection run-list / empty
       exactly as in :func:`encoded_boolean_agg` (zone-map leaf
       short-circuits, 3VL nullable predicates, conservative scan
-      filter);
-    - ALL-selected chunks that are also GROUP-PURE (group zone map
-      ``vmin == vmax``) take the agg histogram from the codec streams
-      (:func:`value_counts` closed forms) with the group id from the
-      zone map — neither column decodes;
+      filter; ``expr=None`` selects every row), and the selection
+      drops the rows whose ``agg_col`` is NULL;
+    - ALL-selected null-free chunks that are also GROUP-PURE (group
+      zone map ``vmin == vmax``) take the agg histogram from the codec
+      streams (:func:`value_counts` closed forms) with the group id
+      from the zone map — neither column decodes;
     - every other surviving chunk late-materializes ONLY the selected
       positions of both columns (:func:`gather_runs`) and folds one
       lexsort run-length count.
 
     The exchange carries (group, value, count) triples plus counter
     rows; per-group ranks fold with the shared integer ceil-division.
-    Integer group column (zone maps required); integer or uint64 agg
-    column (uint64 folds in the xor-2^63 image); nullable agg chunks
-    with a non-empty selection raise.  Returns
+    Integer group column (zone maps required; a nullable group chunk
+    with a non-empty selection raises); integer or uint64 agg column
+    (uint64 folds in the xor-2^63 image), NULL values skipped so
+    ``n_rows`` counts the non-NULL selected values (a group with none
+    reports ``n_rows`` 0 and ``quantile`` None, as SQL).  Returns
     ``(DataFrame(group_col, q_num, q_den, quantile, n_rows),
     counters)``."""
-    import pandas as pd
     import ray.data
 
     from tokrle.codecs.core import decode as codec_decode
     from tokrle.codecs.core import gather_runs, value_counts
 
     pred_cols = _expr_pred_cols(expr)
-    str_cols = _expr_str_cols(expr)
-    null_cols = _expr_null_cols(expr)
-    n_total = _n_chunks(enc_dir)
-    need = ["n_rows"] + [
-        f"{c}__{p}" for c in dict.fromkeys(pred_cols + [group_col])
-        for p in ("vmin", "vmax")] + [
-        f"{c}__{p}"
-        for c in dict.fromkeys(pred_cols + [group_col, agg_col])
-        for p in ("codec", "payload", "dtype", "valid")] + [
-        f"{c}__{p}" for c in str_cols
-        for p in ("codec", "payload", "lens_payload", "valid")]
-    need += [f"{c}__valid" for c in null_cols
-             if f"{c}__valid" not in need]
-    need = list(dict.fromkeys(need))
 
     def partial(batch: pa.Table) -> pa.Table:
         nrows = batch.column("n_rows").to_numpy(zero_copy_only=False)
-        zmin = {c: batch.column(f"{c}__vmin").to_numpy(
-            zero_copy_only=False) for c in pred_cols}
-        zmax = {c: batch.column(f"{c}__vmax").to_numpy(
-            zero_copy_only=False) for c in pred_cols}
-        gvmin = batch.column(f"{group_col}__vmin").to_numpy(
-            zero_copy_only=False)
-        gvmax = batch.column(f"{group_col}__vmax").to_numpy(
-            zero_copy_only=False)
+        zmin, zmax = _zone_maps(batch, dict.fromkeys(pred_cols + [group_col]))
         gs, vs, cs = [], [], []
         closed = gathered = 0
         for i in range(len(batch)):
             n = int(nrows[i])
             if n == 0:
                 continue
-            sel = _expr_eval(expr, i, n, zmin, zmax,
-                             lambda col, j: _chunk_col(batch, col, j),
-                             lambda col, j: _chunk_str_col(batch, col, j),
-                             lambda col, j: _chunk_valid(batch, col, j))
-            is_all = isinstance(sel, str)
-            if not is_all and not len(sel[0]):
+            sel = _chunk_sel(expr, batch, i, n, zmin, zmax)
+            if _rp_empty(sel):
                 continue
-            for c in (group_col, agg_col):
-                if _chunk_valid(batch, c, i):
-                    raise ValueError(
-                        f"column {c!r}: nullable chunks not supported "
-                        "by the compressed-domain grouped quantile")
-            group_pure = gvmin[i] == gvmax[i]
+            _check_group_key(batch, group_col, i)
+            is_all = isinstance(sel, str)
+            vb = _chunk_valid(batch, agg_col, i)
             ac, ap, adt = _chunk_col(batch, agg_col, i)
-            if group_pure:
+            gmin = int(zmin[group_col][i])
+            if gmin == zmax[group_col][i]:
                 # the zone map names the single group — the group
                 # column NEVER decodes on pure chunks, whatever the
                 # selection shape
-                if is_all:
+                if vb:
+                    # a zero-count marker: the group reports (n_rows
+                    # 0, quantile NULL) even if all its values are NULL
+                    gs.append([gmin])
+                    vs.append([0])
+                    cs.append([0])
+                sv = _valid_sel(sel, vb, n)
+                if isinstance(sv, str):
                     closed += 1
                     v, c = value_counts(ac, ap, n, adt)
                     v = _agg_fold_u64(v)
-                    c = c.astype(np.int64)
                 else:
                     gathered += 1
                     v, c = np.unique(
-                        _agg_fold_u64(gather_runs(ac, ap, n, adt,
-                                                  *sel)),
+                        _agg_fold_u64(gather_runs(ac, ap, n, adt, *sv)),
                         return_counts=True)
-                gs.append(np.full(len(v), int(gvmin[i]), np.int64))
+                gs.append(np.full(len(v), gmin, np.int64))
                 vs.append(v)
-                cs.append(c.astype(np.int64))
+                cs.append(c)
                 continue
             gathered += 1
             gc, gp, gdt = _chunk_col(batch, group_col, i)
@@ -1498,45 +1104,39 @@ def encoded_group_where_quantiles(enc_dir: str, expr: tuple,
             else:
                 g = gather_runs(gc, gp, n, gdt, *sel).astype(np.int64)
                 v = _agg_fold_u64(gather_runs(ac, ap, n, adt, *sel))
-            g, v, c = _group_value_run_fold(g, v)
-            gs.append(g)
-            vs.append(v)
-            cs.append(c)
+            if vb:
+                # zero-count markers for every selected group, then
+                # drop the NULL values
+                gs.append(np.unique(g))
+                vs.append(np.zeros(len(gs[-1]), np.int64))
+                cs.append(vs[-1])
+                ok = _sel_valid_mask(vb, n, sel)
+                g, v = g[ok], v[ok]
+            if len(g):
+                g, v, c = _group_value_run_fold(g, v)
+                gs.append(g)
+                vs.append(v)
+                cs.append(c)
         empty = np.empty(0, np.int64)
-        g_all = np.concatenate(gs) if gs else empty
-        return pa.table({
-            "kind": pa.array(np.concatenate(
-                (np.zeros(len(g_all), np.int64), [1, 2, 3])),
-                type=pa.int64()),
-            "grp": pa.array(np.concatenate(
-                (g_all, [0, 0, 0])), type=pa.int64()),
-            "v": pa.array(np.concatenate(
-                (np.concatenate(vs) if vs else empty,
-                 [len(batch), closed, gathered])), type=pa.int64()),
-            "c": pa.array(np.concatenate(
-                (np.concatenate(cs).astype(np.int64) if cs else empty,
-                 [1, 1, 1])), type=pa.int64())})
+        return _with_meters(
+            {"grp": np.concatenate(gs) if gs else empty,
+             "v": np.concatenate(vs) if vs else empty,
+             "c": np.concatenate(cs) if cs else empty},
+            "v", [len(batch), closed, gathered])
 
-    flt = _expr_zone_filter(expr)
-    part = ray.data.read_parquet(enc_dir, columns=need, filter=flt) \
-        .map_batches(partial, batch_format="pyarrow").to_pandas()
-    if part.empty:
-        part = pd.DataFrame({"kind": pd.Series(dtype="int64"),
-                             "grp": pd.Series(dtype="int64"),
-                             "v": pd.Series(dtype="int64"),
-                             "c": pd.Series(dtype="int64")})
-    meters = part[part["kind"] > 0].groupby("kind")["v"].sum()
-    hist = part[part["kind"] == 0].groupby(
-        ["grp", "v"], sort=True)["c"].sum().reset_index()
+    n_total = _n_chunks(enc_dir)
+    ds = ray.data.read_parquet(
+        enc_dir, columns=_scan_columns(expr, [group_col, agg_col],
+                                       zone_cols=[group_col]),
+        filter=_expr_zone_filter(expr)).map_batches(
+        partial, batch_format="pyarrow")
+    rows, counters = _collect_partials(
+        ds, ["grp", "v", "c"], "v", n_total,
+        ["closed_form_chunks", "gathered_chunks"])
+    hist = rows.groupby(["grp", "v"], sort=True)["c"].sum().reset_index()
+    counters["groups"] = int(hist["grp"].nunique())
+    counters["hist_rows"] = int(len(hist))
     is_u64 = _col_dtype_probe(enc_dir, agg_col) == np.dtype(np.uint64)
-    scanned = int(meters.get(1, 0))
-    counters = {"chunks_total": n_total,
-                "chunks_scanned": scanned,
-                "chunks_skipped": n_total - scanned,
-                "closed_form_chunks": int(meters.get(2, 0)),
-                "gathered_chunks": int(meters.get(3, 0)),
-                "groups": int(hist["grp"].nunique()),
-                "hist_rows": int(len(hist))}
     return _group_quantile_frame(hist, qs, group_col, is_u64), counters
 
 
@@ -1565,6 +1165,8 @@ _ALL = "__ALL__"
 
 
 def _expr_leaves(e):
+    if e is None:           # no predicate: every row, no leaves
+        return
     if e[0] in ("and", "or"):
         yield from _expr_leaves(e[1])
         yield from _expr_leaves(e[2])
@@ -1652,13 +1254,130 @@ def _chunk_str_col(batch: pa.Table, c: str, i: int):
             memoryview(batch.column(f"{c}__payload")[i].as_buffer()))
 
 
+def _zone_maps(batch: pa.Table, cols) -> tuple[dict, dict]:
+    """``({col: vmin array}, {col: vmax array})`` of a scanned batch."""
+    return tuple({c: batch.column(f"{c}__{p}").to_numpy(
+        zero_copy_only=False) for c in cols} for p in ("vmin", "vmax"))
+
+
+def _chunk_sel(expr, batch: pa.Table, i: int, n: int, zmin: dict,
+               zmax: dict):
+    """Selection of chunk ``i`` of a scanned batch under ``expr``
+    (``_ALL`` or a run-list; ``_ALL`` when ``expr`` is None), with SQL
+    three-valued logic on nullable predicate columns."""
+    return _expr_eval(expr, i, n, zmin, zmax,
+                      lambda c, j: _chunk_col(batch, c, j),
+                      lambda c, j: _chunk_str_col(batch, c, j),
+                      lambda c, j: _chunk_valid(batch, c, j))
+
+
+def _sel_runs(sel, n: int):
+    """Selection ``sel`` as a run-list (``_ALL`` -> the one run
+    ``[0, n)``), the input shape of the gather kernels."""
+    from tokrle.codecs.core import _full_run
+
+    return _full_run(n) if isinstance(sel, str) else sel
+
+
+def _valid_sel(sel, vb: bytes, n: int):
+    """Selection ``sel`` restricted to the valid slots of a column chunk
+    whose validity bitmap is ``vb`` — how aggregate columns skip NULLs
+    (the encoder's 0 filler never counts).  ``sel`` itself when the
+    chunk is null-free."""
+    from tokrle.codecs.core import valid_to_runs
+
+    return sel if not vb else _rp_and(sel, valid_to_runs(vb, n))
+
+
+def _sel_valid_mask(vb: bytes, n: int, sel) -> np.ndarray:
+    """Validity of a nullable column chunk (bitmap ``vb``) at the
+    positions of selection ``sel``, aligned with a gather of ``sel``."""
+    from tokrle.codecs.core import _runs_to_indices
+
+    ok = np.unpackbits(np.frombuffer(vb, np.uint8), count=n,
+                       bitorder="little").astype(bool)
+    return ok if isinstance(sel, str) else ok[_runs_to_indices(*sel)]
+
+
+def _check_group_key(batch: pa.Table, group_col: str, i: int) -> None:
+    """The GROUP BY key contract shared by the grouped cores: a nullable
+    key chunk raises.  The encoder fills NULL keys with 0, so they would
+    otherwise join group 0 — an all-NULL chunk even looks group-pure on
+    its zone map, so this runs before the pure-chunk shortcut."""
+    if _chunk_valid(batch, group_col, i):
+        raise ValueError(
+            f"column {group_col!r}: nullable chunks not supported as a "
+            "GROUP BY key (encode fills nulls with 0)")
+
+
+def _scan_columns(expr, value_cols, zone_cols=(), str_cols=()) -> list:
+    """Parquet columns a predicate-tree scan reads: ``n_rows``; zone maps
+    of the tree's integer columns and of ``zone_cols``; codec, payload,
+    dtype and validity of those tree columns and of the integer
+    ``value_cols``; codec, payload, lengths and validity of the tree's
+    string columns and of the string ``str_cols``; validity of the
+    ``is_null``/``not_null`` columns.  ``expr`` may be None."""
+    pred_cols = _expr_pred_cols(expr)
+    need = ["n_rows"]
+    need += [f"{c}__{p}" for c in dict.fromkeys(pred_cols + list(zone_cols))
+             for p in ("vmin", "vmax")]
+    need += [f"{c}__{p}" for c in pred_cols + list(value_cols)
+             for p in ("codec", "payload", "dtype", "valid")]
+    need += [f"{c}__{p}" for c in _expr_str_cols(expr) + list(str_cols)
+             for p in ("codec", "payload", "lens_payload", "valid")]
+    need += [f"{c}__valid" for c in _expr_null_cols(expr)]
+    return list(dict.fromkeys(need))
+
+
+def _with_meters(cols: dict, key: str, meters: list) -> pa.Table:
+    """One scan batch's partial rows: the value rows ``cols`` (int64
+    arrays of equal length) under ``kind`` 0, then one counter row per
+    meter under ``kind`` 1, 2, ... with its count in column ``key`` and 0
+    elsewhere, so data and counters ride one exchange.  Meter 1 is the
+    batch's chunk count (see :func:`_collect_partials`)."""
+    m = len(meters)
+    out = {"kind": np.concatenate((np.zeros(len(cols[key]), np.int64),
+                                   np.arange(1, m + 1)))}
+    for nm, v in cols.items():
+        out[nm] = np.concatenate(
+            (v, meters if nm == key else np.zeros(m, np.int64)))
+    return pa.table({nm: pa.array(np.asarray(v, np.int64))
+                     for nm, v in out.items()})
+
+
+def _collect_partials(ds, cols: list, key: str, n_total: int,
+                      meter_names: list):
+    """Collecting side of :func:`_with_meters`: gather the partial rows
+    of ``ds`` in the calling process and return ``(value rows,
+    counters)``, where counters hold
+    ``chunks_total``/``chunks_scanned``/``chunks_skipped`` and meters 2,
+    3, ... under ``meter_names``.  A scan whose filter pruned every
+    chunk runs no batch; an empty frame with ``cols`` stands in."""
+    import pandas as pd
+
+    part = ds.to_pandas()
+    if part.empty:
+        part = pd.DataFrame({c: pd.Series(dtype="int64")
+                             for c in ["kind"] + cols})
+    meters = part[part["kind"] > 0].groupby("kind")[key].sum()
+    scanned = int(meters.get(1, 0))
+    counters = {"chunks_total": n_total, "chunks_scanned": scanned,
+                "chunks_skipped": n_total - scanned}
+    for k, nm in enumerate(meter_names, 2):
+        counters[nm] = int(meters.get(k, 0))
+    return part[part["kind"] == 0], counters
+
+
 def _expr_zone_filter(e):
     """Conservative zone-map pushdown for a predicate tree: the and/or
     tree maps to the and/or of the leaves' overlap tests; any ``not``
     branch is unprunable (the complement of a zone test is not sound)
-    and returns None == read everything."""
+    and returns None == read everything, as does ``e is None`` (no
+    predicate)."""
     import pyarrow.compute as pc
 
+    if e is None:
+        return None
     if e[0] == "and":
         a, b = _expr_zone_filter(e[1]), _expr_zone_filter(e[2])
         return a & b if a is not None and b is not None else \
@@ -1753,7 +1472,10 @@ def _expr_eval(e, i: int, n: int, zmin: dict, zmax: dict, chunk_col,
     tree evaluates under SQL THREE-VALUED LOGIC via
     :func:`_expr_eval3`: a WHERE clause keeps the root's TRUE set, so
     NULL comparisons never match and ``not`` never resurrects null
-    rows — exactly ANSI/DuckDB semantics."""
+    rows — exactly ANSI/DuckDB semantics.  ``e is None`` (no
+    predicate) selects every row."""
+    if e is None:
+        return _ALL
     t, _ = _expr_eval3(e, i, n, zmin, zmax, chunk_col, str_chunk,
                        valid_fn)
     return t
@@ -1882,8 +1604,8 @@ def _expr_eval3(e, i: int, n: int, zmin: dict, zmax: dict, chunk_col,
     return t, _rp_or(t, runs_complement(*vr, n))
 
 
-def encoded_boolean_agg(enc_dir: str, expr: tuple, agg_cols: list[str],
-                        with_minmax: bool = False):
+def encoded_boolean_agg(enc_dir: str, expr: tuple | None,
+                        agg_cols: list[str], with_minmax: bool = False):
     """COUNT/SUM under an arbitrary boolean predicate TREE, evaluated
     entirely on the run representation: leaves are ``("eq", col, v)`` /
     ``("range", col, lo, hi)`` selection run-lists from the codec
@@ -1899,8 +1621,9 @@ def encoded_boolean_agg(enc_dir: str, expr: tuple, agg_cols: list[str],
     filter is pushed into the Parquet read: the and/or tree maps to the
     and/or of the leaves' overlap tests, while any ``not`` branch is
     unprunable (the complement of a zone test is not sound) and reads
-    everything.  One partial row per batch on the exchange; integer
-    aggregate columns only.
+    everything.  ``expr=None`` selects every row (the engine of
+    :func:`encoded_column_agg`).  One partial row per batch on the
+    exchange; integer aggregate columns only.
 
     ``with_minmax=True`` adds exact per-column MIN/MAX of the selected
     rows: ALL-match chunks answer from the aggregate column's own zone
@@ -1925,32 +1648,16 @@ def encoded_boolean_agg(enc_dir: str, expr: tuple, agg_cols: list[str],
     from ray.data.aggregate import Max, Min, Sum
 
     from tokrle.codecs.core import (agg_sum, agg_sum_runs, gather_runs,
-                                    runs_intersect, valid_to_runs)
+                                    valid_to_runs)
 
     pred_cols = _expr_pred_cols(expr)
-    str_cols = _expr_str_cols(expr)
-    null_cols = _expr_null_cols(expr)
     n_total = _n_chunks(enc_dir)
-    need = ["n_rows"] + [f"{c}__{p}" for c in pred_cols
-                         for p in ("vmin", "vmax")] + [
-        f"{c}__{p}"
-        for c in dict.fromkeys(pred_cols + list(agg_cols))
-        for p in ("codec", "payload", "dtype", "valid")] + [
-        f"{c}__{p}" for c in str_cols
-        for p in ("codec", "payload", "lens_payload", "valid")]
-    need += [f"{c}__valid" for c in null_cols
-             if f"{c}__valid" not in need]
-    if with_minmax:
-        need += [f"{c}__{p}" for c in agg_cols
-                 for p in ("vmin", "vmax")
-                 if f"{c}__{p}" not in need]
+    need = _scan_columns(expr, agg_cols,
+                         zone_cols=agg_cols if with_minmax else ())
 
     def partial(batch: pa.Table) -> pa.Table:
         nrows = batch.column("n_rows").to_numpy(zero_copy_only=False)
-        zmin = {c: batch.column(f"{c}__vmin").to_numpy(
-            zero_copy_only=False) for c in pred_cols}
-        zmax = {c: batch.column(f"{c}__vmax").to_numpy(
-            zero_copy_only=False) for c in pred_cols}
+        zmin, zmax = _zone_maps(batch, pred_cols)
 
         n_match, all_hit, run_chunks = 0, 0, 0
         sums = {c: 0 for c in agg_cols}
@@ -1964,10 +1671,7 @@ def encoded_boolean_agg(enc_dir: str, expr: tuple, agg_cols: list[str],
                 # an empty chunk's zone map is the (0, 0) placeholder —
                 # folding it into MIN/MAX would inject a bogus 0
                 continue
-            sel = _expr_eval(expr, i, n, zmin, zmax,
-                             lambda col, j: _chunk_col(batch, col, j),
-                             lambda col, j: _chunk_str_col(batch, col, j),
-                             lambda col, j: _chunk_valid(batch, col, j))
+            sel = _chunk_sel(expr, batch, i, n, zmin, zmax)
             if isinstance(sel, str):
                 all_hit += 1
                 n_match += n
@@ -2006,8 +1710,7 @@ def encoded_boolean_agg(enc_dir: str, expr: tuple, agg_cols: list[str],
                 vb = _chunk_valid(batch, c, i)
                 # restrict to VALID selected positions on nullable
                 # chunks — null slots neither count nor aggregate
-                sv = sel if not vb else \
-                    runs_intersect(*sel, *valid_to_runs(vb, n))
+                sv = _valid_sel(sel, vb, n)
                 nv = int(sv[1].sum())
                 nvalid[c] += nv
                 if not nv:
@@ -2124,15 +1827,17 @@ def encoded_conjunction_agg(enc_dir: str, predicates: list[tuple],
     return encoded_boolean_agg(enc_dir, expr, agg_cols)
 
 
-def encoded_filtered_group_agg(enc_dir: str, group_col: str, expr: tuple,
-                               agg_cols: list[str]):
-    """``SELECT group_col, count(*), sum(agg_cols...) WHERE <predicate
-    tree> GROUP BY group_col`` over a table-encode directory — the
-    grouped sibling of :func:`encoded_boolean_agg`.  The predicate
-    evaluates per chunk to the ``_ALL`` sentinel or a selection
-    run-list (zone-map short-circuits included, conservative zone scan
-    filter pushed into the Parquet read), then the grouping splits on
-    the GROUP column's zone map:
+def encoded_filtered_group_agg(enc_dir: str, group_col: str,
+                               expr: tuple | None, agg_cols: list[str],
+                               with_minmax: bool = False):
+    """``SELECT group_col, count(*), sum(agg_cols...) [WHERE <predicate
+    tree>] GROUP BY group_col`` over a table-encode directory — the
+    grouped sibling of :func:`encoded_boolean_agg`, and with
+    ``expr=None`` (every row) the engine of :func:`encoded_group_agg`.
+    The predicate evaluates per chunk to the ``_ALL`` sentinel or a
+    selection run-list (zone-map short-circuits included, conservative
+    zone scan filter pushed into the Parquet read), then the grouping
+    splits on the GROUP column's zone map:
 
     - GROUP-PURE chunks (``vmin == vmax`` — the common case when the
       table is clustered on the group key): the group id comes from the
@@ -2144,76 +1849,80 @@ def encoded_filtered_group_agg(enc_dir: str, group_col: str, expr: tuple,
       and fold with one argsort + ``add.reduceat`` over the selected
       subset, never the full chunk.
 
-    The exchange carries (group, count, partial sums) rows plus one
-    fixed-size counter row per batch — never table rows.  Returns
-    ``(DataFrame, counters)`` with int64 ``group_col``/``n``/
-    ``sum_<c>`` columns sorted by group; integer columns only;
-    nullable chunks raise."""
-    import pandas as pd
+    ``with_minmax=True`` adds per-group ``min_<c>``/``max_<c>``:
+    group-pure ALL-selected null-free chunks answer from the aggregate
+    column's own zone map (zero decode), every other chunk from the
+    gathered values (``minimum/maximum.reduceat`` on mixed chunks).
+
+    NULLs follow :func:`encoded_boolean_agg`: predicate columns under
+    three-valued logic, aggregate NULLs skipped (SUM over no valid
+    value is emitted as 0 and MIN/MAX as None); a nullable GROUP
+    column chunk with a non-empty selection raises.  The batches'
+    (group, count, partial) rows and counter rows are folded by one
+    pandas groupby in the calling process — never table rows.  Returns
+    ``(DataFrame, counters)`` with int64 ``group_col``/``n``/``sum_<c>``
+    (then ``min_<c>``, ``max_<c>``) columns sorted by group; integer
+    columns only."""
     import ray.data
-    from ray.data.aggregate import Sum
 
     from tokrle.codecs.core import (agg_sum, agg_sum_runs,
                                     decode as codec_decode, gather_runs)
 
     pred_cols = _expr_pred_cols(expr)
-    str_cols = _expr_str_cols(expr)
-    n_total = _n_chunks(enc_dir)
-    need = ["n_rows"] + [
-        f"{c}__{p}"
-        for c in dict.fromkeys([group_col] + pred_cols)
-        for p in ("vmin", "vmax")] + [
-        f"{c}__{p}"
-        for c in dict.fromkeys([group_col] + pred_cols + list(agg_cols))
-        for p in ("codec", "payload", "dtype", "valid")] + [
-        f"{c}__{p}" for c in str_cols
-        for p in ("codec", "payload", "lens_payload", "valid")]
-
-    def _chunk_col(batch, c, i):
-        if len(batch.column(f"{c}__valid")[i].as_py() or b""):
-            raise ValueError(
-                f"column {c!r}: nullable chunks not supported by the "
-                "compressed-domain grouped aggregate")
-        return (batch.column(f"{c}__codec")[i].as_py(),
-                memoryview(batch.column(f"{c}__payload")[i].as_buffer()),
-                np.dtype(batch.column(f"{c}__dtype")[i].as_py()))
-
-    sum_names = [f"sum_{c}" for c in agg_cols]
-    ctr_names = ["c_scanned", "c_all", "c_run", "c_pure"]
+    imax, imin = np.iinfo(np.int64).max, np.iinfo(np.int64).min
+    # partial column -> its fold across chunks (nv_: valid-value count)
+    stats = [("sum", "sum")] + ([("min", "min"), ("max", "max"),
+                                 ("nv", "sum")] if with_minmax else [])
+    fold = {"n": "sum", **{f"{s}_{c}": how for s, how in stats
+                           for c in agg_cols}}
+    cols = ["grp"] + list(fold)
 
     def partial(batch: pa.Table) -> pa.Table:
         nrows = batch.column("n_rows").to_numpy(zero_copy_only=False)
-        zcols = dict.fromkeys([group_col] + pred_cols)
-        zmin = {c: batch.column(f"{c}__vmin").to_numpy(
-            zero_copy_only=False) for c in zcols}
-        zmax = {c: batch.column(f"{c}__vmax").to_numpy(
-            zero_copy_only=False) for c in zcols}
-
-        grp_parts, n_parts = [], []
-        sum_parts = {c: [] for c in agg_cols}
-        n_all, n_run, n_pure = 0, 0, 0
+        zmin, zmax = _zone_maps(batch, dict.fromkeys([group_col] + pred_cols))
+        parts = {nm: [] for nm in cols}
+        n_all = n_run = n_pure = 0
         for i in range(len(batch)):
             n = int(nrows[i])
-            sel = _expr_eval(expr, i, n, zmin, zmax,
-                             lambda col, j: _chunk_col(batch, col, j),
-                             lambda col, j: _chunk_str_col(batch, col, j))
-            is_all = isinstance(sel, str)
-            if not is_all and not len(sel[0]):
+            if n == 0:
                 continue
+            sel = _chunk_sel(expr, batch, i, n, zmin, zmax)
+            if _rp_empty(sel):
+                continue
+            _check_group_key(batch, group_col, i)
+            is_all = isinstance(sel, str)
             n_all += is_all
             n_run += not is_all
-            gmin, gmax = int(zmin[group_col][i]), int(zmax[group_col][i])
-            if gmin == gmax:
+            gmin = int(zmin[group_col][i])
+            if gmin == zmax[group_col][i]:
                 # group-pure: zone map names the group; nothing decodes
                 n_pure += 1
-                grp_parts.append(np.array([gmin], np.int64))
-                n_sel = n if is_all else int(sel[1].sum())
-                n_parts.append(np.array([n_sel], np.int64))
+                parts["grp"].append([gmin])
+                parts["n"].append([n if is_all else int(sel[1].sum())])
                 for c in agg_cols:
                     codec, payload, dt = _chunk_col(batch, c, i)
-                    s = agg_sum(codec, payload, n, dt) if is_all else \
-                        agg_sum_runs(codec, payload, n, dt, *sel)
-                    sum_parts[c].append(np.array([s], np.int64))
+                    vb = _chunk_valid(batch, c, i)
+                    # the encoder fills NULL slots with 0, so the sum
+                    # over the selection is SQL's NULL-skipping SUM
+                    parts[f"sum_{c}"].append(
+                        [agg_sum(codec, payload, n, dt) if is_all else
+                         agg_sum_runs(codec, payload, n, dt, *sel)])
+                    if not with_minmax:
+                        continue
+                    if is_all and not vb:
+                        # whole chunk selected: its zone map IS exact
+                        nv = n
+                        mn = int(batch.column(f"{c}__vmin")[i].as_py())
+                        mx = int(batch.column(f"{c}__vmax")[i].as_py())
+                    else:
+                        v = gather_runs(codec, payload, n, dt,
+                                        *_valid_sel(sel, vb, n))
+                        nv = len(v)
+                        mn, mx = (int(v.min()), int(v.max())) if nv \
+                            else (imax, imin)
+                    parts[f"min_{c}"].append([mn])
+                    parts[f"max_{c}"].append([mx])
+                    parts[f"nv_{c}"].append([nv])
                 continue
             # mixed chunk: late-materialize group + agg values at the
             # selected positions only, then one sorted fold
@@ -2224,69 +1933,49 @@ def encoded_filtered_group_agg(enc_dir: str, group_col: str, expr: tuple,
             gs = g[order]
             starts = np.flatnonzero(
                 np.concatenate(([True], gs[1:] != gs[:-1])))
-            grp_parts.append(gs[starts])
-            n_parts.append(np.diff(np.concatenate((starts, [len(gs)]))))
+            parts["grp"].append(gs[starts])
+            parts["n"].append(np.diff(np.concatenate((starts, [len(gs)]))))
             for c in agg_cols:
                 codec, payload, dt = _chunk_col(batch, c, i)
                 v = (codec_decode(codec, payload, n, dt) if is_all else
                      gather_runs(codec, payload, n, dt, *sel)) \
                     .astype(np.int64)[order]
-                sum_parts[c].append(np.add.reduceat(v, starts)
-                                    if len(starts)
-                                    else np.empty(0, np.int64))
-        grp = np.concatenate(grp_parts) if grp_parts else \
-            np.empty(0, np.int64)
-        k = len(grp)
-        out = {"kind": np.zeros(k + 1, np.int64),
-               "grp": np.concatenate((grp, [0])).astype(np.int64),
-               "n": np.concatenate(
-                   (np.concatenate(n_parts) if n_parts
-                    else np.empty(0, np.int64), [0])).astype(np.int64)}
-        for c in agg_cols:
-            out[f"sum_{c}"] = np.concatenate(
-                (np.concatenate(sum_parts[c]) if sum_parts[c]
-                 else np.empty(0, np.int64), [0])).astype(np.int64)
-        # one counter row per batch (kind=1, grp=0): chunk accounting
-        # rides the same exchange without a second read job
-        out["kind"][k] = 1
-        for nm, val in zip(ctr_names,
-                           (len(batch), n_all, n_run, n_pure)):
-            col = np.zeros(k + 1, np.int64)
-            col[k] = val
-            out[nm] = col
-        return pa.table({nm: pa.array(v, type=pa.int64())
-                         for nm, v in out.items()})
+                parts[f"sum_{c}"].append(np.add.reduceat(v, starts))
+                if not with_minmax:
+                    continue
+                vb = _chunk_valid(batch, c, i)
+                ok = _sel_valid_mask(vb, n, sel)[order] if vb else \
+                    np.ones(len(v), bool)
+                parts[f"min_{c}"].append(
+                    np.minimum.reduceat(np.where(ok, v, imax), starts))
+                parts[f"max_{c}"].append(
+                    np.maximum.reduceat(np.where(ok, v, imin), starts))
+                parts[f"nv_{c}"].append(
+                    np.add.reduceat(ok.astype(np.int64), starts))
+        return _with_meters(
+            {nm: np.concatenate(p) if p else np.empty(0, np.int64)
+             for nm, p in parts.items()},
+            "n", [len(batch), n_all, n_run, n_pure])
 
-    flt = _expr_zone_filter(expr)
-    ds = ray.data.read_parquet(enc_dir, columns=need, filter=flt)
-    aggs = [Sum("n", alias_name="n")] + \
-        [Sum(nm, alias_name=nm) for nm in sum_names] + \
-        [Sum(nm, alias_name=nm) for nm in ctr_names]
-    df = ds.map_batches(partial, batch_format="pyarrow") \
-        .groupby(["kind", "grp"]).aggregate(*aggs).to_pandas()
-    if df.empty:  # zone filter pruned every chunk: no partials at all
-        empty = pd.DataFrame({group_col: pd.Series([], dtype="int64"),
-                              "n": pd.Series([], dtype="int64"),
-                              **{nm: pd.Series([], dtype="int64")
-                                 for nm in sum_names}})
-        return empty, {"chunks_total": n_total, "chunks_scanned": 0,
-                       "chunks_skipped": n_total, "all_hit_chunks": 0,
-                       "run_chunks": 0, "pure_group_chunks": 0}
-    ctr = df[df["kind"] == 1]
-    scanned = int(ctr["c_scanned"].sum())
-    counters = {"chunks_total": n_total,
-                "chunks_scanned": scanned,
-                "chunks_skipped": n_total - scanned,
-                "all_hit_chunks": int(ctr["c_all"].sum()),
-                "run_chunks": int(ctr["c_run"].sum()),
-                "pure_group_chunks": int(ctr["c_pure"].sum())}
-    df = df[(df["kind"] == 0) & (df["n"] > 0)] \
-        .drop(columns=["kind"] + ctr_names) \
-        .rename(columns={"grp": group_col}) \
-        .sort_values(group_col).reset_index(drop=True)
-    for c in df.columns:
-        df[c] = df[c].astype("int64")
-    return df, counters
+    n_total = _n_chunks(enc_dir)
+    ds = ray.data.read_parquet(
+        enc_dir, columns=_scan_columns(
+            expr, [group_col] + list(agg_cols),
+            zone_cols=[group_col] + (list(agg_cols) if with_minmax
+                                     else [])),
+        filter=_expr_zone_filter(expr)).map_batches(
+        partial, batch_format="pyarrow")
+    rows, counters = _collect_partials(
+        ds, cols, "n", n_total,
+        ["all_hit_chunks", "run_chunks", "pure_group_chunks"])
+    df = rows.groupby("grp", sort=True).agg(fold)
+    for c in agg_cols if with_minmax else ():
+        nv = df.pop(f"nv_{c}")
+        if (nv == 0).any():
+            # SQL MIN/MAX over a group with no valid value is NULL
+            for nm in (f"min_{c}", f"max_{c}"):
+                df[nm] = df[nm].astype(object).where(nv > 0, None)
+    return df.rename_axis(group_col).reset_index(), counters
 
 
 def _footer_fields(enc_dir: str) -> tuple[set, str | None]:
@@ -2319,28 +2008,17 @@ def encoded_str_distinct(enc_dir: str, col: str,
     dictionary take); plain ``str`` chunks decode and dedup locally.
     The exchange carries per-chunk distinct value sets
     (cardinality-bounded), never rows.  Null slots are excluded (SQL
-    ``COUNT(DISTINCT col)`` ignores NULLs); chunks that are BOTH
-    nullable and under a predicate raise (ambiguous NULL/selection
-    interaction is not supported).  Returns
-    ``(DataFrame(n_distinct), counters)``."""
+    ``COUNT(DISTINCT col)`` ignores NULLs), with or without a
+    predicate.  Returns ``(DataFrame(n_distinct), counters)``."""
     import pandas as pd
     import pyarrow.compute as pc
     import ray.data
     from ray.data.aggregate import Count, Sum
 
-    from tokrle.codecs.core import (_mask_to_runs, _sdict_distinct_array,
-                                    gather_str_runs, sdict_unpack)
+    from tokrle.codecs.core import (_sdict_distinct_array, gather_str_runs,
+                                    sdict_unpack)
 
-    pred_cols = _expr_pred_cols(expr) if expr is not None else []
-    str_cols = _expr_str_cols(expr) if expr is not None else []
-    need = ["n_rows"] + [f"{c}__{p}" for c in pred_cols
-                         for p in ("vmin", "vmax")] + [
-        f"{c}__{p}" for c in pred_cols
-        for p in ("codec", "payload", "dtype", "valid")] + [
-        f"{c}__{p}"
-        for c in dict.fromkeys(str_cols + [col])
-        for p in ("codec", "payload", "lens_payload", "valid")]
-    need = list(dict.fromkeys(need))
+    pred_cols = _expr_pred_cols(expr)
     n_total = _n_chunks(enc_dir)
 
     def _chunk_col(batch, c, i):
@@ -2355,10 +2033,7 @@ def encoded_str_distinct(enc_dir: str, col: str,
     def partial(batch: pa.Table) -> pa.Table:
         nrows = batch.column("n_rows").to_numpy(zero_copy_only=False)
         codecs = batch.column(f"{col}__codec").to_pylist()
-        zmin = {c: batch.column(f"{c}__vmin").to_numpy(
-            zero_copy_only=False) for c in pred_cols}
-        zmax = {c: batch.column(f"{c}__vmax").to_numpy(
-            zero_copy_only=False) for c in pred_cols}
+        zmin, zmax = _zone_maps(batch, pred_cols)
         out_vals: list = []
         header_only, decoded_chunks = 0, 0
         for i, spec in enumerate(codecs):
@@ -2368,26 +2043,18 @@ def encoded_str_distinct(enc_dir: str, col: str,
             if not spec.startswith(("str:", "sdict:")):
                 raise TypeError(
                     f"column {col!r}: not a string column ({spec})")
-            vb = batch.column(f"{col}__valid")[i].as_py() or b""
             lp = memoryview(
                 batch.column(f"{col}__lens_payload")[i].as_buffer())
             tp = memoryview(
                 batch.column(f"{col}__payload")[i].as_buffer())
-            if expr is None:
-                sel = _ALL
-            else:
-                if vb:
-                    raise ValueError(
-                        f"column {col!r}: nullable chunks under a "
-                        "predicate not supported by string distinct")
-                sel = _expr_eval(
-                    expr, i, n, zmin, zmax,
-                    lambda c2, j: _chunk_col(batch, c2, j),
-                    lambda c2, j: _chunk_str_col(batch, c2, j))
-                if not isinstance(sel, str) and not len(sel[0]):
-                    continue
-            is_all = isinstance(sel, str)
-            if spec.startswith("sdict:") and not vb and is_all:
+            sel = _valid_sel(
+                _expr_eval(expr, i, n, zmin, zmax,
+                           lambda c2, j: _chunk_col(batch, c2, j),
+                           lambda c2, j: _chunk_str_col(batch, c2, j)),
+                _chunk_valid(batch, col, i), n)
+            if _rp_empty(sel):
+                continue
+            if spec.startswith("sdict:") and isinstance(sel, str):
                 # header-only: the dictionary IS the present-value set
                 # (dictionary_encode emits exactly the values that
                 # occur) — the code stream never decodes
@@ -2395,19 +2062,8 @@ def encoded_str_distinct(enc_dir: str, col: str,
                 out_vals.append(_sdict_distinct_array(dlens, dbytes))
                 header_only += 1
                 continue
-            if is_all:
-                if vb:  # nulls excluded: COUNT(DISTINCT) skips NULL
-                    valid = np.unpackbits(
-                        np.frombuffer(vb, dtype=np.uint8), count=n,
-                        bitorder="little").astype(bool)
-                    runs = _mask_to_runs(valid)
-                else:
-                    runs = (np.zeros(1, np.int64),
-                            np.full(1, n, np.int64))
-            else:
-                runs = sel
             decoded_chunks += 1
-            arr = gather_str_runs(spec, lp, tp, n, *runs)
+            arr = gather_str_runs(spec, lp, tp, n, *_sel_runs(sel, n))
             out_vals.append(pc.unique(arr))
         u = pc.unique(pa.concat_arrays(out_vals)) if out_vals else \
             pa.array([], type=pa.large_utf8())
@@ -2426,8 +2082,9 @@ def encoded_str_distinct(enc_dir: str, col: str,
                          "hdr": pa.array(hdr),
                          "dec": pa.array(dec)})
 
-    flt = _expr_zone_filter(expr) if expr is not None else None
-    ds = ray.data.read_parquet(enc_dir, columns=need, filter=flt)
+    ds = ray.data.read_parquet(enc_dir,
+                               columns=_scan_columns(expr, [], str_cols=[col]),
+                               filter=_expr_zone_filter(expr))
     flat = ds.map_batches(partial, batch_format="pyarrow")
     agg = flat.groupby(["kind", "v"]).aggregate(
         Count(alias_name="_c"),
@@ -2683,18 +2340,8 @@ def encoded_group_by_str(enc_dir: str, group_col,
     fields, _ = _footer_fields(enc_dir)
     g_str = {g for g in gcols if f"{g}__lens_payload" in fields}
     g_int = [g for g in gcols if g not in g_str]
-    pred_cols = _expr_pred_cols(expr) if expr is not None else []
-    str_cols = _expr_str_cols(expr) if expr is not None else []
+    pred_cols = _expr_pred_cols(expr)
     n_total = _n_chunks(enc_dir)
-    need = ["n_rows"] + [f"{c}__{p}" for c in pred_cols
-                         for p in ("vmin", "vmax")] + [
-        f"{c}__{p}"
-        for c in dict.fromkeys(pred_cols + list(agg_cols) + g_int)
-        for p in ("codec", "payload", "dtype", "valid")] + [
-        f"{c}__{p}"
-        for c in dict.fromkeys(str_cols + sorted(g_str))
-        for p in ("codec", "payload", "lens_payload", "valid")]
-    need = list(dict.fromkeys(need))
 
     def _chunk_col(batch, c, i):
         if len(batch.column(f"{c}__valid")[i].as_py() or b""):
@@ -2710,10 +2357,7 @@ def encoded_group_by_str(enc_dir: str, group_col,
 
     def partial(batch: pa.Table) -> pa.Table:
         nrows = batch.column("n_rows").to_numpy(zero_copy_only=False)
-        zmin = {c: batch.column(f"{c}__vmin").to_numpy(
-            zero_copy_only=False) for c in pred_cols}
-        zmax = {c: batch.column(f"{c}__vmax").to_numpy(
-            zero_copy_only=False) for c in pred_cols}
+        zmin, zmax = _zone_maps(batch, pred_cols)
         grp_parts: dict = {g: [] for g in gcols}
         val_parts = {c: [] for c in agg_cols}
         n_all, n_run = 0, 0
@@ -2721,20 +2365,15 @@ def encoded_group_by_str(enc_dir: str, group_col,
             n = int(nrows[i])
             if n == 0:
                 continue
-            if expr is None:
-                sel = _ALL
-            else:
-                sel = _expr_eval(
-                    expr, i, n, zmin, zmax,
-                    lambda col, j: _chunk_col(batch, col, j),
-                    lambda col, j: _chunk_str_col(batch, col, j))
+            sel = _expr_eval(expr, i, n, zmin, zmax,
+                             lambda col, j: _chunk_col(batch, col, j),
+                             lambda col, j: _chunk_str_col(batch, col, j))
             is_all = isinstance(sel, str)
             if not is_all and not len(sel[0]):
                 continue
             n_all += is_all
             n_run += not is_all
-            runs = (np.zeros(1, np.int64),
-                    np.full(1, n, np.int64)) if is_all else sel
+            runs = _sel_runs(sel, n)
             for g in gcols:
                 if g in g_str:
                     spec, lp, tp = _chunk_str_col(batch, g, i)
@@ -2788,8 +2427,10 @@ def encoded_group_by_str(enc_dir: str, group_col,
             out[nm] = pa.array(col)
         return pa.table(out)
 
-    flt = _expr_zone_filter(expr) if expr is not None else None
-    ds = ray.data.read_parquet(enc_dir, columns=need, filter=flt)
+    ds = ray.data.read_parquet(
+        enc_dir, columns=_scan_columns(expr, list(agg_cols) + g_int,
+                                       str_cols=sorted(g_str)),
+        filter=_expr_zone_filter(expr))
     aggs = [Sum("n", alias_name="n")] + \
         [Sum(nm, alias_name=nm) for nm in sum_names] + \
         [Sum(nm, alias_name=nm) for nm in ctr_names]
@@ -2847,7 +2488,6 @@ def encoded_scan_where(enc_dir: str, expr: tuple, out_cols: list[str]):
     from tokrle.codecs.core import gather_runs, gather_str_runs
 
     pred_cols = _expr_pred_cols(expr)
-    str_cols = _expr_str_cols(expr)
     # footer-schema probe (no data read): a projection column with a
     # __lens_payload field is a string/list column and needs that
     # stream; the str-vs-list dispatch happens on the codec spec
@@ -2867,16 +2507,7 @@ def encoded_scan_where(enc_dir: str, expr: tuple, out_cols: list[str]):
                 raise TypeError(f"column {c!r}: only string and integer "
                                 f"projections supported (dtype {d})")
             out_dtypes[c] = d
-    need = ["n_rows"] + [f"{c}__{p}" for c in pred_cols
-                         for p in ("vmin", "vmax")] + [
-        f"{c}__{p}"
-        for c in dict.fromkeys(pred_cols + list(out_cols))
-        for p in ("codec", "payload", "dtype", "valid")] + [
-        f"{c}__lens_payload"
-        for c in dict.fromkeys(str_cols + out_str)] + [
-        f"{c}__{p}" for c in str_cols if c not in out_cols
-        for p in ("codec", "payload", "valid")]
-    need = list(dict.fromkeys(need))
+    need = _scan_columns(expr, out_cols, str_cols=out_str)
 
     def _chunk_col(batch, c, i):
         if len(batch.column(f"{c}__valid")[i].as_py() or b""):
@@ -2889,22 +2520,16 @@ def encoded_scan_where(enc_dir: str, expr: tuple, out_cols: list[str]):
 
     def extract(batch: pa.Table) -> pa.Table:
         nrows = batch.column("n_rows").to_numpy(zero_copy_only=False)
-        zmin = {c: batch.column(f"{c}__vmin").to_numpy(
-            zero_copy_only=False) for c in pred_cols}
-        zmax = {c: batch.column(f"{c}__vmax").to_numpy(
-            zero_copy_only=False) for c in pred_cols}
+        zmin, zmax = _zone_maps(batch, pred_cols)
         parts: dict = {c: [] for c in out_cols}
         for i in range(len(batch)):
             n = int(nrows[i])
             sel = _expr_eval(expr, i, n, zmin, zmax,
                              lambda col, j: _chunk_col(batch, col, j),
                              lambda col, j: _chunk_str_col(batch, col, j))
-            if isinstance(sel, str):        # ALL: select every row
-                runs = (np.zeros(1, np.int64), np.full(1, n, np.int64))
-            elif len(sel[0]):
-                runs = sel
-            else:
+            if _rp_empty(sel):
                 continue
+            runs = _sel_runs(sel, n)
             for c in out_cols:
                 if c in out_str:
                     spec, lp, tp = _chunk_str_col(batch, c, i)
@@ -2993,7 +2618,6 @@ def encoded_lookup_join(enc_dir: str, key_col: str, dim, dim_key: str,
         join_expr = ("and", join_expr, expr)
 
     pred_cols = _expr_pred_cols(join_expr)
-    str_cols = _expr_str_cols(join_expr)
     fact_cols = list(dict.fromkeys([key_col] + list(out_cols)))
     # footer-schema probe (no data read): fact columns with a
     # __lens_payload field are string projections
@@ -3002,16 +2626,7 @@ def encoded_lookup_join(enc_dir: str, key_col: str, dim, dim_key: str,
     if key_col in out_str:
         raise TypeError(f"join key {key_col!r} must be an integer "
                         "column")
-    need = ["n_rows"] + [f"{c}__{p}" for c in pred_cols
-                         for p in ("vmin", "vmax")] + [
-        f"{c}__{p}"
-        for c in dict.fromkeys(pred_cols + fact_cols)
-        for p in ("codec", "payload", "dtype", "valid")] + [
-        f"{c}__lens_payload"
-        for c in dict.fromkeys(str_cols + out_str)] + [
-        f"{c}__{p}" for c in str_cols if c not in fact_cols
-        for p in ("codec", "payload", "valid")]
-    need = list(dict.fromkeys(need))
+    need = _scan_columns(join_expr, fact_cols, str_cols=out_str)
 
     def _chunk_col(batch, c, i):
         if len(batch.column(f"{c}__valid")[i].as_py() or b""):
@@ -3024,10 +2639,7 @@ def encoded_lookup_join(enc_dir: str, key_col: str, dim, dim_key: str,
 
     def joined(batch: pa.Table) -> pa.Table:
         nrows = batch.column("n_rows").to_numpy(zero_copy_only=False)
-        zmin = {c: batch.column(f"{c}__vmin").to_numpy(
-            zero_copy_only=False) for c in pred_cols}
-        zmax = {c: batch.column(f"{c}__vmax").to_numpy(
-            zero_copy_only=False) for c in pred_cols}
+        zmin, zmax = _zone_maps(batch, pred_cols)
         parts: dict = {c: [] for c in fact_cols}
         key_parts: list = []
         for i in range(len(batch)):
@@ -3035,12 +2647,9 @@ def encoded_lookup_join(enc_dir: str, key_col: str, dim, dim_key: str,
             sel = _expr_eval(join_expr, i, n, zmin, zmax,
                              lambda col, j: _chunk_col(batch, col, j),
                              lambda col, j: _chunk_str_col(batch, col, j))
-            if isinstance(sel, str):
-                runs = (np.zeros(1, np.int64), np.full(1, n, np.int64))
-            elif len(sel[0]):
-                runs = sel
-            else:
+            if _rp_empty(sel):
                 continue
+            runs = _sel_runs(sel, n)
             for c in fact_cols:
                 if c in out_str:
                     spec, lp, tp = _chunk_str_col(batch, c, i)
