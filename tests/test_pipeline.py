@@ -1339,6 +1339,34 @@ def test_encoded_range_count_three_way_split(ray_session, tmp_path):
     assert counters["chunks_scanned"] == 0
 
 
+@pytest.fixture
+def any_batching(monkeypatch):
+    """``run(fn, *args, **kwargs)`` calls a pushdown entry point twice,
+    with ``_SCAN_BATCH_CHUNKS`` at 1 (one partial per chunk) and at its
+    default (a small table is one batch), asserts that the answers
+    (dtypes included) and the counter dicts are equal, and returns the
+    default's ``(answer, counters)`` (counters ``{}`` for an entry
+    point that returns a bare frame)."""
+    import pandas as pd
+
+    from tokrle.pipelines import table_encode
+
+    default = table_encode._SCAN_BATCH_CHUNKS
+
+    def run(fn, *args, **kwargs):
+        res = []
+        for b in (1, default):
+            monkeypatch.setattr(table_encode, "_SCAN_BATCH_CHUNKS", b)
+            r = fn(*args, **kwargs)
+            res.append(r if isinstance(r, tuple) else (r, {}))
+        (one_df, one_ctr), (df, ctr) = res
+        pd.testing.assert_frame_equal(one_df, df)
+        assert one_ctr == ctr
+        return res[1]
+
+    return run
+
+
 @pytest.fixture(scope="module")
 def nullable_kv(ray_session, tmp_path_factory):
     """(table, encoded dir) with NULLs in both ``k`` and ``v``; the
@@ -1389,17 +1417,19 @@ _NULLABLE_CASES = {
 
 
 @pytest.mark.parametrize("fn", list(_NULLABLE_CASES))
-def test_pushdown_wrappers_nullable_match_duckdb(nullable_kv, fn):
+def test_pushdown_wrappers_nullable_match_duckdb(nullable_kv, any_batching,
+                                                  fn):
     """Every single-predicate / conjunctive pushdown entry point answers
     nullable key AND aggregate columns like SQL: a NULL never matches a
-    predicate (not even ``= 0``, the null filler) and SUM skips NULLs."""
+    predicate (not even ``= 0``, the null filler) and SUM skips NULLs,
+    alike per chunk and per batch."""
     import duckdb
 
     from tokrle.pipelines import table_encode
 
     args, where, cols = _NULLABLE_CASES[fn]
     tbl, out_dir = nullable_kv
-    got, counters = getattr(table_encode, fn)(out_dir, *args)
+    got, counters = any_batching(getattr(table_encode, fn), out_dir, *args)
     sel = ", ".join(f"coalesce(sum({c[4:]}), 0)" if c.startswith("sum_")
                     else "count(*)" for c in cols)
     con = duckdb.connect()
@@ -1456,21 +1486,22 @@ _NULL_SKIP_CASES = {
 
 
 @pytest.mark.parametrize("case", list(_NULL_SKIP_CASES))
-def test_null_skipping_aggregates_match_duckdb(nullable_kv, case):
+def test_null_skipping_aggregates_match_duckdb(nullable_kv, any_batching,
+                                               case):
     """The unfiltered aggregates (thin wrappers over the where-family
     cores), the grouped cores and COUNT(DISTINCT) answer nullable
     columns like SQL: aggregates and DISTINCT skip NULLs — value 0, the
     encoder's null filler, is never counted for a NULL slot — and
     NULL predicate operands never match.  Multi-row outputs compare as
-    sorted row lists."""
+    sorted row lists, alike per chunk and per batch."""
     import duckdb
 
     from tokrle.pipelines import table_encode
 
     fn, args, kwargs, sql = _NULL_SKIP_CASES[case]
     tbl, out_dir = nullable_kv
-    res = getattr(table_encode, fn)(out_dir, *args, **kwargs)
-    got = res[0] if isinstance(res, tuple) else res
+    got, _ = any_batching(getattr(table_encode, fn), out_dir, *args,
+                        **kwargs)
     con = duckdb.connect()
     con.register("t", tbl)
     want = con.execute(sql).fetchall()
@@ -1514,6 +1545,132 @@ def test_null_group_key_raises(ray_session, tmp_path, fn):
                                               "v")}[fn]
     with pytest.raises(Exception, match="GROUP BY key"):
         getattr(table_encode, fn)(out_dir, *args)
+
+
+#: core -> (entry point, args after enc_dir, kwargs, columns and dtypes
+#: of the empty answer, its rows, counters beyond chunks_total/scanned/
+#: skipped); the predicate admits no chunk of ``nullable_kv``
+_PRUNED = ("range", "g", 300, 400)
+_PRUNED_CASES = {
+    "encoded_boolean_agg": (
+        "encoded_boolean_agg", (_PRUNED, ["w"]), {"with_minmax": True},
+        [("n_match", "int64"), ("sum_w", "int64"), ("min_w", "object"),
+         ("max_w", "object")], [[0, 0, None, None]],
+        {"all_hit_chunks": 0, "run_chunks": 0, "nvalid_w": 0}),
+    "_boolean_value_hist": (
+        "encoded_boolean_histogram", (_PRUNED, "w"), {},
+        [("value", "int64"), ("n", "int64")], [],
+        {"all_hit_chunks": 0, "run_chunks": 0, "hist_rows": 0}),
+    "encoded_filtered_group_agg": (
+        "encoded_filtered_group_agg", ("g", _PRUNED, ["w"]),
+        {"with_minmax": True},
+        [("g", "int64"), ("n", "int64"), ("sum_w", "int64"),
+         ("min_w", "int64"), ("max_w", "int64")], [],
+        {"all_hit_chunks": 0, "run_chunks": 0, "pure_group_chunks": 0}),
+    "encoded_group_where_quantiles": (
+        "encoded_group_where_quantiles", (_PRUNED, "g", "w"), {},
+        [("g", "int64"), ("q_num", "int64"), ("q_den", "int64"),
+         ("quantile", "int64"), ("n_rows", "int64")], [],
+        {"closed_form_chunks": 0, "gathered_chunks": 0, "groups": 0,
+         "hist_rows": 0}),
+    "encoded_group_by_str": (
+        "encoded_group_by_str", ("g", ["w"]), {"expr": _PRUNED},
+        [("g", "object"), ("n", "int64"), ("sum_w", "int64")], [],
+        {"all_hit_chunks": 0, "run_chunks": 0}),
+}
+
+
+@pytest.mark.parametrize("case", list(_PRUNED_CASES))
+def test_pruned_scan_empty_answer(nullable_kv, any_batching, case):
+    """A zone filter that admits no chunk reads nothing: each
+    predicate-tree scan core returns its
+    empty answer with fixed columns and dtypes, and counts every chunk
+    as skipped."""
+    from tokrle.pipelines import table_encode
+
+    fn, args, kwargs, dtypes, rows, extra = _PRUNED_CASES[case]
+    _, out_dir = nullable_kv
+    got, counters = any_batching(getattr(table_encode, fn), out_dir, *args,
+                               **kwargs)
+    assert [(c, str(t)) for c, t in got.dtypes.items()] == dtypes
+    assert got.values.tolist() == rows
+    assert counters == {"chunks_total": 32, "chunks_scanned": 0,
+                        "chunks_skipped": 32, **extra}
+
+
+#: core -> (entry point, args after enc_dir, kwargs) over ``nullable_kv``
+_SCANS = {
+    "encoded_boolean_agg": ("encoded_boolean_agg",
+                            (("range", "k", 0, 3), ["v", "w"]),
+                            {"with_minmax": True}),
+    "_boolean_value_hist": ("encoded_boolean_quantiles",
+                            (("not", ("eq", "k", 5)), "w"), {}),
+    "encoded_filtered_group_agg": ("encoded_filtered_group_agg",
+                                   ("g", ("range", "k", 0, 3), ["w"]), {}),
+    "encoded_group_where_quantiles": ("encoded_group_where_quantiles",
+                                      (("range", "k", 0, 3), "g", "v"), {}),
+    "encoded_topk_rows": ("encoded_topk_rows", ("g", 40), {}),
+    "encoded_group_by_str": ("encoded_group_by_str",
+                             ("g", []), {"expr": ("range", "g", 3, 9)}),
+}
+
+
+@pytest.mark.parametrize("case", list(_SCANS))
+def test_scans_start_no_ray_job(nullable_kv, monkeypatch, case):
+    """The scan cores read in the caller: with Ray Data's Parquet reader
+    made to raise, every scan core still answers, and answers as
+    before."""
+    import pandas as pd
+    import ray.data
+
+    from tokrle.pipelines import table_encode
+
+    fn, args, kwargs = _SCANS[case]
+    _, out_dir = nullable_kv
+    want, want_ctr = getattr(table_encode, fn)(out_dir, *args, **kwargs)
+
+    def no_job(*a, **kw):
+        raise AssertionError("a scan started a Ray job")
+
+    monkeypatch.setattr(ray.data, "read_parquet", no_job)
+    got, ctr = getattr(table_encode, fn)(out_dir, *args, **kwargs)
+    pd.testing.assert_frame_equal(got, want)
+    assert ctr == want_ctr and ctr["chunks_scanned"] > 0
+
+
+def test_scan_batches_bound_chunks(ray_session, tmp_path, monkeypatch):
+    """A scan core's per-batch function sees at most
+    ``_SCAN_BATCH_CHUNKS`` chunk rows, however well they compress: a
+    constant column (a few payload bytes per 4096-row chunk) in 40
+    chunks is scanned in batches of at most 8 chunks, and the answer is
+    exact."""
+    import pandas as pd
+    import ray.data
+
+    from tokrle.pipelines import table_encode
+
+    n = 40 * 4096
+    ds = ray.data.from_pandas(pd.DataFrame(
+        {"k": np.full(n, 7, np.int64), "v": np.full(n, 3, np.int64)}))
+    out_dir = str(tmp_path / "const")
+    table_encode.encode_table_columns(
+        ds, ["k", "v"], batch_size=4096).write_parquet(out_dir)
+    seen = []
+    scan = table_encode._scan_partials
+
+    def spy(enc_dir, columns, flt, fn):
+        def rec(batch):
+            seen.append(len(batch))
+            return fn(batch)
+        return scan(enc_dir, columns, flt, rec)
+
+    monkeypatch.setattr(table_encode, "_SCAN_BATCH_CHUNKS", 8)
+    monkeypatch.setattr(table_encode, "_scan_partials", spy)
+    got, ctr = table_encode.encoded_boolean_agg(
+        out_dir, ("range", "v", 0, 5), ["v"])
+    assert got.loc[0, "n_match"] == n and got.loc[0, "sum_v"] == 3 * n
+    assert sum(seen) == ctr["chunks_scanned"] == 40
+    assert max(seen) <= 8 and len(seen) >= 5
 
 
 def test_encoded_distinct_count_closed_form(ray_session, tmp_path):
@@ -1864,11 +2021,11 @@ def test_encoded_quantiles_uint64_full_range(ray_session, tmp_path):
 
 
 def test_encoded_group_where_quantiles_match_duckdb(ray_session,
-                                                    tmp_path):
+                                                    tmp_path, any_batching):
     """WHERE + GROUP BY + quantile_disc composed: both chunk classes
     (closed-form: wholly selected + group-pure; gathered: run-list or
     group-mixed) must match DuckDB, including a uint64 agg column and
-    an empty selection."""
+    an empty selection, alike per chunk and per batch."""
     import duckdb
     import pandas as pd
     import ray.data
@@ -1902,8 +2059,8 @@ def test_encoded_group_where_quantiles_match_duckdb(ray_session,
             (("range", "key", 3, 6), "key between 3 and 6", "h"),
             (("range", "key", 300, 400), "key between 300 and 400",
              "val")):
-        got, counters = encoded_group_where_quantiles(
-            out_dir, expr, "key", agg)
+        got, counters = any_batching(encoded_group_where_quantiles,
+                                   out_dir, expr, "key", agg)
         want = con.sql(f"""
             select key, quantile_disc({agg}, 0.50) q50, count(*) c
             from t where {where} group by key order by key""").fetchall()
@@ -2520,11 +2677,12 @@ def test_encoded_scan_where_matches_pandas(ray_session, tmp_path):
         assert len(got) == 0
 
 
-def test_encoded_topk_rows_matches_pandas(ray_session, tmp_path):
+def test_encoded_topk_rows_matches_pandas(ray_session, tmp_path,
+                                          any_batching):
     """Metadata-pruned top-k: the returned (value, n) multiset must
     equal pandas nlargest exactly — high-cardinality (many distinct
     values in the top-k), heavy-tie, k > n_rows, and clustered-pruning
-    cases."""
+    cases, alike per chunk and per batch."""
     import pandas as pd
     import ray.data
 
@@ -2548,14 +2706,17 @@ def test_encoded_topk_rows_matches_pandas(ray_session, tmp_path):
 
     for col, k in (("hi", 37), ("lo", 100), ("k", 17),
                    ("hi", n + 50)):       # k past the table size
-        got, counters = encoded_topk_rows(out_dir, col, k)
+        got, counters = any_batching(encoded_topk_rows, out_dir, col, k)
         want = want_multiset(col, k)
         assert got["value"].tolist() == want.index.tolist(), (col, k)
         assert got["n"].tolist() == want.values.tolist(), (col, k)
         assert int(got["n"].sum()) == min(k, n)
     # the clustered key's top-k must prune chunks via the vmin threshold
-    _, c = encoded_topk_rows(out_dir, "k", 17)
+    _, c = any_batching(encoded_topk_rows, out_dir, "k", 17)
     assert c["chunks_skipped"] > 0, c
+    assert c["threshold"] is not None
+    # an empty directory reports the same counter keys
+    assert set(encoded_topk_rows(str(tmp_path), "k", 3)[1]) == set(c)
 
 
 def test_encoded_boolean_agg_in_leaf(ray_session, tmp_path):
@@ -3205,9 +3366,10 @@ def test_encoded_lookup_join_string_projection(ray_session, tmp_path):
     assert (j["name"] == j["k"] * 10).all()
 
 
-def test_encoded_group_by_str_composite(ray_session, tmp_path):
+def test_encoded_group_by_str_composite(ray_session, tmp_path, any_batching):
     """Composite string grouping (GROUP BY two string columns) under a
-    mixed predicate tree: exact group tuples/counts/sums vs pandas."""
+    mixed predicate tree: exact group tuples/counts/sums vs pandas,
+    alike per chunk and per batch."""
     import pandas as pd
     import ray.data
 
@@ -3227,7 +3389,8 @@ def test_encoded_group_by_str_composite(ray_session, tmp_path):
                          ["k", "v", "lang", "src"],
                          batch_size=1024).write_parquet(out_dir)
 
-    gdf, _ = encoded_group_by_str(out_dir, ["lang", "src"], ["v"])
+    gdf, _ = any_batching(encoded_group_by_str, out_dir, ["lang", "src"],
+                        ["v"])
     eg = (df.groupby(["lang", "src"])
           .agg(n=("v", "size"), sum_v=("v", "sum")).reset_index()
           .sort_values(["lang", "src"]).reset_index(drop=True))
@@ -3239,8 +3402,8 @@ def test_encoded_group_by_str_composite(ray_session, tmp_path):
 
     expr = ("and", ("range", "k", 10, 40), ("eq_str", "lang", "en"))
     m = df["k"].between(10, 40) & (df["lang"] == "en")
-    gdf, _ = encoded_group_by_str(out_dir, ["lang", "src"], ["v"],
-                                  expr=expr)
+    gdf, _ = any_batching(encoded_group_by_str, out_dir, ["lang", "src"],
+                        ["v"], expr=expr)
     eg = (df[m].groupby(["lang", "src"])
           .agg(n=("v", "size"), sum_v=("v", "sum")).reset_index())
     assert list(gdf["n"]) == list(eg["n"])
@@ -3325,10 +3488,12 @@ def test_encoded_str_distinct_filtered(ray_session, tmp_path):
     assert d["n_distinct"].iloc[0] == 0
 
 
-def test_encoded_boolean_agg_minmax_empty_chunk(ray_session, tmp_path):
+def test_encoded_boolean_agg_minmax_empty_chunk(ray_session, tmp_path,
+                                                any_batching):
     """Regression: an n_rows==0 chunk encodes with placeholder zone
     extrema (0, 0); MIN/MAX must skip it rather than absorb the bogus
-    0 (values here are all >= 105 / all <= -7)."""
+    0 (values here are all >= 105 / all <= -7), per chunk and per
+    batch."""
     import pandas as pd
     import ray.data
 
@@ -3343,8 +3508,8 @@ def test_encoded_boolean_agg_minmax_empty_chunk(ray_session, tmp_path):
     out_dir = str(tmp_path / "mm_empty")
     encode_table_columns(ds, ["k", "v"],
                          batch_size=64).write_parquet(out_dir)
-    got, _ = encoded_boolean_agg(out_dir, ("range", "k", 0, 100),
-                                 ["v"], with_minmax=True)
+    got, _ = any_batching(encoded_boolean_agg, out_dir,
+                        ("range", "k", 0, 100), ["v"], with_minmax=True)
     assert got.loc[0, "n_match"] == 100
     assert got.loc[0, "min_v"] == 105, got
     assert got.loc[0, "max_v"] == 204
@@ -3354,8 +3519,8 @@ def test_encoded_boolean_agg_minmax_empty_chunk(ray_session, tmp_path):
     out2 = str(tmp_path / "mm_empty_neg")
     encode_table_columns(ds2, ["k", "v"],
                          batch_size=64).write_parquet(out2)
-    got, _ = encoded_boolean_agg(out2, ("range", "k", 0, 100),
-                                 ["v"], with_minmax=True)
+    got, _ = any_batching(encoded_boolean_agg, out2,
+                        ("range", "k", 0, 100), ["v"], with_minmax=True)
     assert got.loc[0, "max_v"] == -105, got
     assert got.loc[0, "min_v"] == -204
 

@@ -2291,7 +2291,10 @@ def encoded_group_quantile_stats(sf_dir: str) -> pd.DataFrame:
                            "gquant")
     shutil.rmtree(enc_dir, ignore_errors=True)
     ds = _read(sf_dir, "lineitem", columns=cols).sort("l_suppkey")
-    encode_table_columns(ds, cols, batch_size=2048).write_parquet(enc_dir)
+    # 256-row chunks: any 512 sorted rows of one supplier (each has over
+    # 540) contain a whole chunk, so group-pure chunks exist however Ray
+    # partitions the sort
+    encode_table_columns(ds, cols, batch_size=256).write_parquet(enc_dir)
 
     frames = []
     for group_col, agg_col in (("l_suppkey", "l_linenumber"),
@@ -2485,7 +2488,8 @@ def encoded_group_where_quantile_stats(sf_dir: str) -> pd.DataFrame:
                            "gwquant")
     shutil.rmtree(enc_dir, ignore_errors=True)
     ds = _read(sf_dir, "lineitem", columns=cols).sort("l_suppkey")
-    encode_table_columns(ds, cols, batch_size=2048).write_parquet(enc_dir)
+    # 256-row chunks: see encoded_group_quantile_stats
+    encode_table_columns(ds, cols, batch_size=256).write_parquet(enc_dir)
 
     frames = []
     for group_col, expr, check in (

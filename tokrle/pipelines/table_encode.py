@@ -734,14 +734,9 @@ def _col_dtype_probe(enc_dir: str, col: str) -> "np.dtype | None":
     """The stored numpy dtype of ``col`` from one footer row — a
     single-row column-pruned read of the first file's ``{col}__dtype``
     (the layout is dtype-uniform per column by construction)."""
-    import glob
-    import os
-
     import pyarrow.parquet as _pq
 
-    files = sorted(glob.glob(os.path.join(enc_dir, "**", "*.parquet"),
-                             recursive=True))
-    for path in files:
+    for path in _table_files(enc_dir):
         t = _pq.read_table(path, columns=[f"{col}__dtype"])
         if t.num_rows:
             return np.dtype(t.column(0)[0].as_py())
@@ -755,8 +750,8 @@ def encoded_quantiles(enc_dir: str, col: str,
     from a table-encode directory WITHOUT decoding: the per-chunk
     (value, count) histograms of :func:`encoded_histogram` are a
     sufficient statistic for any order statistic and any moment, so the
-    exchange carries only cardinality-bounded pairs and the driver folds
-    the global histogram — values themselves never move.
+    scan's partials hold only cardinality-bounded pairs and the caller
+    folds the global histogram — values themselves never move.
 
     Quantile semantics match SQL ``quantile_disc(col, q)``: the element
     at 0-based rank ``ceil(q*n) - 1`` of the sorted multiset.  Each
@@ -872,15 +867,15 @@ def _boolean_value_hist(enc_dir: str, expr: tuple | None, agg_col: str):
     - every other chunk late-materializes ONLY the selected valid
       positions (:func:`gather_runs`) and folds their counts.
 
-    The exchange carries (value, partial_count) pairs bounded by chunk
-    cardinality — never rows — plus three counter rows.  uint64 agg
-    columns fold in the order-preserving xor-2^63 image.  Returns
+    The scan (:func:`_scan_partials`, in the caller) returns (value,
+    partial_count) pairs bounded by chunk cardinality — never rows —
+    plus three counter rows per batch, and the caller sums the counts
+    per value.  uint64 agg columns fold in the order-preserving
+    xor-2^63 image.  Returns
     ``(hist, counters, dtype)`` where ``hist`` is a pandas Series
     (index = folded int64 value, biased for uint64; values = exact
     counts) sorted by value and ``dtype`` is ``agg_col``'s stored dtype
     (None for a directory without rows)."""
-    import ray.data
-
     from tokrle.codecs.core import gather_runs, value_counts
 
     pred_cols = _expr_pred_cols(expr)
@@ -915,12 +910,10 @@ def _boolean_value_hist(enc_dir: str, expr: tuple | None, agg_col: str):
              "c": np.concatenate(cs) if cs else np.empty(0, np.int64)},
             "v", [len(batch), all_hit, run_chunks])
 
-    n_total = _n_chunks(enc_dir)
-    ds = ray.data.read_parquet(
-        enc_dir, columns=_scan_columns(expr, [agg_col]),
-        filter=_expr_zone_filter(expr)).map_batches(
-        partial, batch_format="pyarrow")
-    rows, counters = _collect_partials(ds, ["v", "c"], "v", n_total,
+    parts, n_total = _scan_partials(
+        enc_dir, _scan_columns(expr, [agg_col]), _expr_zone_filter(expr),
+        partial)
+    rows, counters = _collect_partials(parts, ["v", "c"], "v", n_total,
                                        ["all_hit_chunks", "run_chunks"])
     hist = rows.groupby("v", sort=True)["c"].sum()
     counters["hist_rows"] = int(len(hist))
@@ -995,7 +988,7 @@ def encoded_boolean_topk(enc_dir: str, expr: tuple, col: str, k: int):
     Unlike the unfiltered top-k, the metadata-only exclusion threshold
     is unsound here (a chunk's zone map cannot bound how many of its
     rows SURVIVE the predicate), so this derives from the full filtered
-    histogram — the exchange stays bounded by chunk value cardinality
+    histogram — the partials stay bounded by chunk value cardinality
     and the predicate's zone pruning still skips non-overlapping
     chunks.  Returns ``(DataFrame(value, n) sorted desc with
     sum(n) == min(k, selected rows), counters)``."""
@@ -1037,8 +1030,10 @@ def encoded_group_where_quantiles(enc_dir: str, expr: tuple | None,
       positions of both columns (:func:`gather_runs`) and folds one
       lexsort run-length count.
 
-    The exchange carries (group, value, count) triples plus counter
-    rows; per-group ranks fold with the shared integer ceil-division.
+    The scan (:func:`_scan_partials`, in the caller) returns (group,
+    value, count) triples plus counter rows; the caller sums them per
+    (group, value) and folds the per-group ranks with the shared
+    integer ceil-division.
     Integer group column (zone maps required; a nullable group chunk
     with a non-empty selection raises); integer or uint64 agg column
     (uint64 folds in the xor-2^63 image), NULL values skipped so
@@ -1046,8 +1041,6 @@ def encoded_group_where_quantiles(enc_dir: str, expr: tuple | None,
     reports ``n_rows`` 0 and ``quantile`` None, as SQL).  Returns
     ``(DataFrame(group_col, q_num, q_den, quantile, n_rows),
     counters)``."""
-    import ray.data
-
     from tokrle.codecs.core import decode as codec_decode
     from tokrle.codecs.core import gather_runs, value_counts
 
@@ -1124,14 +1117,12 @@ def encoded_group_where_quantiles(enc_dir: str, expr: tuple | None,
              "c": np.concatenate(cs) if cs else empty},
             "v", [len(batch), closed, gathered])
 
-    n_total = _n_chunks(enc_dir)
-    ds = ray.data.read_parquet(
-        enc_dir, columns=_scan_columns(expr, [group_col, agg_col],
-                                       zone_cols=[group_col]),
-        filter=_expr_zone_filter(expr)).map_batches(
-        partial, batch_format="pyarrow")
+    parts, n_total = _scan_partials(
+        enc_dir, _scan_columns(expr, [group_col, agg_col],
+                               zone_cols=[group_col]),
+        _expr_zone_filter(expr), partial)
     rows, counters = _collect_partials(
-        ds, ["grp", "v", "c"], "v", n_total,
+        parts, ["grp", "v", "c"], "v", n_total,
         ["closed_form_chunks", "gathered_chunks"])
     hist = rows.groupby(["grp", "v"], sort=True)["c"].sum().reset_index()
     counters["groups"] = int(hist["grp"].nunique())
@@ -1140,21 +1131,57 @@ def encoded_group_where_quantiles(enc_dir: str, expr: tuple | None,
     return _group_quantile_frame(hist, qs, group_col, is_u64), counters
 
 
-def _n_chunks(enc_dir: str) -> int:
-    """Number of chunk rows in a table-encode directory, from Parquet
-    FILE METADATA alone — no Ray job, no column read.  The query
-    pipelines use this for their pruning counters; spending a whole
-    cluster job to count rows that the footers already record is pure
-    overhead (it dominated small-scale latency)."""
+def _table_files(enc_dir: str) -> list[str]:
+    """The Parquet files that make up a table-encode directory, sorted —
+    the one file list every reader of the table uses, so no two
+    readers can disagree about which files make up the table."""
     import glob
 
+    return sorted(glob.glob(os.path.join(enc_dir, "**", "*.parquet"),
+                            recursive=True))
+
+
+def _n_chunks(enc_dir: str) -> int:
+    """Number of chunk rows in a table-encode directory, from the
+    Parquet footers alone — no Ray job, no column read."""
     import pyarrow.parquet as pq
 
-    total = 0
-    for f in sorted(glob.glob(os.path.join(enc_dir, "**", "*.parquet"),
-                              recursive=True)):
-        total += pq.ParquetFile(f).metadata.num_rows
-    return total
+    return sum(pq.ParquetFile(f).metadata.num_rows
+               for f in _table_files(enc_dir))
+
+
+# Chunk rows per call of a scan core's per-batch function.  A batch
+# holds at most this many chunks decoded at once, however well their
+# columns compress; 64 chunks of the default 65536 rows are 32 MB per
+# int64 column.
+_SCAN_BATCH_CHUNKS = 64
+
+
+def _scan_partials(enc_dir: str, columns: list, flt, fn):
+    """The one table read of the pushdown scan cores: ``fn`` maps a
+    ``pyarrow.Table`` of at most :data:`_SCAN_BATCH_CHUNKS` chunk rows
+    (``columns``, rows admitted by the zone filter ``flt``) to a partial
+    table.  Returns ``(partials, chunks_total)``.  The scan streams the
+    table with ``pyarrow.dataset`` in the calling process — no Ray job,
+    Ray need not be initialized — and the caller folds the partials."""
+    import pyarrow.dataset as pds
+
+    files = _table_files(enc_dir)
+    if not files:
+        return [], 0
+    dataset = pds.dataset(files, format="parquet")
+    parts, buf, n = [], [], 0
+    for b in dataset.to_batches(columns=columns, filter=flt,
+                                batch_size=_SCAN_BATCH_CHUNKS):
+        if n + b.num_rows > _SCAN_BATCH_CHUNKS:
+            parts.append(fn(pa.Table.from_batches(buf)))
+            buf, n = [], 0
+        if b.num_rows:
+            buf.append(b)
+            n += b.num_rows
+    if buf:
+        parts.append(fn(pa.Table.from_batches(buf)))
+    return parts, dataset.count_rows()
 
 
 # Sentinel: every position of the chunk matches.  Detected by TYPE
@@ -1330,35 +1357,39 @@ def _scan_columns(expr, value_cols, zone_cols=(), str_cols=()) -> list:
 
 
 def _with_meters(cols: dict, key: str, meters: list) -> pa.Table:
-    """One scan batch's partial rows: the value rows ``cols`` (int64
-    arrays of equal length) under ``kind`` 0, then one counter row per
-    meter under ``kind`` 1, 2, ... with its count in column ``key`` and 0
-    elsewhere, so data and counters ride one exchange.  Meter 1 is the
-    batch's chunk count (see :func:`_collect_partials`)."""
+    """One scan batch's partial rows: the value rows ``cols`` (equal
+    length int64 arrays, or ``pa.Array`` string keys) under ``kind`` 0,
+    then one counter row per meter under ``kind`` 1, 2, ... with its
+    count in column ``key`` and 0 (or "") elsewhere, so data and
+    counters ride one partial.  Meter 1 is the batch's chunk count (see
+    :func:`_collect_partials`)."""
     m = len(meters)
     out = {"kind": np.concatenate((np.zeros(len(cols[key]), np.int64),
                                    np.arange(1, m + 1)))}
     for nm, v in cols.items():
-        out[nm] = np.concatenate(
-            (v, meters if nm == key else np.zeros(m, np.int64)))
-    return pa.table({nm: pa.array(np.asarray(v, np.int64))
-                     for nm, v in out.items()})
+        if isinstance(v, pa.Array):
+            out[nm] = pa.concat_arrays([v, pa.array([""] * m, v.type)])
+        else:
+            out[nm] = pa.array(np.concatenate(
+                (np.asarray(v, np.int64),
+                 meters if nm == key else np.zeros(m, np.int64))))
+    return pa.table(out)
 
 
-def _collect_partials(ds, cols: list, key: str, n_total: int,
+def _collect_partials(parts: list, cols: list, key: str, n_total: int,
                       meter_names: list):
-    """Collecting side of :func:`_with_meters`: gather the partial rows
-    of ``ds`` in the calling process and return ``(value rows,
-    counters)``, where counters hold
+    """Fold side of :func:`_with_meters`: concatenate the partials of
+    :func:`_scan_partials` in the calling process and return ``(value
+    rows, counters)``, where counters hold
     ``chunks_total``/``chunks_scanned``/``chunks_skipped`` and meters 2,
     3, ... under ``meter_names``.  A scan whose filter pruned every
-    chunk runs no batch; an empty frame with ``cols`` stands in."""
+    chunk has no partial; an empty int64 frame with ``cols`` stands
+    in."""
     import pandas as pd
 
-    part = ds.to_pandas()
-    if part.empty:
-        part = pd.DataFrame({c: pd.Series(dtype="int64")
-                             for c in ["kind"] + cols})
+    parts = [p for p in parts if p.num_rows]
+    part = pa.concat_tables(parts).to_pandas() if parts else \
+        pd.DataFrame({c: pd.Series(dtype="int64") for c in ["kind"] + cols})
     meters = part[part["kind"] > 0].groupby("kind")[key].sum()
     scanned = int(meters.get(1, 0))
     counters = {"chunks_total": n_total, "chunks_scanned": scanned,
@@ -1622,8 +1653,9 @@ def encoded_boolean_agg(enc_dir: str, expr: tuple | None,
     and/or of the leaves' overlap tests, while any ``not`` branch is
     unprunable (the complement of a zone test is not sound) and reads
     everything.  ``expr=None`` selects every row (the engine of
-    :func:`encoded_column_agg`).  One partial row per batch on the
-    exchange; integer aggregate columns only.
+    :func:`encoded_column_agg`).  The scan (:func:`_scan_partials`, in
+    the caller) yields one partial row per batch, which the caller
+    folds; integer aggregate columns only.
 
     ``with_minmax=True`` adds exact per-column MIN/MAX of the selected
     rows: ALL-match chunks answer from the aggregate column's own zone
@@ -1644,14 +1676,11 @@ def encoded_boolean_agg(enc_dir: str, expr: tuple | None,
     selection is emitted as 0 — pair it with ``coalesce`` in an
     oracle)."""
     import pandas as pd
-    import ray.data
-    from ray.data.aggregate import Max, Min, Sum
 
     from tokrle.codecs.core import (agg_sum, agg_sum_runs, gather_runs,
                                     valid_to_runs)
 
     pred_cols = _expr_pred_cols(expr)
-    n_total = _n_chunks(enc_dir)
     need = _scan_columns(expr, agg_cols,
                          zone_cols=agg_cols if with_minmax else ())
 
@@ -1724,44 +1753,29 @@ def encoded_boolean_agg(enc_dir: str, expr: tuple | None,
                     maxs[c] = max(maxs[c], int(v.max()))
                 else:
                     sums[c] += agg_sum_runs(codec, payload, n, dt, *sv)
-        out = {"n_match": pa.array([n_match], type=pa.int64()),
-               "chunks": pa.array([len(batch)], type=pa.int64()),
-               "all_hit": pa.array([all_hit], type=pa.int64()),
-               "run_chunks": pa.array([run_chunks], type=pa.int64())}
+        out = {"n_match": [n_match]}
         for c in agg_cols:
-            out[f"sum_{c}"] = pa.array([sums[c]], type=pa.int64())
-            out[f"nvalid_{c}"] = pa.array([nvalid[c]], type=pa.int64())
+            out[f"sum_{c}"] = [sums[c]]
+            out[f"nvalid_{c}"] = [nvalid[c]]
             if with_minmax:
                 # sentinel extrema (no matches in this batch) fold
-                # away in the cross-batch Min/Max
-                out[f"min_{c}"] = pa.array([mins[c]], type=pa.int64())
-                out[f"max_{c}"] = pa.array([maxs[c]], type=pa.int64())
-        return pa.table(out)
+                # away in the cross-batch min/max
+                out[f"min_{c}"] = [mins[c]]
+                out[f"max_{c}"] = [maxs[c]]
+        return _with_meters(out, "n_match",
+                            [len(batch), all_hit, run_chunks])
 
-    flt = _expr_zone_filter(expr)
-    ds = ray.data.read_parquet(enc_dir, columns=need, filter=flt)
-    aggs = [Sum("n_match", alias_name="n_match"),
-            Sum("chunks", alias_name="chunks"),
-            Sum("all_hit", alias_name="all_hit"),
-            Sum("run_chunks", alias_name="run_chunks")] + \
-        [Sum(f"sum_{c}", alias_name=f"sum_{c}") for c in agg_cols] + \
-        [Sum(f"nvalid_{c}", alias_name=f"nvalid_{c}") for c in agg_cols]
-    if with_minmax:
-        aggs += [Min(f"min_{c}", alias_name=f"min_{c}")
-                 for c in agg_cols] + \
-            [Max(f"max_{c}", alias_name=f"max_{c}") for c in agg_cols]
-    row = ds.map_batches(partial, batch_format="pyarrow").aggregate(*aggs)
-    scanned = int(row["chunks"] or 0)
-    counters = {"chunks_total": n_total,
-                "chunks_scanned": scanned,
-                "chunks_skipped": n_total - scanned,
-                "all_hit_chunks": int(row["all_hit"] or 0),
-                "run_chunks": int(row["run_chunks"] or 0)}
-    matched = int(row["n_match"] or 0)
-    data = {"n_match": [matched]}
+    parts, n_total = _scan_partials(enc_dir, need, _expr_zone_filter(expr),
+                                    partial)
+    cols = ["n_match"] + [f"{st}_{c}" for st in ("sum", "nvalid")
+                          + (("min", "max") if with_minmax else ())
+                          for c in agg_cols]
+    rows, counters = _collect_partials(parts, cols, "n_match", n_total,
+                                       ["all_hit_chunks", "run_chunks"])
+    data = {"n_match": [int(rows["n_match"].sum())]}
     for c in agg_cols:
-        nv = int(row[f"nvalid_{c}"] or 0)
-        data[f"sum_{c}"] = [int(row[f"sum_{c}"] or 0)]
+        nv = int(rows[f"nvalid_{c}"].sum())
+        data[f"sum_{c}"] = [int(rows[f"sum_{c}"].sum())]
         # valid-value count per aggregate column (== SQL COUNT(col));
         # rides in counters so the DataFrame schema stays stable for
         # null-free callers
@@ -1769,8 +1783,8 @@ def encoded_boolean_agg(enc_dir: str, expr: tuple | None,
         if with_minmax:
             # SQL MIN/MAX over zero VALID values is NULL, even when
             # null-valued rows were selected
-            data[f"min_{c}"] = [int(row[f"min_{c}"]) if nv else None]
-            data[f"max_{c}"] = [int(row[f"max_{c}"]) if nv else None]
+            data[f"min_{c}"] = [int(rows[f"min_{c}"].min()) if nv else None]
+            data[f"max_{c}"] = [int(rows[f"max_{c}"].max()) if nv else None]
     return pd.DataFrame(data), counters
 
 
@@ -1858,13 +1872,12 @@ def encoded_filtered_group_agg(enc_dir: str, group_col: str,
     three-valued logic, aggregate NULLs skipped (SUM over no valid
     value is emitted as 0 and MIN/MAX as None); a nullable GROUP
     column chunk with a non-empty selection raises.  The batches'
-    (group, count, partial) rows and counter rows are folded by one
-    pandas groupby in the calling process — never table rows.  Returns
+    (group, count, partial) rows and counter rows, from
+    :func:`_scan_partials`, are folded by one pandas groupby in the
+    calling process — never table rows.  Returns
     ``(DataFrame, counters)`` with int64 ``group_col``/``n``/``sum_<c>``
     (then ``min_<c>``, ``max_<c>``) columns sorted by group; integer
     columns only."""
-    import ray.data
-
     from tokrle.codecs.core import (agg_sum, agg_sum_runs,
                                     decode as codec_decode, gather_runs)
 
@@ -1957,16 +1970,14 @@ def encoded_filtered_group_agg(enc_dir: str, group_col: str,
              for nm, p in parts.items()},
             "n", [len(batch), n_all, n_run, n_pure])
 
-    n_total = _n_chunks(enc_dir)
-    ds = ray.data.read_parquet(
-        enc_dir, columns=_scan_columns(
+    parts, n_total = _scan_partials(
+        enc_dir, _scan_columns(
             expr, [group_col] + list(agg_cols),
             zone_cols=[group_col] + (list(agg_cols) if with_minmax
                                      else [])),
-        filter=_expr_zone_filter(expr)).map_batches(
-        partial, batch_format="pyarrow")
+        _expr_zone_filter(expr), partial)
     rows, counters = _collect_partials(
-        ds, cols, "n", n_total,
+        parts, cols, "n", n_total,
         ["all_hit_chunks", "run_chunks", "pure_group_chunks"])
     df = rows.groupby("grp", sort=True).agg(fold)
     for c in agg_cols if with_minmax else ():
@@ -1984,13 +1995,9 @@ def _footer_fields(enc_dir: str) -> tuple[set, str | None]:
     construction).  Used to classify columns (a ``__lens_payload``
     field marks a string/list column) without reading any data; the
     path supports follow-up single-row probes (dtypes)."""
-    import glob
-    import os
-
     import pyarrow.parquet as _pq
 
-    files = sorted(glob.glob(os.path.join(enc_dir, "**", "*.parquet"),
-                             recursive=True))
+    files = _table_files(enc_dir)
     if not files:
         return set(), None
     return set(_pq.ParquetFile(files[0]).schema_arrow.names), files[0]
@@ -2317,19 +2324,18 @@ def encoded_group_by_str(enc_dir: str, group_col,
     column name or a LIST (composite grouping, e.g. (lang, source)),
     and list entries may MIX string and integer columns (a footer
     schema probe classifies them; integer keys gather through
-    gather_runs and ride the exchange as int64).
+    gather_runs and fold as int64).
     The predicate (integer and/or string leaves) evaluates to a
     selection run-list per chunk; each group column late-materializes
     ONLY the selected rows (:func:`tokrle.codecs.core.gather_str_runs`
     — one lengths decode + one vectorized byte gather, or a dictionary
     take on sdict chunks), integer agg columns gather the same
     positions, and each batch folds to (group tuple, count, partial
-    sums) rows before the exchange — the exchange carries per-batch
-    distinct group tuples, never table rows.  Returns ``(DataFrame,
-    counters)`` sorted by the group columns; nullable chunks raise."""
+    sums) rows — the partials of :func:`_scan_partials` hold per-batch
+    distinct group tuples, never table rows, and the caller sums them
+    per group.  Returns ``(DataFrame, counters)`` sorted by the group
+    columns; nullable chunks raise."""
     import pandas as pd
-    import ray.data
-    from ray.data.aggregate import Sum
 
     from tokrle.codecs.core import (decode as codec_decode,
                                     gather_runs, gather_str_runs)
@@ -2341,7 +2347,6 @@ def encoded_group_by_str(enc_dir: str, group_col,
     g_str = {g for g in gcols if f"{g}__lens_payload" in fields}
     g_int = [g for g in gcols if g not in g_str]
     pred_cols = _expr_pred_cols(expr)
-    n_total = _n_chunks(enc_dir)
 
     def _chunk_col(batch, c, i):
         if len(batch.column(f"{c}__valid")[i].as_py() or b""):
@@ -2353,7 +2358,6 @@ def encoded_group_by_str(enc_dir: str, group_col,
                 np.dtype(batch.column(f"{c}__dtype")[i].as_py()))
 
     sum_names = [f"sum_{c}" for c in agg_cols]
-    ctr_names = ["c_scanned", "c_all", "c_run"]
 
     def partial(batch: pa.Table) -> pa.Table:
         nrows = batch.column("n_rows").to_numpy(zero_copy_only=False)
@@ -2402,60 +2406,29 @@ def encoded_group_by_str(enc_dir: str, group_col,
                 **{f"sum_{c}": (c, "sum") for c in agg_cols}) \
                 .reset_index()
         else:
-            agg = pd.DataFrame({**{nm: pd.Series(
-                                       [], dtype=(object if g in g_str
-                                                  else "int64"))
-                                   for nm, g in zip(gnames, gcols)},
-                                "n": pd.Series([], dtype="int64"),
-                                **{nm: pd.Series([], dtype="int64")
-                                   for nm in sum_names}})
-        k = len(agg)
-        out = {"kind": pa.array(np.r_[np.zeros(k, np.int64), [1]])}
-        for nm, g in zip(gnames, gcols):
-            if g in g_str:
-                out[nm] = pa.array(list(agg[nm]) + [""],
-                                   type=pa.large_utf8())
-            else:
-                out[nm] = pa.array(np.r_[
-                    agg[nm].to_numpy(np.int64), [0]])
-        out["n"] = pa.array(np.r_[agg["n"].to_numpy(np.int64), [0]])
-        for nm in sum_names:
-            out[nm] = pa.array(np.r_[agg[nm].to_numpy(np.int64), [0]])
-        for nm, val in zip(ctr_names, (len(batch), n_all, n_run)):
-            col = np.zeros(k + 1, np.int64)
-            col[k] = val
-            out[nm] = pa.array(col)
-        return pa.table(out)
+            agg = pd.DataFrame({nm: [] for nm in gnames + ["n"] + sum_names})
+        cols = {nm: pa.array(agg[nm], type=pa.large_utf8()) if g in g_str
+                else agg[nm].to_numpy(np.int64)
+                for nm, g in zip(gnames, gcols)}
+        cols.update({nm: agg[nm].to_numpy(np.int64)
+                     for nm in ["n"] + sum_names})
+        return _with_meters(cols, "n", [len(batch), n_all, n_run])
 
-    ds = ray.data.read_parquet(
-        enc_dir, columns=_scan_columns(expr, list(agg_cols) + g_int,
-                                       str_cols=sorted(g_str)),
-        filter=_expr_zone_filter(expr))
-    aggs = [Sum("n", alias_name="n")] + \
-        [Sum(nm, alias_name=nm) for nm in sum_names] + \
-        [Sum(nm, alias_name=nm) for nm in ctr_names]
-    df = ds.map_batches(partial, batch_format="pyarrow") \
-        .groupby(["kind"] + gnames).aggregate(*aggs).to_pandas()
-    if df.empty:
-        empty = pd.DataFrame({**{g: pd.Series([], dtype=object)
-                                 for g in gcols},
-                              "n": pd.Series([], dtype="int64"),
-                              **{nm: pd.Series([], dtype="int64")
-                                 for nm in sum_names}})
-        return empty, {"chunks_total": n_total, "chunks_scanned": 0,
-                       "chunks_skipped": n_total, "all_hit_chunks": 0,
-                       "run_chunks": 0}
-    ctr = df[df["kind"] == 1]
-    scanned = int(ctr["c_scanned"].sum())
-    counters = {"chunks_total": n_total,
-                "chunks_scanned": scanned,
-                "chunks_skipped": n_total - scanned,
-                "all_hit_chunks": int(ctr["c_all"].sum()),
-                "run_chunks": int(ctr["c_run"].sum())}
-    df = df[(df["kind"] == 0) & (df["n"] > 0)] \
-        .drop(columns=["kind"] + ctr_names) \
-        .rename(columns=dict(zip(gnames, gcols))) \
-        .sort_values(gcols).reset_index(drop=True)
+    parts, n_total = _scan_partials(
+        enc_dir, _scan_columns(expr, list(agg_cols) + g_int,
+                               str_cols=sorted(g_str)),
+        _expr_zone_filter(expr), partial)
+    rows, counters = _collect_partials(
+        parts, gnames + ["n"] + sum_names, "n", n_total,
+        ["all_hit_chunks", "run_chunks"])
+    if not counters["chunks_scanned"]:
+        # every chunk pruned: the group columns stay untyped (object)
+        return pd.DataFrame({**{g: pd.Series([], dtype=object)
+                                for g in gcols},
+                             **{nm: pd.Series([], dtype="int64")
+                                for nm in ["n"] + sum_names}}), counters
+    df = rows.groupby(gnames, sort=True)[["n"] + sum_names].sum() \
+        .reset_index().rename(columns=dict(zip(gnames, gcols)))
     for g in gcols:
         df[g] = df[g].astype(str) if g in g_str \
             else df[g].astype("int64")
@@ -2703,42 +2676,39 @@ def encoded_topk_rows(enc_dir: str, col: str, k: int):
       :func:`tokrle.codecs.core.value_counts` (dict: dictionary + code
       bincount; rle: run fold — no decode), keep only values >= T, and
       TRIM to their own top-k row budget (sorted desc, cumulative count
-      cut at k) so the exchange carries at most #chunks x k pairs;
-    - one groupby-sum over the pairs, then the driver cuts the global
-      multiset at exactly k rows.
+      cut at k), so the partials hold at most #chunks x k pairs;
+    - the caller sums the pairs per value and cuts the global multiset
+      at exactly k rows.
 
+    Both passes read the table's files in the caller, with no Ray job.
     Returns ``(DataFrame(value, n) sorted desc with sum(n) == min(k,
-    total rows), counters)``.  Integer zone-mapped columns only;
-    nullable chunks raise."""
+    total rows), counters)``; ``counters["threshold"]`` is T (None when
+    every chunk is scanned).
+    Integer zone-mapped columns only; nullable chunks raise."""
     import pandas as pd
     import pyarrow.compute as pc
-    import ray.data
-    from ray.data.aggregate import Sum
+    import pyarrow.dataset as pds
 
     from tokrle.codecs.core import value_counts
 
     k = int(k)
     if k <= 0:
         raise ValueError("k must be positive")
-    # pass 0 is a driver-side read of two tiny int columns straight
-    # from the parquet footprint — no Ray job for metadata (at 1e8
-    # chunks this is still two int64 vectors)
-    import pyarrow.parquet as pq
-    meta = pq.read_table(
-        enc_dir, columns=["n_rows", f"{col}__vmin"]).to_pandas()
-    n_total_chunks = len(meta)
-    if n_total_chunks == 0:
+    # pass 0 reads two tiny int columns (at 1e8 chunks still two int64
+    # vectors)
+    files = _table_files(enc_dir)
+    if not files:
         return (pd.DataFrame({"value": pd.Series([], dtype="int64"),
                               "n": pd.Series([], dtype="int64")}),
                 {"chunks_total": 0, "chunks_scanned": 0,
-                 "chunks_skipped": 0})
-    m = meta.sort_values(f"{col}__vmin", ascending=False)
-    cum = m["n_rows"].cumsum()
-    covered = cum.searchsorted(k)     # first index with cumsum >= k
-    if covered >= len(m):
-        t_bound = None                # fewer than k rows exist: scan all
-    else:
-        t_bound = int(m[f"{col}__vmin"].iloc[covered])
+                 "chunks_skipped": 0, "threshold": None})
+    m = pds.dataset(files, format="parquet") \
+        .to_table(columns=["n_rows", f"{col}__vmin"]).to_pandas() \
+        .sort_values(f"{col}__vmin", ascending=False)
+    covered = m["n_rows"].cumsum().searchsorted(k)  # first cumsum >= k
+    # fewer than k rows exist: scan all
+    t_bound = None if covered >= len(m) else \
+        int(m[f"{col}__vmin"].iloc[covered])
 
     need = ["n_rows"] + [f"{col}__{p}"
                          for p in ("codec", "payload", "dtype", "valid")]
@@ -2769,41 +2739,25 @@ def encoded_topk_rows(enc_dir: str, col: str, k: int):
             cut = int(np.searchsorted(np.cumsum(counts), k)) + 1
             vs.append(vals[:cut].astype(np.int64))
             cs.append(counts[:cut])
-        if not vs:
-            return pa.table({"value": pa.array([], type=pa.int64()),
-                             "c": pa.array([], type=pa.int64()),
-                             "chunks": pa.array([len(batch)],
-                                                type=pa.int64())})
-        out_v = np.concatenate(vs)
-        out_c = np.concatenate(cs)
-        pad = np.zeros(len(out_v), np.int64)
-        pad[0] = len(batch)
-        return pa.table({"value": pa.array(out_v),
-                         "c": pa.array(out_c),
-                         "chunks": pa.array(pad)})
+        empty = np.empty(0, np.int64)
+        return _with_meters(
+            {"value": np.concatenate(vs) if vs else empty,
+             "c": np.concatenate(cs) if cs else empty}, "c", [len(batch)])
 
-    ds = ray.data.read_parquet(enc_dir, columns=need, filter=flt)
-    hist = ds.map_batches(partial, batch_format="pyarrow") \
-        .groupby("value").aggregate(Sum("c", alias_name="n"),
-                                    Sum("chunks", alias_name="chunks")) \
-        .to_pandas()
-    scanned = int(hist["chunks"].sum()) if len(hist) else 0
-    hist = hist.drop(columns=["chunks"]) \
-        .sort_values("value", ascending=False).reset_index(drop=True)
-    cum = hist["n"].cumsum()
+    parts, n_total = _scan_partials(enc_dir, need, flt, partial)
+    rows, counters = _collect_partials(parts, ["value", "c"], "c",
+                                       n_total, [])
+    hist = rows.groupby("value")["c"].sum().sort_index(ascending=False)
+    cum = hist.cumsum()
     # k past the table size keeps every row (cut clamps to the
     # histogram length; nothing to trim since cumsum never reaches k)
     cut = min(int(cum.searchsorted(k)) + 1, len(hist))
-    top = hist.iloc[:cut].copy()
-    if len(top) and int(cum.iloc[cut - 1]) > k:
-        top.loc[top.index[-1], "n"] -= int(cum.iloc[cut - 1]) - k
-    top["value"] = top["value"].astype("int64")
-    top["n"] = top["n"].astype("int64")
-    counters = {"chunks_total": n_total_chunks,
-                "chunks_scanned": scanned,
-                "chunks_skipped": n_total_chunks - scanned,
-                "threshold": t_bound}
-    return top.reset_index(drop=True), counters
+    top = pd.DataFrame({"value": hist.index[:cut].to_numpy(np.int64),
+                        "n": hist.to_numpy(np.int64)[:cut]})
+    if cut and int(cum.iloc[cut - 1]) > k:
+        top.loc[cut - 1, "n"] -= int(cum.iloc[cut - 1]) - k
+    counters["threshold"] = t_bound
+    return top, counters
 
 
 def _column_checksums(ds, columns: list[str]) -> dict:
