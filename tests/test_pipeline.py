@@ -1339,6 +1339,37 @@ def test_encoded_range_count_three_way_split(ray_session, tmp_path):
     assert counters["chunks_scanned"] == 0
 
 
+def test_range_scan_prunes_and_filters(ray_session, tmp_path):
+    """``range_scan`` counts the chunks its zone filter keeps, and the
+    decoded rows of those chunks, row-filtered, equal the pandas
+    selection; a disjoint range keeps no chunk."""
+    import pandas as pd
+    import ray.data
+
+    from tokrle.pipelines.table_encode import encode_table_columns, range_scan
+
+    rng = np.random.default_rng(33)
+    df = pd.DataFrame({
+        "key": np.sort(rng.integers(0, 40, 8192)).astype("int64"),
+        "v": rng.integers(-50, 50, 8192).astype("int64"),
+    })
+    out_dir = str(tmp_path / "rscan")
+    encode_table_columns(ray.data.from_pandas(df), ["key", "v"],
+                         batch_size=512).write_parquet(out_dir)
+    ds, stats = range_scan(out_dir, ["key", "v"],
+                           [("key", 10, 20), ("v", 0, 49)])
+    got = ds.to_pandas().sort_values(["key", "v"]).reset_index(drop=True)
+    want = df[df["key"].between(10, 20) & df["v"].between(0, 49)] \
+        .sort_values(["key", "v"]).reset_index(drop=True)
+    pd.testing.assert_frame_equal(got, want)
+    keys = df["key"].to_numpy().reshape(16, 512)
+    assert stats == {"chunks_total": 16, "chunks_scanned": int(
+        ((keys.max(axis=1) >= 10) & (keys.min(axis=1) <= 20)).sum())}
+    assert 0 < stats["chunks_scanned"] < 16
+    _, stats = range_scan(out_dir, ["key"], [("key", 100, 200)])
+    assert stats == {"chunks_total": 16, "chunks_scanned": 0}
+
+
 @pytest.fixture
 def any_batching(monkeypatch):
     """``run(fn, *args, **kwargs)`` calls a pushdown entry point twice,
@@ -1376,7 +1407,8 @@ def nullable_kv(ray_session, tmp_path_factory):
     chunk-aligned groups 0-3 (group-pure chunks only), a 100-row group
     4 (mixed chunks only) and groups spanning both.  ``w`` never holds
     0, so a counted null filler shows, and is all NULL in groups 2
-    and 4."""
+    and 4.  The string column ``s`` is NULL where ``w`` is, and holds
+    ``''`` (the encoder's string null filler) too."""
     import ray.data
 
     from tokrle.pipelines.table_encode import encode_table_columns
@@ -1394,12 +1426,52 @@ def nullable_kv(ray_session, tmp_path_factory):
     tbl = pa.table({"k": pa.array(k, mask=kmask),
                     "v": pa.array(v, mask=vmask),
                     "g": pa.array(g),
-                    "w": pa.array(rng.integers(1, 10, n), mask=wmask)})
+                    "w": pa.array(rng.integers(1, 10, n), mask=wmask),
+                    "s": pa.array(rng.choice(["", "ab", "b", "cde", "zz"],
+                                             n), mask=wmask)})
     out_dir = str(tmp_path_factory.mktemp("nullable_kv"))
-    encode_table_columns(ray.data.from_arrow(tbl), ["k", "v", "g", "w"],
+    encode_table_columns(ray.data.from_arrow(tbl),
+                         ["k", "v", "g", "w", "s"],
                          batch_size=128).write_parquet(out_dir)
     return tbl, out_dir
 
+
+def _rows(name: str):
+    """A row-returning entry point as ``(frame, counters)``: the rows of
+    the Dataset it returns (concatenated as Arrow, so an empty answer
+    keeps its typed columns), and the counters of the shared row scan
+    (``_scan_rows``) it ran."""
+    def run(*args, **kwargs):
+        from unittest import mock
+
+        import ray
+
+        from tokrle.pipelines import table_encode
+
+        scan, seen = table_encode._scan_rows, []
+
+        def spy(*a, **kw):
+            seen.append(scan(*a, **kw))
+            return seen[-1]
+
+        with mock.patch.object(table_encode, "_scan_rows", spy):
+            ds = getattr(table_encode, name)(*args, **kwargs)
+        return pa.concat_tables(ray.get(ds.to_arrow_refs())).to_pandas(), \
+            seen[0][1]
+
+    return run
+
+
+def _entry(fn):
+    """A case's entry point: a ``table_encode`` name or a callable."""
+    from tokrle.pipelines import table_encode
+
+    return fn if callable(fn) else getattr(table_encode, fn)
+
+
+#: the dimension of the lookup-join cases, and the same rows in SQL
+_DIM = {"dk": [1, 2, 5], "name": [10, 20, 50]}
+_DIM_SQL = "(SELECT * FROM (VALUES (1, 10), (2, 20), (5, 50)) d(dk, name))"
 
 #: wrapper -> (args after enc_dir, SQL WHERE, output columns)
 _NULLABLE_CASES = {
@@ -1482,6 +1554,29 @@ _NULL_SKIP_CASES = {
     "encoded_distinct_count-where": (
         "encoded_distinct_count", ("w",), {"expr": ("range", "k", 0, 3)},
         "SELECT count(DISTINCT w) FROM t WHERE k BETWEEN 0 AND 3"),
+    "encoded_group_by_str": (
+        "encoded_group_by_str", ("g", ["v", "w"]),
+        {"expr": ("range", "k", 0, 3)},
+        "SELECT g, count(*), coalesce(sum(v), 0), coalesce(sum(w), 0) "
+        "FROM t WHERE k BETWEEN 0 AND 3 GROUP BY g"),
+    "encoded_str_distinct-where": (
+        "encoded_str_distinct", ("s",), {"expr": ("range", "k", 0, 3)},
+        "SELECT count(DISTINCT s) FROM t WHERE k BETWEEN 0 AND 3"),
+    "encoded_string_value_count": (
+        "encoded_string_value_count", ("s", ""), {},
+        "SELECT count(*) FROM t WHERE s = ''"),
+    "encoded_str_minmax": (
+        "encoded_str_minmax", ("s",), {}, "SELECT min(s), max(s) FROM t"),
+    "encoded_scan_where": (
+        _rows("encoded_scan_where"),
+        (("not", ("eq", "k", 5)), ["k", "v", "w", "s"]), {},
+        "SELECT k, v, w, s FROM t WHERE NOT (k = 5)"),
+    "encoded_lookup_join": (
+        _rows("encoded_lookup_join"),
+        ("k", _DIM, "dk", ["name"], ["v", "w", "s"]),
+        {"expr": ("not", ("eq", "v", 0))},
+        f"SELECT k, v, w, s, name FROM t JOIN {_DIM_SQL} ON k = dk "
+        "WHERE NOT (v = 0)"),
 }
 
 
@@ -1493,25 +1588,27 @@ def test_null_skipping_aggregates_match_duckdb(nullable_kv, any_batching,
     columns like SQL: aggregates and DISTINCT skip NULLs — value 0, the
     encoder's null filler, is never counted for a NULL slot — and
     NULL predicate operands never match.  Multi-row outputs compare as
-    sorted row lists, alike per chunk and per batch."""
+    sorted row lists, alike per chunk and per batch.  The string cores
+    skip NULL strings the same way, and the row scans return NULL for a
+    NULL projected slot."""
     import duckdb
-
-    from tokrle.pipelines import table_encode
 
     fn, args, kwargs, sql = _NULL_SKIP_CASES[case]
     tbl, out_dir = nullable_kv
-    got, _ = any_batching(getattr(table_encode, fn), out_dir, *args,
-                        **kwargs)
+    got, _ = any_batching(_entry(fn), out_dir, *args, **kwargs)
     con = duckdb.connect()
     con.register("t", tbl)
     want = con.execute(sql).fetchall()
 
     def py(v):
-        return v if v is None or isinstance(v, str) else int(v)
+        # a NULL row value reads as NaN from a float-typed frame column
+        return None if v is None or v != v else \
+            v if isinstance(v, str) else int(v)
 
-    assert sorted(tuple(py(v) for v in row)
-                  for row in got.itertuples(index=False)) == \
-        sorted(tuple(py(v) for v in row) for row in want), case
+    # repr orders rows that hold None next to ints
+    assert sorted((tuple(py(v) for v in row)
+                   for row in got.itertuples(index=False)), key=repr) == \
+        sorted((tuple(py(v) for v in row) for row in want), key=repr), case
 
 
 @pytest.mark.parametrize("fn", ["encoded_group_agg",
@@ -1575,7 +1672,25 @@ _PRUNED_CASES = {
          "hist_rows": 0}),
     "encoded_group_by_str": (
         "encoded_group_by_str", ("g", ["w"]), {"expr": _PRUNED},
-        [("g", "object"), ("n", "int64"), ("sum_w", "int64")], [],
+        [("g", "int64"), ("n", "int64"), ("sum_w", "int64")], [],
+        {"all_hit_chunks": 0, "run_chunks": 0}),
+    "encoded_distinct_count": (
+        "encoded_distinct_count", ("w",), {"expr": _PRUNED},
+        [("n_distinct", "int64")], [[0]],
+        {"chunks_closed_form": 0, "chunks_decoded": 0,
+         "chunks_gathered": 0}),
+    "encoded_str_distinct": (
+        "encoded_str_distinct", ("s",), {"expr": _PRUNED},
+        [("n_distinct", "int64")], [[0]],
+        {"chunks_header_only": 0, "chunks_decoded": 0}),
+    "encoded_scan_where": (
+        _rows("encoded_scan_where"), (_PRUNED, ["k", "w", "s"]), {},
+        [("k", "int64"), ("w", "int64"), ("s", "object")], [],
+        {"all_hit_chunks": 0, "run_chunks": 0}),
+    "encoded_lookup_join": (
+        _rows("encoded_lookup_join"),
+        ("g", {"dk": [300, 301], "name": [1, 2]}, "dk", ["name"], ["s"]),
+        {}, [("g", "int64"), ("s", "object"), ("name", "int64")], [],
         {"all_hit_chunks": 0, "run_chunks": 0}),
 }
 
@@ -1586,12 +1701,9 @@ def test_pruned_scan_empty_answer(nullable_kv, any_batching, case):
     predicate-tree scan core returns its
     empty answer with fixed columns and dtypes, and counts every chunk
     as skipped."""
-    from tokrle.pipelines import table_encode
-
     fn, args, kwargs, dtypes, rows, extra = _PRUNED_CASES[case]
     _, out_dir = nullable_kv
-    got, counters = any_batching(getattr(table_encode, fn), out_dir, *args,
-                               **kwargs)
+    got, counters = any_batching(_entry(fn), out_dir, *args, **kwargs)
     assert [(c, str(t)) for c, t in got.dtypes.items()] == dtypes
     assert got.values.tolist() == rows
     assert counters == {"chunks_total": 32, "chunks_scanned": 0,
@@ -1612,6 +1724,18 @@ _SCANS = {
     "encoded_topk_rows": ("encoded_topk_rows", ("g", 40), {}),
     "encoded_group_by_str": ("encoded_group_by_str",
                              ("g", []), {"expr": ("range", "g", 3, 9)}),
+    "encoded_distinct_count": ("encoded_distinct_count", ("w",),
+                               {"expr": ("range", "k", 0, 3)}),
+    "encoded_string_value_count": ("encoded_string_value_count",
+                                   ("s", "ab"), {}),
+    "encoded_str_distinct": ("encoded_str_distinct", ("s",),
+                             {"expr": ("range", "k", 0, 3)}),
+    "encoded_str_quantiles": ("encoded_str_quantiles", ("s",), {}),
+    "encoded_str_minmax": ("encoded_str_minmax", ("s",), {}),
+    "encoded_scan_where": (_rows("encoded_scan_where"),
+                           (("range", "k", 0, 3), ["k", "w", "s"]), {}),
+    "encoded_lookup_join": (_rows("encoded_lookup_join"),
+                            ("k", _DIM, "dk", ["name"], ["w", "s"]), {}),
 }
 
 
@@ -1623,17 +1747,15 @@ def test_scans_start_no_ray_job(nullable_kv, monkeypatch, case):
     import pandas as pd
     import ray.data
 
-    from tokrle.pipelines import table_encode
-
     fn, args, kwargs = _SCANS[case]
     _, out_dir = nullable_kv
-    want, want_ctr = getattr(table_encode, fn)(out_dir, *args, **kwargs)
+    want, want_ctr = _entry(fn)(out_dir, *args, **kwargs)
 
     def no_job(*a, **kw):
         raise AssertionError("a scan started a Ray job")
 
     monkeypatch.setattr(ray.data, "read_parquet", no_job)
-    got, ctr = getattr(table_encode, fn)(out_dir, *args, **kwargs)
+    got, ctr = _entry(fn)(out_dir, *args, **kwargs)
     pd.testing.assert_frame_equal(got, want)
     assert ctr == want_ctr and ctr["chunks_scanned"] > 0
 

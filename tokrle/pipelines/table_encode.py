@@ -340,19 +340,21 @@ def range_scan(enc_dir: str, columns: list[str],
     hi`` (per range) is pushed into the Parquet scan, so non-overlapping
     chunks' payloads never leave storage; surviving chunks decode and
     row-filter.  Returns ``(Dataset, {"chunks_total", "chunks_scanned"})``
-    — the counts come from two metadata-column reads, cheap relative to
-    payload decode, and let callers assert the layout actually pruned.
+    — the counts come from the footers and the zone-map columns, read in
+    the caller, and let callers assert the layout actually pruned.
     """
     import pyarrow.compute as pc
+    import pyarrow.dataset as pds
     import ray.data
 
     keep = None
     for c, lo, hi in preds:
         e = (pc.field(f"{c}__vmax") >= lo) & (pc.field(f"{c}__vmin") <= hi)
         keep = e if keep is None else keep & e
+    files = _table_files(enc_dir)
     n_total = _n_chunks(enc_dir)
-    n_kept = ray.data.read_parquet(enc_dir, columns=["n_rows"],
-                                   filter=keep).count()
+    n_kept = pds.dataset(files, format="parquet").count_rows(filter=keep) \
+        if files else 0
     dec = decode_table_columns(
         ray.data.read_parquet(enc_dir, filter=keep), columns)
 
@@ -407,10 +409,10 @@ def encoded_distinct_count(enc_dir: str, col: str,
     decoding: each chunk's distinct set comes from the codec's own
     streams via :func:`tokrle.codecs.core.distinct_values` (dict chunks
     never read their code stream — the dictionary IS the distinct set;
-    rle chunks read the O(#runs) value stream), per-batch sets union
-    before leaving the task, and a hash-partitioned two-level dedupe
-    counts the survivors — the exchange carries at most
-    (#batches x chunk cardinality) values, never rows.
+    rle chunks read the O(#runs) value stream), per-batch sets union in
+    the scan (:func:`_scan_partials`, in the caller), and the caller
+    counts the distinct values of their union — the partials hold at
+    most (#batches x chunk cardinality) values, never rows.
 
     ``expr`` (optional boolean predicate TREE, the integer sibling of
     :func:`encoded_str_distinct`'s filter): chunks the tree excludes
@@ -431,13 +433,10 @@ def encoded_distinct_count(enc_dir: str, col: str,
     many chunks answered from a closed form (dict/rle, wholly selected
     and null-free) vs decode/gather."""
     import pandas as pd
-    import ray.data
-    from ray.data.aggregate import Sum
 
     from tokrle.codecs.core import distinct_values, gather_runs
 
     pred_cols = _expr_pred_cols(expr)
-    n_total = _n_chunks(enc_dir)
 
     def partial(batch: pa.Table) -> pa.Table:
         nrows = batch.column("n_rows").to_numpy(zero_copy_only=False)
@@ -468,9 +467,8 @@ def encoded_distinct_count(enc_dir: str, col: str,
                 if isinstance(sel, str) else \
                 np.unique(gather_runs(codec, payload, n, dt, *sel))
             # normalize every dtype into the int64 image before the
-            # exchange (uint64 via the order-preserving bias, datetime
-            # via its epoch counts) — sentinel/counter rows are int64,
-            # so a mixed-schema block concat would otherwise crash
+            # fold (uint64 via the order-preserving bias, datetime via
+            # its epoch counts) — the partial rows are int64
             if u.dtype == np.uint64:
                 u = _hist_bias_u64(u)
             elif u.dtype.kind == "M":
@@ -478,32 +476,15 @@ def encoded_distinct_count(enc_dir: str, col: str,
             parts.append(u.astype(np.int64))
         u = np.unique(np.concatenate(parts)) if parts \
             else np.empty(0, np.int64)
-        # counter ROWS (kind 1/2/3) ride the same exchange — O(1) rows
-        # per batch, no zero-padded columns
-        return pa.table({
-            "kind": pa.array(np.concatenate(
-                (np.zeros(len(u), np.int64), [1, 2, 3]))),
-            "v": pa.array(np.concatenate((u, [0, 0, 0]))),
-            "m": pa.array(np.concatenate(
-                (np.zeros(len(u), np.int64),
-                 [closed, decoded, gathered])))})
+        return _with_meters({"v": u}, "v",
+                            [len(batch), closed, decoded, gathered])
 
-    ds = ray.data.read_parquet(enc_dir, columns=_scan_columns(expr, [col]),
-                               filter=_expr_zone_filter(expr))
-    agg = ds.map_batches(partial, batch_format="pyarrow") \
-        .groupby(["kind", "v"]).aggregate(
-        Sum("m", alias_name="m")).to_pandas()
-    if agg.empty:   # zone filter pruned every chunk
-        return (pd.DataFrame({"n_distinct": [0]}),
-                {"chunks_total": n_total, "chunks_closed_form": 0,
-                 "chunks_decoded": 0, "chunks_gathered": 0})
-    meters = agg[agg["kind"] > 0].set_index("kind")["m"]
-    counters = {"chunks_total": n_total,
-                "chunks_closed_form": int(meters.get(1, 0)),
-                "chunks_decoded": int(meters.get(2, 0)),
-                "chunks_gathered": int(meters.get(3, 0))}
-    n_distinct = int((agg["kind"] == 0).sum())
-    return pd.DataFrame({"n_distinct": [n_distinct]}), counters
+    parts, n_total = _scan_partials(enc_dir, _scan_columns(expr, [col]),
+                                    _expr_zone_filter(expr), partial)
+    rows, counters = _collect_partials(
+        parts, ["v"], "v", n_total,
+        ["chunks_closed_form", "chunks_decoded", "chunks_gathered"])
+    return pd.DataFrame({"n_distinct": [rows["v"].nunique()]}), counters
 
 
 def encoded_string_value_count(enc_dir: str, col: str, value: str):
@@ -521,26 +502,19 @@ def encoded_string_value_count(enc_dir: str, col: str, value: str):
     where counters report how many chunks the length prefilter
     eliminated."""
     import pandas as pd
-    import ray.data
-    from ray.data.aggregate import Sum
 
     from tokrle.codecs.core import count_eq, decode as codec_decode
 
     vbytes = value.encode("utf-8")
     vlen = len(vbytes)
     varr = np.frombuffer(vbytes, dtype=np.uint8)
-    # validate the column kind up front: an integer column has no
-    # __lens_payload, and the read below would fail with an opaque
-    # missing-column KeyError instead of naming the contract
-    spec0 = ray.data.read_parquet(
-        enc_dir, columns=[f"{col}__codec"]).take(1)
-    if spec0 and not str(spec0[0][f"{col}__codec"]) \
-            .startswith(("str:", "sdict:")):
-        raise TypeError(f"column {col!r}: not a string column "
-                        f"({spec0[0][f'{col}__codec']})")
-    need = ["n_rows"] + [f"{col}__{p}"
-                         for p in ("codec", "payload", "lens_payload",
-                                   "valid")]
+    # validate the column kind up front from the footer schema: an
+    # integer column has no __lens_payload, and the read below would
+    # fail with an opaque missing-column error instead of naming the
+    # contract
+    fields, first_file = _footer_fields(enc_dir)
+    if first_file is not None and f"{col}__lens_payload" not in fields:
+        raise TypeError(f"column {col!r}: not a string column")
 
     def partial(batch: pa.Table) -> pa.Table:
         nrows = batch.column("n_rows").to_numpy(zero_copy_only=False)
@@ -606,21 +580,16 @@ def encoded_string_value_count(enc_dir: str, col: str, value: str):
             starts = offs[:-1][cand]
             idx = starts[:, None] + np.arange(vlen)
             total += int(np.count_nonzero((data[idx] == varr).all(axis=1)))
-        return pa.table({
-            "n_match": pa.array([total], type=pa.int64()),
-            "chunks": pa.array([len(batch)], type=pa.int64()),
-            "text_decoded": pa.array([decoded], type=pa.int64())})
+        return _with_meters({"n_match": [total]}, "n_match",
+                            [len(batch), decoded])
 
-    ds = ray.data.read_parquet(enc_dir, columns=need)
-    row = ds.map_batches(partial, batch_format="pyarrow").aggregate(
-        Sum("n_match", alias_name="n_match"),
-        Sum("chunks", alias_name="chunks"),
-        Sum("text_decoded", alias_name="text_decoded"))
-    counters = {"chunks_total": int(row["chunks"] or 0),
-                "chunks_text_decoded": int(row["text_decoded"] or 0),
-                "chunks_skipped_by_length":
-                    int(row["chunks"] or 0) - int(row["text_decoded"] or 0)}
-    return pd.DataFrame({"n_match": [int(row["n_match"] or 0)]}), counters
+    parts, n_total = _scan_partials(
+        enc_dir, _scan_columns(None, [], str_cols=[col]), None, partial)
+    rows, counters = _collect_partials(parts, ["n_match"], "n_match",
+                                       n_total, ["chunks_text_decoded"])
+    counters["chunks_skipped_by_length"] = \
+        counters["chunks_scanned"] - counters["chunks_text_decoded"]
+    return pd.DataFrame({"n_match": [int(rows["n_match"].sum())]}), counters
 
 
 def encoded_histogram(enc_dir: str, col: str):
@@ -1267,12 +1236,15 @@ def _chunk_valid(batch: pa.Table, c: str, i: int) -> bytes:
     return batch.column(f"{c}__valid")[i].as_py() or b""
 
 
-def _chunk_str_col(batch: pa.Table, c: str, i: int):
+def _chunk_str_col(batch: pa.Table, c: str, i: int, nulls: bool = False):
     """(spec, lens_payload, text_payload) of string chunk ``i`` — the
-    inputs of :func:`tokrle.codecs.core.match_eq_str`.  Nullable chunks
-    raise (the layer contract; also keeps NOT over string leaves sound,
-    SQL ``<>`` excludes NULLs)."""
-    if len(batch.column(f"{c}__valid")[i].as_py() or b""):
+    inputs of :func:`tokrle.codecs.core.match_eq_str` and
+    :func:`tokrle.codecs.core.gather_str_runs`.  Nullable chunks raise
+    (the layer contract of string predicates and GROUP BY keys; also
+    keeps NOT over string leaves sound, SQL ``<>`` excludes NULLs)
+    unless ``nulls``: then null slots read as ``''`` and the caller
+    applies :func:`_chunk_valid`."""
+    if not nulls and _chunk_valid(batch, c, i):
         raise ValueError(
             f"column {c!r}: nullable chunks not supported by "
             "compressed-domain string predicates")
@@ -2013,29 +1985,18 @@ def encoded_str_distinct(enc_dir: str, col: str,
     stream never decodes); predicate-selected sdict chunks gather only
     the selected CODES and dedup those (codes -> values via one
     dictionary take); plain ``str`` chunks decode and dedup locally.
-    The exchange carries per-chunk distinct value sets
-    (cardinality-bounded), never rows.  Null slots are excluded (SQL
-    ``COUNT(DISTINCT col)`` ignores NULLs), with or without a
-    predicate.  Returns ``(DataFrame(n_distinct), counters)``."""
+    The partials of :func:`_scan_partials` hold per-batch distinct
+    value sets (cardinality-bounded), never rows.  Null slots are
+    excluded (SQL ``COUNT(DISTINCT col)`` ignores NULLs), with or
+    without a predicate, and predicate columns evaluate under SQL
+    three-valued logic.  Returns ``(DataFrame(n_distinct), counters)``."""
     import pandas as pd
     import pyarrow.compute as pc
-    import ray.data
-    from ray.data.aggregate import Count, Sum
 
     from tokrle.codecs.core import (_sdict_distinct_array, gather_str_runs,
                                     sdict_unpack)
 
     pred_cols = _expr_pred_cols(expr)
-    n_total = _n_chunks(enc_dir)
-
-    def _chunk_col(batch, c, i):
-        if len(batch.column(f"{c}__valid")[i].as_py() or b""):
-            raise ValueError(
-                f"column {c!r}: nullable chunks not supported by the "
-                "compressed-domain string distinct's predicates")
-        return (batch.column(f"{c}__codec")[i].as_py(),
-                memoryview(batch.column(f"{c}__payload")[i].as_buffer()),
-                np.dtype(batch.column(f"{c}__dtype")[i].as_py()))
 
     def partial(batch: pa.Table) -> pa.Table:
         nrows = batch.column("n_rows").to_numpy(zero_copy_only=False)
@@ -2050,15 +2011,9 @@ def encoded_str_distinct(enc_dir: str, col: str,
             if not spec.startswith(("str:", "sdict:")):
                 raise TypeError(
                     f"column {col!r}: not a string column ({spec})")
-            lp = memoryview(
-                batch.column(f"{col}__lens_payload")[i].as_buffer())
-            tp = memoryview(
-                batch.column(f"{col}__payload")[i].as_buffer())
-            sel = _valid_sel(
-                _expr_eval(expr, i, n, zmin, zmax,
-                           lambda c2, j: _chunk_col(batch, c2, j),
-                           lambda c2, j: _chunk_str_col(batch, c2, j)),
-                _chunk_valid(batch, col, i), n)
+            _, lp, tp = _chunk_str_col(batch, col, i, nulls=True)
+            sel = _valid_sel(_chunk_sel(expr, batch, i, n, zmin, zmax),
+                             _chunk_valid(batch, col, i), n)
             if _rp_empty(sel):
                 continue
             if spec.startswith("sdict:") and isinstance(sel, str):
@@ -2074,39 +2029,16 @@ def encoded_str_distinct(enc_dir: str, col: str,
             out_vals.append(pc.unique(arr))
         u = pc.unique(pa.concat_arrays(out_vals)) if out_vals else \
             pa.array([], type=pa.large_utf8())
-        hdr = np.zeros(max(len(u), 1), np.int64)
-        hdr[0] = header_only
-        dec = np.zeros(max(len(u), 1), np.int64)
-        dec[0] = decoded_chunks
-        # the counters ride the value exchange (first slot; a sentinel
-        # row carries them when the batch yielded no values)
-        vals = u if len(u) else pa.array([""], type=pa.large_utf8())
-        kind = np.zeros(max(len(u), 1), np.int64)
-        if not len(u):
-            kind[0] = 1
-        return pa.table({"v": vals,
-                         "kind": pa.array(kind),
-                         "hdr": pa.array(hdr),
-                         "dec": pa.array(dec)})
+        return _with_meters({"v": u, "m": np.zeros(len(u), np.int64)}, "m",
+                            [len(batch), header_only, decoded_chunks])
 
-    ds = ray.data.read_parquet(enc_dir,
-                               columns=_scan_columns(expr, [], str_cols=[col]),
-                               filter=_expr_zone_filter(expr))
-    flat = ds.map_batches(partial, batch_format="pyarrow")
-    agg = flat.groupby(["kind", "v"]).aggregate(
-        Count(alias_name="_c"),
-        Sum("hdr", alias_name="hdr"),
-        Sum("dec", alias_name="dec")).to_pandas()
-    if agg.empty:   # zone filter pruned every chunk
-        return (pd.DataFrame({"n_distinct": [0]}),
-                {"chunks_total": n_total, "chunks_header_only": 0,
-                 "chunks_decoded": 0})
-    real = agg[agg["kind"] == 0]
-    counters = {"chunks_total": n_total,
-                "chunks_header_only": int(agg["hdr"].sum()),
-                "chunks_decoded": int(agg["dec"].sum())}
-    return (pd.DataFrame({"n_distinct": [int(len(real))]}),
-            counters)
+    parts, n_total = _scan_partials(
+        enc_dir, _scan_columns(expr, [], str_cols=[col]),
+        _expr_zone_filter(expr), partial)
+    rows, counters = _collect_partials(
+        parts, ["v", "m"], "m", n_total,
+        ["chunks_header_only", "chunks_decoded"])
+    return pd.DataFrame({"n_distinct": [rows["v"].nunique()]}), counters
 
 
 def encoded_str_quantiles(enc_dir: str, col: str,
@@ -2117,26 +2049,20 @@ def encoded_str_quantiles(enc_dir: str, col: str,
     (:func:`tokrle.codecs.core.value_counts` closed forms — the text
     never decodes beyond the dictionary header) and map codes to the
     distinct set; plain ``str`` chunks decode once and fold with Arrow
-    ``value_counts``.  The exchange carries (string value, count)
-    pairs bounded by chunk cardinality, never rows; the driver sorts
-    the folded histogram in UTF-8 byte order (== code-point order, so
-    Python/pandas sorting matches DuckDB's binary collation) and picks
-    ranks with the shared integer ceil-division.  Null slots are
+    ``value_counts``.  The partials of :func:`_scan_partials` hold
+    (string value, count) pairs bounded by chunk cardinality, never
+    rows; the caller sorts the folded histogram in UTF-8 byte order
+    (== code-point order, so Python/pandas sorting matches DuckDB's
+    binary collation) and picks ranks with the shared integer
+    ceil-division.  Null slots are
     skipped like SQL; the returned ``n_rows`` counts non-null values.
     Returns ``(DataFrame(q_num, q_den, quantile, n_rows), counters)``
     with ``quantile`` None when every value is NULL."""
     import pandas as pd
     import pyarrow.compute as pc
-    import ray.data
 
-    from tokrle.codecs.core import (_mask_to_runs, _sdict_distinct_array,
-                                    gather_str_runs, sdict_unpack,
-                                    value_counts)
-
-    need = ["n_rows"] + [f"{col}__{p}"
-                         for p in ("codec", "payload", "lens_payload",
-                                   "valid")]
-    n_total = _n_chunks(enc_dir)
+    from tokrle.codecs.core import (_sdict_distinct_array, gather_str_runs,
+                                    sdict_unpack, value_counts)
 
     def partial(batch: pa.Table) -> pa.Table:
         nrows = batch.column("n_rows").to_numpy(zero_copy_only=False)
@@ -2150,11 +2076,8 @@ def encoded_str_quantiles(enc_dir: str, col: str,
             if not spec.startswith(("str:", "sdict:")):
                 raise TypeError(
                     f"column {col!r}: not a string column ({spec})")
-            vb = batch.column(f"{col}__valid")[i].as_py() or b""
-            lp = memoryview(
-                batch.column(f"{col}__lens_payload")[i].as_buffer())
-            tp = memoryview(
-                batch.column(f"{col}__payload")[i].as_buffer())
+            vb = _chunk_valid(batch, col, i)
+            _, lp, tp = _chunk_str_col(batch, col, i, nulls=True)
             if spec.startswith("sdict:") and not vb:
                 # closed form: histogram the integer code stream, then
                 # one dictionary take — zero text gather
@@ -2165,17 +2088,11 @@ def encoded_str_quantiles(enc_dir: str, col: str,
                 cs.append(c.astype(np.int64))
                 code_only += 1
                 continue
-            if vb:  # SQL quantiles skip NULLs
-                valid = np.unpackbits(
-                    np.frombuffer(vb, dtype=np.uint8), count=n,
-                    bitorder="little").astype(bool)
-                runs = _mask_to_runs(valid)
-                if not len(runs[0]):
-                    continue
-            else:
-                runs = (np.zeros(1, np.int64), np.full(1, n, np.int64))
+            sel = _valid_sel(_ALL, vb, n)   # SQL quantiles skip NULLs
+            if _rp_empty(sel):
+                continue
             decoded_chunks += 1
-            arr = gather_str_runs(spec, lp, tp, n, *runs)
+            arr = gather_str_runs(spec, lp, tp, n, *_sel_runs(sel, n))
             vc = pc.value_counts(arr)
             vs.append(vc.field("values"))
             cs.append(vc.field("counts").to_numpy(zero_copy_only=False)
@@ -2187,26 +2104,15 @@ def encoded_str_quantiles(enc_dir: str, col: str,
         else:
             v_all = pa.array([], type=pa.large_utf8())
             c_all = np.empty(0, np.int64)
-        # counter rows ride the exchange under kind=1/2 (value column
-        # unused there); one streaming pass carries data + meters
-        return pa.table({
-            "kind": pa.array(np.concatenate(
-                (np.zeros(len(v_all), np.int64), [1, 2])),
-                type=pa.int64()),
-            "v": pa.concat_arrays(
-                [v_all, pa.array(["", ""], type=pa.large_utf8())]),
-            "c": pa.array(np.concatenate(
-                (c_all, [code_only, decoded_chunks])), type=pa.int64())})
+        return _with_meters({"v": v_all, "c": c_all}, "c",
+                            [len(batch), code_only, decoded_chunks])
 
-    part = ray.data.read_parquet(enc_dir, columns=need) \
-        .map_batches(partial, batch_format="pyarrow").to_pandas()
-    if part.empty:
-        # zero-row table / all-empty chunks: the UDF never ran
-        part = pd.DataFrame({"kind": pd.Series(dtype="int64"),
-                             "v": pd.Series(dtype="object"),
-                             "c": pd.Series(dtype="int64")})
-    meters = part[part["kind"] > 0].groupby("kind")["c"].sum()
-    hist = part[part["kind"] == 0].groupby("v", sort=True)["c"].sum()
+    parts, n_total = _scan_partials(
+        enc_dir, _scan_columns(None, [], str_cols=[col]), None, partial)
+    part, counters = _collect_partials(
+        parts, ["v", "c"], "c", n_total,
+        ["chunks_code_only", "chunks_decoded"])
+    hist = part.groupby("v", sort=True)["c"].sum()
     # pandas sorts str by code point == UTF-8 byte order (binary
     # collation), so the rank lookup below matches DuckDB
     values = hist.index.to_numpy()
@@ -2217,10 +2123,7 @@ def encoded_str_quantiles(enc_dir: str, col: str,
                  values[_hist_rank_idx(cum, n, q_num, q_den)]),
              "n_rows": n}
             for q_num, q_den in qs]
-    counters = {"chunks_total": n_total,
-                "chunks_code_only": int(meters.get(1, 0)),
-                "chunks_decoded": int(meters.get(2, 0)),
-                "hist_rows": int(len(hist))}
+    counters["hist_rows"] = int(len(hist))
     return pd.DataFrame(rows), counters
 
 
@@ -2231,33 +2134,33 @@ def encoded_str_minmax(enc_dir: str, col: str):
     folds; payloads never leave storage.  NOTE: chunks whose validity
     bitmap is non-empty fall back to a decode of that chunk (null
     slots canonicalize to ``''`` at encode, which would corrupt the
-    metadata min — SQL min/max skip NULLs).  Returns
-    ``(DataFrame(min_<col>, max_<col>), counters)``."""
+    metadata min — SQL min/max skip NULLs).  The two kinds of chunk
+    are two :func:`_scan_partials` reads, split by a filter on the
+    validity field.  Returns ``(DataFrame(min_<col>, max_<col>),
+    counters)``."""
     import pandas as pd
     import pyarrow.compute as pc
-    import ray.data
 
-    from tokrle.codecs.core import _mask_to_runs, gather_str_runs
+    from tokrle.codecs.core import gather_str_runs
 
-    n_total = _n_chunks(enc_dir)
     nullable = pc.binary_length(pc.field(f"{col}__valid")) > 0
 
+    def minmax_row(mn, mx, meters: list) -> pa.Table:
+        has = mn is not None
+        return _with_meters(
+            {"mn": pa.array([mn] if has else [], pa.large_utf8()),
+             "mx": pa.array([mx] if has else [], pa.large_utf8()),
+             "c": np.ones(int(has), np.int64)}, "c", meters)
+
     def meta_fold(batch: pa.Table) -> pa.Table:
-        nrows = batch.column("n_rows").to_numpy(zero_copy_only=False)
-        keep = nrows > 0
-        smin = pa.array(batch.column(f"{col}__smin").to_pandas()[keep])
-        smax = pa.array(batch.column(f"{col}__smax").to_pandas()[keep])
+        keep = pa.array(batch.column("n_rows").to_numpy(
+            zero_copy_only=False) > 0)
+        smin = batch.column(f"{col}__smin").filter(keep)
+        smax = batch.column(f"{col}__smax").filter(keep)
         has = len(smin) > 0
-        return pa.table({
-            "mn": pa.array(
-                [pc.min_max(smin)["min"].as_py() if has else ""],
-                type=pa.large_utf8()),
-            "mx": pa.array(
-                [pc.min_max(smax)["max"].as_py() if has else ""],
-                type=pa.large_utf8()),
-            "has": pa.array([int(has)], type=pa.int64()),
-            "meta": pa.array([int(keep.sum())], type=pa.int64()),
-            "dec": pa.array([0], type=pa.int64())})
+        return minmax_row(pc.min(smin).as_py() if has else None,
+                          pc.max(smax).as_py() if has else None,
+                          [len(batch), len(smin), 0])
 
     def decode_fold(batch: pa.Table) -> pa.Table:
         nrows = batch.column("n_rows").to_numpy(zero_copy_only=False)
@@ -2266,52 +2169,35 @@ def encoded_str_minmax(enc_dir: str, col: str):
             n = int(nrows[i])
             if n == 0:
                 continue
-            vb = batch.column(f"{col}__valid")[i].as_py() or b""
-            valid = np.unpackbits(
-                np.frombuffer(vb, dtype=np.uint8), count=n,
-                bitorder="little").astype(bool)
-            if not valid.any():   # all-NULL chunk contributes nothing
+            sel = _valid_sel(_ALL, _chunk_valid(batch, col, i), n)
+            if _rp_empty(sel):   # all-NULL chunk contributes nothing
                 continue
             decoded += 1
-            spec = batch.column(f"{col}__codec")[i].as_py()
-            lp = memoryview(
-                batch.column(f"{col}__lens_payload")[i].as_buffer())
-            tp = memoryview(
-                batch.column(f"{col}__payload")[i].as_buffer())
-            arr = gather_str_runs(spec, lp, tp, n,
-                                  *_mask_to_runs(valid))
-            mm = pc.min_max(arr)
+            spec, lp, tp = _chunk_str_col(batch, col, i, nulls=True)
+            mm = pc.min_max(gather_str_runs(spec, lp, tp, n,
+                                            *_sel_runs(sel, n)))
             lo, hi = mm["min"].as_py(), mm["max"].as_py()
             mn = lo if mn is None or lo < mn else mn
             mx = hi if mx is None or hi > mx else mx
-        has = mn is not None
-        return pa.table({
-            "mn": pa.array([mn if has else ""], type=pa.large_utf8()),
-            "mx": pa.array([mx if has else ""], type=pa.large_utf8()),
-            "has": pa.array([int(has)], type=pa.int64()),
-            "meta": pa.array([0], type=pa.int64()),
-            "dec": pa.array([decoded], type=pa.int64())})
+        return minmax_row(mn, mx, [len(batch), 0, decoded])
 
     # metadata pass: two short string fields per NON-NULL chunk —
     # payloads never leave storage
-    meta_ds = ray.data.read_parquet(
-        enc_dir, columns=["n_rows", f"{col}__smin", f"{col}__smax"],
-        filter=~nullable).map_batches(meta_fold, batch_format="pyarrow")
+    meta, n_total = _scan_partials(
+        enc_dir, ["n_rows", f"{col}__smin", f"{col}__smax"], ~nullable,
+        meta_fold)
     # nullable chunks (rare) decode their valid rows only
-    dec_ds = ray.data.read_parquet(
-        enc_dir, columns=["n_rows", f"{col}__codec", f"{col}__payload",
-                          f"{col}__lens_payload", f"{col}__valid"],
-        filter=nullable).map_batches(decode_fold, batch_format="pyarrow")
-    df = meta_ds.union(dec_ds).to_pandas()
-    real = df[df["has"] > 0]
-    counters = {"chunks_total": n_total,
-                "chunks_metadata_only": int(df["meta"].sum()),
-                "chunks_decoded": int(df["dec"].sum())}
-    if real.empty:
+    dec, _ = _scan_partials(
+        enc_dir, _scan_columns(None, [], str_cols=[col]), nullable,
+        decode_fold)
+    rows, counters = _collect_partials(
+        meta + dec, ["mn", "mx", "c"], "c", n_total,
+        ["chunks_metadata_only", "chunks_decoded"])
+    if rows.empty:
         return (pd.DataFrame({f"min_{col}": [None],
                               f"max_{col}": [None]}), counters)
-    return (pd.DataFrame({f"min_{col}": [str(real["mn"].min())],
-                          f"max_{col}": [str(real["mx"].max())]}),
+    return (pd.DataFrame({f"min_{col}": [str(rows["mn"].min())],
+                          f"max_{col}": [str(rows["mx"].max())]}),
             counters)
 
 
@@ -2333,8 +2219,10 @@ def encoded_group_by_str(enc_dir: str, group_col,
     positions, and each batch folds to (group tuple, count, partial
     sums) rows — the partials of :func:`_scan_partials` hold per-batch
     distinct group tuples, never table rows, and the caller sums them
-    per group.  Returns ``(DataFrame, counters)`` sorted by the group
-    columns; nullable chunks raise."""
+    per group.  Predicate columns evaluate under SQL three-valued
+    logic and aggregate SUMs skip NULLs; a nullable GROUP BY key chunk
+    raises.  Returns ``(DataFrame, counters)`` sorted by the group
+    columns."""
     import pandas as pd
 
     from tokrle.codecs.core import (decode as codec_decode,
@@ -2348,15 +2236,6 @@ def encoded_group_by_str(enc_dir: str, group_col,
     g_int = [g for g in gcols if g not in g_str]
     pred_cols = _expr_pred_cols(expr)
 
-    def _chunk_col(batch, c, i):
-        if len(batch.column(f"{c}__valid")[i].as_py() or b""):
-            raise ValueError(
-                f"column {c!r}: nullable chunks not supported by the "
-                "compressed-domain string grouping")
-        return (batch.column(f"{c}__codec")[i].as_py(),
-                memoryview(batch.column(f"{c}__payload")[i].as_buffer()),
-                np.dtype(batch.column(f"{c}__dtype")[i].as_py()))
-
     sum_names = [f"sum_{c}" for c in agg_cols]
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -2369,12 +2248,10 @@ def encoded_group_by_str(enc_dir: str, group_col,
             n = int(nrows[i])
             if n == 0:
                 continue
-            sel = _expr_eval(expr, i, n, zmin, zmax,
-                             lambda col, j: _chunk_col(batch, col, j),
-                             lambda col, j: _chunk_str_col(batch, col, j))
-            is_all = isinstance(sel, str)
-            if not is_all and not len(sel[0]):
+            sel = _chunk_sel(expr, batch, i, n, zmin, zmax)
+            if _rp_empty(sel):
                 continue
+            is_all = isinstance(sel, str)
             n_all += is_all
             n_run += not is_all
             runs = _sel_runs(sel, n)
@@ -2384,12 +2261,15 @@ def encoded_group_by_str(enc_dir: str, group_col,
                     grp_parts[g].append(
                         gather_str_runs(spec, lp, tp, n, *runs))
                 else:
+                    _check_group_key(batch, g, i)
                     codec, payload, dt = _chunk_col(batch, g, i)
                     grp_parts[g].append(
                         (codec_decode(codec, payload, n, dt) if is_all
                          else gather_runs(codec, payload, n, dt,
                                           *runs)).astype(np.int64))
             for c in agg_cols:
+                # the encoder fills NULL slots with 0, so the group sums
+                # are SQL's NULL-skipping SUM
                 codec, payload, dt = _chunk_col(batch, c, i)
                 v = (codec_decode(codec, payload, n, dt) if is_all
                      else gather_runs(codec, payload, n, dt, *runs))
@@ -2421,12 +2301,6 @@ def encoded_group_by_str(enc_dir: str, group_col,
     rows, counters = _collect_partials(
         parts, gnames + ["n"] + sum_names, "n", n_total,
         ["all_hit_chunks", "run_chunks"])
-    if not counters["chunks_scanned"]:
-        # every chunk pruned: the group columns stay untyped (object)
-        return pd.DataFrame({**{g: pd.Series([], dtype=object)
-                                for g in gcols},
-                             **{nm: pd.Series([], dtype="int64")
-                                for nm in ["n"] + sum_names}}), counters
     df = rows.groupby(gnames, sort=True)[["n"] + sum_names].sum() \
         .reset_index().rename(columns=dict(zip(gnames, gcols)))
     for g in gcols:
@@ -2437,113 +2311,118 @@ def encoded_group_by_str(enc_dir: str, group_col,
     return df, counters
 
 
-def encoded_scan_where(enc_dir: str, expr: tuple, out_cols: list[str]):
-    """``SELECT out_cols WHERE <predicate tree>`` over a table-encode
-    directory — the row-RETRIEVAL sibling of
-    :func:`encoded_boolean_agg`, with LATE MATERIALIZATION: the
-    predicate evaluates to a selection run-list per chunk (zone-map
-    short-circuits included), and only then are the projected columns
-    decoded, and only at the selected positions
-    (:func:`tokrle.codecs.core.gather_runs` — bit-addressable codecs
-    fetch each run via decode_range, touching O(selected) payload
-    bytes; sequential codecs decode once and gather).  Chunks the scan
-    filter or the evaluator rules out never decode anything.
-
-    Returns a lazy ``ray.data.Dataset`` of the matching rows (streamed,
-    never collected).  Projection columns may be integer OR string
-    (string projections late-materialize via
-    :func:`tokrle.codecs.core.gather_str_runs` — one lengths decode +
-    one vectorized byte gather of only the selected rows); nullable
-    chunks raise."""
-    import ray.data
+def _scan_rows(enc_dir: str, expr, cols: list[str]):
+    """Late materialization shared by :func:`encoded_scan_where` and
+    :func:`encoded_lookup_join`: ``expr`` (SQL three-valued logic,
+    zone-map short-circuits and scan filter included) evaluates to a
+    selection per chunk, and only then are ``cols`` decoded, and only
+    at the selected positions (:func:`tokrle.codecs.core.gather_runs`
+    for integer columns, :func:`tokrle.codecs.core.gather_str_runs` for
+    string ones).  NULL slots of a nullable column come back as NULL.
+    Returns ``(tables, counters)``: one table per scan batch that
+    selected a row, or one empty table typed from the footer when none
+    did."""
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
 
     from tokrle.codecs.core import decode as codec_decode
     from tokrle.codecs.core import gather_runs, gather_str_runs
 
-    pred_cols = _expr_pred_cols(expr)
-    # footer-schema probe (no data read): a projection column with a
-    # __lens_payload field is a string/list column and needs that
-    # stream; the str-vs-list dispatch happens on the codec spec
+    # footer-schema probe (no data read): a column with a __lens_payload
+    # field is a string/list column; the first row group's dtypes type
+    # an empty answer and reject list columns before any chunk is read
     fields, first_file = _footer_fields(enc_dir)
-    out_str = [c for c in out_cols if f"{c}__lens_payload" in fields]
-    # dtype probe (first footer row group only): pins the output schema
-    # so a fully-zone-pruned scan still yields a typed empty dataset,
-    # and rejects unsupported projections before any task runs
-    out_dtypes = {}
+    str_cols = [c for c in cols if f"{c}__lens_payload" in fields]
+    dtypes = {c: "int64" for c in cols}     # empty directory
     if first_file is not None:
-        import pyarrow.parquet as _pq
-        first = _pq.ParquetFile(first_file).read_row_group(
-            0, columns=[f"{c}__dtype" for c in out_cols])
-        for c in out_cols:
-            d = first.column(f"{c}__dtype")[0].as_py()
-            if c in out_str and d != "str":
-                raise TypeError(f"column {c!r}: only string and integer "
-                                f"projections supported (dtype {d})")
-            out_dtypes[c] = d
-    need = _scan_columns(expr, out_cols, str_cols=out_str)
+        first = pq.ParquetFile(first_file).read_row_group(
+            0, columns=[f"{c}__dtype" for c in cols])
+        dtypes = {c: first.column(f"{c}__dtype")[0].as_py() for c in cols}
+    for c in str_cols:
+        if dtypes[c] != "str":
+            raise TypeError(f"column {c!r}: only string and integer "
+                            f"projections supported (dtype {dtypes[c]})")
+    empty = pa.table({c: pa.array([], pa.large_utf8()) if c in str_cols
+                      else pa.array(np.empty(0, np.dtype(dtypes[c])))
+                      for c in cols})
+    pred_cols = _expr_pred_cols(expr)
 
-    def _chunk_col(batch, c, i):
-        if len(batch.column(f"{c}__valid")[i].as_py() or b""):
-            raise ValueError(
-                f"column {c!r}: nullable chunks not supported by the "
-                "compressed-domain scan")
-        return (batch.column(f"{c}__codec")[i].as_py(),
-                memoryview(batch.column(f"{c}__payload")[i].as_buffer()),
-                np.dtype(batch.column(f"{c}__dtype")[i].as_py()))
-
-    def extract(batch: pa.Table) -> pa.Table:
+    def gather(batch: pa.Table):
         nrows = batch.column("n_rows").to_numpy(zero_copy_only=False)
         zmin, zmax = _zone_maps(batch, pred_cols)
-        parts: dict = {c: [] for c in out_cols}
+        vals: dict = {c: [] for c in cols}
+        oks: dict = {c: [] for c in cols}
+        n_all = n_run = 0
         for i in range(len(batch)):
             n = int(nrows[i])
-            sel = _expr_eval(expr, i, n, zmin, zmax,
-                             lambda col, j: _chunk_col(batch, col, j),
-                             lambda col, j: _chunk_str_col(batch, col, j))
+            if n == 0:
+                continue
+            sel = _chunk_sel(expr, batch, i, n, zmin, zmax)
             if _rp_empty(sel):
                 continue
+            is_all = isinstance(sel, str)
+            n_all += is_all
+            n_run += not is_all
             runs = _sel_runs(sel, n)
-            for c in out_cols:
-                if c in out_str:
-                    spec, lp, tp = _chunk_str_col(batch, c, i)
-                    if not spec.startswith(("str:", "sdict:")):
-                        raise TypeError(
-                            f"column {c!r}: only string and integer "
-                            f"projections supported ({spec})")
-                    parts[c].append(gather_str_runs(spec, lp, tp, n,
-                                                    *runs))
-                    continue
-                codec, payload, dt = _chunk_col(batch, c, i)
-                parts[c].append(
-                    codec_decode(codec, payload, n, dt)
-                    if isinstance(sel, str)
-                    else gather_runs(codec, payload, n, dt, *runs))
+            for c in cols:
+                if c in str_cols:
+                    spec, lp, tp = _chunk_str_col(batch, c, i, nulls=True)
+                    v = gather_str_runs(spec, lp, tp, n, *runs)
+                else:
+                    codec, payload, dt = _chunk_col(batch, c, i)
+                    v = codec_decode(codec, payload, n, dt) if is_all \
+                        else gather_runs(codec, payload, n, dt, *runs)
+                vals[c].append(v)
+                vb = _chunk_valid(batch, c, i)
+                oks[c].append(_sel_valid_mask(vb, n, sel) if vb
+                              else np.ones(len(v), bool))
+        meters = _with_meters({"n": np.empty(0, np.int64)}, "n",
+                              [len(batch), n_all, n_run])
+        if not n_all + n_run:
+            return empty, meters
         out = {}
-        for c in out_cols:
-            if c in out_str:
-                out[c] = pa.concat_arrays(parts[c]) if parts[c] else \
-                    pa.array([], type=pa.large_utf8())
-            elif parts[c]:
-                out[c] = pa.array(np.concatenate(parts[c]))
-            else:
-                # schema-stable empties: the column's true dtype comes
-                # from any chunk's metadata, selected or not
-                dt = np.dtype(batch.column(f"{c}__dtype")[0].as_py()) \
-                    if len(batch) else np.dtype(np.int64)
-                out[c] = pa.array(np.empty(0, dtype=dt))
-        return pa.table(out)
+        for c in cols:
+            arr = pa.concat_arrays(vals[c]) if c in str_cols \
+                else pa.array(np.concatenate(vals[c]))
+            ok = np.concatenate(oks[c])
+            out[c] = arr if ok.all() else \
+                pc.if_else(ok, arr, pa.scalar(None, arr.type))
+        return pa.table(out), meters
 
-    ds = ray.data.read_parquet(enc_dir, columns=need,
-                               filter=_expr_zone_filter(expr))
-    mapped = ds.map_batches(extract, batch_format="pyarrow")
-    # schema seed: one empty typed block so a scan whose zone filter
-    # prunes EVERY chunk still reports the projection schema
-    seed = pa.table({
-        c: (pa.array([], type=pa.large_utf8()) if c in out_str
-            else pa.array(np.empty(
-                0, dtype=np.dtype(out_dtypes.get(c, "int64")))))
-        for c in out_cols})
-    return mapped.union(ray.data.from_arrow(seed))
+    parts, n_total = _scan_partials(
+        enc_dir, _scan_columns(expr, [c for c in cols if c not in str_cols],
+                               str_cols=str_cols),
+        _expr_zone_filter(expr), gather)
+    _, counters = _collect_partials([m for _, m in parts], ["n"], "n",
+                                    n_total, ["all_hit_chunks", "run_chunks"])
+    return [t for t, _ in parts if t.num_rows] or [empty], counters
+
+
+def encoded_scan_where(enc_dir: str, expr: tuple, out_cols: list[str]):
+    """``SELECT out_cols WHERE <predicate tree>`` over a table-encode
+    directory — the row-RETRIEVAL sibling of
+    :func:`encoded_boolean_agg`, with LATE MATERIALIZATION
+    (:func:`_scan_rows`): the predicate evaluates to a selection
+    run-list per chunk (zone-map short-circuits included), and only
+    then are the projected columns decoded, and only at the selected
+    positions (:func:`tokrle.codecs.core.gather_runs` — bit-addressable
+    codecs fetch each run via decode_range, touching O(selected)
+    payload bytes; sequential codecs decode once and gather).  Chunks
+    the scan filter or the evaluator rules out never decode anything.
+
+    Projection columns may be integer OR string (string projections
+    late-materialize via :func:`tokrle.codecs.core.gather_str_runs` —
+    one lengths decode + one vectorized byte gather of only the
+    selected rows).  Predicate columns evaluate under SQL three-valued
+    logic, and NULL slots of projected columns come back as NULL.  The
+    scan runs in the caller, and the matching rows are collected there:
+    returns a ``ray.data.Dataset`` built with ``ray.data.from_arrow``,
+    one block per scan batch of at most :data:`_SCAN_BATCH_CHUNKS`
+    chunks."""
+    import ray.data
+
+    tables, _ = _scan_rows(enc_dir, expr, out_cols)
+    return ray.data.from_arrow(tables)
 
 
 def encoded_lookup_join(enc_dir: str, key_col: str, dim, dim_key: str,
@@ -2556,23 +2435,23 @@ def encoded_lookup_join(enc_dir: str, key_col: str, dim, dim_key: str,
     ANDed with ``expr``), so membership evaluates on the codec streams
     (rle: O(#runs); dict: sorted-set intersection + boolean-table code
     lookup) with zone-map chunk pruning; only then are ``key_col`` and
-    ``out_cols`` late-materialized at the matching positions, and the
-    dimension attributes ``dim_cols`` attach via one ``searchsorted``
-    against the broadcast keys.  The fact table never shuffles and
-    never decodes non-matching rows; the dimension rides into each task
-    once (closure capture — dimension sides that don't fit a task
-    closure belong in a shuffle join, not here).
+    ``out_cols`` late-materialized at the matching positions
+    (:func:`_scan_rows`), and the dimension attributes ``dim_cols``
+    attach via one ``searchsorted`` against the sorted keys.  The fact
+    table never shuffles and never decodes non-matching rows; the scan
+    and the attach run in the caller, so the dimension is never
+    shipped anywhere.
 
-    Returns a lazy ``ray.data.Dataset`` of joined rows (``key_col`` +
-    ``out_cols`` from the fact side, ``dim_cols`` from the dimension).
-    Dimension keys must be unique; fact out columns may be integer OR
-    string (string projections late-materialize via
-    :func:`tokrle.codecs.core.gather_str_runs`); nullable chunks
-    raise."""
+    Returns a ``ray.data.Dataset`` of joined rows (``key_col`` +
+    ``out_cols`` from the fact side, ``dim_cols`` from the dimension),
+    built with ``ray.data.from_arrow``, one block per scan batch of at
+    most :data:`_SCAN_BATCH_CHUNKS` chunks.  Dimension keys must be
+    unique; fact out columns may be integer OR string (string
+    projections late-materialize via
+    :func:`tokrle.codecs.core.gather_str_runs`).  A NULL fact key never
+    matches, ``expr`` follows SQL three-valued logic, and NULL slots of
+    ``out_cols`` come back as NULL."""
     import ray.data
-
-    from tokrle.codecs.core import decode as codec_decode
-    from tokrle.codecs.core import gather_runs, gather_str_runs
 
     keys = np.asarray(dim[dim_key], dtype=np.int64)
     if len(np.unique(keys)) != len(keys):
@@ -2585,81 +2464,28 @@ def encoded_lookup_join(enc_dir: str, key_col: str, dim, dim_key: str,
     if overlap:
         raise ValueError(f"dim_cols collide with fact columns: "
                          f"{sorted(overlap)}")
+    fields, _ = _footer_fields(enc_dir)
+    if f"{key_col}__lens_payload" in fields:
+        raise TypeError(f"join key {key_col!r} must be an integer "
+                        "column")
 
     join_expr = ("in", key_col, [int(k) for k in skeys])
     if expr is not None:
         join_expr = ("and", join_expr, expr)
+    tables, _ = _scan_rows(enc_dir, join_expr,
+                           list(dict.fromkeys([key_col] + list(out_cols))))
 
-    pred_cols = _expr_pred_cols(join_expr)
-    fact_cols = list(dict.fromkeys([key_col] + list(out_cols)))
-    # footer-schema probe (no data read): fact columns with a
-    # __lens_payload field are string projections
-    fields, _ = _footer_fields(enc_dir)
-    out_str = [c for c in fact_cols if f"{c}__lens_payload" in fields]
-    if key_col in out_str:
-        raise TypeError(f"join key {key_col!r} must be an integer "
-                        "column")
-    need = _scan_columns(join_expr, fact_cols, str_cols=out_str)
-
-    def _chunk_col(batch, c, i):
-        if len(batch.column(f"{c}__valid")[i].as_py() or b""):
-            raise ValueError(
-                f"column {c!r}: nullable chunks not supported by the "
-                "compressed-domain lookup join")
-        return (batch.column(f"{c}__codec")[i].as_py(),
-                memoryview(batch.column(f"{c}__payload")[i].as_buffer()),
-                np.dtype(batch.column(f"{c}__dtype")[i].as_py()))
-
-    def joined(batch: pa.Table) -> pa.Table:
-        nrows = batch.column("n_rows").to_numpy(zero_copy_only=False)
-        zmin, zmax = _zone_maps(batch, pred_cols)
-        parts: dict = {c: [] for c in fact_cols}
-        key_parts: list = []
-        for i in range(len(batch)):
-            n = int(nrows[i])
-            sel = _expr_eval(join_expr, i, n, zmin, zmax,
-                             lambda col, j: _chunk_col(batch, col, j),
-                             lambda col, j: _chunk_str_col(batch, col, j))
-            if _rp_empty(sel):
-                continue
-            runs = _sel_runs(sel, n)
-            for c in fact_cols:
-                if c in out_str:
-                    spec, lp, tp = _chunk_str_col(batch, c, i)
-                    parts[c].append(gather_str_runs(spec, lp, tp, n,
-                                                    *runs))
-                    continue
-                codec, payload, dt = _chunk_col(batch, c, i)
-                parts[c].append(
-                    codec_decode(codec, payload, n, dt)
-                    if isinstance(sel, str)
-                    else gather_runs(codec, payload, n, dt, *runs))
-            key_parts.append(parts[key_col][-1].astype(np.int64))
-        out = {}
-        for c in fact_cols:
-            if c in out_str:
-                out[c] = pa.concat_arrays(parts[c]) if parts[c] else \
-                    pa.array([], type=pa.large_utf8())
-            elif parts[c]:
-                out[c] = pa.array(np.concatenate(parts[c]))
-            else:
-                dt = np.dtype(batch.column(f"{c}__dtype")[0].as_py()) \
-                    if len(batch) else np.dtype(np.int64)
-                out[c] = pa.array(np.empty(0, dtype=dt))
+    def attach(t: pa.Table) -> pa.Table:
         # the `in` leaf guarantees membership (an ALL shortcut requires
         # the set to cover the chunk's whole zone window), so the
         # searchsorted positions are exact hits by construction
-        kv = np.concatenate(key_parts) if key_parts else \
-            np.empty(0, np.int64)
-        idx = np.searchsorted(skeys, kv)
+        idx = np.searchsorted(skeys, t.column(key_col).to_numpy()
+                              .astype(np.int64))
         for c in dim_cols:
-            out[c] = pa.array(dvals[c][idx] if len(kv)
-                              else dvals[c][:0])
-        return pa.table(out)
+            t = t.append_column(c, pa.array(dvals[c][idx]))
+        return t
 
-    ds = ray.data.read_parquet(enc_dir, columns=need,
-                               filter=_expr_zone_filter(join_expr))
-    return ds.map_batches(joined, batch_format="pyarrow")
+    return ray.data.from_arrow([attach(t) for t in tables])
 
 
 def encoded_topk_rows(enc_dir: str, col: str, k: int):
