@@ -108,13 +108,12 @@ def bench_encode(in_dir: str, *, num_cpus: int, passes: int = 1) -> dict:
 def bench_decode(out_dir: str, passes: int = 2) -> dict:
     """Timed decode of the encoded corpus; like bench_encode, the reported
     figure is the steady-state last pass (warm workers)."""
-    import ray.data
-
+    from tokrle.pipelines.corpus import read_corpus
     from tokrle.pipelines.encode import decode_tokens
 
     for _ in range(passes):
         t0 = time.perf_counter()
-        enc = ray.data.read_parquet(out_dir)
+        enc = read_corpus(out_dir)
         n = 0
         for b in decode_tokens(enc).iter_batches(batch_format="pyarrow",
                                                  batch_size=4096):

@@ -1100,6 +1100,149 @@ def test_decode_tokens_fuses_read_and_decode(ray_session, tmp_path):
     assert ops == ["ReadParquet->MapBatches(_decode_block)"], ops
 
 
+def _decode_ops(ds) -> str:
+    """The operator lines of a materialized Dataset's stats."""
+    return "\n".join(ln for ln in ds.stats().splitlines()
+                     if ln.startswith("Operator "))
+
+
+def _plant_tmp_group(enc_dir: str) -> None:
+    """Leave a copy of the first live group as 'group=<gid>.tmp', as an
+    upsert that crashed mid-rewrite does."""
+    import shutil
+
+    from tokrle.pipelines.corpus import live_groups
+
+    g = live_groups(enc_dir)[0]
+    shutil.copytree(g, g + ".tmp")
+
+
+@pytest.mark.parametrize("case", ["fresh", "plain", "upsert_compact",
+                                  "tmp_leftover", "columns", "empty"])
+def test_decode_tokens_same_answer_both_sides_of_ceiling(
+        ray_session, tmp_path, monkeypatch, case):
+    """decode_tokens(read_corpus(...)) gives the same per-doc int32
+    tokens and the same schema whether the corpus decodes in the caller
+    (ceiling infinite) or in the Ray job (ceiling 0, where only an empty
+    view still decodes in the caller)."""
+    import ray.data
+
+    from tokrle.pipelines import encode as E
+    from tokrle.pipelines.corpus import (_publish_groups, compact_corpus,
+                                         read_corpus, upsert_corpus)
+    from tokrle.stages.encoder import TOKEN_SCHEMA
+
+    columns = None
+    if case == "empty":
+        enc = str(tmp_path / "enc_empty")
+        _publish_groups(enc, [])     # a pointer that names no group
+        want = {}
+    else:
+        enc, tok = _encoded_corpus(
+            tmp_path, "plain" if case == "plain" else "grouped")
+        want = {str(d): t for d, t in _tokens_by_doc(tok.to_pandas()).items()}
+    if case == "upsert_compact":
+        rid = next(iter(want))
+        upsert_corpus(enc, ray.data.from_arrow(pa.table({
+            "doc_id": pa.array([rid, "new_doc"], type=pa.string()),
+            "tokens": pa.array([[4, 5], [1, 2, 3]],
+                               type=pa.list_(pa.int32())),
+            "n_tok": pa.array([2, 3], type=pa.int32()),
+            "source": pa.array(["sX", "sX"]),
+        })), batch_size=64)
+        compact_corpus(enc, target_bytes=1 << 30, batch_size=64)
+        want[rid] = np.array([4, 5])
+        want["new_doc"] = np.array([1, 2, 3])
+    elif case == "tmp_leftover":
+        _plant_tmp_group(enc)
+    elif case == "columns":
+        columns = ["codec", "payload", "n_tokens", "row_offsets", "doc_id",
+                   "doc_source"]
+
+    sides = {}
+    for ceiling in (0, float("inf")):
+        monkeypatch.setattr(E, "_LOCAL_DECODE_BYTES", ceiling)
+        ds = E.decode_tokens(read_corpus(enc, columns=columns)).materialize()
+        ran_job = "MapBatches(_decode_block)" in _decode_ops(ds)
+        assert ran_job == (ceiling == 0 and case != "empty"), case
+        sides[ceiling] = ds
+    slow, fast = sides[0], sides[float("inf")]
+    assert slow.schema() == fast.schema()
+    assert fast.schema().base_schema == TOKEN_SCHEMA
+    if case == "empty":      # Ray drops the empty block on either side
+        assert slow.count() == fast.count() == 0
+        return
+    got_slow = _tokens_by_doc(slow.to_pandas())
+    got_fast = _tokens_by_doc(fast.to_pandas())
+    assert slow.count() == fast.count() == len(want)
+    assert set(got_slow) == set(got_fast) == set(want)
+    for d, t in want.items():
+        assert got_fast[d].dtype == got_slow[d].dtype == np.int32
+        assert np.array_equal(got_fast[d], got_slow[d]), d
+        assert np.array_equal(got_fast[d], t), d
+
+
+def test_decode_tokens_small_corpus_runs_no_ray_job(ray_session, tmp_path):
+    """Below the default ceiling an untransformed corpus read decodes in
+    the caller into ONE block; a transformed read (here ``limit``) keeps
+    the Ray job and still decodes correctly."""
+    from tokrle.pipelines.corpus import read_corpus
+    from tokrle.pipelines.encode import decode_tokens
+
+    enc, tok = _encoded_corpus(tmp_path, "grouped")
+    want = {str(d): t for d, t in _tokens_by_doc(tok.to_pandas()).items()}
+
+    ds = decode_tokens(read_corpus(enc)).materialize()
+    assert "MapBatches(_decode_block)" not in _decode_ops(ds)
+    assert ds.num_blocks() == 1
+    got = _tokens_by_doc(ds.to_pandas())
+    assert len(got) == ds.count() == len(want)
+    assert all(np.array_equal(got[d], t) for d, t in want.items())
+
+    n = 3    # chunks of 64 docs
+    lim = decode_tokens(read_corpus(enc).limit(n)).materialize()
+    assert "MapBatches(_decode_block)" in _decode_ops(lim)
+    got = _tokens_by_doc(lim.to_pandas())
+    assert len(got) == lim.count() == 64 * n
+    for d, t in got.items():
+        assert t.dtype == np.int32
+        assert np.array_equal(t, want[d]), d
+
+
+def test_cli_and_bench_decode_read_the_live_view(ray_session, tmp_path,
+                                                 capsys):
+    """The CLI ``decode`` and ``verify`` commands and bench.py's
+    bench_decode read only the corpus's live view: a leftover
+    'group=<gid>.tmp' from a crashed upsert is not decoded again."""
+    import json
+    import sys
+
+    import ray.data
+
+    from tokrle import cli
+
+    enc, tok = _encoded_corpus(tmp_path, "grouped")
+    _plant_tmp_group(enc)
+    n = tok.count()
+
+    out = str(tmp_path / "decoded")
+    assert cli.main(["decode", "--in-dir", enc, "--out-dir", out]) == 0
+    ids = ray.data.read_parquet(out).to_pandas()["doc_id"]
+    assert len(ids) == ids.nunique() == n
+
+    assert cli.main(["verify", "--tokens", str(tmp_path / "in"),
+                     "--encoded", enc]) == 0
+    res = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert res["match"] and res["decoded"]["n_docs"] == n
+
+    sys.path.insert(0, REPO)
+    try:
+        import bench
+    finally:
+        sys.path.remove(REPO)
+    assert bench.bench_decode(enc, passes=1)["n_docs"] == n
+
+
 def test_live_groups_ignores_crashed_tmp_dirs(tmp_path):
     """A crashed rewrite leaves 'group=<gid>.tmp' beside the intact
     original; the live view must never include the partial dir."""

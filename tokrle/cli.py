@@ -276,12 +276,11 @@ def main(argv=None) -> int:
                     "doc_ids": sorted(df["doc_id"].tolist()),
                 }))
         elif args.cmd == "decode":
-            import ray.data
-
+            from tokrle.pipelines.corpus import read_corpus
             from tokrle.pipelines.encode import decode_tokens
 
-            enc_ds = ray.data.read_parquet(args.in_dir)
-            decode_tokens(enc_ds).write_parquet(args.out_dir)
+            decode_tokens(read_corpus(args.in_dir)).write_parquet(
+                args.out_dir)
             print(json.dumps({"status": "ok", "out": args.out_dir}))
         elif args.cmd == "prep":
             import os
@@ -403,10 +402,11 @@ def main(argv=None) -> int:
         elif args.cmd == "verify":
             import ray.data
 
+            from tokrle.pipelines.corpus import read_corpus
             from tokrle.pipelines.encode import decode_tokens, roundtrip_check
 
             src = ray.data.read_parquet(args.tokens)
-            dec = decode_tokens(ray.data.read_parquet(args.encoded))
+            dec = decode_tokens(read_corpus(args.encoded))
             res = roundtrip_check(src, dec)
             match = res["source"] == res["decoded"]
             print(json.dumps({"match": match, **res}))

@@ -18,6 +18,7 @@ import glob
 import hashlib
 import os
 import time
+import weakref
 
 from tokrle.pipelines.encode import (DEFAULT_BATCH_SIZE, encode_tokens,
                                      normalize_by_source)
@@ -766,11 +767,27 @@ def corpus_files(enc_dir: str) -> list[str] | str:
             for f in sorted(glob.glob(os.path.join(g, "*.parquet")))]
 
 
+#: read_corpus Dataset -> (live-view files, columns) it reads.  Keyed
+#: weakly by the Dataset object: every transform makes a new object, so
+#: only an untransformed corpus read is ever found here.
+_CORPUS_READS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
 def read_corpus(enc_dir: str, columns: list[str] | None = None):
-    """Encoded-corpus Dataset over the LIVE groups only."""
+    """Encoded-corpus Dataset over the LIVE groups only: a lazy
+    ``ray.data.read_parquet`` of :func:`corpus_files`.
+
+    The Dataset also remembers its file list and ``columns``, so
+    ``decode_tokens(read_corpus(d))`` can decode a corpus of at most
+    ``tokrle.pipelines.encode._LOCAL_DECODE_BYTES`` decoded bytes in the
+    calling process, with no Ray job; a transformed read (``limit``,
+    ``filter``, ``materialize``, ...) always takes the Ray job."""
     import ray.data
 
-    return ray.data.read_parquet(corpus_files(enc_dir), columns=columns)
+    files = corpus_files(enc_dir)
+    ds = ray.data.read_parquet(files, columns=columns)
+    _CORPUS_READS[ds] = (files, columns)
+    return ds
 
 
 def _compact_bin_task(batch: dict, *, enc_dir: str, batch_size: int,

@@ -9,7 +9,8 @@ the manifest in tokrle.state.
 Replaces the reference's driver-held dict-of-Rles + manual ray.remote
 fan-out (ref pyrle/rledict.py:21-34,155-176; pyrle/methods.py:80-120) with
 streaming Dataset execution: no driver-side materialization, backpressure
-and spilling for free.
+and spilling for free.  The one bounded exception is a small
+``read_corpus`` decode, which runs in the caller (:func:`decode_tokens`).
 """
 
 from __future__ import annotations
@@ -90,16 +91,57 @@ def encode_tokens(ds, *, batch_size: int = DEFAULT_BATCH_SIZE,
     return ds.map_batches(fn, batch_size=batch_size, batch_format="pyarrow")
 
 
+# Decoded int32 token bytes up to which decode_tokens(read_corpus(d))
+# decodes in the calling process.  A memory ceiling, not a CPU crossover:
+# on one core the caller used less CPU than a Ray job at every measured
+# size; the Ray job stays for corpora the caller cannot hold.  The value
+# and the peak RSS of one decode at it are in BENCH/decode_executor_ab.json.
+_LOCAL_DECODE_BYTES = 64 << 20
+
+
 def decode_tokens(encoded_ds):
     """Encoded-chunk Dataset -> token-table Dataset (stateless inverse).
 
-    Maps whole blocks (no ``batch_size``), so Ray fuses a Parquet read
-    with the decode into ONE task per read block and no encoded block
-    crosses the object store (unless Ray splits the read's blocks, as it
-    does for few files on many CPUs); :func:`_decode_block` still hands
-    ``decode_chunks`` at most 4 chunks per call."""
+    An untransformed :func:`tokrle.pipelines.corpus.read_corpus` whose
+    decoded tokens take at most ``_LOCAL_DECODE_BYTES`` (4 bytes per
+    token, summed from the ``n_tokens`` column) decodes in the calling
+    process with no Ray job: its files are read with ``pyarrow.dataset``
+    and decoded by :func:`_decode_block`, and the answer is
+    ``ray.data.from_arrow`` of ONE table (a per-block fixed cost is most
+    of a small epoch).  An empty live view gives an empty token table.
+
+    Every other input maps whole blocks (no ``batch_size``), so Ray fuses
+    a Parquet read with the decode into ONE task per read block and no
+    encoded block crosses the object store (unless Ray splits the read's
+    blocks, as it does for few files on many CPUs); :func:`_decode_block`
+    still hands ``decode_chunks`` at most 4 chunks per call."""
+    from tokrle.pipelines.corpus import _CORPUS_READS
+
+    read = _CORPUS_READS.get(encoded_ds)
+    if read is not None:
+        local = _decode_in_caller(*read)
+        if local is not None:
+            return local
     return encoded_ds.map_batches(_decode_block, batch_size=None,
                                   batch_format="pyarrow")
+
+
+def _decode_in_caller(files, columns):
+    """The caller side of :func:`decode_tokens`, or None when the
+    corpus decodes to more than ``_LOCAL_DECODE_BYTES``."""
+    import pyarrow.compute as pc
+    import pyarrow.dataset as pds
+    import ray.data
+
+    dset = pds.dataset(files, format="parquet")
+    if not dset.files:
+        return ray.data.from_arrow(TOKEN_SCHEMA.empty_table())
+    n_tokens = pc.sum(dset.to_table(columns=["n_tokens"])
+                      .column("n_tokens")).as_py() or 0
+    if 4 * n_tokens > _LOCAL_DECODE_BYTES:
+        return None
+    return ray.data.from_arrow(pa.concat_tables(
+        _decode_block(dset.to_table(columns=columns))))
 
 
 def _decode_block(block: pa.Table):
