@@ -9,11 +9,12 @@ its run-merge arithmetic with (ref tests/test_hypothesis.py), now for
 ANSI NULL semantics.
 """
 import numpy as np
+import pyarrow as pa
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tokrle.codecs.core import _runs_to_indices, valid_to_runs
-from tokrle.pipelines.table_encode import _expr_eval, _expr_eval3
+from tokrle.pipelines.table_encode import _chunk_sel, _expr_eval3
 from tokrle.select import auto_encode
 
 
@@ -139,9 +140,14 @@ def test_expr_eval3_matches_dense_kleene_oracle(data, n):
     assert (_dense(t, n) == ot).all()
     dense_p = _dense(t, n) if p is None else _dense(p, n)
     assert (dense_p == (ot | ou)).all()
-    # the WHERE-clause wrapper returns exactly the TRUE set
-    sel = _expr_eval(expr, 0, n, zmin, zmax, chunk_col,
-                     valid_fn=valid_fn)
+    # a scan core's selection of the same streams, read as a one-chunk
+    # batch, is exactly the TRUE set
+    batch = pa.table({
+        f"{c}__{k}": [x] for c in cols
+        for k, x in zip(("codec", "payload", "dtype", "valid"),
+                        (chunk_col(c, 0)[0], bytes(chunk_col(c, 0)[1]),
+                         str(chunk_col(c, 0)[2]), valid_fn(c, 0)))})
+    sel = _chunk_sel(expr, batch, 0, n, zmin, zmax)
     assert (_dense(sel, n) == ot).all()
 
 

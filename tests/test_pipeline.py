@@ -1903,6 +1903,24 @@ def test_scans_start_no_ray_job(nullable_kv, monkeypatch, case):
     assert ctr == want_ctr and ctr["chunks_scanned"] > 0
 
 
+@pytest.mark.parametrize("case", list(_SCANS))
+def test_scan_counters_add_up(nullable_kv, case):
+    """Every scan core counts chunks alike: scanned plus skipped chunks
+    are the directory's chunks, and the chunks a core answered whole or
+    through a selection run-list are among the scanned ones."""
+    from tokrle.pipelines import table_encode
+
+    fn, args, kwargs = _SCANS[case]
+    _, out_dir = nullable_kv
+    _, ctr = _entry(fn)(out_dir, *args, **kwargs)
+    assert ctr["chunks_scanned"] > 0
+    assert ctr["chunks_scanned"] + ctr["chunks_skipped"] == \
+        ctr["chunks_total"] == table_encode._n_chunks(out_dir)
+    if "all_hit_chunks" in ctr and "run_chunks" in ctr:
+        assert ctr["all_hit_chunks"] + ctr["run_chunks"] <= \
+            ctr["chunks_scanned"]
+
+
 def test_scan_batches_bound_chunks(ray_session, tmp_path, monkeypatch):
     """A scan core's per-batch function sees at most
     ``_SCAN_BATCH_CHUNKS`` chunk rows, however well they compress: a
@@ -3105,26 +3123,58 @@ def test_eq_str_leaf_predicate_trees(ray_session, tmp_path):
     assert int(j["v"].sum()) == int(ej["v"].sum())
 
 
-def test_eq_str_leaf_nullable_raises(ray_session, tmp_path):
-    """Nullable string chunks under an eq_str leaf raise (the layer
-    contract that keeps NOT over string leaves sound — SQL <> excludes
-    NULLs, a complemented run-list would not)."""
-    import pandas as pd
-    import pytest
-    import ray.data
+#: string predicate over ``nullable_kv``'s nullable ``s`` column -> the
+#: same predicate in SQL
+_STR_3VL_CASES = {
+    "eq_str-empty": (("eq_str", "s", ""), "s = ''"),
+    "in_str": (("in_str", "s", ["", "ab", "zz"]), "s IN ('', 'ab', 'zz')"),
+    "prefix_str": (("prefix_str", "s", "c"), "s LIKE 'c%'"),
+    "suffix_str": (("suffix_str", "s", "b"), "s LIKE '%b'"),
+    "contains_str": (("contains_str", "s", "d"), "s LIKE '%d%'"),
+    "not-eq_str": (("not", ("eq_str", "s", "ab")), "NOT (s = 'ab')"),
+}
 
-    from tokrle.pipelines.table_encode import (encode_table_columns,
-                                               encoded_boolean_agg)
 
-    df = pd.DataFrame({
-        "k": np.arange(100, dtype=np.int64),
-        "flag": ["A", None] * 50,
-    })
-    out_dir = str(tmp_path / "eq_str_null")
-    encode_table_columns(ray.data.from_pandas(df), ["k", "flag"],
-                         batch_size=64).write_parquet(out_dir)
-    with pytest.raises(Exception, match="nullable chunks"):
-        encoded_boolean_agg(out_dir, ("eq_str", "flag", "A"), ["k"])
+@pytest.mark.parametrize("case", list(_STR_3VL_CASES))
+def test_str_leaves_nullable_follow_3vl(nullable_kv, any_batching, case):
+    """String leaves over nullable chunks follow SQL three-valued logic,
+    alike in an aggregate and in a row scan: a NULL never matches, not
+    even ``= ''`` (the encoder's string null filler), and ``not`` never
+    resurrects it."""
+    import duckdb
+
+    from tokrle.pipelines.table_encode import encoded_boolean_agg
+
+    expr, where = _STR_3VL_CASES[case]
+    tbl, out_dir = nullable_kv
+    con = duckdb.connect()
+    con.register("t", tbl)
+    got, _ = any_batching(encoded_boolean_agg, out_dir, expr, ["w"])
+    want = con.execute("SELECT count(*), coalesce(sum(w), 0) FROM t "
+                       f"WHERE {where}").fetchone()
+    assert [int(got.loc[0, "n_match"]), int(got.loc[0, "sum_w"])] == \
+        list(want)
+    rows, _ = any_batching(_rows("encoded_scan_where"), out_dir, expr,
+                           ["k", "s"])
+    want = con.execute(f"SELECT k, s FROM t WHERE {where}").fetchall()
+
+    def norm(rs):
+        # a NULL k reads as NaN from the float frame column; repr orders
+        # rows that hold None next to ints
+        return sorted(((None if k is None or k != k else int(k), v)
+                       for k, v in rs), key=repr)
+
+    assert want and norm(rows.itertuples(index=False)) == norm(want)
+
+
+def test_null_str_group_key_raises(nullable_kv):
+    """A nullable STRING group key raises from the shared GROUP BY key
+    check, as an integer one does."""
+    from tokrle.pipelines.table_encode import encoded_group_by_str
+
+    _, out_dir = nullable_kv
+    with pytest.raises(Exception, match="GROUP BY key"):
+        encoded_group_by_str(out_dir, "s", ["w"])
 
 
 def test_prefix_str_leaf_and_group_by_str(ray_session, tmp_path):

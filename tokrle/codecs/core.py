@@ -2368,10 +2368,11 @@ def match_eq_str(spec: str, lens_payload: bytes, text_payload: bytes,
     right byte length (:func:`count_eq` over the narrow lengths
     payload) answers empty without ever decoding its text bytes.
     Surviving chunks decode lengths + flat bytes and byte-compare only
-    the length-matching candidate rows, vectorized.  Non-null chunks
-    only (callers enforce the layer's nullable-chunks-raise contract,
-    which keeps ``NOT`` over this leaf sound — SQL's ``<>`` excludes
-    NULLs, a complemented run-list would not).  ``sdict:`` chunks
+    the length-matching candidate rows, vectorized.  On a nullable
+    chunk the null slots hold the encoder's ``''`` filler and match
+    like any ``''`` row: the caller intersects the matches with the
+    validity runs (three-valued logic, which also keeps ``NOT`` over
+    this leaf sound — SQL's ``<>`` excludes NULLs).  ``sdict:`` chunks
     answer on the CODE stream: the value maps to its dictionary code
     (or misses entirely) and :func:`match_eq` runs on the integer
     codes — the text bytes are never touched."""
@@ -2475,8 +2476,9 @@ def match_in_str(spec: str, lens_payload: bytes, text_payload: bytes,
     decoding text), the text decodes at most once, and each length
     class byte-compares its candidate rows against only the values of
     that length.  Equivalent to an OR-chain of :func:`match_eq_str`
-    but without re-decoding the text per value.  Non-null chunks only
-    (callers enforce the nullable-chunks-raise contract).  ``sdict:``
+    but without re-decoding the text per value.  Null slots match as
+    the ``''`` filler; the caller applies the validity (see
+    :func:`match_eq_str`).  ``sdict:``
     chunks map the values to their dictionary codes and run
     :func:`match_in` on the integer code stream — no text decode."""
     if n == 0 or not values:
@@ -2535,8 +2537,9 @@ def match_prefix_str(spec: str, lens_payload: bytes, text_payload: bytes,
     ``len(prefix)`` bytes (:func:`count_range` over the narrow lengths
     payload) answers empty without decoding its text bytes; surviving
     chunks byte-compare only the first ``len(prefix)`` bytes of the
-    long-enough candidate rows, vectorized.  Non-null chunks only
-    (callers enforce the nullable-chunks-raise contract).  ``sdict:``
+    long-enough candidate rows, vectorized.  Null slots match as the
+    ``''`` filler; the caller applies the validity (see
+    :func:`match_eq_str`).  ``sdict:``
     chunks prefix-test only the (small) distinct set, then run
     :func:`match_in` on the matching codes — no per-row text work."""
     pbytes = prefix.encode("utf-8")
@@ -2586,7 +2589,8 @@ def match_suffix_str(spec: str, lens_payload: bytes, text_payload: bytes,
     survivors byte-compare only the LAST ``len(suffix)`` bytes of the
     long-enough candidate rows.  ``sdict:`` chunks suffix-test the
     distinct set and run :func:`match_in` on the matching codes.
-    Non-null chunks only."""
+    Null slots match as the ``''`` filler; the caller applies the
+    validity (see :func:`match_eq_str`)."""
     sbytes = suffix.encode("utf-8")
     slen = len(sbytes)
     if n == 0:
@@ -2636,7 +2640,8 @@ def match_contains_str(spec: str, lens_payload: bytes,
     ``searchsorted`` against the row offsets and keeping only hits
     that do not straddle a row boundary.  ``sdict:`` chunks substring-
     test the (small) distinct set and run :func:`match_in` on the
-    matching codes.  Non-null chunks only."""
+    matching codes.  Null slots match as the ``''`` filler; the caller
+    applies the validity (see :func:`match_eq_str`)."""
     nbytes_ = needle.encode("utf-8")
     nlen = len(nbytes_)
     if n == 0:

@@ -380,7 +380,7 @@ def encoded_column_agg(enc_dir: str, columns: list[str]):
     NULLs follow SQL: ``n`` is COUNT(*), SUM/MIN/MAX skip NULLs, and
     MIN/MAX are None for a column without a non-NULL value.  uint64
     columns raise ``TypeError`` (their sums can exceed the int64
-    partial-row domain).  Returns one row per column:
+    answer column).  Returns one row per column:
     ``(col, n, sum_val, min_val, max_val)``."""
     import pandas as pd
 
@@ -388,7 +388,7 @@ def encoded_column_agg(enc_dir: str, columns: list[str]):
         if _col_dtype_probe(enc_dir, c) == np.uint64:
             raise TypeError(
                 f"column {c!r}: uint64 sums can exceed the int64 "
-                "partial-row domain; decode and reduce instead")
+                "answer column; decode and reduce instead")
     df, _ = encoded_boolean_agg(enc_dir, None, columns, with_minmax=True)
     out = pd.DataFrame({
         "col": columns,
@@ -436,23 +436,19 @@ def encoded_distinct_count(enc_dir: str, col: str,
 
     from tokrle.codecs.core import distinct_values, gather_runs
 
-    pred_cols = _expr_pred_cols(expr)
-
-    def partial(batch: pa.Table) -> pa.Table:
-        nrows = batch.column("n_rows").to_numpy(zero_copy_only=False)
+    def partial(batch: pa.Table):
         codecs = batch.column(f"{col}__codec").to_pylist()
-        zmin, zmax = _zone_maps(batch, pred_cols)
+        # an empty chunk is trivially answered; classify it so
+        # closed+decoded keeps summing to chunks_total when unfiltered
+        empty = np.flatnonzero(batch.column("n_rows").to_numpy(
+            zero_copy_only=False) == 0)
+        closed = sum(codecs[i] in ("dict", "rle") for i in empty)
+        decoded, gathered = len(empty) - closed, 0
         parts = []
-        closed = decoded = gathered = 0
-        for i, codec in enumerate(codecs):
-            n = int(nrows[i])
-            # an empty chunk is trivially answered; classify it so
-            # closed+decoded keeps summing to chunks_total when unfiltered
-            sel = _ALL if n == 0 else _valid_sel(
-                _chunk_sel(expr, batch, i, n, zmin, zmax),
-                _chunk_valid(batch, col, i), n)
+        for i, n, sel in _chunk_sels(batch, expr):
+            sel = _valid_sel(sel, _chunk_valid(batch, col, i), n)
             if isinstance(sel, str):
-                if codec in ("dict", "rle"):
+                if codecs[i] in ("dict", "rle"):
                     closed += 1
                 else:
                     decoded += 1
@@ -460,31 +456,27 @@ def encoded_distinct_count(enc_dir: str, col: str,
                 gathered += 1
             else:
                 continue
-            if n == 0:
-                continue
-            _, payload, dt = _chunk_col(batch, col, i)
+            codec, payload, dt = _chunk_col(batch, col, i)
             u = distinct_values(codec, payload, n, dt) \
                 if isinstance(sel, str) else \
                 np.unique(gather_runs(codec, payload, n, dt, *sel))
             # normalize every dtype into the int64 image before the
             # fold (uint64 via the order-preserving bias, datetime via
-            # its epoch counts) — the partial rows are int64
+            # its epoch counts)
             if u.dtype == np.uint64:
                 u = _hist_bias_u64(u)
             elif u.dtype.kind == "M":
                 u = u.view(np.int64)
-            parts.append(u.astype(np.int64))
-        u = np.unique(np.concatenate(parts)) if parts \
-            else np.empty(0, np.int64)
-        return _with_meters({"v": u}, "v",
-                            [len(batch), closed, decoded, gathered])
+            parts.append(u)
+        return np.unique(_cat(parts)), {"chunks_closed_form": closed,
+                                        "chunks_decoded": decoded,
+                                        "chunks_gathered": gathered}
 
-    parts, n_total = _scan_partials(enc_dir, _scan_columns(expr, [col]),
-                                    _expr_zone_filter(expr), partial)
-    rows, counters = _collect_partials(
-        parts, ["v"], "v", n_total,
-        ["chunks_closed_form", "chunks_decoded", "chunks_gathered"])
-    return pd.DataFrame({"n_distinct": [rows["v"].nunique()]}), counters
+    parts, counters = _scan_partials(
+        enc_dir, _scan_columns(expr, [col]), _expr_zone_filter(expr),
+        partial)
+    return pd.DataFrame({"n_distinct": [len(np.unique(_cat(parts)))]}), \
+        counters
 
 
 def encoded_string_value_count(enc_dir: str, col: str, value: str):
@@ -516,45 +508,33 @@ def encoded_string_value_count(enc_dir: str, col: str, value: str):
     if first_file is not None and f"{col}__lens_payload" not in fields:
         raise TypeError(f"column {col!r}: not a string column")
 
-    def partial(batch: pa.Table) -> pa.Table:
-        nrows = batch.column("n_rows").to_numpy(zero_copy_only=False)
-        codecs = batch.column(f"{col}__codec").to_pylist()
-        lens_payloads = batch.column(f"{col}__lens_payload")
-        payloads = batch.column(f"{col}__payload")
-        valids = batch.column(f"{col}__valid")
-        total = 0
-        decoded = 0
-        for i, spec in enumerate(codecs):
-            n = int(nrows[i])
-            if n == 0:
-                continue
+    def partial(batch: pa.Table):
+        total = decoded = 0
+        for i, n, _ in _chunk_sels(batch, None):
+            spec, lp, tp = _chunk_str_col(batch, col, i)
+            vb = _chunk_valid(batch, col, i)
             if spec.startswith("sdict:"):
                 # dictionary form: the value maps to a code (or misses)
                 # and the count comes from the integer code stream —
                 # neither the text nor the per-row lengths decode
                 from tokrle.codecs.core import (_sdict_codes_of,
                                                 sdict_unpack)
-                ccodec, codes_p, dlens, dbytes = sdict_unpack(
-                    spec, memoryview(payloads[i].as_buffer()))
+                ccodec, codes_p, dlens, dbytes = sdict_unpack(spec, tp)
                 hit = _sdict_codes_of(dlens, dbytes, [vbytes])
                 if not hit:
                     continue
-                vb = valids[i].as_py() or b""
                 if not vb:
                     total += count_eq(ccodec, codes_p, n, np.int64,
                                       hit[0])
                     continue
                 cv = codec_decode(ccodec, codes_p, n, np.int64)
-                valid = np.unpackbits(
-                    np.frombuffer(vb, dtype=np.uint8), count=n,
-                    bitorder="little").astype(bool)
-                total += int(((cv == hit[0]) & valid).sum())
+                total += int(((cv == hit[0])
+                              & _sel_valid_mask(vb, n, _ALL)).sum())
                 continue
             if not spec.startswith("str:"):
                 raise TypeError(
                     f"column {col!r}: not a string column ({spec})")
             _, lcodec, tcodec = spec.split(":", 2)
-            lp = memoryview(lens_payloads[i].as_buffer())
             # compressed-domain length prefilter: no row of the right
             # byte length -> the text payload is never decoded
             if count_eq(lcodec, lp, n, np.int64, vlen) == 0:
@@ -562,34 +542,26 @@ def encoded_string_value_count(enc_dir: str, col: str, value: str):
             decoded += 1
             lens = codec_decode(lcodec, lp, n, np.int64)
             cand = lens == vlen
-            vb = valids[i].as_py() or b""
             if vb:      # null slots encode as "" — never a match
-                valid = np.unpackbits(
-                    np.frombuffer(vb, dtype=np.uint8), count=n,
-                    bitorder="little").astype(bool)
-                cand &= valid
+                cand &= _sel_valid_mask(vb, n, _ALL)
             if not cand.any():
                 continue
             if vlen == 0:
                 total += int(np.count_nonzero(cand))
                 continue
-            data = codec_decode(
-                tcodec, memoryview(payloads[i].as_buffer()),
-                int(lens.sum()), np.int8).view(np.uint8)
+            data = codec_decode(tcodec, tp, int(lens.sum()),
+                                np.int8).view(np.uint8)
             offs = np.concatenate(([0], np.cumsum(lens)))
             starts = offs[:-1][cand]
             idx = starts[:, None] + np.arange(vlen)
             total += int(np.count_nonzero((data[idx] == varr).all(axis=1)))
-        return _with_meters({"n_match": [total]}, "n_match",
-                            [len(batch), decoded])
+        return total, {"chunks_text_decoded": decoded}
 
-    parts, n_total = _scan_partials(
+    totals, counters = _scan_partials(
         enc_dir, _scan_columns(None, [], str_cols=[col]), None, partial)
-    rows, counters = _collect_partials(parts, ["n_match"], "n_match",
-                                       n_total, ["chunks_text_decoded"])
     counters["chunks_skipped_by_length"] = \
         counters["chunks_scanned"] - counters["chunks_text_decoded"]
-    return pd.DataFrame({"n_match": [int(rows["n_match"].sum())]}), counters
+    return pd.DataFrame({"n_match": [sum(totals)]}), counters
 
 
 def encoded_histogram(enc_dir: str, col: str):
@@ -608,14 +580,12 @@ def encoded_histogram(enc_dir: str, col: str):
     sorted by value, counters)``."""
     import pandas as pd
 
-    hist, counters, dt = _boolean_value_hist(enc_dir, None, col)
-    values = hist.index.to_numpy()
+    values, counts, counters, dt = _boolean_value_hist(enc_dir, None, col)
     if dt == np.uint64:
         values = values.view(np.uint64) ^ _U64_FLIP
     elif dt is not None:
         values = values.astype(dt)
-    return pd.DataFrame({"value": values,
-                         "n": hist.to_numpy().astype(np.int64)}), counters
+    return pd.DataFrame({"value": values, "n": counts}), counters
 
 
 def _hist_rank_idx(cum: np.ndarray, n: int, q_num: int,
@@ -838,31 +808,17 @@ def _boolean_value_hist(enc_dir: str, expr: tuple | None, agg_col: str):
 
     The scan (:func:`_scan_partials`, in the caller) returns (value,
     partial_count) pairs bounded by chunk cardinality — never rows —
-    plus three counter rows per batch, and the caller sums the counts
-    per value.  uint64 agg columns fold in the order-preserving
-    xor-2^63 image.  Returns
-    ``(hist, counters, dtype)`` where ``hist`` is a pandas Series
-    (index = folded int64 value, biased for uint64; values = exact
-    counts) sorted by value and ``dtype`` is ``agg_col``'s stored dtype
-    (None for a directory without rows)."""
+    and the caller sums the counts per value.  uint64 agg columns fold
+    in the order-preserving xor-2^63 image.  Returns ``(values, counts,
+    counters, dtype)``: the folded int64 values (biased for uint64) in
+    ascending order, their exact int64 counts, and ``agg_col``'s stored
+    dtype (None for a directory without rows)."""
     from tokrle.codecs.core import gather_runs, value_counts
 
-    pred_cols = _expr_pred_cols(expr)
-
-    def partial(batch: pa.Table) -> pa.Table:
-        nrows = batch.column("n_rows").to_numpy(zero_copy_only=False)
-        zmin, zmax = _zone_maps(batch, pred_cols)
+    def partial(batch: pa.Table):
         vs, cs = [], []
-        all_hit = run_chunks = 0
-        for i in range(len(batch)):
-            n = int(nrows[i])
-            if n == 0:
-                continue
-            sel = _chunk_sel(expr, batch, i, n, zmin, zmax)
-            if _rp_empty(sel):
-                continue
-            all_hit += isinstance(sel, str)
-            run_chunks += not isinstance(sel, str)
+        chunks = _chunk_sels(batch, expr)
+        for i, n, sel in chunks:
             sel = _valid_sel(sel, _chunk_valid(batch, agg_col, i), n)
             if _rp_empty(sel):
                 continue
@@ -874,19 +830,15 @@ def _boolean_value_hist(enc_dir: str, expr: tuple | None, agg_col: str):
                                  return_counts=True)
             vs.append(_agg_fold_u64(v))
             cs.append(c)
-        return _with_meters(
-            {"v": np.concatenate(vs) if vs else np.empty(0, np.int64),
-             "c": np.concatenate(cs) if cs else np.empty(0, np.int64)},
-            "v", [len(batch), all_hit, run_chunks])
+        return (_cat(vs), _cat(cs)), _hit_counts(chunks)
 
-    parts, n_total = _scan_partials(
+    parts, counters = _scan_partials(
         enc_dir, _scan_columns(expr, [agg_col]), _expr_zone_filter(expr),
         partial)
-    rows, counters = _collect_partials(parts, ["v", "c"], "v", n_total,
-                                       ["all_hit_chunks", "run_chunks"])
-    hist = rows.groupby("v", sort=True)["c"].sum()
-    counters["hist_rows"] = int(len(hist))
-    return hist, counters, _col_dtype_probe(enc_dir, agg_col)
+    values, counts = _sum_by(_cat(v for v, _ in parts),
+                             _cat(c for _, c in parts))
+    counters["hist_rows"] = len(values)
+    return values, counts, counters, _col_dtype_probe(enc_dir, agg_col)
 
 
 def encoded_boolean_quantiles(enc_dir: str, expr: tuple, agg_col: str,
@@ -902,10 +854,10 @@ def encoded_boolean_quantiles(enc_dir: str, expr: tuple, agg_col: str,
     ``quantile`` is None when nothing matches (SQL NULL)."""
     import pandas as pd
 
-    hist, counters, dt = _boolean_value_hist(enc_dir, expr, agg_col)
+    values, counts, counters, dt = _boolean_value_hist(enc_dir, expr,
+                                                       agg_col)
     is_u64 = dt == np.uint64
-    values = hist.index.to_numpy()
-    cum = np.cumsum(hist.to_numpy())
+    cum = np.cumsum(counts)
     n = int(cum[-1]) if len(cum) else 0
 
     def _pick(q_num, q_den):
@@ -938,12 +890,11 @@ def encoded_boolean_histogram(enc_dir: str, expr: tuple, agg_col: str):
     ``(DataFrame(value, n) sorted by value, counters)``."""
     import pandas as pd
 
-    hist, counters, dt = _boolean_value_hist(enc_dir, expr, agg_col)
-    values = hist.index.to_numpy()
+    values, counts, counters, dt = _boolean_value_hist(enc_dir, expr,
+                                                       agg_col)
     if dt == np.uint64:
         values = (values.view(np.uint64) ^ _U64_FLIP)
-    out = pd.DataFrame({"value": values,
-                        "n": hist.to_numpy().astype(np.int64)})
+    out = pd.DataFrame({"value": values, "n": counts})
     # the biased int64 sort order IS the uint64 order, so re-sorting
     # after the unbias is unnecessary — values are already ascending
     return out.reset_index(drop=True), counters
@@ -961,9 +912,8 @@ def encoded_boolean_topk(enc_dir: str, expr: tuple, col: str, k: int):
     and the predicate's zone pruning still skips non-overlapping
     chunks.  Returns ``(DataFrame(value, n) sorted desc with
     sum(n) == min(k, selected rows), counters)``."""
-    hist, counters, dt = _boolean_value_hist(enc_dir, expr, col)
-    values = hist.index.to_numpy()[::-1]          # descending
-    counts = hist.to_numpy()[::-1].astype(np.int64)
+    values, counts, counters, dt = _boolean_value_hist(enc_dir, expr, col)
+    values, counts = values[::-1], counts[::-1]   # descending
     cum = np.cumsum(counts)
     cut = int(np.searchsorted(cum, k))            # first idx covering k
     values, counts, cum = (values[:cut + 1], counts[:cut + 1],
@@ -1000,7 +950,7 @@ def encoded_group_where_quantiles(enc_dir: str, expr: tuple | None,
       lexsort run-length count.
 
     The scan (:func:`_scan_partials`, in the caller) returns (group,
-    value, count) triples plus counter rows; the caller sums them per
+    value, count) triples per batch; the caller sums them per
     (group, value) and folds the per-group ranks with the shared
     integer ceil-division.
     Integer group column (zone maps required; a nullable group chunk
@@ -1010,29 +960,22 @@ def encoded_group_where_quantiles(enc_dir: str, expr: tuple | None,
     reports ``n_rows`` 0 and ``quantile`` None, as SQL).  Returns
     ``(DataFrame(group_col, q_num, q_den, quantile, n_rows),
     counters)``."""
+    import pandas as pd
+
     from tokrle.codecs.core import decode as codec_decode
     from tokrle.codecs.core import gather_runs, value_counts
 
-    pred_cols = _expr_pred_cols(expr)
-
-    def partial(batch: pa.Table) -> pa.Table:
-        nrows = batch.column("n_rows").to_numpy(zero_copy_only=False)
-        zmin, zmax = _zone_maps(batch, dict.fromkeys(pred_cols + [group_col]))
+    def partial(batch: pa.Table):
+        gzmin, gzmax = _zone_maps(batch, [group_col])
         gs, vs, cs = [], [], []
         closed = gathered = 0
-        for i in range(len(batch)):
-            n = int(nrows[i])
-            if n == 0:
-                continue
-            sel = _chunk_sel(expr, batch, i, n, zmin, zmax)
-            if _rp_empty(sel):
-                continue
+        for i, n, sel in _chunk_sels(batch, expr):
             _check_group_key(batch, group_col, i)
             is_all = isinstance(sel, str)
             vb = _chunk_valid(batch, agg_col, i)
             ac, ap, adt = _chunk_col(batch, agg_col, i)
-            gmin = int(zmin[group_col][i])
-            if gmin == zmax[group_col][i]:
+            gmin = int(gzmin[group_col][i])
+            if gmin == gzmax[group_col][i]:
                 # the zone map names the single group — the group
                 # column NEVER decodes on pure chunks, whatever the
                 # selection shape
@@ -1079,21 +1022,16 @@ def encoded_group_where_quantiles(enc_dir: str, expr: tuple | None,
                 gs.append(g)
                 vs.append(v)
                 cs.append(c)
-        empty = np.empty(0, np.int64)
-        return _with_meters(
-            {"grp": np.concatenate(gs) if gs else empty,
-             "v": np.concatenate(vs) if vs else empty,
-             "c": np.concatenate(cs) if cs else empty},
-            "v", [len(batch), closed, gathered])
+        return (_cat(gs), _cat(vs), _cat(cs)), \
+            {"closed_form_chunks": closed, "gathered_chunks": gathered}
 
-    parts, n_total = _scan_partials(
+    parts, counters = _scan_partials(
         enc_dir, _scan_columns(expr, [group_col, agg_col],
                                zone_cols=[group_col]),
         _expr_zone_filter(expr), partial)
-    rows, counters = _collect_partials(
-        parts, ["grp", "v", "c"], "v", n_total,
-        ["closed_form_chunks", "gathered_chunks"])
-    hist = rows.groupby(["grp", "v"], sort=True)["c"].sum().reset_index()
+    hist = pd.DataFrame({nm: _cat(p[j] for p in parts)
+                         for j, nm in enumerate(("grp", "v", "c"))}) \
+        .groupby(["grp", "v"], sort=True)["c"].sum().reset_index()
     counters["groups"] = int(hist["grp"].nunique())
     counters["hist_rows"] = int(len(hist))
     is_u64 = _col_dtype_probe(enc_dir, agg_col) == np.dtype(np.uint64)
@@ -1129,34 +1067,53 @@ _SCAN_BATCH_CHUNKS = 64
 def _scan_partials(enc_dir: str, columns: list, flt, fn):
     """The one table read of the pushdown scan cores: ``fn`` maps a
     ``pyarrow.Table`` of at most :data:`_SCAN_BATCH_CHUNKS` chunk rows
-    (``columns``, rows admitted by the zone filter ``flt``) to a partial
-    table.  Returns ``(partials, chunks_total)``.  The scan streams the
+    (``columns``, rows admitted by the zone filter ``flt``) to ``(value,
+    meters)``: a plain Python value that the core folds, and a dict of
+    the core's chunk counts.  A scan that admits no chunk row calls
+    ``fn`` once on an empty batch, so the core's empty value and zero
+    meters come from the same code.  Returns ``(values, counters)``: the
+    values in scan order, and ``chunks_total`` (every chunk row),
+    ``chunks_scanned`` (the rows the filter admitted),
+    ``chunks_skipped`` and the summed meters.  The scan streams the
     table with ``pyarrow.dataset`` in the calling process — no Ray job,
-    Ray need not be initialized — and the caller folds the partials."""
+    Ray need not be initialized."""
     import pyarrow.dataset as pds
 
     files = _table_files(enc_dir)
-    if not files:
-        return [], 0
     dataset = pds.dataset(files, format="parquet")
-    parts, buf, n = [], [], 0
-    for b in dataset.to_batches(columns=columns, filter=flt,
-                                batch_size=_SCAN_BATCH_CHUNKS):
-        if n + b.num_rows > _SCAN_BATCH_CHUNKS:
-            parts.append(fn(pa.Table.from_batches(buf)))
-            buf, n = [], 0
-        if b.num_rows:
-            buf.append(b)
-            n += b.num_rows
-    if buf:
-        parts.append(fn(pa.Table.from_batches(buf)))
-    return parts, dataset.count_rows()
+
+    def batches():
+        buf, n = [], 0
+        for b in dataset.to_batches(columns=columns, filter=flt,
+                                    batch_size=_SCAN_BATCH_CHUNKS):
+            if n + b.num_rows > _SCAN_BATCH_CHUNKS:
+                yield pa.Table.from_batches(buf)
+                buf, n = [], 0
+            if b.num_rows:
+                buf.append(b)
+                n += b.num_rows
+        if buf:
+            yield pa.Table.from_batches(buf)
+
+    values, meters, scanned = [], {}, 0
+    for batch in batches() if files else ():
+        value, counts = fn(batch)
+        values.append(value)
+        meters = {k: meters.get(k, 0) + int(c) for k, c in counts.items()}
+        scanned += batch.num_rows
+    if not values:
+        value, meters = fn(pa.schema(
+            [dataset.schema.field(c) if files else pa.field(c, pa.null())
+             for c in columns]).empty_table())
+        values.append(value)
+    total = dataset.count_rows()
+    return values, {"chunks_total": total, "chunks_scanned": scanned,
+                    "chunks_skipped": total - scanned, **meters}
 
 
-# Sentinel: every position of the chunk matches.  Detected by TYPE
-# (isinstance(..., str)) rather than identity — the evaluator and its
-# callers can land on opposite sides of a cloudpickle boundary, where
-# a captured global's identity is not preserved.
+# Sentinel: every position of the chunk matches.  A selection is this
+# string or a run-list tuple, so callers tell them apart by type
+# (isinstance(sel, str)).
 _ALL = "__ALL__"
 
 
@@ -1175,7 +1132,7 @@ def _expr_leaves(e):
 def _expr_leaf_bounds(e):
     """(col, lo, hi) value bounds of a leaf — used for zone-map tests.
     For ``in`` leaves the bounds are the set's min/max (conservative:
-    bound coverage does NOT imply membership, see _expr_eval)."""
+    bound coverage does NOT imply membership, see _expr_eval3)."""
     if e[0] == "eq":
         return e[1], int(e[2]), int(e[2])
     if e[0] == "range":
@@ -1236,18 +1193,13 @@ def _chunk_valid(batch: pa.Table, c: str, i: int) -> bytes:
     return batch.column(f"{c}__valid")[i].as_py() or b""
 
 
-def _chunk_str_col(batch: pa.Table, c: str, i: int, nulls: bool = False):
+def _chunk_str_col(batch: pa.Table, c: str, i: int):
     """(spec, lens_payload, text_payload) of string chunk ``i`` — the
-    inputs of :func:`tokrle.codecs.core.match_eq_str` and
-    :func:`tokrle.codecs.core.gather_str_runs`.  Nullable chunks raise
-    (the layer contract of string predicates and GROUP BY keys; also
-    keeps NOT over string leaves sound, SQL ``<>`` excludes NULLs)
-    unless ``nulls``: then null slots read as ``''`` and the caller
-    applies :func:`_chunk_valid`."""
-    if not nulls and _chunk_valid(batch, c, i):
-        raise ValueError(
-            f"column {c!r}: nullable chunks not supported by "
-            "compressed-domain string predicates")
+    inputs of the :mod:`tokrle.codecs.core` ``match_*_str`` kernels and
+    :func:`tokrle.codecs.core.gather_str_runs`.  Null slots read as the
+    encoder's ``''`` filler; null-aware callers pair it with
+    :func:`_chunk_valid` (the predicate evaluator intersects a leaf's
+    matches with the validity runs)."""
     return (batch.column(f"{c}__codec")[i].as_py(),
             memoryview(batch.column(f"{c}__lens_payload")[i].as_buffer()),
             memoryview(batch.column(f"{c}__payload")[i].as_buffer()))
@@ -1261,13 +1213,67 @@ def _zone_maps(batch: pa.Table, cols) -> tuple[dict, dict]:
 
 def _chunk_sel(expr, batch: pa.Table, i: int, n: int, zmin: dict,
                zmax: dict):
-    """Selection of chunk ``i`` of a scanned batch under ``expr``
-    (``_ALL`` or a run-list; ``_ALL`` when ``expr`` is None), with SQL
-    three-valued logic on nullable predicate columns."""
-    return _expr_eval(expr, i, n, zmin, zmax,
-                      lambda c, j: _chunk_col(batch, c, j),
-                      lambda c, j: _chunk_str_col(batch, c, j),
-                      lambda c, j: _chunk_valid(batch, c, j))
+    """Selection of chunk ``i`` of a scanned batch under ``expr``: the
+    ``_ALL`` sentinel or a canonical run-list of the rows where the tree
+    is SQL-TRUE (``_ALL`` when ``expr`` is None, no predicate).  Leaves
+    short-circuit on zone maps; ``and`` skips its right branch on an
+    empty left, ``or`` on an ALL left; string leaves prune via the
+    lengths-stream prefilter inside the ``match_*_str`` kernels instead
+    of zone maps.
+
+    The tree evaluates under SQL THREE-VALUED LOGIC
+    (:func:`_expr_eval3`, which reads each column's validity bitmap),
+    and a WHERE clause keeps the root's TRUE set: NULL comparisons never
+    match and ``not`` never resurrects null rows — exactly ANSI/DuckDB
+    semantics."""
+    if expr is None:
+        return _ALL
+    t, _ = _expr_eval3(expr, i, n, zmin, zmax,
+                       lambda c, j: _chunk_col(batch, c, j),
+                       lambda c, j: _chunk_str_col(batch, c, j),
+                       lambda c, j: _chunk_valid(batch, c, j))
+    return t
+
+
+def _chunk_sels(batch: pa.Table, expr) -> list:
+    """``[(i, n, sel)]`` for the chunks of a scanned batch where
+    ``expr`` selects a row: reads ``n_rows`` and the tree's zone maps
+    once, skips empty chunks (their zone map is a (0, 0) placeholder)
+    and chunks whose :func:`_chunk_sel` is empty.  ``expr=None``
+    selects every row of every non-empty chunk."""
+    nrows = batch.column("n_rows").to_numpy(zero_copy_only=False)
+    zmin, zmax = _zone_maps(batch, _expr_pred_cols(expr))
+    out = []
+    for i, n in enumerate(nrows.tolist()):
+        if n:
+            sel = _chunk_sel(expr, batch, i, n, zmin, zmax)
+            if not _rp_empty(sel):
+                out.append((i, n, sel))
+    return out
+
+
+def _hit_counts(chunks: list) -> dict:
+    """Meters of a :func:`_chunk_sels` list: how many chunks were
+    selected whole (``all_hit_chunks``) and how many through a run-list
+    (``run_chunks``)."""
+    n_all = sum(isinstance(sel, str) for _, _, sel in chunks)
+    return {"all_hit_chunks": n_all, "run_chunks": len(chunks) - n_all}
+
+
+def _cat(arrays) -> np.ndarray:
+    """Concatenation of int64 arrays; an empty int64 array for none."""
+    arrays = list(arrays)
+    return np.concatenate(arrays).astype(np.int64, copy=False) if arrays \
+        else np.empty(0, np.int64)
+
+
+def _sum_by(keys: np.ndarray, counts: np.ndarray):
+    """``(sorted distinct keys, int64 sum of counts per key)`` of two
+    parallel arrays — how the histogram cores fold their batches."""
+    u, inv = np.unique(keys, return_inverse=True)
+    sums = np.zeros(len(u), np.int64)
+    np.add.at(sums, inv, counts)
+    return u, sums
 
 
 def _sel_runs(sel, n: int):
@@ -1326,49 +1332,6 @@ def _scan_columns(expr, value_cols, zone_cols=(), str_cols=()) -> list:
              for p in ("codec", "payload", "lens_payload", "valid")]
     need += [f"{c}__valid" for c in _expr_null_cols(expr)]
     return list(dict.fromkeys(need))
-
-
-def _with_meters(cols: dict, key: str, meters: list) -> pa.Table:
-    """One scan batch's partial rows: the value rows ``cols`` (equal
-    length int64 arrays, or ``pa.Array`` string keys) under ``kind`` 0,
-    then one counter row per meter under ``kind`` 1, 2, ... with its
-    count in column ``key`` and 0 (or "") elsewhere, so data and
-    counters ride one partial.  Meter 1 is the batch's chunk count (see
-    :func:`_collect_partials`)."""
-    m = len(meters)
-    out = {"kind": np.concatenate((np.zeros(len(cols[key]), np.int64),
-                                   np.arange(1, m + 1)))}
-    for nm, v in cols.items():
-        if isinstance(v, pa.Array):
-            out[nm] = pa.concat_arrays([v, pa.array([""] * m, v.type)])
-        else:
-            out[nm] = pa.array(np.concatenate(
-                (np.asarray(v, np.int64),
-                 meters if nm == key else np.zeros(m, np.int64))))
-    return pa.table(out)
-
-
-def _collect_partials(parts: list, cols: list, key: str, n_total: int,
-                      meter_names: list):
-    """Fold side of :func:`_with_meters`: concatenate the partials of
-    :func:`_scan_partials` in the calling process and return ``(value
-    rows, counters)``, where counters hold
-    ``chunks_total``/``chunks_scanned``/``chunks_skipped`` and meters 2,
-    3, ... under ``meter_names``.  A scan whose filter pruned every
-    chunk has no partial; an empty int64 frame with ``cols`` stands
-    in."""
-    import pandas as pd
-
-    parts = [p for p in parts if p.num_rows]
-    part = pa.concat_tables(parts).to_pandas() if parts else \
-        pd.DataFrame({c: pd.Series(dtype="int64") for c in ["kind"] + cols})
-    meters = part[part["kind"] > 0].groupby("kind")[key].sum()
-    scanned = int(meters.get(1, 0))
-    counters = {"chunks_total": n_total, "chunks_scanned": scanned,
-                "chunks_skipped": n_total - scanned}
-    for k, nm in enumerate(meter_names, 2):
-        counters[nm] = int(meters.get(k, 0))
-    return part[part["kind"] == 0], counters
 
 
 def _expr_zone_filter(e):
@@ -1455,33 +1418,6 @@ def _rp_not(a, n: int):
 
 def _rp_empty(a) -> bool:
     return not isinstance(a, str) and not len(a[0])
-
-
-def _expr_eval(e, i: int, n: int, zmin: dict, zmax: dict, chunk_col,
-               str_chunk=None, valid_fn=None):
-    """Evaluate a predicate tree against chunk ``i``: returns the
-    ``_ALL`` sentinel or a canonical selection run-list of the rows
-    where the tree is SQL-TRUE.  Leaves short-circuit on zone maps;
-    ``and`` skips its right branch on an empty left, ``or`` on an ALL
-    left.  String leaves need the ``str_chunk`` accessor
-    ((spec, lens_payload, text_payload) per (col, i)); they prune via
-    the lengths-stream prefilter inside
-    :func:`tokrle.codecs.core.match_eq_str` instead of zone maps.
-
-    Without ``valid_fn`` the chunk is assumed null-free (non-null-aware
-    callers enforce that by raising in their accessors, which keeps
-    two-valued evaluation sound).  With ``valid_fn``
-    ((col, i) -> packed ``{col}__valid`` bytes, b'' when null-free) the
-    tree evaluates under SQL THREE-VALUED LOGIC via
-    :func:`_expr_eval3`: a WHERE clause keeps the root's TRUE set, so
-    NULL comparisons never match and ``not`` never resurrects null
-    rows — exactly ANSI/DuckDB semantics.  ``e is None`` (no
-    predicate) selects every row."""
-    if e is None:
-        return _ALL
-    t, _ = _expr_eval3(e, i, n, zmin, zmax, chunk_col, str_chunk,
-                       valid_fn)
-    return t
 
 
 def _expr_eval3(e, i: int, n: int, zmin: dict, zmax: dict, chunk_col,
@@ -1626,8 +1562,9 @@ def encoded_boolean_agg(enc_dir: str, expr: tuple | None,
     unprunable (the complement of a zone test is not sound) and reads
     everything.  ``expr=None`` selects every row (the engine of
     :func:`encoded_column_agg`).  The scan (:func:`_scan_partials`, in
-    the caller) yields one partial row per batch, which the caller
-    folds; integer aggregate columns only.
+    the caller) yields one partial per batch — the match count and, per
+    aggregate column, SUM, valid-value count, MIN and MAX — which the
+    caller folds; integer aggregate columns only.
 
     ``with_minmax=True`` adds exact per-column MIN/MAX of the selected
     rows: ALL-match chunks answer from the aggregate column's own zone
@@ -1649,105 +1586,65 @@ def encoded_boolean_agg(enc_dir: str, expr: tuple | None,
     oracle)."""
     import pandas as pd
 
-    from tokrle.codecs.core import (agg_sum, agg_sum_runs, gather_runs,
-                                    valid_to_runs)
+    from tokrle.codecs.core import agg_sum, agg_sum_runs, gather_runs
 
-    pred_cols = _expr_pred_cols(expr)
     need = _scan_columns(expr, agg_cols,
                          zone_cols=agg_cols if with_minmax else ())
+    imax = np.iinfo(np.int64).max
 
-    def partial(batch: pa.Table) -> pa.Table:
-        nrows = batch.column("n_rows").to_numpy(zero_copy_only=False)
-        zmin, zmax = _zone_maps(batch, pred_cols)
-
-        n_match, all_hit, run_chunks = 0, 0, 0
-        sums = {c: 0 for c in agg_cols}
-        nvalid = {c: 0 for c in agg_cols}
-        imax = np.iinfo(np.int64).max
-        mins = {c: imax for c in agg_cols}
-        maxs = {c: -imax - 1 for c in agg_cols}
-        for i in range(len(batch)):
-            n = int(nrows[i])
-            if n == 0:
-                # an empty chunk's zone map is the (0, 0) placeholder —
-                # folding it into MIN/MAX would inject a bogus 0
-                continue
-            sel = _chunk_sel(expr, batch, i, n, zmin, zmax)
-            if isinstance(sel, str):
-                all_hit += 1
-                n_match += n
-                for c in agg_cols:
-                    codec, payload, dt = _chunk_col(batch, c, i)
-                    vb = _chunk_valid(batch, c, i)
-                    # the encoder fills null slots with 0, so the
-                    # whole-payload sum equals SQL's null-skipping SUM
-                    sums[c] += agg_sum(codec, payload, n, dt)
-                    if not vb:
-                        nvalid[c] += n
-                        if with_minmax:
-                            # whole chunk selected: its zone map IS
-                            # the exact extrema — nothing decodes
-                            mins[c] = min(mins[c], int(
-                                batch.column(f"{c}__vmin")[i].as_py()))
-                            maxs[c] = max(maxs[c], int(
-                                batch.column(f"{c}__vmax")[i].as_py()))
-                        continue
-                    vr = valid_to_runs(vb, n)
-                    nv = int(vr[1].sum())
-                    nvalid[c] += nv
-                    if with_minmax and nv:
-                        # nullable chunk: the zone map covers the 0
-                        # filler — gather only the valid positions
-                        v = gather_runs(codec, payload, n, dt, *vr)
-                        mins[c] = min(mins[c], int(v.min()))
-                        maxs[c] = max(maxs[c], int(v.max()))
-                continue
-            if not len(sel[0]):
-                continue
-            run_chunks += 1
-            n_match += int(sel[1].sum())
+    def partial(batch: pa.Table):
+        n_match = 0
+        # per aggregate column [SUM, valid count, MIN, MAX]; the sentinel
+        # extrema of a batch without a valid value fold away
+        acc = {c: [0, 0, imax, -imax - 1] for c in agg_cols}
+        chunks = _chunk_sels(batch, expr)
+        for i, n, sel in chunks:
+            is_all = isinstance(sel, str)
+            n_match += n if is_all else int(sel[1].sum())
             for c in agg_cols:
                 codec, payload, dt = _chunk_col(batch, c, i)
                 vb = _chunk_valid(batch, c, i)
+                a = acc[c]
+                if is_all and not vb:
+                    # whole null-free chunk selected: the closed-form
+                    # sum, and its zone map IS the exact extrema
+                    a[0] += agg_sum(codec, payload, n, dt)
+                    a[1] += n
+                    if with_minmax:
+                        a[2] = min(a[2], int(
+                            batch.column(f"{c}__vmin")[i].as_py()))
+                        a[3] = max(a[3], int(
+                            batch.column(f"{c}__vmax")[i].as_py()))
+                    continue
                 # restrict to VALID selected positions on nullable
                 # chunks — null slots neither count nor aggregate
                 sv = _valid_sel(sel, vb, n)
                 nv = int(sv[1].sum())
-                nvalid[c] += nv
+                a[1] += nv
                 if not nv:
                     continue
                 if with_minmax:
                     # min/max need the gathered values anyway — reuse
                     # them for the sum instead of a second decode
                     v = gather_runs(codec, payload, n, dt, *sv)
-                    sums[c] += int(v.sum(dtype=np.int64))
-                    mins[c] = min(mins[c], int(v.min()))
-                    maxs[c] = max(maxs[c], int(v.max()))
+                    a[0] += int(v.sum(dtype=np.int64))
+                    a[2] = min(a[2], int(v.min()))
+                    a[3] = max(a[3], int(v.max()))
+                elif is_all:
+                    # the encoder fills null slots with 0, so the
+                    # whole-payload sum equals SQL's null-skipping SUM
+                    a[0] += agg_sum(codec, payload, n, dt)
                 else:
-                    sums[c] += agg_sum_runs(codec, payload, n, dt, *sv)
-        out = {"n_match": [n_match]}
-        for c in agg_cols:
-            out[f"sum_{c}"] = [sums[c]]
-            out[f"nvalid_{c}"] = [nvalid[c]]
-            if with_minmax:
-                # sentinel extrema (no matches in this batch) fold
-                # away in the cross-batch min/max
-                out[f"min_{c}"] = [mins[c]]
-                out[f"max_{c}"] = [maxs[c]]
-        return _with_meters(out, "n_match",
-                            [len(batch), all_hit, run_chunks])
+                    a[0] += agg_sum_runs(codec, payload, n, dt, *sv)
+        return (n_match, acc), _hit_counts(chunks)
 
-    parts, n_total = _scan_partials(enc_dir, need, _expr_zone_filter(expr),
-                                    partial)
-    cols = ["n_match"] + [f"{st}_{c}" for st in ("sum", "nvalid")
-                          + (("min", "max") if with_minmax else ())
-                          for c in agg_cols]
-    rows, counters = _collect_partials(parts, cols, "n_match", n_total,
-                                       ["all_hit_chunks", "run_chunks"])
-    data = {"n_match": [int(rows["n_match"].sum())]}
+    parts, counters = _scan_partials(enc_dir, need, _expr_zone_filter(expr),
+                                     partial)
+    data = {"n_match": [sum(m for m, _ in parts)]}
     for c in agg_cols:
-        nv = int(rows[f"nvalid_{c}"].sum())
-        data[f"sum_{c}"] = [int(rows[f"sum_{c}"].sum())]
+        accs = [acc[c] for _, acc in parts]
+        nv = sum(a[1] for a in accs)
+        data[f"sum_{c}"] = [sum(a[0] for a in accs)]
         # valid-value count per aggregate column (== SQL COUNT(col));
         # rides in counters so the DataFrame schema stays stable for
         # null-free callers
@@ -1755,8 +1652,8 @@ def encoded_boolean_agg(enc_dir: str, expr: tuple | None,
         if with_minmax:
             # SQL MIN/MAX over zero VALID values is NULL, even when
             # null-valued rows were selected
-            data[f"min_{c}"] = [int(rows[f"min_{c}"].min()) if nv else None]
-            data[f"max_{c}"] = [int(rows[f"max_{c}"].max()) if nv else None]
+            data[f"min_{c}"] = [min(a[2] for a in accs) if nv else None]
+            data[f"max_{c}"] = [max(a[3] for a in accs) if nv else None]
     return pd.DataFrame(data), counters
 
 
@@ -1844,16 +1741,17 @@ def encoded_filtered_group_agg(enc_dir: str, group_col: str,
     three-valued logic, aggregate NULLs skipped (SUM over no valid
     value is emitted as 0 and MIN/MAX as None); a nullable GROUP
     column chunk with a non-empty selection raises.  The batches'
-    (group, count, partial) rows and counter rows, from
-    :func:`_scan_partials`, are folded by one pandas groupby in the
-    calling process — never table rows.  Returns
+    (group, count, partial) arrays, from :func:`_scan_partials`, are
+    folded by one pandas groupby in the calling process — never table
+    rows.  Returns
     ``(DataFrame, counters)`` with int64 ``group_col``/``n``/``sum_<c>``
     (then ``min_<c>``, ``max_<c>``) columns sorted by group; integer
     columns only."""
+    import pandas as pd
+
     from tokrle.codecs.core import (agg_sum, agg_sum_runs,
                                     decode as codec_decode, gather_runs)
 
-    pred_cols = _expr_pred_cols(expr)
     imax, imin = np.iinfo(np.int64).max, np.iinfo(np.int64).min
     # partial column -> its fold across chunks (nv_: valid-value count)
     stats = [("sum", "sum")] + ([("min", "min"), ("max", "max"),
@@ -1862,24 +1760,16 @@ def encoded_filtered_group_agg(enc_dir: str, group_col: str,
                            for c in agg_cols}}
     cols = ["grp"] + list(fold)
 
-    def partial(batch: pa.Table) -> pa.Table:
-        nrows = batch.column("n_rows").to_numpy(zero_copy_only=False)
-        zmin, zmax = _zone_maps(batch, dict.fromkeys([group_col] + pred_cols))
+    def partial(batch: pa.Table):
+        gzmin, gzmax = _zone_maps(batch, [group_col])
         parts = {nm: [] for nm in cols}
-        n_all = n_run = n_pure = 0
-        for i in range(len(batch)):
-            n = int(nrows[i])
-            if n == 0:
-                continue
-            sel = _chunk_sel(expr, batch, i, n, zmin, zmax)
-            if _rp_empty(sel):
-                continue
+        n_pure = 0
+        chunks = _chunk_sels(batch, expr)
+        for i, n, sel in chunks:
             _check_group_key(batch, group_col, i)
             is_all = isinstance(sel, str)
-            n_all += is_all
-            n_run += not is_all
-            gmin = int(zmin[group_col][i])
-            if gmin == zmax[group_col][i]:
+            gmin = int(gzmin[group_col][i])
+            if gmin == gzmax[group_col][i]:
                 # group-pure: zone map names the group; nothing decodes
                 n_pure += 1
                 parts["grp"].append([gmin])
@@ -1937,21 +1827,17 @@ def encoded_filtered_group_agg(enc_dir: str, group_col: str,
                     np.maximum.reduceat(np.where(ok, v, imin), starts))
                 parts[f"nv_{c}"].append(
                     np.add.reduceat(ok.astype(np.int64), starts))
-        return _with_meters(
-            {nm: np.concatenate(p) if p else np.empty(0, np.int64)
-             for nm, p in parts.items()},
-            "n", [len(batch), n_all, n_run, n_pure])
+        return {nm: _cat(p) for nm, p in parts.items()}, \
+            {**_hit_counts(chunks), "pure_group_chunks": n_pure}
 
-    parts, n_total = _scan_partials(
+    parts, counters = _scan_partials(
         enc_dir, _scan_columns(
             expr, [group_col] + list(agg_cols),
             zone_cols=[group_col] + (list(agg_cols) if with_minmax
                                      else [])),
         _expr_zone_filter(expr), partial)
-    rows, counters = _collect_partials(
-        parts, cols, "n", n_total,
-        ["all_hit_chunks", "run_chunks", "pure_group_chunks"])
-    df = rows.groupby("grp", sort=True).agg(fold)
+    df = pd.DataFrame({nm: _cat(p[nm] for p in parts) for nm in cols}) \
+        .groupby("grp", sort=True).agg(fold)
     for c in agg_cols if with_minmax else ():
         nv = df.pop(f"nv_{c}")
         if (nv == 0).any():
@@ -1996,24 +1882,14 @@ def encoded_str_distinct(enc_dir: str, col: str,
     from tokrle.codecs.core import (_sdict_distinct_array, gather_str_runs,
                                     sdict_unpack)
 
-    pred_cols = _expr_pred_cols(expr)
-
-    def partial(batch: pa.Table) -> pa.Table:
-        nrows = batch.column("n_rows").to_numpy(zero_copy_only=False)
-        codecs = batch.column(f"{col}__codec").to_pylist()
-        zmin, zmax = _zone_maps(batch, pred_cols)
-        out_vals: list = []
-        header_only, decoded_chunks = 0, 0
-        for i, spec in enumerate(codecs):
-            n = int(nrows[i])
-            if n == 0:
-                continue
+    def partial(batch: pa.Table):
+        vals, header_only = [], 0
+        for i, n, sel in _chunk_sels(batch, expr):
+            spec, lp, tp = _chunk_str_col(batch, col, i)
             if not spec.startswith(("str:", "sdict:")):
                 raise TypeError(
                     f"column {col!r}: not a string column ({spec})")
-            _, lp, tp = _chunk_str_col(batch, col, i, nulls=True)
-            sel = _valid_sel(_chunk_sel(expr, batch, i, n, zmin, zmax),
-                             _chunk_valid(batch, col, i), n)
+            sel = _valid_sel(sel, _chunk_valid(batch, col, i), n)
             if _rp_empty(sel):
                 continue
             if spec.startswith("sdict:") and isinstance(sel, str):
@@ -2021,24 +1897,20 @@ def encoded_str_distinct(enc_dir: str, col: str,
                 # (dictionary_encode emits exactly the values that
                 # occur) — the code stream never decodes
                 _, _, dlens, dbytes = sdict_unpack(spec, tp)
-                out_vals.append(_sdict_distinct_array(dlens, dbytes))
+                vals.append(_sdict_distinct_array(dlens, dbytes))
                 header_only += 1
                 continue
-            decoded_chunks += 1
-            arr = gather_str_runs(spec, lp, tp, n, *_sel_runs(sel, n))
-            out_vals.append(pc.unique(arr))
-        u = pc.unique(pa.concat_arrays(out_vals)) if out_vals else \
-            pa.array([], type=pa.large_utf8())
-        return _with_meters({"v": u, "m": np.zeros(len(u), np.int64)}, "m",
-                            [len(batch), header_only, decoded_chunks])
+            vals.append(pc.unique(gather_str_runs(spec, lp, tp, n,
+                                                  *_sel_runs(sel, n))))
+        u = pc.unique(pa.chunked_array(vals, type=pa.large_utf8()))
+        return u, {"chunks_header_only": header_only,
+                   "chunks_decoded": len(vals) - header_only}
 
-    parts, n_total = _scan_partials(
+    parts, counters = _scan_partials(
         enc_dir, _scan_columns(expr, [], str_cols=[col]),
         _expr_zone_filter(expr), partial)
-    rows, counters = _collect_partials(
-        parts, ["v", "m"], "m", n_total,
-        ["chunks_header_only", "chunks_decoded"])
-    return pd.DataFrame({"n_distinct": [rows["v"].nunique()]}), counters
+    u = pc.unique(pa.chunked_array(parts, type=pa.large_utf8()))
+    return pd.DataFrame({"n_distinct": [len(u)]}), counters
 
 
 def encoded_str_quantiles(enc_dir: str, col: str,
@@ -2064,20 +1936,15 @@ def encoded_str_quantiles(enc_dir: str, col: str,
     from tokrle.codecs.core import (_sdict_distinct_array, gather_str_runs,
                                     sdict_unpack, value_counts)
 
-    def partial(batch: pa.Table) -> pa.Table:
-        nrows = batch.column("n_rows").to_numpy(zero_copy_only=False)
-        codecs = batch.column(f"{col}__codec").to_pylist()
+    def partial(batch: pa.Table):
         vs, cs = [], []
-        code_only = decoded_chunks = 0
-        for i, spec in enumerate(codecs):
-            n = int(nrows[i])
-            if n == 0:
-                continue
+        code_only = 0
+        for i, n, _ in _chunk_sels(batch, None):
+            spec, lp, tp = _chunk_str_col(batch, col, i)
             if not spec.startswith(("str:", "sdict:")):
                 raise TypeError(
                     f"column {col!r}: not a string column ({spec})")
             vb = _chunk_valid(batch, col, i)
-            _, lp, tp = _chunk_str_col(batch, col, i, nulls=True)
             if spec.startswith("sdict:") and not vb:
                 # closed form: histogram the integer code stream, then
                 # one dictionary take — zero text gather
@@ -2085,45 +1952,36 @@ def encoded_str_quantiles(enc_dir: str, col: str,
                 u, c = value_counts(ccodec, codes_p, n, np.int64)
                 dist = _sdict_distinct_array(dlens, dbytes)
                 vs.append(dist.take(pa.array(u)))
-                cs.append(c.astype(np.int64))
+                cs.append(c)
                 code_only += 1
                 continue
             sel = _valid_sel(_ALL, vb, n)   # SQL quantiles skip NULLs
             if _rp_empty(sel):
                 continue
-            decoded_chunks += 1
-            arr = gather_str_runs(spec, lp, tp, n, *_sel_runs(sel, n))
-            vc = pc.value_counts(arr)
+            vc = pc.value_counts(gather_str_runs(spec, lp, tp, n,
+                                                 *_sel_runs(sel, n)))
             vs.append(vc.field("values"))
-            cs.append(vc.field("counts").to_numpy(zero_copy_only=False)
-                      .astype(np.int64))
-        if vs:
-            v_all = pa.concat_arrays([v.cast(pa.large_utf8())
-                                      for v in vs])
-            c_all = np.concatenate(cs)
-        else:
-            v_all = pa.array([], type=pa.large_utf8())
-            c_all = np.empty(0, np.int64)
-        return _with_meters({"v": v_all, "c": c_all}, "c",
-                            [len(batch), code_only, decoded_chunks])
+            cs.append(vc.field("counts").to_numpy(zero_copy_only=False))
+        return (vs, cs), {"chunks_code_only": code_only,
+                          "chunks_decoded": len(vs) - code_only}
 
-    parts, n_total = _scan_partials(
+    parts, counters = _scan_partials(
         enc_dir, _scan_columns(None, [], str_cols=[col]), None, partial)
-    part, counters = _collect_partials(
-        parts, ["v", "c"], "c", n_total,
-        ["chunks_code_only", "chunks_decoded"])
-    hist = part.groupby("v", sort=True)["c"].sum()
-    # pandas sorts str by code point == UTF-8 byte order (binary
+    # np.unique sorts str by code point == UTF-8 byte order (binary
     # collation), so the rank lookup below matches DuckDB
-    values = hist.index.to_numpy()
-    cum = np.cumsum(hist.to_numpy())
+    values, counts = _sum_by(
+        pa.chunked_array([v for vs, _ in parts for v in vs],
+                         type=pa.large_utf8()).to_numpy(
+                             zero_copy_only=False),
+        _cat(c for _, cs in parts for c in cs))
+    cum = np.cumsum(counts)
     n = int(cum[-1]) if len(cum) else 0
     rows = [{"q_num": q_num, "q_den": q_den,
              "quantile": None if n == 0 else str(
                  values[_hist_rank_idx(cum, n, q_num, q_den)]),
              "n_rows": n}
             for q_num, q_den in qs]
-    counters["hist_rows"] = int(len(hist))
+    counters["hist_rows"] = len(values)
     return pd.DataFrame(rows), counters
 
 
@@ -2145,60 +2003,47 @@ def encoded_str_minmax(enc_dir: str, col: str):
 
     nullable = pc.binary_length(pc.field(f"{col}__valid")) > 0
 
-    def minmax_row(mn, mx, meters: list) -> pa.Table:
-        has = mn is not None
-        return _with_meters(
-            {"mn": pa.array([mn] if has else [], pa.large_utf8()),
-             "mx": pa.array([mx] if has else [], pa.large_utf8()),
-             "c": np.ones(int(has), np.int64)}, "c", meters)
-
-    def meta_fold(batch: pa.Table) -> pa.Table:
+    def meta_fold(batch: pa.Table):
         keep = pa.array(batch.column("n_rows").to_numpy(
             zero_copy_only=False) > 0)
         smin = batch.column(f"{col}__smin").filter(keep)
         smax = batch.column(f"{col}__smax").filter(keep)
-        has = len(smin) > 0
-        return minmax_row(pc.min(smin).as_py() if has else None,
-                          pc.max(smax).as_py() if has else None,
-                          [len(batch), len(smin), 0])
+        found = (pc.min(smin).as_py(), pc.max(smax).as_py()) \
+            if len(smin) else None
+        return found, {"chunks_metadata_only": len(smin)}
 
-    def decode_fold(batch: pa.Table) -> pa.Table:
-        nrows = batch.column("n_rows").to_numpy(zero_copy_only=False)
-        mn, mx, decoded = None, None, 0
-        for i in range(len(batch)):
-            n = int(nrows[i])
-            if n == 0:
-                continue
+    def decode_fold(batch: pa.Table):
+        lo, hi = [], []
+        for i, n, _ in _chunk_sels(batch, None):
             sel = _valid_sel(_ALL, _chunk_valid(batch, col, i), n)
             if _rp_empty(sel):   # all-NULL chunk contributes nothing
                 continue
-            decoded += 1
-            spec, lp, tp = _chunk_str_col(batch, col, i, nulls=True)
+            spec, lp, tp = _chunk_str_col(batch, col, i)
             mm = pc.min_max(gather_str_runs(spec, lp, tp, n,
                                             *_sel_runs(sel, n)))
-            lo, hi = mm["min"].as_py(), mm["max"].as_py()
-            mn = lo if mn is None or lo < mn else mn
-            mx = hi if mx is None or hi > mx else mx
-        return minmax_row(mn, mx, [len(batch), 0, decoded])
+            lo.append(mm["min"].as_py())
+            hi.append(mm["max"].as_py())
+        return ((min(lo), max(hi)) if lo else None), \
+            {"chunks_decoded": len(lo)}
 
     # metadata pass: two short string fields per NON-NULL chunk —
     # payloads never leave storage
-    meta, n_total = _scan_partials(
+    meta, counters = _scan_partials(
         enc_dir, ["n_rows", f"{col}__smin", f"{col}__smax"], ~nullable,
         meta_fold)
     # nullable chunks (rare) decode their valid rows only
-    dec, _ = _scan_partials(
+    dec, dec_ctr = _scan_partials(
         enc_dir, _scan_columns(None, [], str_cols=[col]), nullable,
         decode_fold)
-    rows, counters = _collect_partials(
-        meta + dec, ["mn", "mx", "c"], "c", n_total,
-        ["chunks_metadata_only", "chunks_decoded"])
-    if rows.empty:
-        return (pd.DataFrame({f"min_{col}": [None],
-                              f"max_{col}": [None]}), counters)
-    return (pd.DataFrame({f"min_{col}": [str(rows["mn"].min())],
-                          f"max_{col}": [str(rows["mx"].max())]}),
-            counters)
+    # the two reads split one table: their scanned chunks add up
+    counters["chunks_scanned"] += dec_ctr["chunks_scanned"]
+    counters["chunks_skipped"] -= dec_ctr["chunks_scanned"]
+    counters["chunks_decoded"] = dec_ctr["chunks_decoded"]
+    found = [p for p in meta + dec if p is not None]
+    return (pd.DataFrame({
+        f"min_{col}": [min(mn for mn, _ in found) if found else None],
+        f"max_{col}": [max(mx for _, mx in found) if found else None]}),
+        counters)
 
 
 def encoded_group_by_str(enc_dir: str, group_col,
@@ -2234,34 +2079,22 @@ def encoded_group_by_str(enc_dir: str, group_col,
     fields, _ = _footer_fields(enc_dir)
     g_str = {g for g in gcols if f"{g}__lens_payload" in fields}
     g_int = [g for g in gcols if g not in g_str]
-    pred_cols = _expr_pred_cols(expr)
-
     sum_names = [f"sum_{c}" for c in agg_cols]
 
-    def partial(batch: pa.Table) -> pa.Table:
-        nrows = batch.column("n_rows").to_numpy(zero_copy_only=False)
-        zmin, zmax = _zone_maps(batch, pred_cols)
+    def partial(batch: pa.Table):
         grp_parts: dict = {g: [] for g in gcols}
         val_parts = {c: [] for c in agg_cols}
-        n_all, n_run = 0, 0
-        for i in range(len(batch)):
-            n = int(nrows[i])
-            if n == 0:
-                continue
-            sel = _chunk_sel(expr, batch, i, n, zmin, zmax)
-            if _rp_empty(sel):
-                continue
+        chunks = _chunk_sels(batch, expr)
+        for i, n, sel in chunks:
             is_all = isinstance(sel, str)
-            n_all += is_all
-            n_run += not is_all
             runs = _sel_runs(sel, n)
             for g in gcols:
+                _check_group_key(batch, g, i)
                 if g in g_str:
                     spec, lp, tp = _chunk_str_col(batch, g, i)
                     grp_parts[g].append(
                         gather_str_runs(spec, lp, tp, n, *runs))
                 else:
-                    _check_group_key(batch, g, i)
                     codec, payload, dt = _chunk_col(batch, g, i)
                     grp_parts[g].append(
                         (codec_decode(codec, payload, n, dt) if is_all
@@ -2274,34 +2107,22 @@ def encoded_group_by_str(enc_dir: str, group_col,
                 v = (codec_decode(codec, payload, n, dt) if is_all
                      else gather_runs(codec, payload, n, dt, *runs))
                 val_parts[c].append(v.astype(np.int64))
-        if grp_parts[gcols[0]]:
-            fold = pd.DataFrame(
-                {nm: (pa.concat_arrays(grp_parts[g]).to_pandas()
-                      if g in g_str else np.concatenate(grp_parts[g]))
-                 for nm, g in zip(gnames, gcols)})
-            for c in agg_cols:
-                fold[c] = np.concatenate(val_parts[c])
-            agg = fold.groupby(gnames, sort=False).agg(
-                n=(gnames[0], "size"),
-                **{f"sum_{c}": (c, "sum") for c in agg_cols}) \
-                .reset_index()
-        else:
-            agg = pd.DataFrame({nm: [] for nm in gnames + ["n"] + sum_names})
-        cols = {nm: pa.array(agg[nm], type=pa.large_utf8()) if g in g_str
-                else agg[nm].to_numpy(np.int64)
-                for nm, g in zip(gnames, gcols)}
-        cols.update({nm: agg[nm].to_numpy(np.int64)
-                     for nm in ["n"] + sum_names})
-        return _with_meters(cols, "n", [len(batch), n_all, n_run])
+        fold = pd.DataFrame(
+            {nm: (pa.chunked_array(grp_parts[g], type=pa.large_utf8())
+                  .to_pandas() if g in g_str else _cat(grp_parts[g]))
+             for nm, g in zip(gnames, gcols)})
+        for c in agg_cols:
+            fold[c] = _cat(val_parts[c])
+        return fold.groupby(gnames, sort=False).agg(
+            n=(gnames[0], "size"),
+            **{f"sum_{c}": (c, "sum") for c in agg_cols}).reset_index(), \
+            _hit_counts(chunks)
 
-    parts, n_total = _scan_partials(
+    parts, counters = _scan_partials(
         enc_dir, _scan_columns(expr, list(agg_cols) + g_int,
                                str_cols=sorted(g_str)),
         _expr_zone_filter(expr), partial)
-    rows, counters = _collect_partials(
-        parts, gnames + ["n"] + sum_names, "n", n_total,
-        ["all_hit_chunks", "run_chunks"])
-    df = rows.groupby(gnames, sort=True)[["n"] + sum_names].sum() \
+    df = pd.concat(parts).groupby(gnames, sort=True)[["n"] + sum_names].sum() \
         .reset_index().rename(columns=dict(zip(gnames, gcols)))
     for g in gcols:
         df[g] = df[g].astype(str) if g in g_str \
@@ -2345,41 +2166,27 @@ def _scan_rows(enc_dir: str, expr, cols: list[str]):
     empty = pa.table({c: pa.array([], pa.large_utf8()) if c in str_cols
                       else pa.array(np.empty(0, np.dtype(dtypes[c])))
                       for c in cols})
-    pred_cols = _expr_pred_cols(expr)
-
     def gather(batch: pa.Table):
-        nrows = batch.column("n_rows").to_numpy(zero_copy_only=False)
-        zmin, zmax = _zone_maps(batch, pred_cols)
         vals: dict = {c: [] for c in cols}
         oks: dict = {c: [] for c in cols}
-        n_all = n_run = 0
-        for i in range(len(batch)):
-            n = int(nrows[i])
-            if n == 0:
-                continue
-            sel = _chunk_sel(expr, batch, i, n, zmin, zmax)
-            if _rp_empty(sel):
-                continue
-            is_all = isinstance(sel, str)
-            n_all += is_all
-            n_run += not is_all
+        chunks = _chunk_sels(batch, expr)
+        for i, n, sel in chunks:
             runs = _sel_runs(sel, n)
             for c in cols:
                 if c in str_cols:
-                    spec, lp, tp = _chunk_str_col(batch, c, i, nulls=True)
+                    spec, lp, tp = _chunk_str_col(batch, c, i)
                     v = gather_str_runs(spec, lp, tp, n, *runs)
                 else:
                     codec, payload, dt = _chunk_col(batch, c, i)
-                    v = codec_decode(codec, payload, n, dt) if is_all \
+                    v = codec_decode(codec, payload, n, dt) \
+                        if isinstance(sel, str) \
                         else gather_runs(codec, payload, n, dt, *runs)
                 vals[c].append(v)
                 vb = _chunk_valid(batch, c, i)
                 oks[c].append(_sel_valid_mask(vb, n, sel) if vb
                               else np.ones(len(v), bool))
-        meters = _with_meters({"n": np.empty(0, np.int64)}, "n",
-                              [len(batch), n_all, n_run])
-        if not n_all + n_run:
-            return empty, meters
+        if not chunks:
+            return None, _hit_counts(chunks)
         out = {}
         for c in cols:
             arr = pa.concat_arrays(vals[c]) if c in str_cols \
@@ -2387,15 +2194,13 @@ def _scan_rows(enc_dir: str, expr, cols: list[str]):
             ok = np.concatenate(oks[c])
             out[c] = arr if ok.all() else \
                 pc.if_else(ok, arr, pa.scalar(None, arr.type))
-        return pa.table(out), meters
+        return pa.table(out), _hit_counts(chunks)
 
-    parts, n_total = _scan_partials(
+    tables, counters = _scan_partials(
         enc_dir, _scan_columns(expr, [c for c in cols if c not in str_cols],
                                str_cols=str_cols),
         _expr_zone_filter(expr), gather)
-    _, counters = _collect_partials([m for _, m in parts], ["n"], "n",
-                                    n_total, ["all_hit_chunks", "run_chunks"])
-    return [t for t, _ in parts if t.num_rows] or [empty], counters
+    return [t for t in tables if t is not None] or [empty], counters
 
 
 def encoded_scan_where(enc_dir: str, expr: tuple, out_cols: list[str]):
@@ -2521,40 +2326,31 @@ def encoded_topk_rows(enc_dir: str, col: str, k: int):
     if k <= 0:
         raise ValueError("k must be positive")
     # pass 0 reads two tiny int columns (at 1e8 chunks still two int64
-    # vectors)
+    # vectors); fewer than k rows (or none) exist: scan all
     files = _table_files(enc_dir)
-    if not files:
-        return (pd.DataFrame({"value": pd.Series([], dtype="int64"),
-                              "n": pd.Series([], dtype="int64")}),
-                {"chunks_total": 0, "chunks_scanned": 0,
-                 "chunks_skipped": 0, "threshold": None})
-    m = pds.dataset(files, format="parquet") \
-        .to_table(columns=["n_rows", f"{col}__vmin"]).to_pandas() \
-        .sort_values(f"{col}__vmin", ascending=False)
-    covered = m["n_rows"].cumsum().searchsorted(k)  # first cumsum >= k
-    # fewer than k rows exist: scan all
-    t_bound = None if covered >= len(m) else \
-        int(m[f"{col}__vmin"].iloc[covered])
+    t_bound = None
+    if files:
+        m = pds.dataset(files, format="parquet") \
+            .to_table(columns=["n_rows", f"{col}__vmin"]).to_pandas() \
+            .sort_values(f"{col}__vmin", ascending=False)
+        covered = m["n_rows"].cumsum().searchsorted(k)  # first cumsum >= k
+        if covered < len(m):
+            t_bound = int(m[f"{col}__vmin"].iloc[covered])
 
     need = ["n_rows"] + [f"{col}__{p}"
                          for p in ("codec", "payload", "dtype", "valid")]
     flt = None if t_bound is None else \
         (pc.field(f"{col}__vmax") >= t_bound)
 
-    def partial(batch: pa.Table) -> pa.Table:
-        nrows = batch.column("n_rows").to_numpy(zero_copy_only=False)
+    def partial(batch: pa.Table):
         vs, cs = [], []
-        for i in range(len(batch)):
-            if len(batch.column(f"{col}__valid")[i].as_py() or b""):
+        for i, n, _ in _chunk_sels(batch, None):
+            if _chunk_valid(batch, col, i):
                 raise ValueError(
                     f"column {col!r}: nullable chunks not supported by "
                     "the compressed-domain top-k")
-            vals, counts = value_counts(
-                batch.column(f"{col}__codec")[i].as_py(),
-                memoryview(batch.column(
-                    f"{col}__payload")[i].as_buffer()),
-                int(nrows[i]),
-                np.dtype(batch.column(f"{col}__dtype")[i].as_py()))
+            codec, payload, dt = _chunk_col(batch, col, i)
+            vals, counts = value_counts(codec, payload, n, dt)
             if t_bound is not None:
                 keep = vals >= vals.dtype.type(t_bound)
                 vals, counts = vals[keep], counts[keep]
@@ -2563,25 +2359,21 @@ def encoded_topk_rows(enc_dir: str, col: str, k: int):
             # per-chunk row budget: largest values until k rows covered
             vals, counts = vals[::-1], counts[::-1]     # descending
             cut = int(np.searchsorted(np.cumsum(counts), k)) + 1
-            vs.append(vals[:cut].astype(np.int64))
+            vs.append(vals[:cut])
             cs.append(counts[:cut])
-        empty = np.empty(0, np.int64)
-        return _with_meters(
-            {"value": np.concatenate(vs) if vs else empty,
-             "c": np.concatenate(cs) if cs else empty}, "c", [len(batch)])
+        return (_cat(vs), _cat(cs)), {}
 
-    parts, n_total = _scan_partials(enc_dir, need, flt, partial)
-    rows, counters = _collect_partials(parts, ["value", "c"], "c",
-                                       n_total, [])
-    hist = rows.groupby("value")["c"].sum().sort_index(ascending=False)
-    cum = hist.cumsum()
+    parts, counters = _scan_partials(enc_dir, need, flt, partial)
+    values, counts = _sum_by(_cat(v for v, _ in parts),
+                             _cat(c for _, c in parts))
+    values, counts = values[::-1], counts[::-1]         # descending
+    cum = np.cumsum(counts)
     # k past the table size keeps every row (cut clamps to the
     # histogram length; nothing to trim since cumsum never reaches k)
-    cut = min(int(cum.searchsorted(k)) + 1, len(hist))
-    top = pd.DataFrame({"value": hist.index[:cut].to_numpy(np.int64),
-                        "n": hist.to_numpy(np.int64)[:cut]})
-    if cut and int(cum.iloc[cut - 1]) > k:
-        top.loc[cut - 1, "n"] -= int(cum.iloc[cut - 1]) - k
+    cut = min(int(np.searchsorted(cum, k)) + 1, len(values))
+    top = pd.DataFrame({"value": values[:cut], "n": counts[:cut]})
+    if cut and int(cum[cut - 1]) > k:
+        top.loc[cut - 1, "n"] -= int(cum[cut - 1]) - k
     counters["threshold"] = t_bound
     return top, counters
 
