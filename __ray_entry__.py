@@ -215,7 +215,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # flagship encode/decode round-trip, per-source aggregates
         "encode_roundtrip_stats": Q.encode_roundtrip_stats,
         "encode_roundtrip_stats_localgroup": Q.encode_roundtrip_stats_localgroup,
-        "encode_roundtrip_stats_hashgroup": Q.encode_roundtrip_stats_hashgroup,
+        # the sort-shuffle mode this key measured is gone; the key stays
+        # for registry continuity on the per-batch source-grouping path
+        "encode_roundtrip_stats_hashgroup": Q.encode_roundtrip_stats_localgroup,
         "encoded_pruned_source_stats": Q.encoded_pruned_source_stats,
         "recompress_roundtrip_stats": Q.recompress_roundtrip_stats,
         "upsert_corpus_stats": Q.upsert_corpus_stats,

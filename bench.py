@@ -73,22 +73,16 @@ def bench_encode(in_dir: str, *, num_cpus: int, passes: int = 1) -> dict:
     """Timed read->encode->write run.  ``passes=2`` reports the BEST pass
     (warm workers/arenas, least host interference) — representative of a
     long-running streaming job rather than session spin-up or a steal
-    episode.
-
-    GRAFT_ENCODE_BY_SOURCE: "" (plain), "local" (per-batch source grouping,
-    no shuffle) or "sort" (global sort shuffle)."""
+    episode."""
     from tokrle.pipelines.corpus import encode_corpus
 
-    by_source = os.environ.get("GRAFT_ENCODE_BY_SOURCE", "")
     passes = max(1, passes)  # env can set GRAFT_PASSES=0; volume() guards too
-    batch = 8192 if by_source == "local" else 2048
     out_dir = os.path.join(WORK, f"encoded_{num_cpus}")
     dt = float("inf")
     for _ in range(passes):
         shutil.rmtree(out_dir, ignore_errors=True)
         t0 = time.perf_counter()
-        run = encode_corpus(in_dir, out_dir, batch_size=batch,
-                            by_source=by_source or False)
+        run = encode_corpus(in_dir, out_dir, batch_size=2048)
         # best pass: the host has minutes-long steal episodes (see
         # BASELINE.md); the fastest of the warm passes is the engine
         # number, a steal spike in the last pass is the host's
@@ -136,23 +130,14 @@ def main() -> None:
     dec = bench_decode(enc["out_dir"])
     timings["decode"] = round(dec["seconds"], 3)
 
-    # skew-rebalanced variant: one sort("source") shuffle, regime-pure
+    # source-grouped variant: per-batch source grouping, regime-pure
     # chunks, better codec fit (see BASELINE.md)
     from tokrle.pipelines.corpus import encode_corpus
 
-    bys_out = os.path.join(WORK, "encoded_bysource")
-    shutil.rmtree(bys_out, ignore_errors=True)
-    t0 = time.perf_counter()
-    bys = encode_corpus(in_dir, bys_out, batch_size=2048, by_source=True)
-    timings["encode_bysource"] = round(time.perf_counter() - t0, 3)
-    bys_ratio = (bys["raw_bytes"] / bys["encoded_bytes"]
-                 if bys["encoded_bytes"] else 0.0)
-
-    # shuffle-free variant: per-batch local source grouping
     lg_out = os.path.join(WORK, "encoded_localgroup")
     shutil.rmtree(lg_out, ignore_errors=True)
     t0 = time.perf_counter()
-    lg = encode_corpus(in_dir, lg_out, batch_size=8192, by_source="local")
+    lg = encode_corpus(in_dir, lg_out, batch_size=8192, by_source=True)
     timings["encode_localgroup"] = round(time.perf_counter() - t0, 3)
     lg_ratio = (lg["raw_bytes"] / lg["encoded_bytes"]
                 if lg["encoded_bytes"] else 0.0)
@@ -238,7 +223,6 @@ def main() -> None:
         "decode_tokens_per_sec": round(enc["n_tokens"] / dec["seconds"])
         if dec["seconds"] else 0,
         "compression_ratio": round(enc["compression_ratio"], 3),
-        "compression_ratio_bysource": round(bys_ratio, 3),
         "compression_ratio_localgroup": round(lg_ratio, 3),
         **_host_health(),
     }
@@ -330,7 +314,7 @@ def volume_prep() -> None:
         training_examples(docs).write_parquet(stage)
         t_stage = time.perf_counter() - t0
         t0 = time.perf_counter()
-        run = encode_corpus(stage, enc, batch_size=8192, by_source="local")
+        run = encode_corpus(stage, enc, batch_size=8192, by_source=True)
         t_encode = time.perf_counter() - t0
         total = t_stage + t_encode
         out["queries"][label] = {
@@ -360,7 +344,7 @@ def volume_prep() -> None:
 
 def volume() -> None:
     """sf1-volume encode bench (r3 verdict item 7): ~1e9 tokens through
-    the FULL by-source=local encode path (shuffle-free per-batch source
+    the FULL by_source=True encode path (shuffle-free per-batch source
     grouping, the default production variant), alongside the headline
     82M-token run in the same session — extending the amortization curve
     (BENCH/hashgroup_amortization_r3.json) by 12x to confirm per-token
@@ -378,7 +362,7 @@ def volume() -> None:
     rep = int(os.environ.get("GRAFT_VOLUME_REPEAT", "384"))
     vol_passes = int(os.environ.get("GRAFT_VOLUME_PASSES", "2"))
     out: dict = {"metric": "encode throughput at ~1B tokens "
-                           "(by_source=local, full path)",
+                           "(by_source=True, full path)",
                  "unit": "tokens/sec", "sf": SF_DIR, "num_cpus": NUM_CPUS,
                  "queries": {}}
     # the trailing headline re-measure separates two explanations for a
@@ -399,7 +383,7 @@ def volume() -> None:
             shutil.rmtree(enc_out, ignore_errors=True)
             t0 = time.perf_counter()
             this = encode_corpus(in_dir, enc_out, batch_size=8192,
-                                 by_source="local")
+                                 by_source=True)
             elapsed = time.perf_counter() - t0
             if elapsed < dt:
                 dt, run = elapsed, this

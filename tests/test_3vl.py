@@ -93,6 +93,12 @@ def _chunk_fixture(arrays):
     return (lambda c, i: enc[c], lambda c, i: vbits[c], zmin, zmax)
 
 
+def _no_str_chunk(c, i):
+    """String-chunk accessor of the integer-only fixture: the generated
+    trees hold no string leaf, so the evaluator never calls it."""
+    raise AssertionError(f"string accessor called for {c!r}")
+
+
 _VAL = st.integers(min_value=-8, max_value=8)
 
 
@@ -134,8 +140,8 @@ def test_expr_eval3_matches_dense_kleene_oracle(data, n):
     chunk_col, valid_fn, zmin, zmax = _chunk_fixture(
         {c: (cols[c], valid[c]) for c in cols})
 
-    t, p = _expr_eval3(expr, 0, n, zmin, zmax, chunk_col,
-                       valid_fn=valid_fn)
+    t, p = _expr_eval3(expr, 0, n, zmin, zmax, chunk_col, _no_str_chunk,
+                       valid_fn)
     ot, ou = _kleene_oracle(expr, cols, valid)
     assert (_dense(t, n) == ot).all()
     dense_p = _dense(t, n) if p is None else _dense(p, n)
@@ -163,8 +169,8 @@ def test_expr_eval3_null_free_degenerates_two_valued(data, n):
     ok = np.ones(n, dtype=bool)
     expr = data.draw(_tree(["a"]))
     chunk_col, valid_fn, zmin, zmax = _chunk_fixture({"a": (v, ok)})
-    t, p = _expr_eval3(expr, 0, n, zmin, zmax, chunk_col,
-                       valid_fn=valid_fn)
+    t, p = _expr_eval3(expr, 0, n, zmin, zmax, chunk_col, _no_str_chunk,
+                       valid_fn)
     assert p is None
     ot, ou = _kleene_oracle(expr, {"a": v}, {"a": ok})
     assert not ou.any()

@@ -79,10 +79,10 @@ def test_roundtrip_check_streaming(ray_session, token_ds):
     assert res["source"]["n_docs"] == 500
 
 
-@pytest.mark.parametrize("by_source", [False, "local", "sort"])
+@pytest.mark.parametrize("by_source", [False, True])
 def test_corpus_encode_resume(ray_session, tmp_path, by_source):
-    """Killed-run resume: second invocation skips completed units, on the
-    fused single-job paths and on the per-group sort-shuffle path."""
+    """Killed-run resume: second invocation skips completed units, with
+    and without per-batch source grouping."""
     import pyarrow.parquet as pq
 
     from tokrle.pipelines.corpus import encode_corpus
@@ -499,7 +499,7 @@ def test_plan_groups_size_aware(tmp_path):
         assert total <= 400 or len(g) == 1
 
 
-@pytest.mark.parametrize("by_source", [False, "local", "sort"])
+@pytest.mark.parametrize("by_source", [False, True])
 def test_recompress_roundtrip_and_resume(ray_session, tmp_path, by_source):
     import ray.data
 
@@ -511,7 +511,7 @@ def test_recompress_roundtrip_and_resume(ray_session, tmp_path, by_source):
     synth_tokens(2000).repartition(4).write_parquet(src)
     enc1 = str(tmp_path / "enc1")
     encode_corpus(src, enc1, batch_size=512)
-    # recompress under each skew mode (codec-fit migration)
+    # recompress with and without source grouping (codec-fit migration)
     enc2 = str(tmp_path / "enc2")
     run = recompress(enc1, enc2, batch_size=1024, by_source=by_source)
     assert run["units_skipped"] == 0 and run["n_tokens"] > 0
@@ -1213,10 +1213,12 @@ def test_cli_and_bench_decode_read_the_live_view(ray_session, tmp_path,
                                                  capsys):
     """The CLI ``decode`` and ``verify`` commands and bench.py's
     bench_decode read only the corpus's live view: a leftover
-    'group=<gid>.tmp' from a crashed upsert is not decoded again."""
+    'group=<gid>.tmp' from a crashed upsert is not decoded again.  The
+    CLI leaves the caller's Ray session (the 4-CPU fixture) running."""
     import json
     import sys
 
+    import ray
     import ray.data
 
     from tokrle import cli
@@ -1227,11 +1229,13 @@ def test_cli_and_bench_decode_read_the_live_view(ray_session, tmp_path,
 
     out = str(tmp_path / "decoded")
     assert cli.main(["decode", "--in-dir", enc, "--out-dir", out]) == 0
+    assert ray.is_initialized() and ray.cluster_resources()["CPU"] == 4
     ids = ray.data.read_parquet(out).to_pandas()["doc_id"]
     assert len(ids) == ids.nunique() == n
 
     assert cli.main(["verify", "--tokens", str(tmp_path / "in"),
                      "--encoded", enc]) == 0
+    assert ray.is_initialized() and ray.cluster_resources()["CPU"] == 4
     res = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert res["match"] and res["decoded"]["n_docs"] == n
 
@@ -2999,7 +3003,9 @@ def test_encoded_topk_rows_matches_pandas(ray_session, tmp_path,
     assert c["chunks_skipped"] > 0, c
     assert c["threshold"] is not None
     # an empty directory reports the same counter keys
-    assert set(encoded_topk_rows(str(tmp_path), "k", 3)[1]) == set(c)
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    assert set(encoded_topk_rows(str(empty), "k", 3)[1]) == set(c)
 
 
 def test_encoded_boolean_agg_in_leaf(ray_session, tmp_path):

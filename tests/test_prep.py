@@ -37,7 +37,7 @@ def test_prep_encode_roundtrip(ray_session, tmp_path):
     from tokrle.pipelines.prep import training_examples
 
     ex = training_examples(f"{SF}/documents.parquet", seq_len=256, eos=3)
-    enc = encode_tokens(ex, by_source="local", batch_size=4096)
+    enc = encode_tokens(ex, by_source=True, batch_size=4096)
     chk = roundtrip_check(
         training_examples(f"{SF}/documents.parquet", seq_len=256, eos=3),
         decode_tokens(enc))

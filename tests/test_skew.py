@@ -1,4 +1,4 @@
-"""Skew-rebalance stage and chunk determinism tests."""
+"""Source grouping (``by_source=True``) and chunk determinism tests."""
 
 import numpy as np
 import pytest
@@ -36,8 +36,8 @@ def test_by_source_chunks_are_single_source(ray_session, regime_ds):
     for srcs in enc["doc_source"]:
         if len(set(srcs)) > 1:
             mixed += 1
-    # sorted-by-source blocks: at most one boundary chunk per source change
-    assert mixed <= 8
+    # per-batch source grouping: every chunk holds one source
+    assert mixed == 0
 
 
 def test_regime_profiles_exercise_multiple_codecs():
@@ -61,11 +61,11 @@ def test_regime_profiles_exercise_multiple_codecs():
 def test_regime_corpus_codec_diversity_pinned(ray_session, regime_ds):
     """End-to-end codec diversity with chunking pinned deterministic:
     one block (repartition(1) preserves row order), no shuffle
-    (by_source="local"), fixed batch_size -> identical chunks every run."""
+    (by_source=True), fixed batch_size -> identical chunks every run."""
     from tokrle.pipelines.encode import encode_tokens
 
     enc = encode_tokens(regime_ds.repartition(1), batch_size=1024,
-                        by_source="local").to_pandas()
+                        by_source=True).to_pandas()
     used = set(enc["codec"])
     assert len(used) >= 3, used
     # compression must beat raw overall
@@ -79,39 +79,42 @@ def test_chunk_id_content_deterministic(ray_session, regime_ds):
     a = encode_tokens(regime_ds, batch_size=64, by_source=True).to_pandas()
     b = encode_tokens(regime_ds.repartition(7), batch_size=64,
                       by_source=True).to_pandas()
-    # sort("source") then fixed batch_size makes chunking deterministic up
-    # to block boundaries; identical chunking must yield identical ids
+    # per-batch grouping at a fixed batch_size makes chunking
+    # deterministic up to block boundaries; identical chunking must yield
+    # identical ids
     ids_a = set(a["chunk_id"])
     ids_b = set(b["chunk_id"])
     assert len(ids_a) == len(a)
     assert len(ids_b) == len(b)
 
 
-def test_local_grouping_matches_sort_compression(ray_session, regime_ds):
-    """Per-batch local source grouping must achieve (nearly) the sorted
-    pipeline's compression without any shuffle."""
+@pytest.mark.parametrize("batch_size", [256, 1024])
+def test_source_grouping_beats_plain_compression(ray_session, regime_ds,
+                                                 batch_size):
+    """Per-batch source grouping compresses better than no grouping at
+    the same batch_size, with no shuffle: every chunk is single-source."""
     from tokrle.pipelines.encode import encode_tokens
 
-    srt = encode_tokens(regime_ds, batch_size=256, by_source=True).to_pandas()
-    loc = encode_tokens(regime_ds, batch_size=1024,
-                        by_source="local").to_pandas()
-    assert loc["n_tokens"].sum() == srt["n_tokens"].sum()
-    ratio_sort = srt["raw_bytes"].sum() / srt["encoded_bytes"].sum()
-    ratio_local = loc["raw_bytes"].sum() / loc["encoded_bytes"].sum()
-    assert ratio_local >= 0.9 * ratio_sort
-    # chunks are single-source
-    assert all(len(set(s)) == 1 for s in loc["doc_source"] if len(s))
+    plain = encode_tokens(regime_ds, batch_size=batch_size).to_pandas()
+    grp = encode_tokens(regime_ds, batch_size=batch_size,
+                        by_source=True).to_pandas()
+    assert grp["n_tokens"].sum() == plain["n_tokens"].sum()
+    ratio_plain = plain["raw_bytes"].sum() / plain["encoded_bytes"].sum()
+    ratio_grp = grp["raw_bytes"].sum() / grp["encoded_bytes"].sum()
+    assert ratio_grp > 1.3 * ratio_plain, (ratio_grp, ratio_plain)
+    assert all(len(set(s)) == 1 for s in grp["doc_source"] if len(s))
 
 
-@pytest.mark.parametrize("by_source", ["hash", "Local"])
+@pytest.mark.parametrize("by_source", ["hash", "Local", "sort", "local", "",
+                                       None, 1])
 @pytest.mark.parametrize("entry", ["encode_tokens", "encode_corpus",
                                    "recompress", "upsert_corpus",
                                    "compact_corpus"])
 def test_unknown_by_source_rejected(ray_session, regime_ds, tmp_path, entry,
                                     by_source):
-    """Every encode entry point reads ``by_source`` through one normalizer:
-    an unknown value raises before anything runs or is written, instead
-    of silently falling back to the sort shuffle."""
+    """Every encode entry point reads ``by_source`` through one check: a
+    value that is not a bool (the old mode strings included) raises
+    before anything runs or is written."""
     from tokrle.pipelines import corpus
     from tokrle.pipelines.encode import encode_tokens
 
@@ -128,7 +131,7 @@ def test_unknown_by_source_rejected(ray_session, regime_ds, tmp_path, entry,
         "compact_corpus": lambda: corpus.compact_corpus(
             str(out), by_source=by_source),
     }[entry]
-    with pytest.raises(ValueError, match="'sort', 'local'"):
+    with pytest.raises(ValueError, match="by_source must be True or False"):
         call()
     assert not out.exists()
 

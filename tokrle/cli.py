@@ -1,7 +1,7 @@
 """CLI entry point — the unit a cluster run submits via ``ray job submit``:
 
     ray job submit --working-dir . -- python -m tokrle.cli encode \
-        --in-dir /data/tokens --out-dir /data/encoded [--by-source sort|local]
+        --in-dir /data/tokens --out-dir /data/encoded [--by-source]
 
     python -m tokrle.cli decode --in-dir /data/encoded --out-dir /data/tokens2
     python -m tokrle.cli verify --tokens /data/tokens --encoded /data/encoded
@@ -22,10 +22,13 @@ import json
 import sys
 
 
-def _ray_up(num_cpus: int | None):
+def _ray_up(num_cpus: int | None) -> bool:
+    """Attach to (or start) a Ray session; True when this call started
+    it, so :func:`main` ends only a session it owns."""
     import ray
 
-    if not ray.is_initialized():
+    started = not ray.is_initialized()
+    if started:
         kwargs = {"include_dashboard": False, "ignore_reinit_error": True,
                   "logging_level": "ERROR"}
         if num_cpus:
@@ -35,6 +38,7 @@ def _ray_up(num_cpus: int | None):
     from ray.data import DataContext
 
     DataContext.get_current().enable_progress_bars = False
+    return started
 
 
 def main(argv=None) -> int:
@@ -45,11 +49,9 @@ def main(argv=None) -> int:
     enc.add_argument("--in-dir", required=True)
     enc.add_argument("--out-dir", required=True)
     enc.add_argument("--batch-size", type=int, default=2048)
-    enc.add_argument("--by-source", nargs="?", const="sort", default=False,
-                     choices=["sort", "local"],
-                     help="co-locate sources before encoding: 'sort' = "
-                          "global range shuffle, 'local' = per-batch "
-                          "grouping (no shuffle)")
+    enc.add_argument("--by-source", action="store_true",
+                     help="group each batch's documents by source before "
+                          "encoding (single-source chunks, no shuffle)")
     enc.add_argument("--group-files", type=int, default=None,
                      help="resume-unit size in input files "
                           "(default: size-aware auto grouping, ~1GB/unit)")
@@ -60,9 +62,8 @@ def main(argv=None) -> int:
     rec.add_argument("--in-dir", required=True)
     rec.add_argument("--out-dir", required=True)
     rec.add_argument("--batch-size", type=int, default=2048)
-    rec.add_argument("--by-source", nargs="?", const="sort", default=False,
-                     choices=["sort", "local"],
-                     help="sort|local, as for encode")
+    rec.add_argument("--by-source", action="store_true",
+                     help="group by source, as for encode")
     rec.add_argument("--num-cpus", type=int, default=None)
 
     ups = sub.add_parser("upsert",
@@ -211,7 +212,7 @@ def main(argv=None) -> int:
     rm.add_argument("--num-cpus", type=int, default=None)
 
     args = ap.parse_args(argv)
-    _ray_up(args.num_cpus)
+    owns_ray = _ray_up(args.num_cpus)
     import ray
 
     try:
@@ -333,7 +334,7 @@ def main(argv=None) -> int:
                 with open(sentinel, "w") as f:
                     f.write(stamp)
             run = encode_corpus(stage, args.out_dir, batch_size=8192,
-                                by_source="local")
+                                by_source=True)
             run["stage_dir"] = stage
             print(json.dumps(run))
         elif args.cmd == "clean-corpus":
@@ -465,7 +466,8 @@ def main(argv=None) -> int:
                               "vocab_size": len(old_of_new),
                               "out": args.out_dir}))
     finally:
-        ray.shutdown()
+        if owns_ray:
+            ray.shutdown()
     return 0
 
 

@@ -1,11 +1,12 @@
 """Corpus-level resumable encode: directory of token Parquet -> encoded
 Parquet + lineage, restartable at partition granularity.
 
-Resume unit = a GROUP of input files (default 32): each group runs as ONE
-streaming Dataset pipeline (read -> encode -> write -> manifest publish),
-so worker and pipeline startup amortize over the group while a
-killed run loses at most one group's work.  Groups are deterministic
-(sorted file list, fixed group size), so re-runs resume exactly.
+Resume unit = a GROUP of input files (:func:`plan_groups`): all pending
+groups run as ONE Dataset job of fused per-file read -> encode -> write
+tasks (:func:`_run_file_tasks`), and a group's manifest row is published
+the moment its last file reports, so a killed run loses only the groups
+still in flight.  Groups are deterministic (sorted file list, fixed
+grouping), so re-runs resume exactly.
 
 The reference has no fault tolerance at all (a failed ray.get kills the
 job, ref pyrle/rledict.py:173); this plus Ray Data's task retries is the
@@ -14,6 +15,8 @@ scale-out replacement.
 
 from __future__ import annotations
 
+import collections
+import functools
 import glob
 import hashlib
 import os
@@ -79,13 +82,21 @@ def _lineage_sums(enc: "pa.Table") -> tuple[int, int, int]:
     return tuple(pc.sum(enc.column(k)).as_py() or 0 for k in _LINEAGE_SUMS)
 
 
-def _drain_unit_metrics(metrics_ds, unit_key: str, n_per_unit: dict,
-                        on_unit_done, on_row=None) -> None:
-    """Stream per-file metrics rows from a fused single-job Dataset and
-    invoke ``on_unit_done(unit)`` the moment the unit's LAST row arrives —
-    the shared countdown behind the encode / upsert / compact single-job
-    paths, so crash-publish ordering is defined in exactly one place."""
-    remaining = dict(n_per_unit)
+def _run_file_tasks(items: list[dict], task, unit_key: str, on_unit_done,
+                    on_row=None) -> None:
+    """The one executor of the write entry points: run ``task`` (a
+    per-file ``map_batches`` function returning one metrics row per item)
+    over ``items`` as ONE Dataset job, one item per task, and stream the
+    metrics rows back.  ``on_row(unit, row)`` sees every row;
+    ``on_unit_done(unit)`` runs the moment the LAST item of a unit
+    (``item[unit_key]``) reports, so crash-publish ordering is defined in
+    exactly one place and a crash mid-job keeps every published unit."""
+    import ray.data
+
+    remaining = collections.Counter(item[unit_key] for item in items)
+    metrics_ds = ray.data.from_items(
+        items, override_num_blocks=len(items)).map_batches(
+        task, batch_size=1, batch_format="numpy")
     for row in metrics_ds.iter_rows():
         u = row[unit_key]
         if on_row is not None:
@@ -95,22 +106,22 @@ def _drain_unit_metrics(metrics_ds, unit_key: str, n_per_unit: dict,
             on_unit_done(u)
 
 
-def _encode_corpus_single_job(groups, done, manifest, out_dir, run, *,
-                              batch_size: int, local_group: bool,
-                              task_fn=None) -> dict:
-    """Shuffle-free encode path: every pending group's files run in ONE
-    Dataset job of fused read->encode->write tasks
-    (:func:`_encode_write_file_task`, or ``task_fn`` — e.g.
-    :func:`_recompress_file_task`); only per-file metrics rows return to
-    the driver, which then publishes one manifest row per completed group.
+def _encode_groups(groups: list[list[str]], out_dir: str, task, *,
+                   batch_size: int, local_group: bool) -> dict:
+    """Executor of :func:`encode_corpus` and :func:`recompress`: every
+    pending group's files run in ONE Dataset job of fused
+    read->encode->write tasks (``task``: :func:`_encode_write_file_task`
+    or :func:`_recompress_file_task`); only per-file metrics rows return
+    to the driver, which publishes one manifest row per completed group.
+    Returns run metrics.
 
     Per-group ``seconds`` in the manifest is the SUM of that group's
-    per-file task times (compute seconds, not wall — groups now execute
+    per-file task times (compute seconds, not wall — groups execute
     concurrently)."""
-    import functools
-
-    import ray.data
-
+    manifest = Manifest(out_dir)
+    done = manifest.completed_units()
+    run = {"units_total": len(groups), "units_skipped": 0,
+           "n_tokens": 0, "raw_bytes": 0, "encoded_bytes": 0, "seconds": 0.0}
     pending: list[tuple[str, list[str]]] = []
     for grp in groups:
         gid = _group_id(grp)
@@ -129,13 +140,6 @@ def _encode_corpus_single_job(groups, done, manifest, out_dir, run, *,
     if not pending:
         return run
     t0 = time.perf_counter()
-    items = [{"path": p, "group": gid} for gid, grp in pending for p in grp]
-    paths = ray.data.from_items(items, override_num_blocks=len(items))
-    metrics_ds = paths.map_batches(
-        functools.partial(task_fn or _encode_write_file_task,
-                          out_dir=out_dir,
-                          batch_size=batch_size, local_group=local_group),
-        batch_size=1, batch_format="numpy")
     per_group: dict[str, dict] = {
         gid: {"n_files": len(grp), "first_file": grp[0], "n_tokens": 0,
               "raw_bytes": 0, "encoded_bytes": 0, "seconds": 0.0}
@@ -151,13 +155,14 @@ def _encode_corpus_single_job(groups, done, manifest, out_dir, run, *,
         for k in _LINEAGE_SUMS:
             run[k] += per_group[gid][k]
 
-    # stream the metrics rows and publish each group's manifest row the
-    # moment its LAST file reports — resume granularity stays per-group
-    # even though all groups share one job (a crash mid-job keeps every
-    # already-published group)
-    _drain_unit_metrics(metrics_ds, "group",
-                        {gid: len(grp) for gid, grp in pending},
-                        publish, on_row=accumulate)
+    # publish each group's manifest row the moment its LAST file reports
+    # — resume granularity stays per-group even though all groups share
+    # one job
+    _run_file_tasks(
+        [{"path": p, "group": gid} for gid, grp in pending for p in grp],
+        functools.partial(task, out_dir=out_dir, batch_size=batch_size,
+                          local_group=local_group),
+        "group", publish, on_row=accumulate)
     run["seconds"] = time.perf_counter() - t0
     return run
 
@@ -239,47 +244,6 @@ def _write_encoded_parts(parts: list, out_dir: str, gid: str,
     return n_tok, raw_b, enc_b
 
 
-def _encode_groups_sorted(groups, done, manifest, out_dir, run, *,
-                          batch_size: int, to_tokens) -> dict:
-    """Sort-shuffle encode path of :func:`encode_corpus` and
-    :func:`recompress`: the global ``sort("source")`` needs a Dataset
-    exchange, so each pending group runs as its own job (``to_tokens(files)``
-    -> token-table Dataset -> encode -> write) and publishes its manifest
-    row once written.  The lineage sums are a column-pruned pyarrow read of
-    the three metric columns just written, never the payloads."""
-    import shutil
-
-    import pyarrow.parquet as pq
-
-    for grp in groups:
-        gid = _group_id(grp)
-        if gid in done:
-            run["units_skipped"] += 1
-            continue
-        t0 = time.perf_counter()
-        unit_out = os.path.join(out_dir, f"group={gid}")
-        # a previous CRASHED attempt may have left partial files (its
-        # manifest row was never published); clear them or the re-run would
-        # append duplicate chunks
-        if os.path.isdir(unit_out):
-            shutil.rmtree(unit_out)
-        encode_tokens(to_tokens(grp), batch_size=batch_size,
-                      by_source="sort").write_parquet(unit_out)
-        # a group whose inputs were all empty writes no files at all:
-        # record zero metrics, don't crash
-        files = sorted(glob.glob(os.path.join(unit_out, "*.parquet")))
-        sums = _lineage_sums(pq.read_table(files, columns=list(
-            _LINEAGE_SUMS))) if files else (0, 0, 0)
-        dt = time.perf_counter() - t0
-        metrics = {"n_files": len(grp), "first_file": grp[0],
-                   **dict(zip(_LINEAGE_SUMS, sums)), "seconds": dt}
-        manifest.mark_done(gid, metrics)
-        for k in _LINEAGE_SUMS:
-            run[k] += metrics[k]
-        run["seconds"] += dt
-    return run
-
-
 def _recompress_file_task(batch: dict, *, out_dir: str, batch_size: int,
                           local_group: bool = False) -> "pa.Table":
     """Fused recompress resume-unit task: read one ENCODED parquet file
@@ -342,47 +306,30 @@ def _decode_reencode_stream(enc_tables, *, batch_size: int,
 
 def recompress(in_encoded: str, out_dir: str, *,
                batch_size: int = DEFAULT_BATCH_SIZE,
-               by_source: bool | str = False) -> dict:
+               by_source: bool = False) -> dict:
     """Re-encode an already-encoded corpus (codec migration / compaction /
-    re-chunking): streaming decode -> encode per resume group — the decoded
-    token stream never materializes, and a killed run resumes at group
-    granularity exactly like :func:`encode_corpus`.
+    re-chunking): fused decode->encode->write tasks per input file, so
+    the decoded token stream never materializes, and a killed run resumes
+    at group granularity exactly like :func:`encode_corpus`.
 
-    Typical uses: switch the skew strategy (``by_source``), change the
+    Typical uses: switch source grouping (``by_source``), change the
     chunk size after data drift, or pick up codec improvements on old data.
     """
-    import ray.data
-
-    from tokrle.pipelines.encode import decode_tokens
-
-    mode = normalize_by_source(by_source)
-    manifest = Manifest(out_dir)
+    local_group = normalize_by_source(by_source)
     # scan the LIVE view only: a raw recursive glob would ingest
     # _docindex partitions (wrong schema), *.tmp/*.old crash leftovers,
     # and superseded pre-compaction member dirs (duplicated docs)
     live = corpus_files(in_encoded)
     units = sorted(glob.glob(os.path.join(in_encoded, "*.parquet"))) \
         if isinstance(live, str) else live
-    groups = plan_groups(sorted(units))
-    done = manifest.completed_units()
-    run = {"units_total": len(groups), "units_skipped": 0,
-           "n_tokens": 0, "raw_bytes": 0, "encoded_bytes": 0, "seconds": 0.0}
-    if mode != "sort":
-        # shuffle-free settings: single-job fused decode->encode->write
-        # tasks, same shape (and same resume/crash semantics) as
-        # encode_corpus's fast path
-        return _encode_corpus_single_job(
-            groups, done, manifest, out_dir, run, batch_size=batch_size,
-            local_group=mode == "local", task_fn=_recompress_file_task)
-    return _encode_groups_sorted(
-        groups, done, manifest, out_dir, run, batch_size=batch_size,
-        to_tokens=lambda grp: decode_tokens(ray.data.read_parquet(
-            grp, override_num_blocks=len(grp))))
+    return _encode_groups(plan_groups(sorted(units)), out_dir,
+                          _recompress_file_task, batch_size=batch_size,
+                          local_group=local_group)
 
 
 def encode_corpus(in_dir: str, out_dir: str, *,
                   batch_size: int = DEFAULT_BATCH_SIZE,
-                  by_source: bool | str = False,
+                  by_source: bool = False,
                   group_files: int | None = None) -> dict:
     """Encode every token Parquet file under ``in_dir`` into ``out_dir``,
     skipping groups already recorded in the manifest. Returns run metrics.
@@ -391,36 +338,19 @@ def encode_corpus(in_dir: str, out_dir: str, *,
     (:func:`plan_groups`, ~1 GB or 64 files per resume unit); an int keeps
     the fixed files-per-group behavior.
 
-    The shuffle-free settings (plain / by_source="local") read each input
-    file inside its encode task (see _encode_write_file_task), so read ->
-    encode -> write fuses into single tasks and NO raw token bytes cross
-    the object store; the sort shuffle needs the Dataset exchange and runs
-    one job per group (see _encode_groups_sorted)."""
-    import ray.data
-
-    mode = normalize_by_source(by_source)
-    manifest = Manifest(out_dir)
+    Each input file is read inside its encode task (see
+    _encode_write_file_task), so read -> encode -> write fuses into
+    single tasks and NO raw token bytes cross the object store;
+    ``by_source=True`` groups each batch by source inside those tasks."""
+    local_group = normalize_by_source(by_source)
     units = list_units(in_dir)
     if group_files is None:
         groups = plan_groups(units)
     else:
         groups = [units[i:i + group_files]
                   for i in range(0, len(units), group_files)]
-    done = manifest.completed_units()
-    run = {"units_total": len(groups), "units_skipped": 0,
-           "n_tokens": 0, "raw_bytes": 0, "encoded_bytes": 0, "seconds": 0.0}
-    if mode != "sort":
-        return _encode_corpus_single_job(
-            groups, done, manifest, out_dir, run,
-            batch_size=batch_size, local_group=mode == "local")
-    # one block per input file: avoids the SplitBlocks stage, so blocks
-    # stay file-sized and far fewer objects cross the store; the encode
-    # stage slices blocks into batch_size chunks anyway
-    return _encode_groups_sorted(
-        groups, done, manifest, out_dir, run, batch_size=batch_size,
-        to_tokens=lambda grp: ray.data.read_parquet(
-            grp, columns=["doc_id", "tokens", "n_tok", "source"],
-            override_num_blocks=len(grp)))
+    return _encode_groups(groups, out_dir, _encode_write_file_task,
+                          batch_size=batch_size, local_group=local_group)
 
 
 def _adopt_plain_layout(enc_dir: str) -> None:
@@ -459,7 +389,7 @@ def _adopt_plain_layout(enc_dir: str) -> None:
 
 def upsert_corpus(enc_dir: str, delta_ds, *,
                   batch_size: int = DEFAULT_BATCH_SIZE,
-                  by_source: bool | str = False) -> dict:
+                  by_source: bool = False) -> dict:
     """Doc-level upsert into an encoded corpus (LSM-style merge): rows of
     ``delta_ds`` (token-table schema: doc_id, tokens, n_tok, source)
     REPLACE same-doc_id documents already in the corpus and append
@@ -493,9 +423,7 @@ def upsert_corpus(enc_dir: str, delta_ds, *,
     import ray
     import ray.data
 
-    from tokrle.pipelines.encode import decode_tokens
-
-    mode = normalize_by_source(by_source)
+    local_group = normalize_by_source(by_source)
     manifest = Manifest(enc_dir)
     recover_groups(enc_dir)  # converge any interrupted prior swap first
     _adopt_plain_layout(enc_dir)  # plain write_parquet output -> group=base
@@ -563,48 +491,22 @@ def upsert_corpus(enc_dir: str, delta_ds, *,
                                  "upsert_rewrite": True,
                                  "seconds": time.perf_counter() - t0})
 
-    if group_dirs and mode != "sort":
+    if group_dirs:
         # ALL affected groups rewrite in ONE Dataset job of fused
         # decode->drop->re-encode->write tasks (one per member file);
         # each group's atomic swap publishes the moment its last file
         # reports — same single-job shape as encode_corpus/compact
-        import functools
-
         group_files = {g: sorted(glob.glob(os.path.join(g, "*.parquet")))
                        for g in group_dirs}
         for g in group_dirs:
             shutil.rmtree(g + ".tmp", ignore_errors=True)
-        items = [{"gdir": g, "path": p}
-                 for g, fs in group_files.items() for p in fs]
-        metrics_ds = ray.data.from_items(
-            items, override_num_blocks=len(items)).map_batches(
+        _run_file_tasks(
+            [{"gdir": g, "path": p} for g, fs in group_files.items()
+             for p in fs],
             functools.partial(_upsert_rewrite_file_task,
                               batch_size=batch_size,
-                              local_group=mode == "local",
-                              ids_ref=ref),
-            batch_size=1, batch_format="numpy")
-        _drain_unit_metrics(
-            metrics_ds, "gdir",
-            {g: len(fs) for g, fs in group_files.items()},
-            lambda g: _swap_group(g, len(group_files[g])))
-    else:
-        for gdir in group_dirs:
-            gfiles = sorted(glob.glob(os.path.join(gdir, "*.parquet")))
-            toks = decode_tokens(ray.data.read_parquet(
-                gfiles, override_num_blocks=len(gfiles)))
-
-            def drop(batch: pa.Table) -> pa.Table:
-                w = ray.get(ref)
-                return batch.filter(pc.invert(pc.is_in(
-                    batch.column("doc_id"), value_set=w)))
-
-            kept = encode_tokens(
-                toks.map_batches(drop, batch_format="pyarrow"),
-                batch_size=batch_size, by_source=by_source)
-            tmp = gdir + ".tmp"
-            shutil.rmtree(tmp, ignore_errors=True)
-            kept.write_parquet(tmp)
-            _swap_group(gdir, len(gfiles))
+                              local_group=local_group, ids_ref=ref),
+            "gdir", lambda g: _swap_group(g, len(group_files[g])))
 
     h = hashlib.blake2b(digest_size=10)
     for i in ids:
@@ -827,7 +729,7 @@ def _compact_bin_task(batch: dict, *, enc_dir: str, batch_size: int,
 
 def compact_corpus(enc_dir: str, *, target_bytes: int = GROUP_TARGET_BYTES,
                    batch_size: int = DEFAULT_BATCH_SIZE,
-                   by_source: bool | str = False) -> dict:
+                   by_source: bool = False) -> dict:
     """Merge undersized groups (LSM compaction): repeated
     :func:`upsert_corpus` deltas and fully-rewritten groups accumulate
     many small directories; this folds every group under
@@ -843,11 +745,7 @@ def compact_corpus(enc_dir: str, *, target_bytes: int = GROUP_TARGET_BYTES,
     """
     import shutil
 
-    import ray.data
-
-    from tokrle.pipelines.encode import decode_tokens
-
-    mode = normalize_by_source(by_source)
+    local_group = normalize_by_source(by_source)
     manifest = Manifest(enc_dir)
     recover_groups(enc_dir)  # never let '.old' leftovers enter the pointer
     _adopt_plain_layout(enc_dir)
@@ -881,26 +779,6 @@ def compact_corpus(enc_dir: str, *, target_bytes: int = GROUP_TARGET_BYTES,
     bins = [b for b in bins if len(b) >= 2]
     live = set(groups)
 
-    def _finish_bin(new_name: str, members: list[str],
-                    n_files: int) -> None:
-        """Atomic per-bin publish: rename the finished .tmp, swap the
-        live-group pointer, then GC the member dirs."""
-        nonlocal live
-        new_dir = os.path.join(enc_dir, new_name)
-        os.makedirs(new_dir + ".tmp", exist_ok=True)  # empty bin case
-        os.rename(new_dir + ".tmp", new_dir)
-        live = (live - set(members)) | {new_dir}
-        _publish_groups(enc_dir, [os.path.basename(g) for g in live])
-        for g in members:
-            shutil.rmtree(g, ignore_errors=True)
-        manifest.mark_done(new_name.split("=", 1)[1],
-                           {"n_files": n_files, "compacted": True,
-                            "members": ",".join(os.path.basename(g)
-                                                for g in members),
-                            "seconds": time.perf_counter() - t0})
-        run["bins"] += 1
-        run["bytes_compacted"] += sum(sizes[g] for g in members)
-
     plan: dict[str, tuple[list[str], list[str]]] = {}
     for members in bins:
         h = hashlib.blake2b(digest_size=10)
@@ -918,37 +796,38 @@ def compact_corpus(enc_dir: str, *, target_bytes: int = GROUP_TARGET_BYTES,
         shutil.rmtree(new_dir, ignore_errors=True)
         plan[new_name] = (members, files)
 
-    if plan and mode != "sort":
+    def _finish_bin(new_name: str) -> None:
+        """Atomic per-bin publish: rename the finished .tmp, swap the
+        live-group pointer, then GC the member dirs."""
+        nonlocal live
+        members, files = plan[new_name]
+        new_dir = os.path.join(enc_dir, new_name)
+        os.makedirs(new_dir + ".tmp", exist_ok=True)  # empty bin case
+        os.rename(new_dir + ".tmp", new_dir)
+        live = (live - set(members)) | {new_dir}
+        _publish_groups(enc_dir, [os.path.basename(g) for g in live])
+        for g in members:
+            shutil.rmtree(g, ignore_errors=True)
+        manifest.mark_done(new_name.split("=", 1)[1],
+                           {"n_files": len(files), "compacted": True,
+                            "members": ",".join(os.path.basename(g)
+                                                for g in members),
+                            "seconds": time.perf_counter() - t0})
+        run["bins"] += 1
+        run["bytes_compacted"] += sum(sizes[g] for g in members)
+
+    if plan:
         # ALL bins in ONE Dataset job (one fused decode->re-batch->encode
         # ->write task per bin — compaction's full-batch re-chunking is
         # preserved because each task streams its WHOLE bin), with each
         # bin's atomic view swap published the moment its task reports
-        import functools
-
-        items = [{"bin": name, "files": "\x00".join(files)}
-                 for name, (members, files) in plan.items()]
-        metrics_ds = ray.data.from_items(
-            items, override_num_blocks=len(items)).map_batches(
+        _run_file_tasks(
+            [{"bin": name, "files": "\x00".join(files)}
+             for name, (_, files) in plan.items()],
             functools.partial(_compact_bin_task, enc_dir=enc_dir,
                               batch_size=batch_size,
-                              local_group=mode == "local"),
-            batch_size=1, batch_format="numpy")
-
-        def finish(name: str) -> None:
-            members, files = plan[name]
-            _finish_bin(name, members, len(files))
-
-        _drain_unit_metrics(metrics_ds, "bin",
-                            {name: 1 for name in plan}, finish)
-    else:
-        for new_name, (members, files) in plan.items():
-            new_tmp = os.path.join(enc_dir, new_name) + ".tmp"
-            if files:
-                toks = decode_tokens(ray.data.read_parquet(
-                    files, override_num_blocks=len(files)))
-                encode_tokens(toks, batch_size=batch_size,
-                              by_source=by_source).write_parquet(new_tmp)
-            _finish_bin(new_name, members, len(files))
+                              local_group=local_group),
+            "bin", _finish_bin)
     run["groups_after"] = len(live)
     run["seconds"] = time.perf_counter() - t0
     return run

@@ -1,7 +1,7 @@
 """The flagship pipeline: token table -> encoded chunk table (+ reverse).
 
-Idiomatic Ray Data throughout: ``read_parquet`` -> optional skew rebalance ->
-``map_batches`` encode (one fused task stage) ->
+Idiomatic Ray Data throughout: ``read_parquet`` -> ``map_batches`` encode
+(one fused task stage, optionally grouping each batch by source) ->
 ``write_parquet`` with per-partition lineage; decode is the stateless
 inverse.  Checkpoint/resume operates at input-file-group granularity via
 the manifest in tokrle.state.
@@ -26,33 +26,15 @@ from tokrle.stages.encoder import TOKEN_SCHEMA, TokenEncoder, decode_chunks
 DEFAULT_BATCH_SIZE = 2048  # docs per chunk (~1M tokens at mean 512)
 
 
-def normalize_by_source(by_source) -> str:
+def normalize_by_source(by_source) -> bool:
     """The one reading of the ``by_source`` skew setting every encode entry
-    point shares: ``False`` -> ``""`` (no grouping), ``True``/``"sort"`` ->
-    ``"sort"`` (global shuffle), ``"local"`` -> ``"local"`` (per-batch
-    grouping).  Anything else raises instead of silently picking a mode."""
-    if by_source is False:
-        return ""
-    if by_source is True or by_source == "sort":
-        return "sort"
-    if by_source == "local":
-        return "local"
-    raise ValueError(f"by_source must be one of False, True/'sort', "
-                     f"'local'; got {by_source!r}")
-
-
-def rebalance_by_source(ds):
-    """Skew stage: co-locate rows of one source and split into ~equal-token
-    blocks (north_rule: "groupby-on-source + repartition before encoding").
-
-    ``sort("source")`` is a range-partitioned shuffle — one all-to-all
-    exchange — after which each output block holds a contiguous source
-    range, so chunks are (almost always) single-source and codec choice can
-    exploit per-source value distributions.  At 100 TB this is the only
-    shuffle in the pipeline and is executed by Ray Data's shuffle operator
-    (range partitioned, spillable), not on the driver.
-    """
-    return ds.sort("source")
+    point shares: a plain bool, ``True`` = per-batch source grouping inside
+    the encoder.  Anything else raises before anything runs or is
+    written, instead of silently picking a mode."""
+    if not isinstance(by_source, bool):
+        raise ValueError(f"by_source must be True or False; "
+                         f"got {by_source!r}")
+    return by_source
 
 
 _TASK_ENCODERS: dict[bool, TokenEncoder] = {}
@@ -72,22 +54,18 @@ def _encode_batch(batch, local_group: bool = False):
 
 
 def encode_tokens(ds, *, batch_size: int = DEFAULT_BATCH_SIZE,
-                  by_source: bool | str = False):
+                  by_source: bool = False):
     """Token-table Dataset -> encoded-chunk Dataset (lazy), as one fused
     task stage (see _encode_batch).
 
-    ``by_source``: ``"sort"``/True = the global sort("source") shuffle
-    (chunks near-perfectly source-pure); ``"local"`` = per-batch source
-    grouping inside the encoder — no shuffle at all, smaller chunks, most
-    of the codec-fit benefit (see BASELINE.md).
+    ``by_source=True`` groups each batch's rows by source inside the
+    encoder — no shuffle, every chunk holds one source, so codec choice
+    fits per-source value distributions (see BASELINE.md).
     """
     import functools
 
-    mode = normalize_by_source(by_source)
-    if mode == "sort":
-        ds = rebalance_by_source(ds)
     fn = (functools.partial(_encode_batch, local_group=True)
-          if mode == "local" else _encode_batch)
+          if normalize_by_source(by_source) else _encode_batch)
     return ds.map_batches(fn, batch_size=batch_size, batch_format="pyarrow")
 
 

@@ -69,20 +69,7 @@ def encode_roundtrip_stats_localgroup(sf_dir: str) -> pd.DataFrame:
     from tokrle.sources.tokens import documents_to_tokens
 
     ds = documents_to_tokens(sf_dir)
-    dec = decode_tokens(encode_tokens(ds, batch_size=256, by_source="local"))
-    return _per_source_token_stats(dec)
-
-
-def encode_roundtrip_stats_hashgroup(sf_dir: str) -> pd.DataFrame:
-    """Same as encode_roundtrip_stats but through the global
-    sort("source") shuffle (:func:`rebalance_by_source`) — same SQL oracle
-    (aggregates are order-free).  The bucketed-hash path this name once
-    measured is gone; the name is kept for registry continuity."""
-    from tokrle.pipelines.encode import decode_tokens, encode_tokens
-    from tokrle.sources.tokens import documents_to_tokens
-
-    ds = documents_to_tokens(sf_dir)
-    dec = decode_tokens(encode_tokens(ds, batch_size=256, by_source="sort"))
+    dec = decode_tokens(encode_tokens(ds, batch_size=256, by_source=True))
     return _per_source_token_stats(dec)
 
 
@@ -314,7 +301,7 @@ def recompress_roundtrip_stats(sf_dir: str) -> pd.DataFrame:
         shutil.rmtree(d, ignore_errors=True)
     documents_to_tokens(sf_dir).write_parquet(tok_dir)
     encode_corpus(tok_dir, enc1, batch_size=256)
-    recompress(enc1, enc2, batch_size=512, by_source="local")
+    recompress(enc1, enc2, batch_size=512, by_source=True)
     dec = decode_tokens(ray.data.read_parquet(
         enc2, columns=["codec", "payload", "n_tokens", "row_offsets",
                        "doc_id", "doc_source"]))
@@ -444,7 +431,7 @@ def encoded_pruned_source_stats(sf_dir: str) -> pd.DataFrame:
                            sf_dir.strip("/").replace("/", "_"), "enc_lg")
     shutil.rmtree(enc_dir, ignore_errors=True)
     ds = documents_to_tokens(sf_dir)
-    encode_tokens(ds, batch_size=256, by_source="local") \
+    encode_tokens(ds, batch_size=256, by_source=True) \
         .write_parquet(enc_dir)
 
     enc = ray.data.read_parquet(enc_dir,
@@ -1682,7 +1669,7 @@ def training_prep_stats(sf_dir: str) -> pd.DataFrame:
         f"{sf_dir}/documents.parquet", seq_len=PACK_SEQ_LEN,
         eos=PACK_EOS, eval_mask=DECONTAM_EVAL_MASK,
         decontam_k=DECONTAM_K)
-    dec = decode_tokens(encode_tokens(examples, by_source="local",
+    dec = decode_tokens(encode_tokens(examples, by_source=True,
                                       batch_size=8192))
 
     def per_example(batch: pa.Table) -> pa.Table:

@@ -1421,7 +1421,7 @@ def _rp_empty(a) -> bool:
 
 
 def _expr_eval3(e, i: int, n: int, zmin: dict, zmax: dict, chunk_col,
-                str_chunk=None, valid_fn=None):
+                str_chunk, valid_fn):
     """Kleene (three-valued) predicate evaluation on the run
     representation: returns ``(TRUE, POSSIBLE)`` where TRUE is the
     run-list (or ``_ALL``) of rows where the tree is definitely true
@@ -1479,9 +1479,6 @@ def _expr_eval3(e, i: int, n: int, zmin: dict, zmax: dict, chunk_col,
         return _rp_not(pa_, n), _rp_not(ta, n)
     col = e[1]
     if kind in _NULL_LEAVES:
-        if valid_fn is None:
-            raise ValueError(f"{kind} leaf reached an evaluator with "
-                             "no validity accessor")
         vb = valid_fn(col, i)
         if kind == "not_null":
             return (_ALL if not vb else valid_to_runs(vb, n)), None
@@ -1491,9 +1488,6 @@ def _expr_eval3(e, i: int, n: int, zmin: dict, zmax: dict, chunk_col,
     # value / string leaf: match the (null-filled) payload streams,
     # then wrap with the chunk's validity if it carries nulls
     if kind in _STR_LEAVES:
-        if str_chunk is None:
-            raise ValueError(f"{kind} leaf reached an evaluator with "
-                             "no string-chunk accessor")
         spec, lp, tp = str_chunk(col, i)
         if kind == "eq_str":
             m = match_eq_str(spec, lp, tp, n, e[2])
@@ -1535,7 +1529,7 @@ def _expr_eval3(e, i: int, n: int, zmin: dict, zmax: dict, chunk_col,
                 m = match_eq(codec, payload, n, dt, lo)
             else:
                 m = match_range(codec, payload, n, dt, lo, hi)
-    vb = valid_fn(col, i) if valid_fn is not None else b""
+    vb = valid_fn(col, i)
     if not vb:
         return m, None
     vr = valid_to_runs(vb, n)

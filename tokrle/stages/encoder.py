@@ -63,8 +63,8 @@ class TokenEncoder:
     ``tokrle.pipelines.encode._encode_batch``).
 
     ``local_group=True`` sorts each batch by source and emits one chunk per
-    (batch, source) — chunk purity for codec fit WITHOUT the global
-    sort("source") shuffle.  Chunks get smaller (batch_tokens / sources in
+    (batch, source) — chunk purity for codec fit without any shuffle
+    (``by_source=True`` on every encode entry point).  Chunks get smaller (batch_tokens / sources in
     the batch), so use a larger batch_size with it.
     """
 
