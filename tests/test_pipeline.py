@@ -181,14 +181,18 @@ def test_upsert_corpus_replaces_and_appends(ray_session, tmp_path):
         assert np.array_equal(got2[d], want[d]), d
 
 
-def test_encode_corpus_sigkill_mid_run_resumes(tmp_path):
+@pytest.mark.parametrize("executor", ["ray_job", "caller"])
+def test_encode_corpus_sigkill_mid_run_resumes(tmp_path, executor):
     """Kill-mid-run resume at real crash granularity (r3 verdict item 6):
-    a subprocess SIGKILLs itself (uncatchable — a true crash) while
-    encode_corpus is mid-corpus; the restart must encode ONLY the
-    remaining groups (completed groups' files untouched byte-for-byte)
-    and the final corpus must be chunk-payload-identical to an
-    uninterrupted run.  Runs its own Ray sessions in subprocesses, so it
-    does not take the shared ray_session fixture."""
+    a subprocess SIGKILLs itself (uncatchable — a true crash) right after
+    encode_corpus publishes its 2nd group; the restart must encode ONLY
+    the remaining groups (completed groups' files untouched
+    byte-for-byte) and the final corpus must be chunk-payload-identical
+    to an uninterrupted run.  ``ray_job`` sets the in-caller ceiling to
+    0 so the file tasks run as a Ray Data job; ``caller`` keeps the
+    default, under which this small corpus encodes in the calling
+    process.  Runs its own Ray sessions in subprocesses, so it does not
+    take the shared ray_session fixture."""
     import glob as _glob
     import subprocess
     import sys
@@ -204,25 +208,29 @@ def test_encode_corpus_sigkill_mid_run_resumes(tmp_path):
     os.makedirs(in_dir)
     full = pq.read_table(f"{SF}/documents.parquet")
     script = textwrap.dedent("""
-        import os, signal, sys, threading, time
+        import os, signal, sys
         sys.path.insert(0, {repo!r})
         import ray
         ray.init(address="local", num_cpus=4, include_dashboard=False,
                  logging_level="ERROR")
+        from tokrle.pipelines import encode
         from tokrle.pipelines.corpus import encode_corpus
         from tokrle.state.manifest import Manifest
 
-        out = {out!r}
+        if {ray_job!r}:
+            encode._LOCAL_DECODE_BYTES = 0
         kill_after = int(os.environ.get("KILL_AFTER_GROUPS", "0"))
         if kill_after:
-            def watcher():
-                m = Manifest(out)
-                while True:
-                    if len(m.completed_units()) >= kill_after:
-                        os.kill(os.getpid(), signal.SIGKILL)
-                    time.sleep(0.02)
-            threading.Thread(target=watcher, daemon=True).start()
-        encode_corpus({indir!r}, out, batch_size=64, group_files=1)
+            mark_done, published = Manifest.mark_done, []
+
+            def mark_done_then_die(self, unit, metrics):
+                mark_done(self, unit, metrics)
+                published.append(unit)
+                if len(published) == kill_after:
+                    os.kill(os.getpid(), signal.SIGKILL)
+
+            Manifest.mark_done = mark_done_then_die
+        encode_corpus({indir!r}, {out!r}, batch_size=64, group_files=1)
         ray.shutdown()
     """)
 
@@ -239,11 +247,12 @@ def test_encode_corpus_sigkill_mid_run_resumes(tmp_path):
     env = dict(os.environ, KILL_AFTER_GROUPS="2")
     proc = subprocess.run(
         [sys.executable, "-c",
-         script.format(repo=REPO, out=out_crash, indir=in_dir)],
+         script.format(repo=REPO, out=out_crash, indir=in_dir,
+                      ray_job=executor == "ray_job")],
         env=env, capture_output=True, text=True, timeout=600)
     assert proc.returncode == -9, proc.stderr[-2000:]  # SIGKILL landed
     done_before = Manifest(out_crash).completed_units()
-    assert 2 <= len(done_before) < 6     # mid-corpus, not finished
+    assert len(done_before) == 2     # killed right after the 2nd publish
 
     completed_files = {}
     for gid in done_before:
@@ -254,7 +263,8 @@ def test_encode_corpus_sigkill_mid_run_resumes(tmp_path):
     # restart (fresh process, no kill): must skip the finished groups
     proc2 = subprocess.run(
         [sys.executable, "-c",
-         script.format(repo=REPO, out=out_crash, indir=in_dir)],
+         script.format(repo=REPO, out=out_crash, indir=in_dir,
+                      ray_job=executor == "ray_job")],
         env=dict(os.environ, KILL_AFTER_GROUPS="0"),
         capture_output=True, text=True, timeout=600)
     assert proc2.returncode == 0, proc2.stderr[-2000:]
@@ -267,7 +277,8 @@ def test_encode_corpus_sigkill_mid_run_resumes(tmp_path):
     # uninterrupted reference run -> chunk-payload-identical corpus
     proc3 = subprocess.run(
         [sys.executable, "-c",
-         script.format(repo=REPO, out=out_ref, indir=in_dir)],
+         script.format(repo=REPO, out=out_ref, indir=in_dir,
+                      ray_job=executor == "ray_job")],
         env=dict(os.environ, KILL_AFTER_GROUPS="0"),
         capture_output=True, text=True, timeout=600)
     assert proc3.returncode == 0, proc3.stderr[-2000:]

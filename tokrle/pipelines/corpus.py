@@ -2,11 +2,14 @@
 Parquet + lineage, restartable at partition granularity.
 
 Resume unit = a GROUP of input files (:func:`plan_groups`): all pending
-groups run as ONE Dataset job of fused per-file read -> encode -> write
-tasks (:func:`_run_file_tasks`), and a group's manifest row is published
-the moment its last file reports, so a killed run loses only the groups
-still in flight.  Groups are deterministic (sorted file list, fixed
-grouping), so re-runs resume exactly.
+groups run through one executor of fused per-file read -> encode -> write
+tasks (:func:`_run_file_tasks`): in the calling process, one file after
+another, when the input decodes to at most
+``tokrle.pipelines.encode._LOCAL_DECODE_BYTES``, and as ONE Dataset job
+above that.  A group's manifest row is published the moment its last file
+reports, so a killed run loses only the groups still in flight.  Groups
+are deterministic (sorted file list, fixed grouping), so re-runs resume
+exactly.
 
 The reference has no fault tolerance at all (a failed ray.get kills the
 job, ref pyrle/rledict.py:173); this plus Ray Data's task retries is the
@@ -83,21 +86,32 @@ def _lineage_sums(enc: "pa.Table") -> tuple[int, int, int]:
 
 
 def _run_file_tasks(items: list[dict], task, unit_key: str, on_unit_done,
+                    *, files: list[str], token_col: str,
                     on_row=None) -> None:
     """The one executor of the write entry points: run ``task`` (a
     per-file ``map_batches`` function returning one metrics row per item)
-    over ``items`` as ONE Dataset job, one item per task, and stream the
-    metrics rows back.  ``on_row(unit, row)`` sees every row;
-    ``on_unit_done(unit)`` runs the moment the LAST item of a unit
-    (``item[unit_key]``) reports, so crash-publish ordering is defined in
-    exactly one place and a crash mid-job keeps every published unit."""
-    import ray.data
+    over ``items``, one item per call, and stream the metrics rows back.
+    ``on_row(unit, row)`` sees every row; ``on_unit_done(unit)`` runs the
+    moment the LAST item of a unit (``item[unit_key]``) reports, so
+    crash-publish ordering is defined in exactly one place and a crash
+    mid-run keeps every published unit.
 
+    When the input ``files`` decode to at most ``_LOCAL_DECODE_BYTES``
+    (:func:`_fits_in_caller` over their ``token_col`` column), ``task``
+    runs in the calling process on one item at a time, in item order, and
+    no Ray job starts; above it the items run as ONE Dataset job."""
     remaining = collections.Counter(item[unit_key] for item in items)
-    metrics_ds = ray.data.from_items(
-        items, override_num_blocks=len(items)).map_batches(
-        task, batch_size=1, batch_format="numpy")
-    for row in metrics_ds.iter_rows():
+    if _fits_in_caller(files, token_col):
+        rows = (row for item in items
+                for row in task({k: [v] for k, v in item.items()})
+                .to_pylist())
+    else:
+        import ray.data
+
+        rows = ray.data.from_items(
+            items, override_num_blocks=len(items)).map_batches(
+            task, batch_size=1, batch_format="numpy").iter_rows()
+    for row in rows:
         u = row[unit_key]
         if on_row is not None:
             on_row(u, row)
@@ -106,14 +120,36 @@ def _run_file_tasks(items: list[dict], task, unit_key: str, on_unit_done,
             on_unit_done(u)
 
 
-def _encode_groups(groups: list[list[str]], out_dir: str, task, *,
-                   batch_size: int, local_group: bool) -> dict:
+def _fits_in_caller(files: list[str], token_col: str) -> bool:
+    """Whether ``files`` decode to at most ``_LOCAL_DECODE_BYTES`` of
+    int32 tokens, 4 bytes per token summed from their ``token_col``
+    column (``n_tok`` of a token file, ``n_tokens`` of an encoded one).
+    The sum stops at the first file that passes the ceiling, so a large
+    corpus reads only a few small columns before it takes the Ray job."""
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    from tokrle.pipelines import encode
+
+    total = 0
+    for f in files:
+        col = pq.read_table(f, columns=[token_col]).column(0)
+        total += 4 * (pc.sum(col).as_py() or 0)
+        if total > encode._LOCAL_DECODE_BYTES:
+            return False
+    return True
+
+
+def _encode_groups(groups: list[list[str]], out_dir: str, task,
+                   token_col: str, *, batch_size: int,
+                   local_group: bool) -> dict:
     """Executor of :func:`encode_corpus` and :func:`recompress`: every
-    pending group's files run in ONE Dataset job of fused
+    pending group's files run through :func:`_run_file_tasks` as fused
     read->encode->write tasks (``task``: :func:`_encode_write_file_task`
-    or :func:`_recompress_file_task`); only per-file metrics rows return
-    to the driver, which publishes one manifest row per completed group.
-    Returns run metrics.
+    or :func:`_recompress_file_task`, whose input files count their
+    tokens in ``token_col``); only per-file metrics rows return, and one
+    manifest row is published per completed group.  Returns run
+    metrics.
 
     Per-group ``seconds`` in the manifest is the SUM of that group's
     per-file task times (compute seconds, not wall — groups execute
@@ -157,12 +193,13 @@ def _encode_groups(groups: list[list[str]], out_dir: str, task, *,
 
     # publish each group's manifest row the moment its LAST file reports
     # — resume granularity stays per-group even though all groups share
-    # one job
+    # one run
     _run_file_tasks(
         [{"path": p, "group": gid} for gid, grp in pending for p in grp],
         functools.partial(task, out_dir=out_dir, batch_size=batch_size,
                           local_group=local_group),
-        "group", publish, on_row=accumulate)
+        "group", publish, files=[p for _, grp in pending for p in grp],
+        token_col=token_col, on_row=accumulate)
     run["seconds"] = time.perf_counter() - t0
     return run
 
@@ -173,12 +210,13 @@ def _encode_write_file_task(batch: dict, *, out_dir: str, batch_size: int,
     chunk by chunk, WRITE the encoded table straight into its group's
     directory, and return a single ~100-byte metrics row.
 
-    This is the single-job execution shape for :func:`encode_corpus`: ALL
-    pending groups run inside ONE Dataset job at full cluster width (one
-    pipeline spin-up total, stragglers amortize across every file), instead
-    of one sequential Dataset job per 256 MB resume group — which on a
-    256-node cluster would leave almost the whole cluster idle per group.
-    Nothing but the metrics row crosses the object store.
+    :func:`_run_file_tasks` calls it once per input file: in the calling
+    process for a small corpus, otherwise as one task of ONE Dataset job
+    over ALL pending groups at full cluster width (one pipeline spin-up
+    total, stragglers amortize across every file), instead of one
+    sequential Dataset job per 256 MB resume group — which on a 256-node
+    cluster would leave almost the whole cluster idle per group.  Nothing
+    but the metrics row crosses the object store.
 
     Crash-idempotent: the output file name is a pure function of the input
     path, written via tmp + ``os.replace``; a retried or re-run task
@@ -201,15 +239,25 @@ def _encode_write_file_task(batch: dict, *, out_dir: str, batch_size: int,
 def _write_file_parts(batch: dict, out_dir: str, to_parts) -> "pa.Table":
     """Per-file loop of the fused encode and recompress tasks:
     ``to_parts(path)`` returns the file's encoded part tables, published
-    by :func:`_write_encoded_parts`; returns one metrics row per file."""
+    as the file's output part in its group's directory (tmp + atomic
+    rename, a name that is a pure function of the input path; nothing is
+    written when the input decoded to zero rows).  Returns one metrics
+    row per file."""
     import pyarrow as pa
+
+    from tokrle.state.manifest import _unit_id
 
     rows: dict[str, list] = {"group": [], "path": [], "n_tokens": [],
                              "raw_bytes": [], "encoded_bytes": [],
                              "seconds": []}
     for path, gid in zip(batch["path"], batch["group"]):
         t0 = time.perf_counter()
-        sums = _write_encoded_parts(to_parts(path), out_dir, gid, path)
+        final = os.path.join(out_dir, f"group={gid}",
+                             f"part-{_unit_id(path)}.parquet")
+        enc = _write_parts(to_parts(path), final + ".tmp")
+        if enc is not None:
+            os.replace(final + ".tmp", final)
+        sums = (0, 0, 0) if enc is None else _lineage_sums(enc)
         rows["group"].append(gid)
         rows["path"].append(path)
         for k, v in zip(_LINEAGE_SUMS, sums):
@@ -218,30 +266,19 @@ def _write_file_parts(batch: dict, out_dir: str, to_parts) -> "pa.Table":
     return pa.table(rows)
 
 
-def _write_encoded_parts(parts: list, out_dir: str, gid: str,
-                         src_path: str) -> tuple[int, int, int]:
-    """Concat per-batch encoded tables and publish them as this input
-    file's output part (tmp + atomic rename, deterministic name).
-    Returns (n_tokens, raw_bytes, encoded_bytes); writes nothing when the
-    input decoded to zero rows."""
+def _write_parts(parts: list, path: str) -> "pa.Table | None":
+    """Concat encoded part tables and write them to ``path``, creating its
+    directory; returns the written table, or None (and writes nothing)
+    when the parts hold no chunk row."""
     import pyarrow as pa
     import pyarrow.parquet as pq
 
-    from tokrle.state.manifest import _unit_id
-
-    if not parts:
-        return 0, 0, 0
-    enc = pa.concat_tables(parts)
-    if not enc.num_rows:
-        return 0, 0, 0
-    n_tok, raw_b, enc_b = _lineage_sums(enc)
-    gdir = os.path.join(out_dir, f"group={gid}")
-    os.makedirs(gdir, exist_ok=True)
-    final = os.path.join(gdir, f"part-{_unit_id(src_path)}.parquet")
-    tmp = final + ".tmp"
-    pq.write_table(enc, tmp)
-    os.replace(tmp, final)
-    return n_tok, raw_b, enc_b
+    enc = pa.concat_tables(parts) if parts else None
+    if enc is None or not enc.num_rows:
+        return None
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    pq.write_table(enc, path)
+    return enc
 
 
 def _recompress_file_task(batch: dict, *, out_dir: str, batch_size: int,
@@ -274,34 +311,41 @@ def _decode_reencode_stream(enc_tables, *, batch_size: int,
     returning the encoded part tables.  Transient memory is bounded by a
     few chunks plus one re-batch buffer regardless of the total stream
     size."""
-    import pyarrow as pa
-
     from tokrle.pipelines.encode import _encode_batch
     from tokrle.stages.encoder import decode_chunks
 
     decode_rows = 4
-    parts: list = []
+
+    def decoded():
+        for enc_in in enc_tables:
+            for s in range(0, enc_in.num_rows, decode_rows):
+                tok = decode_chunks(enc_in.slice(s, decode_rows))
+                yield tok if filter_fn is None else filter_fn(tok)
+
+    return [_encode_batch(t, local_group=local_group)
+            for t in _rebatch(decoded(), batch_size)]
+
+
+def _rebatch(tables, batch_size: int):
+    """Cut a stream of token tables into ``batch_size``-row slices that
+    run across table boundaries, plus one shorter tail slice; holds at
+    most one slice plus the current table."""
+    import pyarrow as pa
+
     buf: list = []
     buf_rows = 0
-    for enc_in in enc_tables:
-        for s in range(0, enc_in.num_rows, decode_rows):
-            tok = decode_chunks(enc_in.slice(s, decode_rows))
-            if filter_fn is not None:
-                tok = filter_fn(tok)
-            if tok.num_rows:
-                buf.append(tok)
-                buf_rows += tok.num_rows
-            while buf_rows >= batch_size:
-                t = pa.concat_tables(buf) if len(buf) > 1 else buf[0]
-                parts.append(_encode_batch(t.slice(0, batch_size),
-                                           local_group=local_group))
-                rem = t.slice(batch_size)
-                buf = [rem] if rem.num_rows else []
-                buf_rows = rem.num_rows
+    for tok in tables:
+        if tok.num_rows:
+            buf.append(tok)
+            buf_rows += tok.num_rows
+        while buf_rows >= batch_size:
+            t = pa.concat_tables(buf) if len(buf) > 1 else buf[0]
+            yield t.slice(0, batch_size)
+            rem = t.slice(batch_size)
+            buf = [rem] if rem.num_rows else []
+            buf_rows = rem.num_rows
     if buf_rows:
-        t = pa.concat_tables(buf) if len(buf) > 1 else buf[0]
-        parts.append(_encode_batch(t, local_group=local_group))
-    return parts
+        yield pa.concat_tables(buf) if len(buf) > 1 else buf[0]
 
 
 def recompress(in_encoded: str, out_dir: str, *,
@@ -323,8 +367,8 @@ def recompress(in_encoded: str, out_dir: str, *,
     units = sorted(glob.glob(os.path.join(in_encoded, "*.parquet"))) \
         if isinstance(live, str) else live
     return _encode_groups(plan_groups(sorted(units)), out_dir,
-                          _recompress_file_task, batch_size=batch_size,
-                          local_group=local_group)
+                          _recompress_file_task, "n_tokens",
+                          batch_size=batch_size, local_group=local_group)
 
 
 def encode_corpus(in_dir: str, out_dir: str, *,
@@ -349,7 +393,7 @@ def encode_corpus(in_dir: str, out_dir: str, *,
     else:
         groups = [units[i:i + group_files]
                   for i in range(0, len(units), group_files)]
-    return _encode_groups(groups, out_dir, _encode_write_file_task,
+    return _encode_groups(groups, out_dir, _encode_write_file_task, "n_tok",
                           batch_size=batch_size, local_group=local_group)
 
 
@@ -398,76 +442,66 @@ def upsert_corpus(enc_dir: str, delta_ds, *,
     Scale shape — the delta is the SMALL side by definition (an
     incremental ingest batch against a 100-TB corpus):
 
-    - the delta's doc_id set is collected once, broadcast via ``ray.put``,
-      and matched against a metadata-only scan of the corpus's
-      (doc_id-list) column with ``include_paths`` — payload bytes of
-      untouched chunks never leave storage;
+    - the delta is materialized once and its doc_id set collected from
+      its Arrow blocks, one block at a time, in the calling process;
+    - the corpus's doc_id-list column is streamed with ``pyarrow.dataset``
+      in the caller (:func:`tokrle.pipelines.encode._doc_id_hits`), which
+      counts the replaced docs per chunk row — payload bytes never leave
+      storage;
     - only the AFFECTED resume groups (directories holding a replaced
-      doc) are decoded -> filtered -> re-encoded, and each is swapped in
-      via write-to-``.tmp`` then rename-old-ASIDE (``gdir`` ->
-      ``gdir.old``; ``tmp`` -> ``gdir``; delete ``.old``): every crash
-      point leaves either the old or the new group fully readable, and
-      :func:`recover_groups` / :func:`live_groups` resolve the leftovers;
+      doc) are decoded -> filtered -> re-encoded through
+      :func:`_run_file_tasks` (in the caller when they are small), and
+      each is swapped in via write-to-``.tmp`` then rename-old-ASIDE
+      (``gdir`` -> ``gdir.old``; ``tmp`` -> ``gdir``; delete ``.old``):
+      every crash point leaves either the old or the new group fully
+      readable, and :func:`recover_groups` / :func:`live_groups` resolve
+      the leftovers;
     - the delta encodes into ONE new group keyed by the hash of its
       doc_id set, so re-running the same upsert is idempotent (the group
-      is rewritten in place, never duplicated).
+      is rewritten in place, never duplicated).  A delta of at most
+      ``_LOCAL_DECODE_BYTES`` of tokens encodes in the caller, cut into
+      the slices ``map_batches(batch_size=...)`` would cut and written as
+      one ``part-*.parquet`` per task that job would run
+      (:func:`_delta_tasks`); a larger one is an
+      ``encode_tokens(...).write_parquet`` job.
 
     Returns run metrics (groups_rewritten, docs_replaced, docs_added, ...).
     """
     import shutil
 
-    import numpy as np
-    import pandas as pd
     import pyarrow as pa
     import pyarrow.compute as pc
-    import ray
-    import ray.data
+
+    from tokrle.pipelines import encode
 
     local_group = normalize_by_source(by_source)
     manifest = Manifest(enc_dir)
     recover_groups(enc_dir)  # converge any interrupted prior swap first
     _adopt_plain_layout(enc_dir)  # plain write_parquet output -> group=base
     delta = delta_ds.materialize()  # small side: ids are needed up front
-    ids = sorted(set(delta.select_columns(["doc_id"]).to_pandas()["doc_id"]
-                     .astype(str)))
+    id_set: set[str] = set()
+    n_docs = n_tok = 0
+    for block in _delta_blocks(delta):
+        id_set.update(pc.unique(block.column("doc_id").cast(pa.string()))
+                      .to_pylist())
+        n_docs += block.num_rows
+        n_tok += len(pc.list_flatten(block.column("tokens")))
+    ids = sorted(id_set)
     run = {"groups_rewritten": 0, "docs_replaced": 0,
-           "docs_added": int(delta.count()), "seconds": 0.0}
+           "docs_added": n_docs, "seconds": 0.0}
     t0 = time.perf_counter()
     if not ids:
         return run
     wanted = pa.array(ids, type=pa.string())
-    ref = ray.put(wanted)
 
     # scan the LIVE view only (post-compaction the pointer is
     # authoritative; superseded member dirs may still exist mid-GC)
     files = [f for g in live_groups(enc_dir)
              for f in sorted(glob.glob(os.path.join(g, "*.parquet")))]
-
-    def find(batch: pa.Table) -> pa.Table:
-        w = ray.get(ref)
-        col = batch.column("doc_id").combine_chunks()
-        lens = pc.list_value_length(col).to_numpy(
-            zero_copy_only=False).astype(np.int64)
-        flat = col.flatten()
-        hit = pc.is_in(flat, value_set=w).to_numpy(
-            zero_copy_only=False).astype(np.int64)
-        cs = np.concatenate(([0], np.cumsum(hit)))
-        ends = np.cumsum(lens)
-        per_chunk = cs[ends] - cs[ends - lens]
-        keep = per_chunk > 0
-        return pa.table({
-            "path": batch.column("path").filter(pa.array(keep)),
-            "n_hit": pa.array(per_chunk[keep], type=pa.int64()),
-        })
-
-    hits = pd.DataFrame(columns=["path", "n_hit"])
-    if files:
-        hits = ray.data.read_parquet(files, columns=["doc_id"],
-                                     include_paths=True) \
-            .map_batches(find, batch_format="pyarrow").to_pandas()
-    run["docs_replaced"] = int(hits["n_hit"].sum()) if len(hits) else 0
-    group_dirs = sorted({os.path.dirname(p) for p in hits["path"]}) \
-        if len(hits) else []
+    hits = encode._doc_id_hits(files, wanted)
+    run["docs_replaced"] = int(pc.sum(hits.column("n_hit")).as_py() or 0)
+    group_dirs = sorted({os.path.dirname(p)
+                         for p in hits.column("path").to_pylist()})
 
     def _swap_group(gdir: str, n_files: int) -> None:
         """Crash-safe swap: rename the old group ASIDE (never delete it
@@ -492,10 +526,10 @@ def upsert_corpus(enc_dir: str, delta_ds, *,
                                  "seconds": time.perf_counter() - t0})
 
     if group_dirs:
-        # ALL affected groups rewrite in ONE Dataset job of fused
+        # ALL affected groups rewrite through ONE run of fused
         # decode->drop->re-encode->write tasks (one per member file);
         # each group's atomic swap publishes the moment its last file
-        # reports — same single-job shape as encode_corpus/compact
+        # reports — same executor as encode_corpus/compact
         group_files = {g: sorted(glob.glob(os.path.join(g, "*.parquet")))
                        for g in group_dirs}
         for g in group_dirs:
@@ -505,8 +539,10 @@ def upsert_corpus(enc_dir: str, delta_ds, *,
              for p in fs],
             functools.partial(_upsert_rewrite_file_task,
                               batch_size=batch_size,
-                              local_group=local_group, ids_ref=ref),
-            "gdir", lambda g: _swap_group(g, len(group_files[g])))
+                              local_group=local_group, wanted=wanted),
+            "gdir", lambda g: _swap_group(g, len(group_files[g])),
+            files=[p for fs in group_files.values() for p in fs],
+            token_col="n_tokens")
 
     h = hashlib.blake2b(digest_size=10)
     for i in ids:
@@ -519,8 +555,14 @@ def upsert_corpus(enc_dir: str, delta_ds, *,
     unit_tmp = unit_out + ".tmp"
     shutil.rmtree(unit_tmp, ignore_errors=True)
     shutil.rmtree(unit_out, ignore_errors=True)
-    encode_tokens(delta, batch_size=batch_size,
-                  by_source=by_source).write_parquet(unit_tmp)
+    if 4 * n_tok <= encode._LOCAL_DECODE_BYTES:
+        for i, slices in enumerate(_delta_tasks(delta, batch_size)):
+            _write_parts([encode._encode_batch(t, local_group=local_group)
+                          for t in slices],
+                         os.path.join(unit_tmp, f"part-{i:06d}.parquet"))
+    else:
+        encode_tokens(delta, batch_size=batch_size,
+                      by_source=by_source).write_parquet(unit_tmp)
     os.makedirs(unit_tmp, exist_ok=True)  # empty delta still publishes
     os.rename(unit_tmp, unit_out)
     dt = time.perf_counter() - t0
@@ -536,21 +578,49 @@ def upsert_corpus(enc_dir: str, delta_ds, *,
     return run
 
 
+def _delta_blocks(delta):
+    """The blocks of a materialized Dataset as Arrow tables, in order,
+    fetched one at a time."""
+    import ray
+    from ray.data.block import BlockAccessor
+
+    for bundle in delta.iter_internal_ref_bundles():
+        for ref in bundle.block_refs:
+            yield BlockAccessor.for_block(ray.get(ref)).to_arrow()
+
+
+def _delta_tasks(delta, batch_size: int):
+    """The token tables each task of
+    ``delta.map_batches(fn, batch_size=batch_size)`` hands ``fn``, one
+    list per task, when ``delta`` is a ``materialize()`` output (its input
+    is one ref bundle per block): Ray Data gives a task the next blocks,
+    in order, until they hold at least ``batch_size`` rows (the last task
+    takes the rest), and the task cuts them into ``batch_size``-row
+    slices plus one tail."""
+    blocks: list = []
+    rows = 0
+    for block in _delta_blocks(delta):
+        blocks.append(block)
+        rows += block.num_rows
+        if rows >= batch_size:
+            yield list(_rebatch(blocks, batch_size))
+            blocks, rows = [], 0
+    if rows:
+        yield list(_rebatch(blocks, batch_size))
+
+
 def _upsert_rewrite_file_task(batch: dict, *, batch_size: int,
-                              local_group: bool, ids_ref) -> "pa.Table":
+                              local_group: bool,
+                              wanted: "pa.Array") -> "pa.Table":
     """Fused upsert-rewrite task: stream-decode one member file of an
-    affected group, DROP the replaced doc_ids (the wanted-id set arrives
-    once per node via the ``ids_ref`` object-store broadcast), re-encode,
-    and write into the group's invisible ``.tmp`` dir.  The driver
-    performs the group's crash-safe swap when its last file reports."""
+    affected group, DROP the replaced doc_ids (``wanted``), re-encode,
+    and write into the group's invisible ``.tmp`` dir.  The group's
+    crash-safe swap runs when its last file reports."""
     import pyarrow as pa
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
-    import ray
 
     from tokrle.state.manifest import _unit_id
-
-    wanted = ray.get(ids_ref)
 
     def drop(tok: "pa.Table") -> "pa.Table":
         return tok.filter(pc.invert(pc.is_in(tok.column("doc_id"),
@@ -559,16 +629,10 @@ def _upsert_rewrite_file_task(batch: dict, *, batch_size: int,
     rows: dict[str, list] = {"gdir": [], "path": [], "seconds": []}
     for gdir, path in zip(batch["gdir"], batch["path"]):
         t0 = time.perf_counter()
-        parts = _decode_reencode_stream(
+        _write_parts(_decode_reencode_stream(
             [pq.read_table(path, columns=_CHUNK_COLUMNS)],
-            batch_size=batch_size, local_group=local_group, filter_fn=drop)
-        if parts:
-            enc = pa.concat_tables(parts)
-            if enc.num_rows:
-                tmp_dir = gdir + ".tmp"
-                os.makedirs(tmp_dir, exist_ok=True)
-                pq.write_table(enc, os.path.join(
-                    tmp_dir, f"part-{_unit_id(path)}.parquet"))
+            batch_size=batch_size, local_group=local_group, filter_fn=drop),
+            os.path.join(gdir + ".tmp", f"part-{_unit_id(path)}.parquet"))
         rows["gdir"].append(gdir)
         rows["path"].append(path)
         rows["seconds"].append(time.perf_counter() - t0)
@@ -697,9 +761,9 @@ def _compact_bin_task(batch: dict, *, enc_dir: str, batch_size: int,
     """Fused compaction task: stream-decode ALL of one bin's member files,
     re-batch to uniform ``batch_size`` chunks across the whole bin (so
     compression recovers — the point of compaction), encode, and write one
-    consolidated file into the bin's invisible ``.tmp`` dir.  The driver
-    publishes the atomic view swap when this task's metrics row arrives;
-    all bins run in ONE Dataset job at full cluster width."""
+    consolidated file into the bin's invisible ``.tmp`` dir.  The bin's
+    atomic view swap is published when this task's metrics row arrives;
+    all bins run through ONE :func:`_run_file_tasks` run."""
     import pyarrow as pa
     import pyarrow.parquet as pq
 
@@ -708,18 +772,13 @@ def _compact_bin_task(batch: dict, *, enc_dir: str, batch_size: int,
     for name, files_s in zip(batch["bin"], batch["files"]):
         t0 = time.perf_counter()
         files = [f for f in files_s.split("\x00") if f]
-        parts = _decode_reencode_stream(
-            (pq.read_table(f, columns=_CHUNK_COLUMNS) for f in files),
-            batch_size=batch_size, local_group=local_group)
         tmp_dir = os.path.join(enc_dir, name) + ".tmp"
         os.makedirs(tmp_dir, exist_ok=True)
-        n_tok = enc_b = 0
-        if parts:
-            enc = pa.concat_tables(parts)
-            if enc.num_rows:
-                n_tok, _, enc_b = _lineage_sums(enc)
-                pq.write_table(enc, os.path.join(tmp_dir,
-                                                 "part-000.parquet"))
+        enc = _write_parts(_decode_reencode_stream(
+            (pq.read_table(f, columns=_CHUNK_COLUMNS) for f in files),
+            batch_size=batch_size, local_group=local_group),
+            os.path.join(tmp_dir, "part-000.parquet"))
+        n_tok, _, enc_b = (0, 0, 0) if enc is None else _lineage_sums(enc)
         rows["bin"].append(name)
         rows["n_tokens"].append(n_tok)
         rows["encoded_bytes"].append(enc_b)
@@ -817,17 +876,19 @@ def compact_corpus(enc_dir: str, *, target_bytes: int = GROUP_TARGET_BYTES,
         run["bytes_compacted"] += sum(sizes[g] for g in members)
 
     if plan:
-        # ALL bins in ONE Dataset job (one fused decode->re-batch->encode
-        # ->write task per bin — compaction's full-batch re-chunking is
-        # preserved because each task streams its WHOLE bin), with each
-        # bin's atomic view swap published the moment its task reports
+        # ALL bins in ONE run (one fused decode->re-batch->encode->write
+        # task per bin — compaction's full-batch re-chunking is preserved
+        # because each task streams its WHOLE bin), with each bin's
+        # atomic view swap published the moment its task reports
         _run_file_tasks(
             [{"bin": name, "files": "\x00".join(files)}
              for name, (_, files) in plan.items()],
             functools.partial(_compact_bin_task, enc_dir=enc_dir,
                               batch_size=batch_size,
                               local_group=local_group),
-            "bin", _finish_bin)
+            "bin", _finish_bin,
+            files=[f for _, files in plan.values() for f in files],
+            token_col="n_tokens")
     run["groups_after"] = len(live)
     run["seconds"] = time.perf_counter() - t0
     return run

@@ -9,8 +9,10 @@ the manifest in tokrle.state.
 Replaces the reference's driver-held dict-of-Rles + manual ray.remote
 fan-out (ref pyrle/rledict.py:21-34,155-176; pyrle/methods.py:80-120) with
 streaming Dataset execution: no driver-side materialization, backpressure
-and spilling for free.  The one bounded exception is a small
-``read_corpus`` decode, which runs in the caller (:func:`decode_tokens`).
+and spilling for free.  The bounded exceptions run in the caller: a small
+``read_corpus`` decode (:func:`decode_tokens`), point lookups
+(:func:`fetch_docs`, :func:`fetch_docs_indexed`) and the small jobs of
+the corpus write path (:mod:`tokrle.pipelines.corpus`).
 """
 
 from __future__ import annotations
@@ -70,10 +72,12 @@ def encode_tokens(ds, *, batch_size: int = DEFAULT_BATCH_SIZE,
 
 
 # Decoded int32 token bytes up to which decode_tokens(read_corpus(d))
-# decodes in the calling process.  A memory ceiling, not a CPU crossover:
-# on one core the caller used less CPU than a Ray job at every measured
-# size; the Ray job stays for corpora the caller cannot hold.  The value
-# and the peak RSS of one decode at it are in BENCH/decode_executor_ab.json.
+# decodes in the calling process, and the write path's file tasks and
+# upsert's delta encode run there (tokrle.pipelines.corpus).  A memory
+# ceiling, not a CPU crossover: on one core the caller used less CPU than
+# a Ray job at every measured size; the Ray job stays for corpora the
+# caller cannot hold.  The value and the peak RSS of one decode at it are
+# in BENCH/decode_executor_ab.json.
 _LOCAL_DECODE_BYTES = 64 << 20
 
 
@@ -175,39 +179,56 @@ def roundtrip_check(src_ds, decoded_ds) -> dict:
 
 
 def fetch_docs(enc_dir: str, doc_ids):
-    """Point lookups on the encoded corpus WITHOUT full decode.
+    """Point lookups on the encoded corpus WITHOUT full decode, with no
+    Ray job.
 
-    Pass 1 is a Ray job over the whole corpus that reads only the
-    (chunk_id, doc_id) metadata columns — column pruning keeps every
-    payload byte in storage — and finds the chunks holding requested docs
-    with one vectorized is_in per batch.  Pass 2
-    (:func:`_fetch_chunks`) runs in the calling process: it reads just
-    those chunks and decodes ONLY each requested doc's row range via codec
-    random access (:func:`tokrle.codecs.core.decode_range` — O(doc
-    tokens) for the bit-addressable codecs, full-chunk fallback for the
-    sequential ones).  Returns a token-table Dataset of the requested
-    docs.
+    Pass 1 (:func:`_doc_id_hits`) streams only the (chunk_id, doc_id)
+    metadata columns of the live view in the calling process — column
+    pruning keeps every payload byte in storage — and finds the chunks
+    holding requested docs with one vectorized is_in per batch.  Pass 2
+    (:func:`_fetch_chunks`) reads just those chunks and decodes ONLY each
+    requested doc's row range via codec random access
+    (:func:`tokrle.codecs.core.decode_range` — O(doc tokens) for the
+    bit-addressable codecs, full-chunk fallback for the sequential ones).
+    Returns a token-table Dataset of the requested docs.
     """
-    import pyarrow.compute as pc
-    import ray.data
+    from tokrle.pipelines.corpus import corpus_files
 
     wanted_arr = pa.array(sorted({str(d) for d in doc_ids}),
                           type=pa.string())
+    hits = _doc_id_hits(corpus_files(enc_dir), wanted_arr)
+    return _fetch_chunks(enc_dir, hits.column("chunk_id").to_pylist(),
+                         wanted_arr)
 
-    def find(batch: pa.Table) -> pa.Table:
-        col = batch.column("doc_id").combine_chunks()
-        hit = pc.is_in(col.flatten(), value_set=wanted_arr)
-        rows = np.unique(pc.list_parent_indices(col).filter(hit).to_numpy())
-        return batch.select(["chunk_id"]).take(pa.array(rows, pa.int64()))
 
-    from tokrle.pipelines.corpus import corpus_files
+def _doc_id_hits(files, wanted: pa.Array) -> pa.Table:
+    """The one doc-id scan of the encoded corpus (``fetch_docs`` pass 1
+    and ``upsert_corpus``'s search for replaced docs): stream the
+    ``chunk_id`` and ``doc_id``-list columns of ``files`` (Parquet paths,
+    or a directory) with ``pyarrow.dataset`` in the calling process, one
+    file at a time, and return ``path``, ``chunk_id`` and ``n_hit`` (how
+    many of the chunk's docs are in ``wanted``) for every chunk row with
+    at least one hit."""
+    import pyarrow.compute as pc
+    import pyarrow.dataset as pds
 
-    hits = ray.data.read_parquet(corpus_files(enc_dir),
-                                 columns=["chunk_id", "doc_id"]) \
-        .map_batches(find, batch_format="pyarrow").to_pandas()
-    # a no-hit lookup yields a 0-row frame that may drop its schema
-    chunk_ids = hits["chunk_id"].tolist() if len(hits) else []
-    return _fetch_chunks(enc_dir, chunk_ids, wanted_arr)
+    out: dict[str, list] = {"path": [], "chunk_id": [], "n_hit": []}
+    dset = pds.dataset(files, format="parquet")
+    for frag in dset.get_fragments():
+        for batch in frag.to_batches(schema=dset.schema,
+                                     columns=["chunk_id", "doc_id"]):
+            ids = batch.column("doc_id")
+            hit = pc.is_in(ids.flatten(), value_set=wanted)
+            n_hit = np.bincount(pc.list_parent_indices(ids).filter(hit)
+                                .to_numpy(), minlength=batch.num_rows)
+            rows = np.flatnonzero(n_hit)
+            out["path"] += [frag.path] * len(rows)
+            out["chunk_id"] += batch.column("chunk_id").take(rows) \
+                .to_pylist()
+            out["n_hit"] += n_hit[rows].tolist()
+    return pa.table({"path": pa.array(out["path"], pa.string()),
+                     "chunk_id": pa.array(out["chunk_id"], pa.string()),
+                     "n_hit": pa.array(out["n_hit"], pa.int64())})
 
 
 def _fetch_chunks(enc_dir: str, chunk_ids: list, wanted_arr: pa.Array):
