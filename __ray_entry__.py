@@ -52,7 +52,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "encoded_null3vl_stats": Q.encoded_null3vl_stats,
         # round 5: predicate pushdown into the encoded layout — COUNT
         # WHERE col=value answered from zone maps + compressed-domain
-        # count_eq (rle run sums / dict code compare), no decode
+        # match_eq runs through encoded_value_count (rle matching runs /
+        # dict code compare), no decode
         "encoded_predicate_stats": Q.encoded_predicate_stats,
         "encoded_range_count_stats": Q.encoded_range_count_stats,
         "encoded_distinct_stats": Q.encoded_distinct_stats,

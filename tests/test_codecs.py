@@ -898,6 +898,53 @@ def test_match_eq_matches_decode_on_corpora(codec):
                 (name, v)
 
 
+_NARROW = [np.int8, np.int16, np.uint8, np.uint16, np.int32, np.uint32]
+
+
+@pytest.mark.parametrize("codec", list(CODECS))
+@pytest.mark.parametrize("dt", _NARROW, ids=lambda d: np.dtype(d).name)
+def test_int_predicates_at_narrow_dtype_edges(codec, dt):
+    """match_range, match_eq, match_in, count_eq and count_range agree
+    with a Python-int oracle on chunks that hold a narrow dtype's
+    extremes, for bounds at, inside and beyond the domain edges — the
+    one dtype step clamps every bound and target into the stream."""
+    from tokrle.codecs.core import (count_eq, count_range, match_eq,
+                                    match_in, match_range)
+
+    info = np.iinfo(dt)
+    lo, hi = int(info.min), int(info.max)
+    vals = [v for v in [lo, lo, lo + 1, -1, -1, 0, 0, 1, 7, 7, 7,
+                        hi - 1, hi, hi] if lo <= v <= hi]
+    vals += np.random.default_rng(3).integers(
+        lo, hi, 64, endpoint=True).tolist()
+    if codec == "bitpack":
+        vals = [v for v in vals if v >= 0]    # non-negative only
+    if codec == "alp" and np.dtype(dt).itemsize not in (4, 8):
+        pytest.skip("alp takes 4/8-byte (float-view) input only")
+    x = np.array(vals, dtype=dt)
+    payload = encode(codec, x)
+    n = len(x)
+    bounds = [lo - 5, lo, lo + 1, -1, 0, 1, hi - 1, hi, hi + 7,
+              2**70, -2**70]
+
+    def same(got, a, b):
+        want = _runs_oracle([a <= v <= b for v in vals])
+        return all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    for v in bounds:
+        assert same(match_eq(codec, payload, n, dt, v), v, v), v
+        assert count_eq(codec, payload, n, dt, v) == vals.count(v), v
+        for b in bounds:
+            assert same(match_range(codec, payload, n, dt, v, b), v, b), \
+                (v, b)
+            assert count_range(codec, payload, n, dt, v, b) == \
+                sum(v <= u <= b for u in vals), (v, b)
+    for tg in (bounds, bounds[::2], bounds[1::3], [7, hi + 7]):
+        got = match_in(codec, payload, n, dt, tg)
+        want = _runs_oracle([u in tg for u in vals])
+        assert all(np.array_equal(g, w) for g, w in zip(got, want)), tg
+
+
 @pytest.mark.parametrize("codec", list(CODECS))
 def test_agg_sum_runs_matches_decode_on_corpora(codec):
     """Filtered sums over (a) the chunk's own equality selections and

@@ -91,41 +91,6 @@ class Codec:
         split-sum."""
         return exact_sum_int(self.decode(payload, n, dtype))
 
-    def count_eq(self, payload: bytes, n: int, dtype: np.dtype,
-                 value: int) -> int:
-        """COUNT of elements equal to ``value`` in the encoded chunk —
-        the predicate-on-compressed-data primitive (cf. the dictionary /
-        RLE predicate pushdown in column-store engines).
-
-        Codecs override this with closed forms over their own streams
-        (rle: O(#runs) run-length sum where the run value matches; dict:
-        one searchsorted into the dictionary + a code compare; for /
-        bitpack: a frame test that answers 0 without touching the codes
-        when the value lies outside the representable window).  This
-        default is the always-correct fallback: decode + vectorized
-        compare.  Integer streams only; the module-level dispatch
-        rejects floats and handles the uint64 bias framing."""
-        if n == 0:
-            return 0
-        return int(np.count_nonzero(
-            self.decode(payload, n, dtype) == dtype.type(value)))
-
-    def count_range(self, payload: bytes, n: int, dtype: np.dtype,
-                    lo: int, hi: int) -> int:
-        """COUNT of elements in ``[lo, hi]`` (inclusive) in the encoded
-        chunk — the range-predicate sibling of :meth:`count_eq`, same
-        contract.  Overrides answer from the codec's own streams (rle:
-        O(#runs); dict: two searchsorted calls bound the code window;
-        for/bitpack: a window clamp that answers 0 or n with no
-        code-stream work); this default decodes + compares.  The
-        module-level dispatch guarantees ``lo <= hi`` and both bounds
-        within the dtype's domain."""
-        if n == 0:
-            return 0
-        x = self.decode(payload, n, dtype)
-        return int(np.count_nonzero(
-            (x >= dtype.type(lo)) & (x <= dtype.type(hi))))
-
     def distinct(self, payload: bytes, n: int,
                  dtype: np.dtype) -> np.ndarray:
         """Sorted unique values of the encoded chunk.  Dict chunks
@@ -153,39 +118,26 @@ class Codec:
                                  return_counts=True)
         return vals, counts.astype(np.int64)
 
-    def match_eq(self, payload: bytes, n: int, dtype: np.dtype,
-                 value: int) -> tuple[np.ndarray, np.ndarray]:
-        """Canonical run-list ``(starts, lengths)`` (int64, sorted,
-        gap-separated, lengths > 0) of the positions whose value equals
-        ``value`` — the selection-vector primitive behind
-        compressed-domain filtered aggregates (the positional sibling of
-        :meth:`count_eq`).  Overrides answer from the codec's own
-        streams: rle's matching runs ARE the selection runs (O(#runs),
-        and adjacent runs always differ so the list is canonical by
-        construction); dict compares the narrow code stream after one
-        dictionary searchsorted; for/bitpack answer empty payload-free
-        when the value lies outside the frame window.  This default
-        decodes + masks."""
-        if n == 0:
-            return _EMPTY_RUNS
-        return _mask_to_runs(
-            self.decode(payload, n, dtype) == dtype.type(value))
-
     def match_range(self, payload: bytes, n: int, dtype: np.dtype,
                     lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        """Canonical run-list of the positions whose value lies in
-        ``[lo, hi]`` (inclusive) — the range-predicate sibling of
-        :meth:`match_eq`, same contract.  Overrides: rle selects
-        matching value runs in O(#runs) and coalesces the ADJACENT ones
-        (a range, unlike an equality, can match neighbouring runs);
-        dict bounds a code window with two searchsorted calls;
-        for/bitpack answer empty or the full chunk payload-free when
-        the window misses or covers the whole frame.  This default
-        decodes + masks."""
+        """Canonical run-list ``(starts, lengths)`` (int64, sorted,
+        gap-separated, lengths > 0) of the positions whose value lies in
+        ``[lo, hi]`` (inclusive) — the ONE positional integer predicate
+        of a codec: equality is ``lo == hi`` and a COUNT is the sum of
+        the returned lengths (the module's ``match_eq`` / ``count_eq`` /
+        ``count_range``).  Overrides answer from the codec's own
+        streams: rle selects matching value runs in O(#runs) and
+        coalesces the ADJACENT ones (a range, unlike an equality, can
+        match neighbouring runs); dict bounds a code window with two
+        searchsorted calls; for/bitpack answer empty or the full chunk
+        payload-free when the window misses or covers the whole frame.
+        This default decodes + masks.  The module-level dispatch
+        guarantees ``lo <= hi`` and both bounds within ``dtype``'s
+        domain."""
         if n == 0:
             return _EMPTY_RUNS
         x = self.decode(payload, n, dtype)
-        return _mask_to_runs((x >= dtype.type(lo)) & (x <= dtype.type(hi)))
+        return _mask_to_runs(_window_mask(x, dtype.type(lo), dtype.type(hi)))
 
     def match_in(self, payload: bytes, n: int, dtype: np.dtype,
                  targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -218,6 +170,14 @@ class Codec:
 
 
 _EMPTY_RUNS = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+
+
+def _window_mask(x: np.ndarray, lo, hi) -> np.ndarray:
+    """``lo <= x <= hi`` as a boolean mask; one compare pass when the
+    window is a single value, so an equality costs what it always did."""
+    if lo == hi:
+        return x == lo
+    return (x >= lo) & (x <= hi)
 
 
 def _mask_to_runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -402,37 +362,6 @@ class BitPack(Codec):
         (w,) = struct.unpack_from("<B", payload, 0)
         return _exact_sum_u64(unpack_uints(payload[1:], n, w))
 
-    def count_eq(self, payload, n, dtype, value):
-        if n == 0:
-            return 0
-        (w,) = struct.unpack_from("<B", payload, 0)
-        if value < 0 or value >= (1 << w):   # outside the code window
-            return 0
-        return int(np.count_nonzero(
-            unpack_uints(payload[1:], n, w) == np.uint64(value)))
-
-    def count_range(self, payload, n, dtype, lo, hi):
-        if n == 0:
-            return 0
-        (w,) = struct.unpack_from("<B", payload, 0)
-        tlo, thi = max(lo, 0), min(hi, (1 << w) - 1)
-        if tlo > thi:
-            return 0            # window misses every representable code
-        if tlo == 0 and thi == (1 << w) - 1:
-            return n            # window covers every representable code
-        u = unpack_uints(payload[1:], n, w)
-        return int(np.count_nonzero(
-            (u >= np.uint64(tlo)) & (u <= np.uint64(thi))))
-
-    def match_eq(self, payload, n, dtype, value):
-        if n == 0:
-            return _EMPTY_RUNS
-        (w,) = struct.unpack_from("<B", payload, 0)
-        if value < 0 or value >= (1 << w):   # outside the code window
-            return _EMPTY_RUNS               # — codes never unpacked
-        return _mask_to_runs(
-            unpack_uints(payload[1:], n, w) == np.uint64(value))
-
     def match_range(self, payload, n, dtype, lo, hi):
         if n == 0:
             return _EMPTY_RUNS
@@ -442,8 +371,8 @@ class BitPack(Codec):
             return _EMPTY_RUNS               # window misses every code
         if tlo == 0 and thi == (1 << w) - 1:
             return _full_run(n)              # window covers every code
-        u = unpack_uints(payload[1:], n, w)
-        return _mask_to_runs((u >= np.uint64(tlo)) & (u <= np.uint64(thi)))
+        return _mask_to_runs(_window_mask(unpack_uints(payload[1:], n, w),
+                                          np.uint64(tlo), np.uint64(thi)))
 
 
 class FrameOfReference(Codec):
@@ -475,39 +404,6 @@ class FrameOfReference(Codec):
         ref, w = struct.unpack_from("<qB", payload, 0)
         return ref * n + _exact_sum_u64(unpack_uints(payload[9:], n, w))
 
-    def count_eq(self, payload, n, dtype, value):
-        if n == 0:
-            return 0
-        ref, w = struct.unpack_from("<qB", payload, 0)
-        target = value - ref
-        if target < 0 or target >= (1 << w):  # outside the frame window
-            return 0
-        return int(np.count_nonzero(
-            unpack_uints(payload[9:], n, w) == np.uint64(target)))
-
-    def count_range(self, payload, n, dtype, lo, hi):
-        if n == 0:
-            return 0
-        ref, w = struct.unpack_from("<qB", payload, 0)
-        tlo, thi = max(lo - ref, 0), min(hi - ref, (1 << w) - 1)
-        if tlo > thi:
-            return 0
-        if tlo == 0 and thi == (1 << w) - 1:
-            return n
-        u = unpack_uints(payload[9:], n, w)
-        return int(np.count_nonzero(
-            (u >= np.uint64(tlo)) & (u <= np.uint64(thi))))
-
-    def match_eq(self, payload, n, dtype, value):
-        if n == 0:
-            return _EMPTY_RUNS
-        ref, w = struct.unpack_from("<qB", payload, 0)
-        target = value - ref
-        if target < 0 or target >= (1 << w):  # outside the frame window
-            return _EMPTY_RUNS                 # — codes never unpacked
-        return _mask_to_runs(
-            unpack_uints(payload[9:], n, w) == np.uint64(target))
-
     def match_range(self, payload, n, dtype, lo, hi):
         if n == 0:
             return _EMPTY_RUNS
@@ -517,8 +413,8 @@ class FrameOfReference(Codec):
             return _EMPTY_RUNS
         if tlo == 0 and thi == (1 << w) - 1:
             return _full_run(n)
-        u = unpack_uints(payload[9:], n, w)
-        return _mask_to_runs((u >= np.uint64(tlo)) & (u <= np.uint64(thi)))
+        return _mask_to_runs(_window_mask(unpack_uints(payload[9:], n, w),
+                                          np.uint64(tlo), np.uint64(thi)))
 
 
 class Dictionary(Codec):
@@ -595,55 +491,6 @@ class Dictionary(Codec):
             part = int(np.dot(deltas.astype(object), counts.astype(object)))
         return ref * n + part
 
-    def count_eq(self, payload, n, dtype, value):
-        # one searchsorted into the (sorted-unique) dictionary; absent
-        # values answer 0 from the k-element dict alone, present values
-        # cost one compare over the narrow code stream — the dictionary
-        # gather that decode pays never happens
-        if n == 0:
-            return 0
-        k, code_w, ref, dict_w = struct.unpack_from("<IBqB", payload, 0)
-        if k == 0:
-            return 0
-        target = value - ref
-        if target < 0 or target >= (1 << dict_w):  # outside dict window
-            return 0
-        (dict_len,) = struct.unpack_from("<I", payload, 14)
-        off = 18
-        deltas = unpack_uints(payload[off:off + dict_len], k, dict_w)
-        code = int(np.searchsorted(deltas, np.uint64(target)))
-        if code >= k or int(deltas[code]) != target:
-            return 0
-        codes = unpack_uints(payload[off + dict_len:], n, code_w)
-        return int(np.count_nonzero(codes == np.uint64(code)))
-
-    def count_range(self, payload, n, dtype, lo, hi):
-        # two searchsorted calls on the sorted dictionary bound the code
-        # window [c_lo, c_hi); the code stream then answers with one
-        # range compare — no dictionary gather, and all-in / all-out
-        # windows answer from the k-element dict alone
-        if n == 0:
-            return 0
-        k, code_w, ref, dict_w = struct.unpack_from("<IBqB", payload, 0)
-        if k == 0:
-            return 0
-        tlo = max(lo - ref, 0)
-        thi = min(hi - ref, (1 << dict_w) - 1 if dict_w else 0)
-        if tlo > thi:
-            return 0
-        (dict_len,) = struct.unpack_from("<I", payload, 14)
-        off = 18
-        deltas = unpack_uints(payload[off:off + dict_len], k, dict_w)
-        c_lo = int(np.searchsorted(deltas, np.uint64(tlo), side="left"))
-        c_hi = int(np.searchsorted(deltas, np.uint64(thi), side="right"))
-        if c_lo >= c_hi:
-            return 0            # no dictionary entry falls in the range
-        if c_lo == 0 and c_hi == k:
-            return n            # every dictionary entry falls in it
-        codes = unpack_uints(payload[off + dict_len:], n, code_w)
-        return int(np.count_nonzero(
-            (codes >= np.uint64(c_lo)) & (codes < np.uint64(c_hi))))
-
     def distinct(self, payload, n, dtype):
         # the dictionary stream IS the chunk's sorted distinct set by
         # construction (encode builds it from the chunk's uniques and
@@ -671,27 +518,6 @@ class Dictionary(Codec):
         codes = unpack_uints(payload[off + dict_len:], n, code_w)
         counts = np.bincount(codes.astype(np.int64), minlength=k)
         return uniq.astype(dtype), counts.astype(np.int64)
-
-    def match_eq(self, payload, n, dtype, value):
-        # one searchsorted into the sorted dictionary; absent values
-        # answer empty from the k-element dict alone, present values
-        # cost one compare over the narrow code stream — no value gather
-        if n == 0:
-            return _EMPTY_RUNS
-        k, code_w, ref, dict_w = struct.unpack_from("<IBqB", payload, 0)
-        if k == 0:
-            return _EMPTY_RUNS
-        target = value - ref
-        if target < 0 or target >= (1 << dict_w):  # outside dict window
-            return _EMPTY_RUNS
-        (dict_len,) = struct.unpack_from("<I", payload, 14)
-        off = 18
-        deltas = unpack_uints(payload[off:off + dict_len], k, dict_w)
-        code = int(np.searchsorted(deltas, np.uint64(target)))
-        if code >= k or int(deltas[code]) != target:
-            return _EMPTY_RUNS
-        codes = unpack_uints(payload[off + dict_len:], n, code_w)
-        return _mask_to_runs(codes == np.uint64(code))
 
     def match_in(self, payload, n, dtype, targets):
         # intersect the sorted dictionary with the sorted targets (two
@@ -736,8 +562,8 @@ class Dictionary(Codec):
         if c_lo == 0 and c_hi == k:
             return _full_run(n)
         codes = unpack_uints(payload[off + dict_len:], n, code_w)
-        return _mask_to_runs((codes >= np.uint64(c_lo)) &
-                             (codes < np.uint64(c_hi)))
+        return _mask_to_runs(_window_mask(codes, np.uint64(c_lo),
+                                          np.uint64(c_hi - 1)))
 
 
 class RunLength(Codec):
@@ -792,47 +618,6 @@ class RunLength(Codec):
             part = int(np.dot(vdeltas.astype(object), runs.astype(object)))
         return vref * n + part
 
-    def count_eq(self, payload, n, dtype, value):
-        # count = sum of run lengths whose run VALUE matches: O(#runs)
-        # work on a chunk of n elements — the n-element expansion that
-        # decode pays never happens
-        nruns, run_w, vref, val_w = struct.unpack_from("<IBqB", payload, 0)
-        if n == 0 or nruns == 0:
-            return 0
-        target = value - vref
-        if target < 0 or target >= (1 << val_w):  # outside value window
-            return 0
-        off = 14
-        runs_nbytes = (nruns * run_w + 7) // 8
-        vdeltas = unpack_uints(payload[off + runs_nbytes:], nruns, val_w)
-        hit = vdeltas == np.uint64(target)
-        if not hit.any():
-            return 0
-        runs = unpack_uints(payload[off:off + runs_nbytes], nruns,
-                            run_w).astype(np.int64) + 1
-        return int(runs[hit].sum())
-
-    def count_range(self, payload, n, dtype, lo, hi):
-        # sum of run lengths whose run value lands in [lo, hi]: O(#runs)
-        nruns, run_w, vref, val_w = struct.unpack_from("<IBqB", payload, 0)
-        if n == 0 or nruns == 0:
-            return 0
-        tlo = max(lo - vref, 0)
-        thi = min(hi - vref, (1 << val_w) - 1 if val_w else 0)
-        if tlo > thi:
-            return 0
-        if tlo == 0 and thi == ((1 << val_w) - 1 if val_w else 0):
-            return n            # window covers the whole value domain
-        off = 14
-        runs_nbytes = (nruns * run_w + 7) // 8
-        vdeltas = unpack_uints(payload[off + runs_nbytes:], nruns, val_w)
-        hit = (vdeltas >= np.uint64(tlo)) & (vdeltas <= np.uint64(thi))
-        if not hit.any():
-            return 0
-        runs = unpack_uints(payload[off:off + runs_nbytes], nruns,
-                            run_w).astype(np.int64) + 1
-        return int(runs[hit].sum())
-
     def distinct(self, payload, n, dtype):
         # unique of the O(#runs) value stream — adjacent runs always
         # differ but a value can recur in non-adjacent runs, so a
@@ -864,28 +649,6 @@ class RunLength(Codec):
         np.add.at(sums, inv, runs)
         return uniq.astype(dtype), sums
 
-    def match_eq(self, payload, n, dtype, value):
-        # the matching runs ARE the selection runs: O(#runs) work, and
-        # adjacent rle runs always differ in value so the result is
-        # canonical (sorted, gap-separated) by construction
-        nruns, run_w, vref, val_w = struct.unpack_from("<IBqB", payload, 0)
-        if n == 0 or nruns == 0:
-            return _EMPTY_RUNS
-        target = value - vref
-        if target < 0 or target >= (1 << val_w):  # outside value window
-            return _EMPTY_RUNS
-        off = 14
-        runs_nbytes = (nruns * run_w + 7) // 8
-        vdeltas = unpack_uints(payload[off + runs_nbytes:], nruns, val_w)
-        hit = vdeltas == np.uint64(target)
-        if not hit.any():
-            return _EMPTY_RUNS
-        runs = unpack_uints(payload[off:off + runs_nbytes], nruns,
-                            run_w).astype(np.int64) + 1
-        starts = np.concatenate(
-            ([0], np.cumsum(runs)[:-1])).astype(np.int64)
-        return starts[hit], runs[hit]
-
     def match_range(self, payload, n, dtype, lo, hi):
         # select matching value runs in O(#runs), then coalesce the
         # ADJACENT matches (a range, unlike an equality, can match
@@ -897,21 +660,24 @@ class RunLength(Codec):
         thi = min(hi - vref, (1 << val_w) - 1 if val_w else 0)
         if tlo > thi:
             return _EMPTY_RUNS
-        off = 14
-        runs_nbytes = (nruns * run_w + 7) // 8
         if tlo == 0 and thi == ((1 << val_w) - 1 if val_w else 0):
             return _full_run(n)   # window covers the whole value domain
-        vdeltas = unpack_uints(payload[off + runs_nbytes:], nruns, val_w)
-        hit = (vdeltas >= np.uint64(tlo)) & (vdeltas <= np.uint64(thi))
+        vdeltas = unpack_uints(payload[14 + (nruns * run_w + 7) // 8:],
+                               nruns, val_w)
+        return self._hit_runs(payload, nruns, run_w, _window_mask(
+            vdeltas, np.uint64(tlo), np.uint64(thi)))
+
+    @staticmethod
+    def _hit_runs(payload, nruns, run_w, hit):
+        # consecutive hit indices are positionally adjacent runs: group
+        # them and emit one coalesced selection run per group
         idx = np.flatnonzero(hit)
         if len(idx) == 0:
             return _EMPTY_RUNS
-        runs = unpack_uints(payload[off:off + runs_nbytes], nruns,
-                            run_w).astype(np.int64) + 1
+        runs = unpack_uints(payload[14:14 + (nruns * run_w + 7) // 8],
+                            nruns, run_w).astype(np.int64) + 1
         run_starts = np.concatenate(
             ([0], np.cumsum(runs)[:-1])).astype(np.int64)
-        # consecutive hit indices are positionally adjacent runs: group
-        # them and emit one coalesced selection run per group
         brk = np.flatnonzero(np.diff(idx) > 1)
         first = idx[np.concatenate(([0], brk + 1))]
         last = idx[np.concatenate((brk, [len(idx) - 1]))]
@@ -930,19 +696,8 @@ class RunLength(Codec):
         runs_nbytes = (nruns * run_w + 7) // 8
         values = unpack_uints(payload[off + runs_nbytes:], nruns,
                               val_w).astype(np.int64) + vref
-        hit = np.isin(values, targets.astype(np.int64))
-        idx = np.flatnonzero(hit)
-        if len(idx) == 0:
-            return _EMPTY_RUNS
-        runs = unpack_uints(payload[off:off + runs_nbytes], nruns,
-                            run_w).astype(np.int64) + 1
-        run_starts = np.concatenate(
-            ([0], np.cumsum(runs)[:-1])).astype(np.int64)
-        brk = np.flatnonzero(np.diff(idx) > 1)
-        first = idx[np.concatenate(([0], brk + 1))]
-        last = idx[np.concatenate((brk, [len(idx) - 1]))]
-        starts = run_starts[first]
-        return starts, run_starts[last] + runs[last] - starts
+        return self._hit_runs(payload, nruns, run_w,
+                              np.isin(values, targets.astype(np.int64)))
 
     def agg_sum_runs(self, payload, n, dtype, starts, lengths):
         # selection runs zip against the codec's own value runs via a
@@ -2007,38 +1762,64 @@ def u64_to_i64(x: np.ndarray) -> tuple[np.ndarray, bool]:
     return y, biased
 
 
+def _stream_dtype(dtype, fn: str | None = None,
+                  kinds: str = "iumM") -> np.dtype:
+    """The dtype of the codec stream behind a ``dtype`` column: a float
+    is its same-width integer BIT PATTERN, datetime64/timedelta64 their
+    exact int64 counts, uint64 the int64 image of :func:`u64_to_i64`.
+    With ``fn`` given, a dtype whose kind is not in ``kinds`` raises
+    ``TypeError`` naming ``fn``: the compressed-domain entry points are
+    integer-only (float equality and float sums are not stable across
+    engines, so they stay out of the exact contract)."""
+    dtype = np.dtype(dtype)
+    if fn is not None and dtype.kind not in kinds:
+        raise TypeError(f"{fn} is integer-only, got {dtype}")
+    if dtype.kind == "f":
+        return np.dtype(_FLOAT_VIEW[dtype.itemsize])
+    if dtype.kind in "mM" or dtype == np.uint64:
+        return np.dtype(np.int64)
+    return dtype
+
+
+def _stream(payload, dtype, fn: str | None = None, kinds: str = "iumM"):
+    """The one dtype step of the entry points that read a payload:
+    ``(codec payload, stream dtype, bias)``, where a stream value plus
+    ``bias`` is the column value.  A uint64 payload loses the framing
+    byte :func:`encode` put ahead of it, and ``bias`` is 2^63 when that
+    byte says the stream is xor-2^63-biased, else 0.  The bias is an
+    order-preserving shift: sums, bounds and targets move by the same
+    constant, POSITIONS and sort order don't."""
+    sdt = _stream_dtype(dtype, fn, kinds)
+    if np.dtype(dtype) != np.uint64:
+        return payload, sdt, 0
+    return memoryview(payload)[1:], sdt, (1 << 63) if payload[0] else 0
+
+
+def _from_stream(x: np.ndarray, dtype, bias: int) -> np.ndarray:
+    """Decoded stream values -> column values (inverse of :func:`_stream`)."""
+    if bias:
+        x = x.view(np.uint64) ^ _U64_BIAS
+    return x.view(dtype)
+
+
 def encode(codec: str, x: np.ndarray, vmin: int | None = None,
            vmax: int | None = None) -> bytes:
     x = np.ascontiguousarray(x)
     if x.dtype.kind == "f":
-        x = x.view(_FLOAT_VIEW[x.dtype.itemsize])
         vmin = vmax = None      # caller bounds were numeric, not bit-view
-    elif x.dtype.kind in "mM":
-        # datetime64/timedelta64 ARE int64 counts; delta/FOR apply directly
-        x = x.view(np.int64)
-    elif x.dtype == np.uint64:
-        x, biased = u64_to_i64(x)
-        if biased:
-            if vmin is not None:
-                vmin = int(vmin) - (1 << 63)
-            if vmax is not None:
-                vmax = int(vmax) - (1 << 63)
-        return bytes([int(biased)]) + CODECS[codec].encode(x, vmin, vmax)
-    return CODECS[codec].encode(x, vmin, vmax)
+    if x.dtype != np.uint64:
+        return CODECS[codec].encode(x.view(_stream_dtype(x.dtype)),
+                                    vmin, vmax)
+    x, biased = u64_to_i64(x)
+    if biased:
+        vmin = None if vmin is None else int(vmin) - (1 << 63)
+        vmax = None if vmax is None else int(vmax) - (1 << 63)
+    return bytes([int(biased)]) + CODECS[codec].encode(x, vmin, vmax)
 
 
 def decode(codec: str, payload: bytes, n: int, dtype) -> np.ndarray:
-    dtype = np.dtype(dtype)
-    if dtype.kind == "f":
-        return CODECS[codec].decode(
-            payload, n, np.dtype(_FLOAT_VIEW[dtype.itemsize])).view(dtype)
-    if dtype.kind in "mM":
-        return CODECS[codec].decode(payload, n, np.int64).view(dtype)
-    if dtype == np.uint64:
-        dec = CODECS[codec].decode(payload[1:], n, np.dtype(np.int64))
-        u = dec.view(np.uint64)
-        return (u ^ _U64_BIAS) if payload[0] else u
-    return CODECS[codec].decode(payload, n, dtype)
+    payload, sdt, bias = _stream(payload, dtype)
+    return _from_stream(CODECS[codec].decode(payload, n, sdt), dtype, bias)
 
 
 def decode_range(codec: str, payload: bytes, n: int, dtype,
@@ -2048,27 +1829,16 @@ def decode_range(codec: str, payload: bytes, n: int, dtype,
     for the bit-addressable codecs (plain/bitpack/for/dict/pfor: every
     8-value group starts on a byte boundary); the sequential codecs
     (rle/delta/fsst*) fall back to full decode + slice."""
-    dtype = np.dtype(dtype)
     stop = min(n, stop)
     start = min(max(0, start), stop)
     if stop <= start:
         return np.empty(0, dtype=dtype)
-    if dtype.kind == "f":
-        return decode_range(codec, payload, n,
-                            _FLOAT_VIEW[dtype.itemsize], start,
-                            stop).view(dtype)
-    if dtype.kind in "mM":
-        return decode_range(codec, payload, n, np.int64, start,
-                            stop).view(dtype)
-    if dtype == np.uint64:
-        dec = decode_range(codec, payload[1:], n, np.int64, start, stop)
-        u = dec.view(np.uint64)
-        return (u ^ _U64_BIAS) if payload[0] else u
+    payload, sdt, bias = _stream(payload, dtype)
     c = CODECS[codec]
     fn = getattr(c, "decode_range", None)
-    if fn is not None:
-        return fn(payload, n, dtype, start, stop)
-    return c.decode(payload, n, dtype)[start:stop].copy()
+    out = (fn(payload, n, sdt, start, stop) if fn is not None
+           else c.decode(payload, n, sdt)[start:stop].copy())
+    return _from_stream(out, dtype, bias)
 
 
 def gather_runs(codec: str, payload: bytes, n: int, dtype,
@@ -2107,91 +1877,45 @@ def agg_sum(codec: str, payload: bytes, n: int, dtype) -> int:
     exact split-sum otherwise.  Integer dtypes only — float sums are not
     associativity-stable across engines, so they stay out of the exact
     aggregate contract (use decode + your own float reduction)."""
-    dtype = np.dtype(dtype)
-    if dtype.kind not in "iu":
-        raise TypeError(f"agg_sum is integer-only, got {dtype}")
+    payload, sdt, bias = _stream(payload, dtype, "agg_sum", "iu")
     if n == 0:
         return 0
-    if dtype == np.uint64:
-        # framing byte says whether the int64 stream is xor-2^63-biased
-        # (see encode); sum(u) = sum(biased) + n * 2^63, exact in Python
-        s = CODECS[codec].agg_sum(payload[1:], n, np.dtype(np.int64))
-        return s + (n << 63) if payload[0] else s
-    return CODECS[codec].agg_sum(payload, n, dtype)
+    return CODECS[codec].agg_sum(payload, n, sdt) + n * bias
+
+
+def _match_range(fn: str, codec: str, payload: bytes, n: int, dtype,
+                 lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`match_range` with ``fn`` named in its ``TypeError``.  The
+    bounds shift into stream terms and clamp to the stream dtype's
+    domain; a window no stream value can lie in never touches the
+    payload."""
+    payload, sdt, bias = _stream(payload, dtype, fn)
+    info = np.iinfo(sdt)
+    lo = max(int(lo) - bias, int(info.min))
+    hi = min(int(hi) - bias, int(info.max))
+    if n == 0 or lo > hi:
+        return _EMPTY_RUNS
+    return CODECS[codec].match_range(payload, n, sdt, lo, hi)
 
 
 def count_eq(codec: str, payload: bytes, n: int, dtype,
              value: int) -> int:
-    """Exact COUNT of elements equal to ``value`` in an encoded chunk,
-    computed in the compressed domain where the codec's streams allow it
-    (rle: O(#runs) run-length sum; dict: searchsorted + code compare;
-    for/bitpack: frame test, often answering 0 with zero code-stream
-    work) and by decode + vectorized compare otherwise.  Integer and
-    datetime dtypes only — float equality is not a stable predicate
-    across engines, so it stays out of the exact contract.  A ``value``
-    outside the dtype's domain answers 0 without touching the payload."""
-    dtype = np.dtype(dtype)
-    value = int(value)
-    if dtype.kind in "mM":
-        # datetime64/timedelta64 encode as their exact int64 counts;
-        # value is the same int64 count
-        dtype = np.dtype(np.int64)
-    if dtype.kind not in "iu":
-        raise TypeError(f"count_eq is integer-only, got {dtype}")
-    if n == 0:
-        return 0
-    if dtype == np.uint64:
-        if not 0 <= value < (1 << 64):
-            return 0
-        # framing byte (see encode): the int64 stream holds x ^ 2^63
-        # when biased — an order-preserving shift, so the equality
-        # target shifts by the same constant
-        target = value - (1 << 63) if payload[0] else value
-        if not -(1 << 63) <= target < (1 << 63):
-            return 0   # unbiased stream can't hold values >= 2^63
-        return CODECS[codec].count_eq(memoryview(payload)[1:], n,
-                                      np.dtype(np.int64), target)
-    info = np.iinfo(dtype)
-    if not info.min <= value <= info.max:
-        return 0
-    return CODECS[codec].count_eq(payload, n, dtype, value)
+    """Exact COUNT of elements equal to ``value`` in an encoded chunk:
+    the summed lengths of :func:`match_eq`'s runs, so it takes the same
+    compressed-domain paths and the same integer/datetime contract.  A
+    ``value`` outside the dtype's domain answers 0 without touching the
+    payload."""
+    return int(_match_range("count_eq", codec, payload, n, dtype,
+                            value, value)[1].sum())
 
 
 def count_range(codec: str, payload: bytes, n: int, dtype,
                 lo: int, hi: int) -> int:
     """Exact COUNT of elements in ``[lo, hi]`` (inclusive) in an encoded
-    chunk — the range-predicate sibling of :func:`count_eq`, same
-    compressed-domain paths and the same integer-only contract.  Bounds
-    are clamped to the dtype's domain; an empty window answers 0 without
-    touching the payload."""
-    dtype = np.dtype(dtype)
-    lo, hi = int(lo), int(hi)
-    if dtype.kind in "mM":
-        dtype = np.dtype(np.int64)
-    if dtype.kind not in "iu":
-        raise TypeError(f"count_range is integer-only, got {dtype}")
-    if n == 0 or lo > hi:
-        return 0
-    if dtype == np.uint64:
-        lo, hi = max(lo, 0), min(hi, (1 << 64) - 1)
-        if lo > hi:
-            return 0
-        # framing byte (see encode): biased streams hold x ^ 2^63 — an
-        # order-PRESERVING bijection, so the window shifts by the same
-        # constant; unbiased streams hold values < 2^63 only
-        if payload[0]:
-            lo, hi = lo - (1 << 63), hi - (1 << 63)
-        else:
-            hi = min(hi, (1 << 63) - 1)
-            if lo > hi:
-                return 0
-        return CODECS[codec].count_range(memoryview(payload)[1:], n,
-                                         np.dtype(np.int64), lo, hi)
-    info = np.iinfo(dtype)
-    lo, hi = max(lo, int(info.min)), min(hi, int(info.max))
-    if lo > hi:
-        return 0
-    return CODECS[codec].count_range(payload, n, dtype, lo, hi)
+    chunk: the summed lengths of :func:`match_range`'s runs, same
+    contract and bound clamping."""
+    return int(_match_range("count_range", codec, payload, n, dtype,
+                            lo, hi)[1].sum())
 
 
 def distinct_values(codec: str, payload: bytes, n: int,
@@ -2201,22 +1925,12 @@ def distinct_values(codec: str, payload: bytes, n: int,
     the distinct set, zero code-stream work; rle: unique of the
     O(#runs) value stream) and by decode + np.unique otherwise.
     Integer and datetime dtypes only, same contract as
-    :func:`count_eq`."""
-    dtype = np.dtype(dtype)
-    if dtype.kind in "mM":
-        return distinct_values(codec, payload, n, np.int64).view(dtype)
-    if dtype.kind not in "iu":
-        raise TypeError(f"distinct_values is integer-only, got {dtype}")
+    :func:`match_range`."""
+    payload, sdt, bias = _stream(payload, dtype, "distinct_values")
     if n == 0:
         return np.empty(0, dtype=dtype)
-    if dtype == np.uint64:
-        vals = CODECS[codec].distinct(memoryview(payload)[1:], n,
-                                      np.dtype(np.int64))
-        u = vals.view(np.uint64)
-        # xor-2^63 is order-preserving int64-order -> uint64-order, so
-        # the sorted property survives the unbias in both directions
-        return (u ^ _U64_BIAS) if payload[0] else u
-    return CODECS[codec].distinct(payload, n, dtype)
+    return _from_stream(CODECS[codec].distinct(payload, n, sdt), dtype,
+                        bias)
 
 
 def value_counts(codec: str, payload: bytes, n: int,
@@ -2227,95 +1941,36 @@ def value_counts(codec: str, payload: bytes, n: int,
     run-length fold per unique run value in O(#runs log #runs)) and by
     decode + np.unique(return_counts) otherwise.  Same integer/datetime
     contract and uint64 bias framing as :func:`distinct_values`."""
-    dtype = np.dtype(dtype)
-    if dtype.kind in "mM":
-        vals, counts = value_counts(codec, payload, n, np.int64)
-        return vals.view(dtype), counts
-    if dtype.kind not in "iu":
-        raise TypeError(f"value_counts is integer-only, got {dtype}")
+    payload, sdt, bias = _stream(payload, dtype, "value_counts")
     if n == 0:
         return (np.empty(0, dtype=dtype), np.empty(0, dtype=np.int64))
-    if dtype == np.uint64:
-        vals, counts = CODECS[codec].value_counts(
-            memoryview(payload)[1:], n, np.dtype(np.int64))
-        u = vals.view(np.uint64)
-        # order-preserving unbias keeps (values, counts) aligned AND
-        # sorted in uint64 order
-        return ((u ^ _U64_BIAS) if payload[0] else u), counts
-    return CODECS[codec].value_counts(payload, n, dtype)
+    vals, counts = CODECS[codec].value_counts(payload, n, sdt)
+    return _from_stream(vals, dtype, bias), counts
 
 
 def match_eq(codec: str, payload: bytes, n: int, dtype,
              value: int) -> tuple[np.ndarray, np.ndarray]:
     """Canonical run-list (starts, lengths; int64, sorted,
     gap-separated) of the positions equal to ``value`` in an encoded
-    chunk — the selection-vector sibling of :func:`count_eq`, answered
-    in the compressed domain where the codec's streams allow it (rle's
-    matching runs ARE the selection runs in O(#runs); dict compares the
-    narrow code stream after one searchsorted; for/bitpack answer empty
-    payload-free outside the frame window).  Same integer/datetime
-    contract and uint64 bias framing as :func:`count_eq`; out-of-domain
-    values answer empty without touching the payload."""
-    dtype = np.dtype(dtype)
-    value = int(value)
-    if dtype.kind in "mM":
-        dtype = np.dtype(np.int64)
-    if dtype.kind not in "iu":
-        raise TypeError(f"match_eq is integer-only, got {dtype}")
-    if n == 0:
-        return _EMPTY_RUNS
-    if dtype == np.uint64:
-        if not 0 <= value < (1 << 64):
-            return _EMPTY_RUNS
-        # framing byte (see encode): biased streams hold x ^ 2^63 — the
-        # equality target shifts by the same constant, POSITIONS don't
-        target = value - (1 << 63) if payload[0] else value
-        if not -(1 << 63) <= target < (1 << 63):
-            return _EMPTY_RUNS
-        return CODECS[codec].match_eq(memoryview(payload)[1:], n,
-                                      np.dtype(np.int64), target)
-    info = np.iinfo(dtype)
-    if not info.min <= value <= info.max:
-        return _EMPTY_RUNS
-    return CODECS[codec].match_eq(payload, n, dtype, value)
+    chunk: :func:`match_range` over ``[value, value]``, so rle's
+    matching runs ARE the selection runs in O(#runs), dict compares the
+    narrow code stream after its dictionary searchsorted, and
+    for/bitpack answer empty payload-free outside the frame window.
+    Out-of-domain values answer empty without touching the payload."""
+    return _match_range("match_eq", codec, payload, n, dtype, value, value)
 
 
 def match_range(codec: str, payload: bytes, n: int, dtype,
                 lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     """Canonical run-list of the positions whose value lies in
-    ``[lo, hi]`` (inclusive) — the range-predicate sibling of
-    :func:`match_eq`, same compressed-domain paths (rle: O(#runs) with
-    adjacent-match coalescing; dict: a searchsorted code window;
-    for/bitpack: empty or the full chunk payload-free) and the same
-    integer/datetime contract, bound clamping and uint64 bias framing
-    as :func:`count_range`."""
-    dtype = np.dtype(dtype)
-    lo, hi = int(lo), int(hi)
-    if dtype.kind in "mM":
-        dtype = np.dtype(np.int64)
-    if dtype.kind not in "iu":
-        raise TypeError(f"match_range is integer-only, got {dtype}")
-    if n == 0 or lo > hi:
-        return _EMPTY_RUNS
-    if dtype == np.uint64:
-        lo, hi = max(lo, 0), min(hi, (1 << 64) - 1)
-        if lo > hi:
-            return _EMPTY_RUNS
-        # framing byte (see encode): the bias is order-PRESERVING, so
-        # the window shifts by the same constant and POSITIONS don't
-        if payload[0]:
-            lo, hi = lo - (1 << 63), hi - (1 << 63)
-        else:
-            hi = min(hi, (1 << 63) - 1)
-            if lo > hi:
-                return _EMPTY_RUNS
-        return CODECS[codec].match_range(memoryview(payload)[1:], n,
-                                         np.dtype(np.int64), lo, hi)
-    info = np.iinfo(dtype)
-    lo, hi = max(lo, int(info.min)), min(hi, int(info.max))
-    if lo > hi:
-        return _EMPTY_RUNS
-    return CODECS[codec].match_range(payload, n, dtype, lo, hi)
+    ``[lo, hi]`` (inclusive) — the one positional integer predicate
+    (:meth:`Codec.match_range`: rle O(#runs) with adjacent-match
+    coalescing; dict a searchsorted code window; for/bitpack empty or
+    the full chunk payload-free).  Integer and datetime dtypes (a
+    datetime bound is its int64 count); bounds are clamped to the
+    dtype's domain and a uint64 window shifts with the stream's bias,
+    so an empty window answers without touching the payload."""
+    return _match_range("match_range", codec, payload, n, dtype, lo, hi)
 
 
 def match_in(codec: str, payload: bytes, n: int, dtype,
@@ -2326,47 +1981,30 @@ def match_in(codec: str, payload: bytes, n: int, dtype,
     streams allow it (rle: O(#runs) value test + adjacent-match
     coalescing; dict: sorted-set intersection + one boolean-table
     lookup over the narrow code stream).  Same integer/datetime
-    contract and uint64 bias framing as :func:`match_eq`; out-of-domain
-    targets are dropped, an empty surviving set answers empty without
-    touching the payload."""
-    dtype = np.dtype(dtype)
-    tgt = sorted({int(t) for t in targets})
-    if dtype.kind in "mM":
-        dtype = np.dtype(np.int64)
-    if dtype.kind not in "iu":
-        raise TypeError(f"match_in is integer-only, got {dtype}")
+    contract and uint64 bias framing as :func:`match_range`;
+    out-of-domain targets are dropped, an empty surviving set answers
+    empty without touching the payload."""
+    payload, sdt, bias = _stream(payload, dtype, "match_in")
+    info = np.iinfo(sdt)
+    tgt = [t for t in sorted({int(t) - bias for t in targets})
+           if info.min <= t <= info.max]
     if n == 0 or not tgt:
         return _EMPTY_RUNS
-    if dtype == np.uint64:
-        tgt = [t for t in tgt if 0 <= t < (1 << 64)]
-        # framing byte (see encode): biased streams hold x ^ 2^63 as an
-        # order-preserving shift — targets shift by the same constant
-        if payload[0]:
-            tgt = [t - (1 << 63) for t in tgt]
-        else:
-            tgt = [t for t in tgt if t < (1 << 63)]
-        if not tgt:
-            return _EMPTY_RUNS
-        return CODECS[codec].match_in(memoryview(payload)[1:], n,
-                                      np.dtype(np.int64),
-                                      np.array(tgt, dtype=np.int64))
-    info = np.iinfo(dtype)
-    tgt = [t for t in tgt if info.min <= t <= info.max]
-    if not tgt:
-        return _EMPTY_RUNS
-    return CODECS[codec].match_in(payload, n, dtype,
+    return CODECS[codec].match_in(payload, n, sdt,
                                   np.array(tgt, dtype=np.int64))
 
 
 def match_eq_str(spec: str, lens_payload: bytes, text_payload: bytes,
                  n: int, value: str) -> tuple[np.ndarray, np.ndarray]:
     """Canonical run-list of the positions where a STRING chunk equals
-    ``value`` — the string-equality predicate leaf.  ``spec`` is the
-    table-encode string codec spec (``"str:<lens_codec>:<text_codec>"``,
-    see tokrle/pipelines/table_encode.py).  The integer LENGTHS stream
-    is the compressed-domain prefilter: a chunk with no row of the
-    right byte length (:func:`count_eq` over the narrow lengths
-    payload) answers empty without ever decoding its text bytes.
+    ``value`` — the string-equality predicate leaf, the one-value case
+    of :func:`match_in_str`.  ``spec`` is the table-encode string codec
+    spec (``"str:<lens_codec>:<text_codec>"``, see
+    tokrle/pipelines/table_encode.py).  The integer LENGTHS stream is
+    the compressed-domain prefilter: a chunk with no row of the right
+    byte length (:func:`count_eq`, the summed runs of one
+    :func:`match_range` over the narrow lengths payload, is 0) answers
+    empty without ever decoding its text bytes.
     Surviving chunks decode lengths + flat bytes and byte-compare only
     the length-matching candidate rows, vectorized.  On a nullable
     chunk the null slots hold the encoder's ``''`` filler and match
@@ -2374,37 +2012,9 @@ def match_eq_str(spec: str, lens_payload: bytes, text_payload: bytes,
     validity runs (three-valued logic, which also keeps ``NOT`` over
     this leaf sound — SQL's ``<>`` excludes NULLs).  ``sdict:`` chunks
     answer on the CODE stream: the value maps to its dictionary code
-    (or misses entirely) and :func:`match_eq` runs on the integer
+    (or misses entirely) and :func:`match_in` runs on the integer
     codes — the text bytes are never touched."""
-    vbytes = value.encode("utf-8")
-    vlen = len(vbytes)
-    if n == 0:
-        return _EMPTY_RUNS
-    if spec.startswith("sdict:"):
-        ccodec, codes_p, dlens, dbytes = sdict_unpack(spec, text_payload)
-        codes = _sdict_codes_of(dlens, dbytes, [vbytes])
-        if not codes:
-            return _EMPTY_RUNS
-        return match_eq(ccodec, codes_p, n, np.int64, codes[0])
-    if not spec.startswith("str:"):
-        raise TypeError(f"match_eq_str needs a string chunk, got {spec!r}")
-    _, lcodec, tcodec = spec.split(":", 2)
-    if count_eq(lcodec, lens_payload, n, np.int64, vlen) == 0:
-        return _EMPTY_RUNS
-    lens = decode(lcodec, lens_payload, n, np.int64)
-    cand = lens == vlen
-    if vlen == 0:
-        return _mask_to_runs(cand)
-    data = decode(tcodec, text_payload, int(lens.sum()),
-                  np.int8).view(np.uint8)
-    offs = np.concatenate(([0], np.cumsum(lens)))
-    cand_idx = np.flatnonzero(cand)
-    idx = offs[:-1][cand_idx][:, None] + np.arange(vlen)
-    eq = (data[idx] == np.frombuffer(vbytes, dtype=np.uint8)) \
-        .all(axis=1)
-    mask = np.zeros(n, dtype=bool)
-    mask[cand_idx[eq]] = True
-    return _mask_to_runs(mask)
+    return match_in_str(spec, lens_payload, text_payload, n, [value])
 
 
 def sdict_pack(codes_payload: bytes, dlens_payload: bytes,
@@ -2467,6 +2077,20 @@ def _sdict_distinct_array(dlens: np.ndarray, dbytes: np.ndarray):
          pa.py_buffer(np.ascontiguousarray(dbytes).tobytes())])
 
 
+def _sdict_match(spec: str, text_payload: bytes, n: int,
+                 pred) -> tuple[np.ndarray, np.ndarray]:
+    """Every string leaf on an ``sdict:`` chunk: ``pred`` tests the
+    bytes of each string in the (small) distinct set, then
+    :func:`match_in` selects the rows whose code passed — the text
+    bytes are never touched per row."""
+    ccodec, codes_p, dlens, dbytes = sdict_unpack(spec, text_payload)
+    offs = np.concatenate(([0], np.cumsum(dlens)))
+    buf = dbytes.tobytes()
+    return match_in(ccodec, codes_p, n, np.int64,
+                    [j for j in range(len(dlens))
+                     if pred(buf[offs[j]:offs[j + 1]])])
+
+
 def match_in_str(spec: str, lens_payload: bytes, text_payload: bytes,
                  n: int, values: list[str]) -> tuple[np.ndarray, np.ndarray]:
     """Canonical run-list of the positions where a STRING chunk equals
@@ -2478,18 +2102,14 @@ def match_in_str(spec: str, lens_payload: bytes, text_payload: bytes,
     that length.  Equivalent to an OR-chain of :func:`match_eq_str`
     but without re-decoding the text per value.  Null slots match as
     the ``''`` filler; the caller applies the validity (see
-    :func:`match_eq_str`).  ``sdict:``
-    chunks map the values to their dictionary codes and run
-    :func:`match_in` on the integer code stream — no text decode."""
+    :func:`match_eq_str`).  ``sdict:`` chunks test the values against
+    the distinct set and run :func:`match_in` on the integer code
+    stream — no text decode."""
     if n == 0 or not values:
         return _EMPTY_RUNS
     if spec.startswith("sdict:"):
-        ccodec, codes_p, dlens, dbytes = sdict_unpack(spec, text_payload)
-        codes = _sdict_codes_of(
-            dlens, dbytes, [v.encode("utf-8") for v in values])
-        if not codes:
-            return _EMPTY_RUNS
-        return match_in(ccodec, codes_p, n, np.int64, codes)
+        targets = {v.encode("utf-8") for v in values}
+        return _sdict_match(spec, text_payload, n, targets.__contains__)
     if not spec.startswith("str:"):
         raise TypeError(f"match_in_str needs a string chunk, got {spec!r}")
     _, lcodec, tcodec = spec.split(":", 2)
@@ -2534,8 +2154,9 @@ def match_prefix_str(spec: str, lens_payload: bytes, text_payload: bytes,
     WITH ``prefix`` (SQL ``LIKE 'prefix%'``) — the prefix predicate
     leaf, sibling of :func:`match_eq_str`.  The lengths stream is again
     the compressed-domain prefilter: a chunk with no row of at least
-    ``len(prefix)`` bytes (:func:`count_range` over the narrow lengths
-    payload) answers empty without decoding its text bytes; surviving
+    ``len(prefix)`` bytes (:func:`count_range`, the summed runs of one
+    :func:`match_range` over the narrow lengths payload, is 0) answers
+    empty without decoding its text bytes; surviving
     chunks byte-compare only the first ``len(prefix)`` bytes of the
     long-enough candidate rows, vectorized.  Null slots match as the
     ``''`` filler; the caller applies the validity (see
@@ -2550,15 +2171,8 @@ def match_prefix_str(spec: str, lens_payload: bytes, text_payload: bytes,
         return (np.array([0], dtype=np.int64),
                 np.array([n], dtype=np.int64))   # '' prefixes every row
     if spec.startswith("sdict:"):
-        ccodec, codes_p, dlens, dbytes = sdict_unpack(spec, text_payload)
-        offs = np.concatenate(([0], np.cumsum(dlens)))
-        codes = sorted(
-            j for j in range(len(dlens))
-            if dlens[j] >= plen
-            and bytes(dbytes[offs[j]:offs[j] + plen]) == pbytes)
-        if not codes:
-            return _EMPTY_RUNS
-        return match_in(ccodec, codes_p, n, np.int64, codes)
+        return _sdict_match(spec, text_payload, n,
+                            lambda b: b.startswith(pbytes))
     if not spec.startswith("str:"):
         raise TypeError(
             f"match_prefix_str needs a string chunk, got {spec!r}")
@@ -2599,15 +2213,8 @@ def match_suffix_str(spec: str, lens_payload: bytes, text_payload: bytes,
         return (np.array([0], dtype=np.int64),
                 np.array([n], dtype=np.int64))   # '' suffixes every row
     if spec.startswith("sdict:"):
-        ccodec, codes_p, dlens, dbytes = sdict_unpack(spec, text_payload)
-        offs = np.concatenate(([0], np.cumsum(dlens)))
-        codes = sorted(
-            j for j in range(len(dlens))
-            if dlens[j] >= slen
-            and bytes(dbytes[offs[j + 1] - slen:offs[j + 1]]) == sbytes)
-        if not codes:
-            return _EMPTY_RUNS
-        return match_in(ccodec, codes_p, n, np.int64, codes)
+        return _sdict_match(spec, text_payload, n,
+                            lambda b: b.endswith(sbytes))
     if not spec.startswith("str:"):
         raise TypeError(
             f"match_suffix_str needs a string chunk, got {spec!r}")
@@ -2650,15 +2257,8 @@ def match_contains_str(spec: str, lens_payload: bytes,
         return (np.array([0], dtype=np.int64),
                 np.array([n], dtype=np.int64))   # every row contains ''
     if spec.startswith("sdict:"):
-        ccodec, codes_p, dlens, dbytes = sdict_unpack(spec, text_payload)
-        offs = np.concatenate(([0], np.cumsum(dlens)))
-        buf = bytes(dbytes)
-        codes = sorted(
-            j for j in range(len(dlens))
-            if buf[offs[j]:offs[j + 1]].find(nbytes_) >= 0)
-        if not codes:
-            return _EMPTY_RUNS
-        return match_in(ccodec, codes_p, n, np.int64, codes)
+        return _sdict_match(spec, text_payload, n,
+                            lambda b: nbytes_ in b)
     if not spec.startswith("str:"):
         raise TypeError(
             f"match_contains_str needs a string chunk, got {spec!r}")
@@ -2759,9 +2359,7 @@ def agg_sum_runs(codec: str, payload: bytes, n: int, dtype,
     dtypes only, same contract and uint64 bias framing as
     :func:`agg_sum`.  The run-list is validated (in-bounds, sorted,
     disjoint, positive lengths) — a malformed selection raises."""
-    dtype = np.dtype(dtype)
-    if dtype.kind not in "iu":
-        raise TypeError(f"agg_sum_runs is integer-only, got {dtype}")
+    payload, sdt, bias = _stream(payload, dtype, "agg_sum_runs", "iu")
     starts = np.asarray(starts, dtype=np.int64)
     lengths = np.asarray(lengths, dtype=np.int64)
     if len(starts) != len(lengths):
@@ -2773,11 +2371,5 @@ def agg_sum_runs(codec: str, payload: bytes, n: int, dtype,
             (starts[1:] < starts[:-1] + lengths[:-1]).any():
         raise ValueError("selection run-list must be sorted, disjoint, "
                          "positive-length and within [0, n)")
-    if dtype == np.uint64:
-        # framing byte (see encode): sum(u) over the selection =
-        # sum(biased int64) + n_selected * 2^63, exact in Python
-        s = CODECS[codec].agg_sum_runs(memoryview(payload)[1:], n,
-                                       np.dtype(np.int64), starts,
-                                       lengths)
-        return s + (int(lengths.sum()) << 63) if payload[0] else s
-    return CODECS[codec].agg_sum_runs(payload, n, dtype, starts, lengths)
+    return CODECS[codec].agg_sum_runs(payload, n, sdt, starts, lengths) \
+        + int(lengths.sum()) * bias

@@ -19,7 +19,7 @@ import os
 import numpy as np
 import pyarrow as pa
 
-from tokrle.codecs.core import decode as codec_decode
+from tokrle.codecs.core import _U64_BIAS, decode as codec_decode
 from tokrle.select import auto_encode
 
 
@@ -483,8 +483,9 @@ def encoded_string_value_count(enc_dir: str, col: str, value: str):
     """COUNT of rows with string ``col == value`` over a table-encode
     directory, with the LENGTHS stream as a compressed-domain prefilter:
     a chunk whose encoded per-row byte-lengths contain no
-    ``len(value)`` entry (one :func:`tokrle.codecs.core.count_eq` over
-    the narrow integer lengths payload) never decodes its text bytes —
+    ``len(value)`` entry (:func:`tokrle.codecs.core.count_eq`, the
+    summed runs of one ``match_range`` over the narrow integer lengths
+    payload, is 0) never decodes its text bytes —
     for selective predicates most chunks skip the FSST decode entirely.
     Surviving chunks decode lengths + flat bytes and compare only the
     length-matching candidate rows, vectorized.  Null slots encode as
@@ -582,7 +583,7 @@ def encoded_histogram(enc_dir: str, col: str):
 
     values, counts, counters, dt = _boolean_value_hist(enc_dir, None, col)
     if dt == np.uint64:
-        values = values.view(np.uint64) ^ _U64_FLIP
+        values = values.view(np.uint64) ^ _U64_BIAS
     elif dt is not None:
         values = values.astype(dt)
     return pd.DataFrame({"value": values, "n": counts}), counters
@@ -605,19 +606,16 @@ def _hist_rank(values: np.ndarray, cum: np.ndarray, n: int,
     return int(values[_hist_rank_idx(cum, n, q_num, q_den)])
 
 
-_U64_FLIP = np.uint64(1 << 63)
-
-
 def _hist_bias_u64(v: np.ndarray) -> np.ndarray:
     """Order-preserving uint64 -> int64 bijection (xor 2^63), so uint64
     histograms fold and rank in int64 exchanges without wrapping."""
-    return (v.astype(np.uint64) ^ _U64_FLIP).view(np.int64)
+    return (v.astype(np.uint64) ^ _U64_BIAS).view(np.int64)
 
 
 def _hist_unbias_u64(x: int) -> int:
     """Inverse of :func:`_hist_bias_u64` for a single driver-side
     value."""
-    return int(np.int64(x).view(np.uint64) ^ _U64_FLIP)
+    return int(np.int64(x).view(np.uint64) ^ _U64_BIAS)
 
 
 def _agg_fold_u64(v: np.ndarray) -> np.ndarray:
@@ -893,7 +891,7 @@ def encoded_boolean_histogram(enc_dir: str, expr: tuple, agg_col: str):
     values, counts, counters, dt = _boolean_value_hist(enc_dir, expr,
                                                        agg_col)
     if dt == np.uint64:
-        values = (values.view(np.uint64) ^ _U64_FLIP)
+        values = (values.view(np.uint64) ^ _U64_BIAS)
     out = pd.DataFrame({"value": values, "n": counts})
     # the biased int64 sort order IS the uint64 order, so re-sorting
     # after the unbias is unnecessary — values are already ascending
@@ -923,7 +921,7 @@ def encoded_boolean_topk(enc_dir: str, expr: tuple, col: str, k: int):
     import pandas as pd
 
     if dt == np.uint64:
-        values = values.view(np.uint64) ^ _U64_FLIP
+        values = values.view(np.uint64) ^ _U64_BIAS
     out = pd.DataFrame({"value": values, "n": counts})
     out = out[out["n"] > 0]
     return out.reset_index(drop=True), counters
