@@ -1396,3 +1396,17 @@ def test_string_match_kernels_property(vals, probe, form, data):
                            np.zeros(1, np.int64),
                            np.full(1, n, np.int64))
     assert full.to_pylist() == vals
+
+
+def test_match_eq_str_length_miss_never_decodes_text():
+    """When no row has the value's byte length, the lengths stream alone
+    answers: a text payload that cannot be decoded is never touched."""
+    from tokrle.codecs.core import decode, match_eq_str
+
+    vals = ["en", "de", "fr", "en"] * 50
+    spec, lp, _ = _encode_str_chunk(vals, "str")
+    bad = b"\xff\xff\xff"
+    with pytest.raises(Exception):
+        decode("fsst", bad, 400, np.int8)
+    starts, lengths = match_eq_str(spec, lp, bad, len(vals), "xyz")
+    assert len(starts) == 0 and len(lengths) == 0

@@ -2055,17 +2055,6 @@ def sdict_unpack(spec: str, payload: bytes):
     return ccodec, mv[off:], dlens, dbytes
 
 
-def _sdict_codes_of(dlens: np.ndarray, dbytes: np.ndarray,
-                    targets: list[bytes]) -> list[int]:
-    """Dictionary codes of the byte strings in ``targets`` that exist
-    in the distinct set (k <= 256 by encoder construction, so the
-    scan is over a tiny set)."""
-    offs = np.concatenate(([0], np.cumsum(dlens)))
-    dvals = {bytes(dbytes[offs[j]:offs[j + 1]]): j
-             for j in range(len(dlens))}
-    return sorted(dvals[t] for t in set(targets) if t in dvals)
-
-
 def _sdict_distinct_array(dlens: np.ndarray, dbytes: np.ndarray):
     """The distinct set as a pyarrow large_string array."""
     import pyarrow as pa

@@ -23,6 +23,32 @@ def _read(sf_dir: str, table: str, columns=None):
     return ray.data.read_parquet(f"{sf_dir}/{table}.parquet", columns=columns)
 
 
+def _q_dir(sf_dir: str, name: str) -> str:
+    """A query's fixture directory ``/tmp/tokrle_q/<sf>/<name>``, emptied."""
+    import os
+    import shutil
+
+    d = os.path.join("/tmp/tokrle_q", sf_dir.strip("/").replace("/", "_"),
+                     name)
+    shutil.rmtree(d, ignore_errors=True)
+    return d
+
+
+def _encoded_fixture(sf_dir: str, name: str, table: str, cols: list[str],
+                     batch_size: int, sort: str | None = None) -> str:
+    """Table-encode ``cols`` of ``table`` (sorted by ``sort`` if given) in
+    ``batch_size``-row chunks into :func:`_q_dir` ``name``; returns it."""
+    from tokrle.pipelines.table_encode import encode_table_columns
+
+    enc_dir = _q_dir(sf_dir, name)
+    ds = _read(sf_dir, table, columns=cols)
+    if sort is not None:
+        ds = ds.sort(sort)
+    encode_table_columns(ds, cols, batch_size=batch_size).write_parquet(
+        enc_dir)
+    return enc_dir
+
+
 # ---------------------------------------------------------------------------
 # flagship: tokenize -> encode -> decode -> aggregate
 # ---------------------------------------------------------------------------
@@ -283,22 +309,15 @@ def recompress_roundtrip_stats(sf_dir: str) -> pd.DataFrame:
     """encode -> RECOMPRESS (codec/chunking migration) -> decode -> per
     source aggregates; the oracle recomputes from the raw text, so the
     whole two-generation encode chain must preserve every row."""
-    import os
-    import shutil
-
     import ray.data
 
     from tokrle.pipelines.corpus import encode_corpus, recompress
     from tokrle.pipelines.encode import decode_tokens
     from tokrle.sources.tokens import documents_to_tokens
 
-    base = os.path.join("/tmp/tokrle_q",
-                        sf_dir.strip("/").replace("/", "_"))
-    tok_dir = os.path.join(base, "tokens")
-    enc1 = os.path.join(base, "recomp_enc1")
-    enc2 = os.path.join(base, "recomp_enc2")
-    for d in (tok_dir, enc1, enc2):
-        shutil.rmtree(d, ignore_errors=True)
+    tok_dir = _q_dir(sf_dir, "tokens")
+    enc1 = _q_dir(sf_dir, "recomp_enc1")
+    enc2 = _q_dir(sf_dir, "recomp_enc2")
     documents_to_tokens(sf_dir).write_parquet(tok_dir)
     encode_corpus(tok_dir, enc1, batch_size=256)
     recompress(enc1, enc2, batch_size=512, by_source=True)
@@ -320,7 +339,6 @@ def upsert_corpus_stats(sf_dir: str) -> pd.DataFrame:
     re-encoded (metadata-only affected-chunk scan, ray.put-broadcast id
     set); the delta encodes as one new idempotent group."""
     import os
-    import shutil
 
     import pyarrow.parquet as pq_
     import ray.data
@@ -329,12 +347,8 @@ def upsert_corpus_stats(sf_dir: str) -> pd.DataFrame:
     from tokrle.pipelines.encode import decode_tokens
     from tokrle.sources.tokens import documents_to_tokens
 
-    base = os.path.join("/tmp/tokrle_q",
-                        sf_dir.strip("/").replace("/", "_"))
-    tok_dir = os.path.join(base, "upsert_tokens")
-    enc = os.path.join(base, "upsert_enc")
-    for d in (tok_dir, enc):
-        shutil.rmtree(d, ignore_errors=True)
+    tok_dir = _q_dir(sf_dir, "upsert_tokens")
+    enc = _q_dir(sf_dir, "upsert_enc")
     documents_to_tokens(sf_dir).write_parquet(tok_dir)
     encode_corpus(tok_dir, enc, batch_size=256)
 
@@ -390,20 +404,13 @@ def compact_corpus_stats(sf_dir: str) -> pd.DataFrame:
     content is untouched: per-source aggregates of the decoded
     post-compaction corpus against the raw-text SQL oracle.  The query
     raises unless compaction actually reduced the group count."""
-    import os
-    import shutil
-
     from tokrle.pipelines.corpus import (compact_corpus, encode_corpus,
                                          read_corpus)
     from tokrle.pipelines.encode import decode_tokens
     from tokrle.sources.tokens import documents_to_tokens
 
-    base = os.path.join("/tmp/tokrle_q",
-                        sf_dir.strip("/").replace("/", "_"))
-    tok_dir = os.path.join(base, "compact_tokens")
-    enc = os.path.join(base, "compact_enc")
-    for d in (tok_dir, enc):
-        shutil.rmtree(d, ignore_errors=True)
+    tok_dir = _q_dir(sf_dir, "compact_tokens")
+    enc = _q_dir(sf_dir, "compact_enc")
     documents_to_tokens(sf_dir).repartition(6).write_parquet(tok_dir)
     encode_corpus(tok_dir, enc, batch_size=256, group_files=1)
     run = compact_corpus(enc, target_bytes=1 << 30, batch_size=256)
@@ -418,18 +425,13 @@ def encoded_pruned_source_stats(sf_dir: str) -> pd.DataFrame:
     is an exact partition key), then answer a one-source question by
     pruned-reading only that source's chunk rows — the filter is pushed to
     the Parquet scan, other sources' payload bytes never leave storage."""
-    import os
-    import shutil
-
     import pyarrow.compute as pc
     import ray.data
 
     from tokrle.pipelines.encode import decode_tokens, encode_tokens
     from tokrle.sources.tokens import documents_to_tokens
 
-    enc_dir = os.path.join("/tmp/tokrle_q",
-                           sf_dir.strip("/").replace("/", "_"), "enc_lg")
-    shutil.rmtree(enc_dir, ignore_errors=True)
+    enc_dir = _q_dir(sf_dir, "enc_lg")
     ds = documents_to_tokens(sf_dir)
     encode_tokens(ds, batch_size=256, by_source=True) \
         .write_parquet(enc_dir)
@@ -1820,21 +1822,14 @@ def zonemap_pruned_scan_stats(sf_dir: str) -> pd.DataFrame:
     — non-overlapping chunks' payloads never leave storage, and only the
     surviving chunks are decoded and row-filtered.  Asserts that pruning
     actually skipped chunks before returning the SQL-comparable row."""
-    import os
-    import shutil
-
     from ray.data.aggregate import Sum
 
-    from tokrle.pipelines.table_encode import (encode_table_columns,
-                                               range_scan)
+    from tokrle.pipelines.table_encode import range_scan
 
     cols = ["l_orderkey", "l_partkey", "l_suppkey"]
     lo, hi = ZONEMAP_LO, ZONEMAP_HI
-    enc_dir = os.path.join("/tmp/tokrle_q",
-                           sf_dir.strip("/").replace("/", "_"), "zonemap")
-    shutil.rmtree(enc_dir, ignore_errors=True)
-    ds = _read(sf_dir, "lineitem", columns=cols).sort("l_suppkey")
-    encode_table_columns(ds, cols, batch_size=2048).write_parquet(enc_dir)
+    enc_dir = _encoded_fixture(sf_dir, "zonemap", "lineitem", cols, 2048,
+                               sort="l_suppkey")
 
     scan, stats = range_scan(enc_dir, cols, [("l_suppkey", lo, hi)])
     if stats["chunks_total"] > 4:
@@ -2009,18 +2004,10 @@ def encoded_agg_stats(sf_dir: str) -> pd.DataFrame:
     The four columns deliberately land on different codecs (sorted keys
     -> delta, low-cardinality -> dict/rle, uniform keys -> bitpack/for),
     so the oracle exercises every closed-form sum path end to end."""
-    import os
-    import shutil
-
-    from tokrle.pipelines.table_encode import (encode_table_columns,
-                                               encoded_column_agg)
+    from tokrle.pipelines.table_encode import encoded_column_agg
 
     cols = ["l_orderkey", "l_partkey", "l_suppkey", "l_linenumber"]
-    enc_dir = os.path.join("/tmp/tokrle_q",
-                           sf_dir.strip("/").replace("/", "_"), "enc_agg")
-    shutil.rmtree(enc_dir, ignore_errors=True)
-    ds = _read(sf_dir, "lineitem", columns=cols)
-    encode_table_columns(ds, cols, batch_size=8192).write_parquet(enc_dir)
+    enc_dir = _encoded_fixture(sf_dir, "enc_agg", "lineitem", cols, 8192)
     return encoded_column_agg(enc_dir, cols)
 
 
@@ -2035,19 +2022,11 @@ def encoded_range_agg_stats(sf_dir: str) -> pd.DataFrame:
     no decode), and builds a selection run-list only on the
     cluster-boundary chunks.  Asserts pruning and the ALL-match path
     both ran before returning the SQL-comparable row."""
-    import os
-    import shutil
-
-    from tokrle.pipelines.table_encode import (encode_table_columns,
-                                               encoded_range_agg)
+    from tokrle.pipelines.table_encode import encoded_range_agg
 
     cols = ["l_suppkey", "l_orderkey", "l_partkey"]
-    enc_dir = os.path.join("/tmp/tokrle_q",
-                           sf_dir.strip("/").replace("/", "_"),
-                           "range_agg")
-    shutil.rmtree(enc_dir, ignore_errors=True)
-    ds = _read(sf_dir, "lineitem", columns=cols).sort("l_suppkey")
-    encode_table_columns(ds, cols, batch_size=2048).write_parquet(enc_dir)
+    enc_dir = _encoded_fixture(sf_dir, "range_agg", "lineitem", cols, 2048,
+                               sort="l_suppkey")
 
     df, counters = encoded_range_agg(
         enc_dir, "l_suppkey", RANGE_AGG_LO, RANGE_AGG_HI,
@@ -2072,19 +2051,11 @@ def encoded_predicate_stats(sf_dir: str) -> pd.DataFrame:
     column (no pruning, compressed-domain compare everywhere), and an
     absent value (answered from zone maps alone — zero chunks
     scanned)."""
-    import os
-    import shutil
-
-    from tokrle.pipelines.table_encode import (encode_table_columns,
-                                               encoded_value_count)
+    from tokrle.pipelines.table_encode import encoded_value_count
 
     cols = ["l_suppkey", "l_linenumber"]
-    enc_dir = os.path.join("/tmp/tokrle_q",
-                           sf_dir.strip("/").replace("/", "_"),
-                           "pred_count")
-    shutil.rmtree(enc_dir, ignore_errors=True)
-    ds = _read(sf_dir, "lineitem", columns=cols).sort("l_suppkey")
-    encode_table_columns(ds, cols, batch_size=2048).write_parquet(enc_dir)
+    enc_dir = _encoded_fixture(sf_dir, "pred_count", "lineitem", cols, 2048,
+                               sort="l_suppkey")
 
     rows = []
     for col, value in (("l_suppkey", 5), ("l_linenumber", 3),
@@ -2114,19 +2085,11 @@ def encoded_range_count_stats(sf_dir: str) -> pd.DataFrame:
     three shapes: the clustered key (ALL-match + pruning), an
     unclustered column (run-lists everywhere, still zero decode), and a
     disjoint range (all chunks pruned)."""
-    import os
-    import shutil
-
-    from tokrle.pipelines.table_encode import (encode_table_columns,
-                                               encoded_range_count)
+    from tokrle.pipelines.table_encode import encoded_range_count
 
     cols = ["l_suppkey", "l_linenumber"]
-    enc_dir = os.path.join("/tmp/tokrle_q",
-                           sf_dir.strip("/").replace("/", "_"),
-                           "range_count")
-    shutil.rmtree(enc_dir, ignore_errors=True)
-    ds = _read(sf_dir, "lineitem", columns=cols).sort("l_suppkey")
-    encode_table_columns(ds, cols, batch_size=2048).write_parquet(enc_dir)
+    enc_dir = _encoded_fixture(sf_dir, "range_count", "lineitem", cols, 2048,
+                               sort="l_suppkey")
 
     rows = []
     for col, lo, hi in (("l_suppkey", 3, 6), ("l_linenumber", 2, 4),
@@ -2157,19 +2120,11 @@ def encoded_distinct_stats(sf_dir: str) -> pd.DataFrame:
     chunks land on dpfor/bitpack (decode fallback — still exact); the
     dict/rle closed forms are pinned by the codec-level tests and
     test_encoded_distinct_count_closed_form."""
-    import os
-    import shutil
-
-    from tokrle.pipelines.table_encode import (encode_table_columns,
-                                               encoded_distinct_count)
+    from tokrle.pipelines.table_encode import encoded_distinct_count
 
     cols = ["l_suppkey", "l_linenumber", "l_partkey"]
-    enc_dir = os.path.join("/tmp/tokrle_q",
-                           sf_dir.strip("/").replace("/", "_"),
-                           "distinct")
-    shutil.rmtree(enc_dir, ignore_errors=True)
-    ds = _read(sf_dir, "lineitem", columns=cols).sort("l_suppkey")
-    encode_table_columns(ds, cols, batch_size=2048).write_parquet(enc_dir)
+    enc_dir = _encoded_fixture(sf_dir, "distinct", "lineitem", cols, 2048,
+                               sort="l_suppkey")
 
     rows = []
     for col in cols:
@@ -2191,19 +2146,11 @@ def encoded_histogram_stats(sf_dir: str) -> pd.DataFrame:
     over the cardinality-bounded pairs.  The full l_suppkey and l_linenumber
     histograms are returned and must equal DuckDB's GROUP BY row for
     row; the in-query assert pins that counts conserve row totals."""
-    import os
-    import shutil
-
-    from tokrle.pipelines.table_encode import (encode_table_columns,
-                                               encoded_histogram)
+    from tokrle.pipelines.table_encode import encoded_histogram
 
     cols = ["l_suppkey", "l_linenumber"]
-    enc_dir = os.path.join("/tmp/tokrle_q",
-                           sf_dir.strip("/").replace("/", "_"),
-                           "hist")
-    shutil.rmtree(enc_dir, ignore_errors=True)
-    ds = _read(sf_dir, "lineitem", columns=cols).sort("l_suppkey")
-    encode_table_columns(ds, cols, batch_size=2048).write_parquet(enc_dir)
+    enc_dir = _encoded_fixture(sf_dir, "hist", "lineitem", cols, 2048,
+                               sort="l_suppkey")
 
     frames = []
     total = None
@@ -2231,19 +2178,11 @@ def encoded_quantile_stats(sf_dir: str) -> pd.DataFrame:
     ceil(q*n)-1) and moments fold in Python integers, so the result is
     bit-exact against DuckDB on any input the int64 range check
     admits."""
-    import os
-    import shutil
-
-    from tokrle.pipelines.table_encode import (encode_table_columns,
-                                               encoded_quantiles)
+    from tokrle.pipelines.table_encode import encoded_quantiles
 
     cols = ["l_suppkey", "l_linenumber"]
-    enc_dir = os.path.join("/tmp/tokrle_q",
-                           sf_dir.strip("/").replace("/", "_"),
-                           "quantiles")
-    shutil.rmtree(enc_dir, ignore_errors=True)
-    ds = _read(sf_dir, "lineitem", columns=cols).sort("l_suppkey")
-    encode_table_columns(ds, cols, batch_size=2048).write_parquet(enc_dir)
+    enc_dir = _encoded_fixture(sf_dir, "quantiles", "lineitem", cols, 2048,
+                               sort="l_suppkey")
 
     frames = []
     for col in cols:
@@ -2266,22 +2205,14 @@ def encoded_group_quantile_stats(sf_dir: str) -> pd.DataFrame:
     codec stream, zero group-column decode) and grouping on an
     unclustered column (mixed chunks: one lexsort fold per chunk).  The
     exchange carries (group, value, count) triples, never rows."""
-    import os
-    import shutil
-
-    from tokrle.pipelines.table_encode import (encode_table_columns,
-                                               encoded_group_quantiles)
+    from tokrle.pipelines.table_encode import encoded_group_quantiles
 
     cols = ["l_suppkey", "l_linenumber"]
-    enc_dir = os.path.join("/tmp/tokrle_q",
-                           sf_dir.strip("/").replace("/", "_"),
-                           "gquant")
-    shutil.rmtree(enc_dir, ignore_errors=True)
-    ds = _read(sf_dir, "lineitem", columns=cols).sort("l_suppkey")
     # 256-row chunks: any 512 sorted rows of one supplier (each has over
     # 540) contain a whole chunk, so group-pure chunks exist however Ray
     # partitions the sort
-    encode_table_columns(ds, cols, batch_size=256).write_parquet(enc_dir)
+    enc_dir = _encoded_fixture(sf_dir, "gquant", "lineitem", cols, 256,
+                               sort="l_suppkey")
 
     frames = []
     for group_col, agg_col in (("l_suppkey", "l_linenumber"),
@@ -2311,19 +2242,11 @@ def encoded_where_quantile_stats(sf_dir: str) -> pd.DataFrame:
     late-materialize only the selected positions.  Three predicates pin
     range+NOT, OR-of-equalities, and an empty selection (SQL NULL
     quantiles)."""
-    import os
-    import shutil
-
-    from tokrle.pipelines.table_encode import (encode_table_columns,
-                                               encoded_boolean_quantiles)
+    from tokrle.pipelines.table_encode import encoded_boolean_quantiles
 
     cols = ["l_suppkey", "l_linenumber", "l_partkey"]
-    enc_dir = os.path.join("/tmp/tokrle_q",
-                           sf_dir.strip("/").replace("/", "_"),
-                           "wquant")
-    shutil.rmtree(enc_dir, ignore_errors=True)
-    ds = _read(sf_dir, "lineitem", columns=cols).sort("l_suppkey")
-    encode_table_columns(ds, cols, batch_size=2048).write_parquet(enc_dir)
+    enc_dir = _encoded_fixture(sf_dir, "wquant", "lineitem", cols, 2048,
+                               sort="l_suppkey")
 
     cases = [
         ("range_not", ("and", ("range", "l_suppkey", 5, 40),
@@ -2359,19 +2282,11 @@ def encoded_where_distinct_stats(sf_dir: str) -> pd.DataFrame:
     distinct, run-list chunks gather only selected positions.  Three
     predicates pin pruning + closed form (clustered range), the gather
     path (NOT branch), and an empty selection."""
-    import os
-    import shutil
-
-    from tokrle.pipelines.table_encode import (encode_table_columns,
-                                               encoded_distinct_count)
+    from tokrle.pipelines.table_encode import encoded_distinct_count
 
     cols = ["l_suppkey", "l_linenumber", "l_partkey"]
-    enc_dir = os.path.join("/tmp/tokrle_q",
-                           sf_dir.strip("/").replace("/", "_"),
-                           "wdistinct")
-    shutil.rmtree(enc_dir, ignore_errors=True)
-    ds = _read(sf_dir, "lineitem", columns=cols).sort("l_suppkey")
-    encode_table_columns(ds, cols, batch_size=2048).write_parquet(enc_dir)
+    enc_dir = _encoded_fixture(sf_dir, "wdistinct", "lineitem", cols, 2048,
+                               sort="l_suppkey")
 
     cases = [
         ("clustered_range", ("range", "l_suppkey", 3, 50)),
@@ -2401,19 +2316,11 @@ def encoded_where_histogram_stats(sf_dir: str) -> pd.DataFrame:
     COUNT(*) WHERE range AND NOT eq — ALL-match chunks histogram from
     the codec streams with zero decode, run chunks late-materialize
     selected positions only."""
-    import os
-    import shutil
-
-    from tokrle.pipelines.table_encode import (encode_table_columns,
-                                               encoded_boolean_histogram)
+    from tokrle.pipelines.table_encode import encoded_boolean_histogram
 
     cols = ["l_suppkey", "l_linenumber"]
-    enc_dir = os.path.join("/tmp/tokrle_q",
-                           sf_dir.strip("/").replace("/", "_"),
-                           "whist")
-    shutil.rmtree(enc_dir, ignore_errors=True)
-    ds = _read(sf_dir, "lineitem", columns=cols).sort("l_suppkey")
-    encode_table_columns(ds, cols, batch_size=2048).write_parquet(enc_dir)
+    enc_dir = _encoded_fixture(sf_dir, "whist", "lineitem", cols, 2048,
+                               sort="l_suppkey")
 
     expr = ("and", ("range", "l_suppkey", 4, 55),
             ("not", ("eq", "l_linenumber", 6)))
@@ -2430,19 +2337,11 @@ def encoded_where_topk_stats(sf_dir: str) -> pd.DataFrame:
     tie-trimmed value multiset — the filtered top-k (the zone-map
     exclusion threshold is unsound under a predicate, so it derives
     from the filtered histogram; predicate zone pruning still fires)."""
-    import os
-    import shutil
-
-    from tokrle.pipelines.table_encode import (encode_table_columns,
-                                               encoded_boolean_topk)
+    from tokrle.pipelines.table_encode import encoded_boolean_topk
 
     cols = ["l_suppkey", "l_linenumber", "l_partkey"]
-    enc_dir = os.path.join("/tmp/tokrle_q",
-                           sf_dir.strip("/").replace("/", "_"),
-                           "wtopk")
-    shutil.rmtree(enc_dir, ignore_errors=True)
-    ds = _read(sf_dir, "lineitem", columns=cols).sort("l_suppkey")
-    encode_table_columns(ds, cols, batch_size=2048).write_parquet(enc_dir)
+    enc_dir = _encoded_fixture(sf_dir, "wtopk", "lineitem", cols, 2048,
+                               sort="l_suppkey")
 
     expr = ("and", ("range", "l_suppkey", 2, 45),
             ("not", ("eq", "l_linenumber", 1)))
@@ -2463,20 +2362,12 @@ def encoded_group_where_quantile_stats(sf_dir: str) -> pd.DataFrame:
     group-pure: neither column decodes) and gathered chunks
     (late-materialized selected positions) both exercised on the
     clustered layout."""
-    import os
-    import shutil
-
-    from tokrle.pipelines.table_encode import (
-        encode_table_columns, encoded_group_where_quantiles)
+    from tokrle.pipelines.table_encode import encoded_group_where_quantiles
 
     cols = ["l_suppkey", "l_linenumber", "l_partkey"]
-    enc_dir = os.path.join("/tmp/tokrle_q",
-                           sf_dir.strip("/").replace("/", "_"),
-                           "gwquant")
-    shutil.rmtree(enc_dir, ignore_errors=True)
-    ds = _read(sf_dir, "lineitem", columns=cols).sort("l_suppkey")
     # 256-row chunks: see encoded_group_quantile_stats
-    encode_table_columns(ds, cols, batch_size=256).write_parquet(enc_dir)
+    enc_dir = _encoded_fixture(sf_dir, "gwquant", "lineitem", cols, 256,
+                               sort="l_suppkey")
 
     frames = []
     for group_col, expr, check in (
@@ -2512,20 +2403,10 @@ def encoded_ts_quantile_stats(sf_dir: str) -> pd.DataFrame:
     int64 by construction while the order statistics stay exact.
     Presented as microsecond counts; the oracle compares via
     epoch_us(quantile_disc(...))."""
-    import os
-    import shutil
+    from tokrle.pipelines.table_encode import encoded_quantiles
 
-    from tokrle.pipelines.table_encode import (encode_table_columns,
-                                               encoded_quantiles)
-
-    enc_dir = os.path.join("/tmp/tokrle_q",
-                           sf_dir.strip("/").replace("/", "_"),
-                           "ts_quant")
-    shutil.rmtree(enc_dir, ignore_errors=True)
-    ds = _read(sf_dir, "lineitem",
-               columns=["l_shipdate"]).sort("l_shipdate")
-    encode_table_columns(ds, ["l_shipdate"],
-                         batch_size=2048).write_parquet(enc_dir)
+    enc_dir = _encoded_fixture(sf_dir, "ts_quant", "lineitem", ["l_shipdate"],
+                               2048, sort="l_shipdate")
 
     out, counters = encoded_quantiles(enc_dir, "l_shipdate",
                                       with_moments=False)
@@ -2590,29 +2471,20 @@ def encoded_string_predicate_stats(sf_dir: str) -> pd.DataFrame:
     Three predicates pin three paths: a hit on a 2-byte value (decode +
     byte compare), a hit on a longer value, and an absent same-length
     value (text decodes but the byte compare rejects every candidate)."""
-    import os
-    import shutil
-
-    from tokrle.pipelines.table_encode import (encode_table_columns,
-                                               encoded_string_value_count)
+    from tokrle.pipelines.table_encode import encoded_string_value_count
 
     cols = ["source", "lang"]
-    enc_dir = os.path.join("/tmp/tokrle_q",
-                           sf_dir.strip("/").replace("/", "_"),
-                           "str_pred")
-    shutil.rmtree(enc_dir, ignore_errors=True)
-    ds = _read(sf_dir, "documents", columns=cols)
-    encode_table_columns(ds, cols, batch_size=2048).write_parquet(enc_dir)
+    enc_dir = _encoded_fixture(sf_dir, "str_pred", "documents", cols, 2048)
 
     rows = []
     for col, value in (("lang", "en"), ("source", "src7"),
                        ("lang", "xx")):
         df, counters = encoded_string_value_count(enc_dir, col, value)
-        assert counters["chunks_total"] == \
-            counters["chunks_text_decoded"] + \
-            counters["chunks_skipped_by_length"]
-        rows.append({"col": col, "value": value,
-                     "n_match": int(df["n_match"].iloc[0])})
+        n_match = int(df["n_match"].iloc[0])
+        hit = counters["all_hit_chunks"] + counters["run_chunks"]
+        assert hit <= counters["chunks_scanned"] and (hit > 0) == \
+            (n_match > 0)
+        rows.append({"col": col, "value": value, "n_match": n_match})
     out = pd.DataFrame(rows)
     out["n_match"] = out["n_match"].astype("int64")
     return out.sort_values(["col", "value"]).reset_index(drop=True)
@@ -2625,19 +2497,10 @@ def encoded_str_quantile_stats(sf_dir: str) -> pd.DataFrame:
     beyond the dictionary header), plain str chunks decode once.  Also
     pins a text-heavy column (doc text prefixes are high-cardinality,
     exercising the decode path)."""
-    import os
-    import shutil
+    from tokrle.pipelines.table_encode import encoded_str_quantiles
 
-    from tokrle.pipelines.table_encode import (encode_table_columns,
-                                               encoded_str_quantiles)
-
-    enc_dir = os.path.join("/tmp/tokrle_q",
-                           sf_dir.strip("/").replace("/", "_"),
-                           "str_quant")
-    shutil.rmtree(enc_dir, ignore_errors=True)
-    ds = _read(sf_dir, "documents", columns=["source", "lang"])
-    encode_table_columns(ds, ["source", "lang"],
-                         batch_size=2048).write_parquet(enc_dir)
+    enc_dir = _encoded_fixture(sf_dir, "str_quant", "documents",
+                               ["source", "lang"], 2048)
 
     frames = []
     for col in ("source", "lang"):
@@ -2665,19 +2528,11 @@ def encoded_group_agg_stats(sf_dir: str) -> pd.DataFrame:
     the cluster-boundary chunks; the exchange carries per-chunk
     (group, partial) rows only.  Asserts the compressed-domain path
     actually covered chunks before returning."""
-    import os
-    import shutil
-
-    from tokrle.pipelines.table_encode import (encode_table_columns,
-                                               encoded_group_agg)
+    from tokrle.pipelines.table_encode import encoded_group_agg
 
     cols = ["l_suppkey", "l_orderkey", "l_linenumber"]
-    enc_dir = os.path.join("/tmp/tokrle_q",
-                           sf_dir.strip("/").replace("/", "_"),
-                           "group_agg")
-    shutil.rmtree(enc_dir, ignore_errors=True)
-    ds = _read(sf_dir, "lineitem", columns=cols).sort("l_suppkey")
-    encode_table_columns(ds, cols, batch_size=1024).write_parquet(enc_dir)
+    enc_dir = _encoded_fixture(sf_dir, "group_agg", "lineitem", cols, 1024,
+                               sort="l_suppkey")
 
     df, counters = encoded_group_agg(enc_dir, "l_suppkey",
                                      ["l_orderkey", "l_linenumber"])
@@ -2698,20 +2553,12 @@ def encoded_filtered_agg_stats(sf_dir: str) -> pd.DataFrame:
     ALL-match chunks that answer with no positional work), an
     unclustered low-cardinality key (selection runs everywhere), and an
     absent value (answered from zone maps alone)."""
-    import os
-    import shutil
-
-    from tokrle.pipelines.table_encode import (encode_table_columns,
-                                               encoded_filtered_agg)
+    from tokrle.pipelines.table_encode import encoded_filtered_agg
 
     cols = ["l_suppkey", "l_linenumber", "l_orderkey", "l_partkey"]
-    enc_dir = os.path.join("/tmp/tokrle_q",
-                           sf_dir.strip("/").replace("/", "_"),
-                           "filtered_agg")
-    shutil.rmtree(enc_dir, ignore_errors=True)
     chunk = 256
-    ds = _read(sf_dir, "lineitem", columns=cols).sort("l_suppkey")
-    encode_table_columns(ds, cols, batch_size=chunk).write_parquet(enc_dir)
+    enc_dir = _encoded_fixture(sf_dir, "filtered_agg", "lineitem", cols, chunk,
+                               sort="l_suppkey")
 
     rows = []
     for key, value in (("l_suppkey", 5), ("l_linenumber", 3),
@@ -2750,19 +2597,11 @@ def encoded_conjunction_stats(sf_dir: str) -> pd.DataFrame:
     range (pruning + genuine intersection), double-range (zone-map
     ALL-match chunks skip their run-list entirely), and an impossible
     second predicate (zone maps answer 0 with nothing scanned)."""
-    import os
-    import shutil
-
-    from tokrle.pipelines.table_encode import (encode_table_columns,
-                                               encoded_conjunction_agg)
+    from tokrle.pipelines.table_encode import encoded_conjunction_agg
 
     cols = ["l_suppkey", "l_linenumber", "l_orderkey"]
-    enc_dir = os.path.join("/tmp/tokrle_q",
-                           sf_dir.strip("/").replace("/", "_"),
-                           "conj_agg")
-    shutil.rmtree(enc_dir, ignore_errors=True)
-    ds = _read(sf_dir, "lineitem", columns=cols).sort("l_suppkey")
-    encode_table_columns(ds, cols, batch_size=256).write_parquet(enc_dir)
+    enc_dir = _encoded_fixture(sf_dir, "conj_agg", "lineitem", cols, 256,
+                               sort="l_suppkey")
 
     cases = [
         ("eq_x_range", [("eq", "l_suppkey", 5),
@@ -2800,19 +2639,11 @@ def encoded_boolean_stats(sf_dir: str) -> pd.DataFrame:
     complete boolean algebra over compressed selections.  Three trees
     pin OR-of-equalities, AND-with-NOT (NOT branches disable zone-map
     pruning but stay run-exact), and a two-level nested tree."""
-    import os
-    import shutil
-
-    from tokrle.pipelines.table_encode import (encode_table_columns,
-                                               encoded_boolean_agg)
+    from tokrle.pipelines.table_encode import encoded_boolean_agg
 
     cols = ["l_suppkey", "l_linenumber", "l_orderkey"]
-    enc_dir = os.path.join("/tmp/tokrle_q",
-                           sf_dir.strip("/").replace("/", "_"),
-                           "bool_agg")
-    shutil.rmtree(enc_dir, ignore_errors=True)
-    ds = _read(sf_dir, "lineitem", columns=cols).sort("l_suppkey")
-    encode_table_columns(ds, cols, batch_size=256).write_parquet(enc_dir)
+    enc_dir = _encoded_fixture(sf_dir, "bool_agg", "lineitem", cols, 256,
+                               sort="l_suppkey")
 
     cases = [
         ("or_of_eqs", ("or", ("eq", "l_suppkey", 5),
@@ -2854,18 +2685,12 @@ def encoded_null3vl_stats(sf_dir: str) -> pd.DataFrame:
     sentinel both sides) over an all-null selection.  Nulls are
     planted deterministically with NULLIF so DuckDB reproduces the
     table from the base parquet alone."""
-    import os
-    import shutil
-
     import pyarrow.compute as pc
 
     from tokrle.pipelines.table_encode import (encode_table_columns,
                                                encoded_boolean_agg)
 
-    enc_dir = os.path.join("/tmp/tokrle_q",
-                           sf_dir.strip("/").replace("/", "_"),
-                           "null3vl")
-    shutil.rmtree(enc_dir, ignore_errors=True)
+    enc_dir = _q_dir(sf_dir, "null3vl")
 
     def derive(batch: pa.Table) -> pa.Table:
         sk = batch.column("l_suppkey")
@@ -2940,19 +2765,11 @@ def encoded_group_where_stats(sf_dir: str) -> pd.DataFrame:
     materialize only the selected positions.  Two cases pin both
     paths: grouping BY the clustered key (pure path must fire) and
     grouping by an unclustered column under a tree with a NOT."""
-    import os
-    import shutil
-
-    from tokrle.pipelines.table_encode import (encode_table_columns,
-                                               encoded_filtered_group_agg)
+    from tokrle.pipelines.table_encode import encoded_filtered_group_agg
 
     cols = ["l_suppkey", "l_linenumber", "l_orderkey"]
-    enc_dir = os.path.join("/tmp/tokrle_q",
-                           sf_dir.strip("/").replace("/", "_"),
-                           "group_where")
-    shutil.rmtree(enc_dir, ignore_errors=True)
-    ds = _read(sf_dir, "lineitem", columns=cols).sort("l_suppkey")
-    encode_table_columns(ds, cols, batch_size=256).write_parquet(enc_dir)
+    enc_dir = _encoded_fixture(sf_dir, "group_where", "lineitem", cols, 256,
+                               sort="l_suppkey")
 
     cases = [
         ("clustered_group", "l_suppkey",
@@ -2988,21 +2805,13 @@ def encoded_scan_where_stats(sf_dir: str) -> pd.DataFrame:
     run via decode_range — O(selected) payload bytes).  The retrieved
     row set streams into one deterministic aggregate row the SQL oracle
     reproduces over the same predicate."""
-    import os
-    import shutil
-
     from ray.data.aggregate import Count, Max, Min, Sum
 
-    from tokrle.pipelines.table_encode import (encode_table_columns,
-                                               encoded_scan_where)
+    from tokrle.pipelines.table_encode import encoded_scan_where
 
     cols = ["l_suppkey", "l_linenumber", "l_orderkey", "l_partkey"]
-    enc_dir = os.path.join("/tmp/tokrle_q",
-                           sf_dir.strip("/").replace("/", "_"),
-                           "scan_where")
-    shutil.rmtree(enc_dir, ignore_errors=True)
-    ds = _read(sf_dir, "lineitem", columns=cols).sort("l_suppkey")
-    encode_table_columns(ds, cols, batch_size=256).write_parquet(enc_dir)
+    enc_dir = _encoded_fixture(sf_dir, "scan_where", "lineitem", cols, 256,
+                               sort="l_suppkey")
 
     expr = ("or",
             ("and", ("eq", "l_suppkey", 5),
@@ -3032,19 +2841,11 @@ def encoded_topk_stats(sf_dir: str) -> pd.DataFrame:
     #chunks x k pairs.  On the l_suppkey-clustered layout the key's
     top-k prunes almost everything; asserts the pruning actually
     happened."""
-    import os
-    import shutil
-
-    from tokrle.pipelines.table_encode import (encode_table_columns,
-                                               encoded_topk_rows)
+    from tokrle.pipelines.table_encode import encoded_topk_rows
 
     cols = ["l_suppkey", "l_partkey"]
-    enc_dir = os.path.join("/tmp/tokrle_q",
-                           sf_dir.strip("/").replace("/", "_"),
-                           "topk")
-    shutil.rmtree(enc_dir, ignore_errors=True)
-    ds = _read(sf_dir, "lineitem", columns=cols).sort("l_suppkey")
-    encode_table_columns(ds, cols, batch_size=256).write_parquet(enc_dir)
+    enc_dir = _encoded_fixture(sf_dir, "topk", "lineitem", cols, 256,
+                               sort="l_suppkey")
 
     rows = []
     for col, k in (("l_suppkey", 20), ("l_partkey", 25)):
@@ -3073,11 +2874,7 @@ def encoded_semijoin_stats(sf_dir: str) -> pd.DataFrame:
     (rle: O(#runs) value test; dict: sorted-set intersection + one
     boolean-table code lookup), combined with a range predicate through
     the same run-list algebra."""
-    import os
-    import shutil
-
-    from tokrle.pipelines.table_encode import (encode_table_columns,
-                                               encoded_boolean_agg)
+    from tokrle.pipelines.table_encode import encoded_boolean_agg
 
     sup = _read(sf_dir, "supplier",
                 columns=["s_suppkey", "s_nationkey"]).to_pandas()
@@ -3085,12 +2882,8 @@ def encoded_semijoin_stats(sf_dir: str) -> pd.DataFrame:
                   sup.loc[sup["s_nationkey"] == 1, "s_suppkey"])
 
     cols = ["l_suppkey", "l_linenumber", "l_orderkey"]
-    enc_dir = os.path.join("/tmp/tokrle_q",
-                           sf_dir.strip("/").replace("/", "_"),
-                           "semijoin")
-    shutil.rmtree(enc_dir, ignore_errors=True)
-    ds = _read(sf_dir, "lineitem", columns=cols).sort("l_suppkey")
-    encode_table_columns(ds, cols, batch_size=256).write_parquet(enc_dir)
+    enc_dir = _encoded_fixture(sf_dir, "semijoin", "lineitem", cols, 256,
+                               sort="l_suppkey")
 
     rows = []
     for name, expr in (
@@ -3118,19 +2911,11 @@ def encoded_where_str_stats(sf_dir: str) -> pd.DataFrame:
     the same runs_intersect/union/complement algebra as the integer
     leaves.  Three trees pin a lone string leaf, string AND integer
     range, and OR with a NOT over a second string column."""
-    import os
-    import shutil
-
-    from tokrle.pipelines.table_encode import (encode_table_columns,
-                                               encoded_boolean_agg)
+    from tokrle.pipelines.table_encode import encoded_boolean_agg
 
     cols = ["l_suppkey", "l_orderkey", "l_returnflag", "l_linestatus"]
-    enc_dir = os.path.join("/tmp/tokrle_q",
-                           sf_dir.strip("/").replace("/", "_"),
-                           "where_str")
-    shutil.rmtree(enc_dir, ignore_errors=True)
-    ds = _read(sf_dir, "lineitem", columns=cols).sort("l_suppkey")
-    encode_table_columns(ds, cols, batch_size=256).write_parquet(enc_dir)
+    enc_dir = _encoded_fixture(sf_dir, "where_str", "lineitem", cols, 256,
+                               sort="l_suppkey")
 
     cases = [
         ("flag_eq", ("eq_str", "l_returnflag", "R")),
@@ -3160,19 +2945,11 @@ def encoded_ts_range_stats(sf_dir: str) -> pd.DataFrame:
     maps prune at the Parquet read (the layout here is clustered by
     ship date) and range leaves evaluate on the integer codec streams
     — no datetime decode anywhere."""
-    import os
-    import shutil
-
-    from tokrle.pipelines.table_encode import (encode_table_columns,
-                                               encoded_boolean_agg)
+    from tokrle.pipelines.table_encode import encoded_boolean_agg
 
     cols = ["l_orderkey", "l_suppkey", "l_shipdate"]
-    enc_dir = os.path.join("/tmp/tokrle_q",
-                           sf_dir.strip("/").replace("/", "_"),
-                           "ts_range")
-    shutil.rmtree(enc_dir, ignore_errors=True)
-    ds = _read(sf_dir, "lineitem", columns=cols).sort("l_shipdate")
-    encode_table_columns(ds, cols, batch_size=256).write_parquet(enc_dir)
+    enc_dir = _encoded_fixture(sf_dir, "ts_range", "lineitem", cols, 256,
+                               sort="l_shipdate")
 
     def us(t: str) -> int:
         return int(pd.Timestamp(t).value // 1000)
@@ -3209,19 +2986,11 @@ def encoded_minmax_stats(sf_dir: str) -> pd.DataFrame:
     selected positions.  Two trees pin the zone-map path (a clustered
     range where interior chunks are ALL-matches) and the gathered
     path (an unclustered predicate with a NOT)."""
-    import os
-    import shutil
-
-    from tokrle.pipelines.table_encode import (encode_table_columns,
-                                               encoded_boolean_agg)
+    from tokrle.pipelines.table_encode import encoded_boolean_agg
 
     cols = ["l_suppkey", "l_linenumber", "l_orderkey", "l_partkey"]
-    enc_dir = os.path.join("/tmp/tokrle_q",
-                           sf_dir.strip("/").replace("/", "_"),
-                           "minmax")
-    shutil.rmtree(enc_dir, ignore_errors=True)
-    ds = _read(sf_dir, "lineitem", columns=cols).sort("l_suppkey")
-    encode_table_columns(ds, cols, batch_size=256).write_parquet(enc_dir)
+    enc_dir = _encoded_fixture(sf_dir, "minmax", "lineitem", cols, 256,
+                               sort="l_suppkey")
 
     # ranges inside 0..9 so every scale factor (sf0.001's l_suppkey
     # domain is 0..9) selects a non-empty set — SQL min/sum over an
@@ -3259,21 +3028,13 @@ def encoded_prefix_stats(sf_dir: str) -> pd.DataFrame:
     rows, and the run-list composes with eq_str and integer leaves.
     The documents table's ``source`` column has real prefix structure
     ('src1' prefixes 'src10'..'src19')."""
-    import os
-    import shutil
-
-    from tokrle.pipelines.table_encode import (encode_table_columns,
-                                               encoded_boolean_agg)
+    from tokrle.pipelines.table_encode import encoded_boolean_agg
 
     cols = ["doc_id", "n_chars", "lang", "source"]
-    enc_dir = os.path.join("/tmp/tokrle_q",
-                           sf_dir.strip("/").replace("/", "_"),
-                           "prefix_str")
-    shutil.rmtree(enc_dir, ignore_errors=True)
     # clustered BY THE STRING so the string zone maps (__smin/__smax)
     # prune whole chunks at the Parquet read
-    ds = _read(sf_dir, "documents", columns=cols).sort("source")
-    encode_table_columns(ds, cols, batch_size=256).write_parquet(enc_dir)
+    enc_dir = _encoded_fixture(sf_dir, "prefix_str", "documents", cols, 256,
+                               sort="source")
 
     cases = [
         ("prefix_src1", ("prefix_str", "source", "src1")),
@@ -3313,19 +3074,10 @@ def encoded_str_distinct_stats(sf_dir: str) -> pd.DataFrame:
     the chunk's present-value set — so distinct counting reads the
     dictionary headers alone and the code/text streams never decode.
     The exchange carries per-chunk distinct sets, never rows."""
-    import os
-    import shutil
-
-    from tokrle.pipelines.table_encode import (encode_table_columns,
-                                               encoded_str_distinct)
+    from tokrle.pipelines.table_encode import encoded_str_distinct
 
     cols = ["lang", "source"]
-    enc_dir = os.path.join("/tmp/tokrle_q",
-                           sf_dir.strip("/").replace("/", "_"),
-                           "str_distinct")
-    shutil.rmtree(enc_dir, ignore_errors=True)
-    ds = _read(sf_dir, "documents", columns=cols)
-    encode_table_columns(ds, cols, batch_size=2048).write_parquet(enc_dir)
+    enc_dir = _encoded_fixture(sf_dir, "str_distinct", "documents", cols, 2048)
 
     rows = []
     for col in cols:
@@ -3350,19 +3102,10 @@ def encoded_str_minmax_stats(sf_dir: str) -> pd.DataFrame:
     alone (:func:`encoded_str_minmax`): the scan reads two short
     string fields per chunk — payloads never leave storage (the
     non-null case; nullable chunks would decode their valid rows)."""
-    import os
-    import shutil
-
-    from tokrle.pipelines.table_encode import (encode_table_columns,
-                                               encoded_str_minmax)
+    from tokrle.pipelines.table_encode import encoded_str_minmax
 
     cols = ["lang", "source"]
-    enc_dir = os.path.join("/tmp/tokrle_q",
-                           sf_dir.strip("/").replace("/", "_"),
-                           "str_minmax")
-    shutil.rmtree(enc_dir, ignore_errors=True)
-    ds = _read(sf_dir, "documents", columns=cols)
-    encode_table_columns(ds, cols, batch_size=2048).write_parquet(enc_dir)
+    enc_dir = _encoded_fixture(sf_dir, "str_minmax", "documents", cols, 2048)
 
     rows = []
     for col in cols:
@@ -3383,21 +3126,13 @@ def encoded_scan_str_stats(sf_dir: str) -> pd.DataFrame:
     run-lists, the ``lang`` strings decode ONLY at selected positions
     (:func:`tokrle.codecs.core.gather_str_runs`), and the retrieved
     stream folds to per-lang totals the SQL oracle reproduces."""
-    import os
-    import shutil
-
     from ray.data.aggregate import Count, Sum
 
-    from tokrle.pipelines.table_encode import (encode_table_columns,
-                                               encoded_scan_where)
+    from tokrle.pipelines.table_encode import encoded_scan_where
 
     cols = ["doc_id", "n_chars", "lang", "source"]
-    enc_dir = os.path.join("/tmp/tokrle_q",
-                           sf_dir.strip("/").replace("/", "_"),
-                           "scan_str")
-    shutil.rmtree(enc_dir, ignore_errors=True)
-    ds = _read(sf_dir, "documents", columns=cols).sort("doc_id")
-    encode_table_columns(ds, cols, batch_size=256).write_parquet(enc_dir)
+    enc_dir = _encoded_fixture(sf_dir, "scan_str", "documents", cols, 256,
+                               sort="doc_id")
 
     expr = ("and", ("prefix_str", "source", "src1"),
             ("range", "doc_id", 0, 10_000_000))
@@ -3420,19 +3155,11 @@ def encoded_group_str_stats(sf_dir: str) -> pd.DataFrame:
     distinct group strings, never rows.  Two cases: ungrouped-filter
     GROUP BY lang over everything, and GROUP BY source under a mixed
     string/integer predicate tree."""
-    import os
-    import shutil
-
-    from tokrle.pipelines.table_encode import (encode_table_columns,
-                                               encoded_group_by_str)
+    from tokrle.pipelines.table_encode import encoded_group_by_str
 
     cols = ["doc_id", "n_chars", "lang", "source"]
-    enc_dir = os.path.join("/tmp/tokrle_q",
-                           sf_dir.strip("/").replace("/", "_"),
-                           "group_str")
-    shutil.rmtree(enc_dir, ignore_errors=True)
-    ds = _read(sf_dir, "documents", columns=cols).sort("doc_id")
-    encode_table_columns(ds, cols, batch_size=256).write_parquet(enc_dir)
+    enc_dir = _encoded_fixture(sf_dir, "group_str", "documents", cols, 256,
+                               sort="doc_id")
 
     frames = []
     for name, group_col, expr in (
@@ -3468,25 +3195,17 @@ def encoded_join_stats(sf_dir: str) -> pd.DataFrame:
     the codec streams, matching rows late-materialize and pick up
     ``s_nationkey`` via the broadcast lookup, and the joined stream
     folds to per-nation totals without the fact table ever shuffling."""
-    import os
-    import shutil
-
     from ray.data.aggregate import Count, Sum
 
-    from tokrle.pipelines.table_encode import (encode_table_columns,
-                                               encoded_lookup_join)
+    from tokrle.pipelines.table_encode import encoded_lookup_join
 
     sup = _read(sf_dir, "supplier",
                 columns=["s_suppkey", "s_nationkey"]).to_pandas()
     dim = sup[sup["s_nationkey"] < 13].reset_index(drop=True)
 
     cols = ["l_suppkey", "l_linenumber", "l_orderkey"]
-    enc_dir = os.path.join("/tmp/tokrle_q",
-                           sf_dir.strip("/").replace("/", "_"),
-                           "lookup_join")
-    shutil.rmtree(enc_dir, ignore_errors=True)
-    ds = _read(sf_dir, "lineitem", columns=cols).sort("l_suppkey")
-    encode_table_columns(ds, cols, batch_size=256).write_parquet(enc_dir)
+    enc_dir = _encoded_fixture(sf_dir, "lookup_join", "lineitem", cols, 256,
+                               sort="l_suppkey")
 
     joined = encoded_lookup_join(
         enc_dir, "l_suppkey", dim, "s_suppkey", ["s_nationkey"],
@@ -3504,19 +3223,11 @@ def encoded_group_minmax_stats(sf_dir: str) -> pd.DataFrame:
     group-pure chunks answer MIN/MAX from the aggregate column's own
     ZONE MAP (zero decode, like the SUM), boundary chunks from
     minimum/maximum.reduceat in the sorted pass the sums already make."""
-    import os
-    import shutil
-
-    from tokrle.pipelines.table_encode import (encode_table_columns,
-                                               encoded_group_agg)
+    from tokrle.pipelines.table_encode import encoded_group_agg
 
     cols = ["l_suppkey", "l_orderkey"]
-    enc_dir = os.path.join("/tmp/tokrle_q",
-                           sf_dir.strip("/").replace("/", "_"),
-                           "group_minmax")
-    shutil.rmtree(enc_dir, ignore_errors=True)
-    ds = _read(sf_dir, "lineitem", columns=cols).sort("l_suppkey")
-    encode_table_columns(ds, cols, batch_size=1024).write_parquet(enc_dir)
+    enc_dir = _encoded_fixture(sf_dir, "group_minmax", "lineitem", cols, 1024,
+                               sort="l_suppkey")
 
     df, counters = encoded_group_agg(enc_dir, "l_suppkey", ["l_orderkey"],
                                      with_minmax=True)
@@ -3589,9 +3300,6 @@ def fetch_docs_stats(sf_dir: str) -> pd.DataFrame:
     (decode_range) — payloads of unrelated chunks never leave storage and
     unrelated rows of touched chunks are never decoded.  The aggregate
     over the fetched docs must match SQL over the raw text."""
-    import os
-    import shutil
-
     import ray.data
     from ray.data.aggregate import Count, Sum
 
@@ -3600,9 +3308,7 @@ def fetch_docs_stats(sf_dir: str) -> pd.DataFrame:
     from tokrle.pipelines.encode import encode_tokens, fetch_docs
     from tokrle.sources.tokens import documents_to_tokens
 
-    enc_dir = os.path.join("/tmp/tokrle_q",
-                           sf_dir.strip("/").replace("/", "_"), "fetch_enc")
-    shutil.rmtree(enc_dir, ignore_errors=True)
+    enc_dir = _q_dir(sf_dir, "fetch_enc")
     encode_tokens(documents_to_tokens(sf_dir), batch_size=256) \
         .write_parquet(enc_dir)
 
@@ -3635,9 +3341,6 @@ def fetch_docs_indexed_stats(sf_dir: str) -> pd.DataFrame:
     hive-partitioned doc index: pass 1 reads only the requested ids'
     bucket partitions (path-level pruning) instead of scanning every
     chunk's doc list.  Same SQL oracle — the two paths must agree."""
-    import os
-    import shutil
-
     import ray.data
     from ray.data.aggregate import Count, Sum
 
@@ -3647,10 +3350,7 @@ def fetch_docs_indexed_stats(sf_dir: str) -> pd.DataFrame:
                                          fetch_docs_indexed)
     from tokrle.sources.tokens import documents_to_tokens
 
-    enc_dir = os.path.join("/tmp/tokrle_q",
-                           sf_dir.strip("/").replace("/", "_"),
-                           "fetch_idx_enc")
-    shutil.rmtree(enc_dir, ignore_errors=True)
+    enc_dir = _q_dir(sf_dir, "fetch_idx_enc")
     encode_tokens(documents_to_tokens(sf_dir), batch_size=256) \
         .write_parquet(enc_dir)
     idx_dir = build_doc_index(enc_dir, n_buckets=32)
@@ -3689,9 +3389,6 @@ def zorder_scan_stats(sf_dir: str) -> pd.DataFrame:
     2-D range query by pruning on BOTH columns' chunk extrema — a
     single-column sort can only prune one of them.  The surviving chunks
     decode and row-filter; the result matches the plain SQL aggregate."""
-    import os
-    import shutil
-
     from ray.data.aggregate import Sum
 
     from tokrle.functions.layout import cluster_zorder
@@ -3700,9 +3397,7 @@ def zorder_scan_stats(sf_dir: str) -> pd.DataFrame:
 
     cols = ["l_orderkey", "l_partkey", "l_suppkey"]
     (slo, shi), (plo, phi) = ZORDER_SUPP, ZORDER_PART
-    enc_dir = os.path.join("/tmp/tokrle_q",
-                           sf_dir.strip("/").replace("/", "_"), "zorder")
-    shutil.rmtree(enc_dir, ignore_errors=True)
+    enc_dir = _q_dir(sf_dir, "zorder")
     ds = cluster_zorder(_read(sf_dir, "lineitem", columns=cols),
                         "l_suppkey", "l_partkey")
     encode_table_columns(ds, cols, batch_size=2048).write_parquet(enc_dir)

@@ -480,27 +480,14 @@ def encoded_distinct_count(enc_dir: str, col: str,
 
 
 def encoded_string_value_count(enc_dir: str, col: str, value: str):
-    """COUNT of rows with string ``col == value`` over a table-encode
-    directory, with the LENGTHS stream as a compressed-domain prefilter:
-    a chunk whose encoded per-row byte-lengths contain no
-    ``len(value)`` entry (:func:`tokrle.codecs.core.count_eq`, the
-    summed runs of one ``match_range`` over the narrow integer lengths
-    payload, is 0) never decodes its text bytes —
-    for selective predicates most chunks skip the FSST decode entirely.
-    Surviving chunks decode lengths + flat bytes and compare only the
-    length-matching candidate rows, vectorized.  Null slots encode as
-    ``""`` with a validity bitmap; they are excluded from matches (SQL
-    ``col = ''`` never matches NULL), so nullable chunks stay exact
-    rather than raising.  Returns ``(DataFrame(n_match), counters)``
-    where counters report how many chunks the length prefilter
-    eliminated."""
-    import pandas as pd
-
-    from tokrle.codecs.core import count_eq, decode as codec_decode
-
-    vbytes = value.encode("utf-8")
-    vlen = len(vbytes)
-    varr = np.frombuffer(vbytes, dtype=np.uint8)
+    """COUNT of rows with string ``col == value``: the
+    ``("eq_str", col, value)`` leaf of :func:`encoded_boolean_agg` with
+    no aggregate column.  The leaf's kernel,
+    :func:`tokrle.codecs.core.match_eq_str`, never decodes the text of a
+    chunk without a row of ``value``'s byte length, and answers
+    ``sdict:`` chunks on their code stream.  Null slots never match (SQL
+    ``col = ''`` never matches NULL).  Returns ``(DataFrame(n_match),
+    counters)``."""
     # validate the column kind up front from the footer schema: an
     # integer column has no __lens_payload, and the read below would
     # fail with an opaque missing-column error instead of naming the
@@ -508,61 +495,7 @@ def encoded_string_value_count(enc_dir: str, col: str, value: str):
     fields, first_file = _footer_fields(enc_dir)
     if first_file is not None and f"{col}__lens_payload" not in fields:
         raise TypeError(f"column {col!r}: not a string column")
-
-    def partial(batch: pa.Table):
-        total = decoded = 0
-        for i, n, _ in _chunk_sels(batch, None):
-            spec, lp, tp = _chunk_str_col(batch, col, i)
-            vb = _chunk_valid(batch, col, i)
-            if spec.startswith("sdict:"):
-                # dictionary form: the value maps to a code (or misses)
-                # and the count comes from the integer code stream —
-                # neither the text nor the per-row lengths decode
-                from tokrle.codecs.core import (_sdict_codes_of,
-                                                sdict_unpack)
-                ccodec, codes_p, dlens, dbytes = sdict_unpack(spec, tp)
-                hit = _sdict_codes_of(dlens, dbytes, [vbytes])
-                if not hit:
-                    continue
-                if not vb:
-                    total += count_eq(ccodec, codes_p, n, np.int64,
-                                      hit[0])
-                    continue
-                cv = codec_decode(ccodec, codes_p, n, np.int64)
-                total += int(((cv == hit[0])
-                              & _sel_valid_mask(vb, n, _ALL)).sum())
-                continue
-            if not spec.startswith("str:"):
-                raise TypeError(
-                    f"column {col!r}: not a string column ({spec})")
-            _, lcodec, tcodec = spec.split(":", 2)
-            # compressed-domain length prefilter: no row of the right
-            # byte length -> the text payload is never decoded
-            if count_eq(lcodec, lp, n, np.int64, vlen) == 0:
-                continue
-            decoded += 1
-            lens = codec_decode(lcodec, lp, n, np.int64)
-            cand = lens == vlen
-            if vb:      # null slots encode as "" — never a match
-                cand &= _sel_valid_mask(vb, n, _ALL)
-            if not cand.any():
-                continue
-            if vlen == 0:
-                total += int(np.count_nonzero(cand))
-                continue
-            data = codec_decode(tcodec, tp, int(lens.sum()),
-                                np.int8).view(np.uint8)
-            offs = np.concatenate(([0], np.cumsum(lens)))
-            starts = offs[:-1][cand]
-            idx = starts[:, None] + np.arange(vlen)
-            total += int(np.count_nonzero((data[idx] == varr).all(axis=1)))
-        return total, {"chunks_text_decoded": decoded}
-
-    totals, counters = _scan_partials(
-        enc_dir, _scan_columns(None, [], str_cols=[col]), None, partial)
-    counters["chunks_skipped_by_length"] = \
-        counters["chunks_scanned"] - counters["chunks_text_decoded"]
-    return pd.DataFrame({"n_match": [sum(totals)]}), counters
+    return encoded_boolean_agg(enc_dir, ("eq_str", col, value), [])
 
 
 def encoded_histogram(enc_dir: str, col: str):

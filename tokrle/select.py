@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from tokrle.codecs._bits import bit_width
-from tokrle.codecs.core import _POW2, Fsst, best_pfor_width, encode
+from tokrle.codecs.core import (_POW2, Fsst, _stream_dtype,
+                                best_pfor_width, encode, u64_to_i64)
 
 _SAMPLE = 1 << 16
 
@@ -249,25 +250,19 @@ def auto_encode(x: np.ndarray) -> tuple[str, bytes, ChunkProfile]:
     selector never sees non-integer arithmetic.  float32/float64 columns
     additionally enter the ALP codec (scaled-decimal digits + raw-bits
     exceptions) in the size race — decimal-like floats (prices, rates)
-    drop from 64 raw bits to the digit span's width."""
+    drop from 64 raw bits to the digit span's width.  Every column is
+    profiled in its codec stream dtype (``codecs.core._stream_dtype``), so
+    the returned profile's bounds are datetime counts or the int64 image
+    of a uint64 column."""
     is_float = x.dtype.kind == "f" and x.dtype.itemsize in (4, 8)
     u64_flag = None
-    if x.dtype.kind == "f":
-        from tokrle.codecs.core import _FLOAT_VIEW
-
-        x = np.ascontiguousarray(x).view(_FLOAT_VIEW[x.dtype.itemsize])
-    elif x.dtype.kind in "mM":
-        # timestamps/durations profile as their int64 counts (near-sorted
-        # event times make delta/FOR the usual winners)
-        x = np.ascontiguousarray(x).view(np.int64)
-    elif x.dtype == np.uint64:
-        # profile/encode in the codecs' int64 domain (bias flag rides as
-        # the framing byte, matching codecs.core.encode's uint64 path);
-        # the returned profile's bounds are in that encoded domain, the
-        # same convention as datetime counts
-        from tokrle.codecs.core import u64_to_i64
-
-        x, u64_flag = u64_to_i64(np.ascontiguousarray(x))
+    x = np.ascontiguousarray(x)
+    if x.dtype == np.uint64:
+        # the bias flag rides as the framing byte, matching
+        # codecs.core.encode's uint64 path
+        x, u64_flag = u64_to_i64(x)
+    else:
+        x = x.view(_stream_dtype(x.dtype))
     p = profile_chunk(x)
     est = estimate_sizes(p)
     codec = min(est, key=est.__getitem__)
