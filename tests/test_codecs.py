@@ -62,6 +62,26 @@ def test_auto_encode_roundtrip_and_never_expands(name):
         assert len(payload) <= prof.raw_bytes + 32
 
 
+@pytest.mark.parametrize("x", [
+    np.array([-100, 100] * 50, np.int8),
+    np.sort(np.random.default_rng(3).integers(-128, 128, 4000)
+            .astype(np.int8)),
+    np.array([-20000, 20000] * 5000, np.int16),
+    np.random.default_rng(4).integers(-32768, 32768, 20000)
+    .astype(np.int16),
+], ids=["int8_two_values", "int8_sorted", "int16_two_values",
+        "int16_full"])
+def test_auto_encode_narrow_int_span_wider_than_dtype(x):
+    """An int8/int16 chunk whose span exceeds the dtype's maximum
+    round-trips bit-identically through ``auto_encode``: its offsets
+    from vmin, which the profile bincounts, would wrap negative in the
+    input dtype."""
+    codec, payload, prof = auto_encode(x)
+    assert prof.vmax - prof.vmin > np.iinfo(x.dtype).max
+    out = decode(codec, payload, len(x), x.dtype)
+    assert out.dtype == x.dtype and np.array_equal(out, x)
+
+
 def test_selector_picks_sensible_codecs():
     assert select_codec(profile_chunk(CORPORA["runs_heavy"])) == "rle"
     # constant chunk: FOR at width 0 is 9 bytes — smaller than rle's header

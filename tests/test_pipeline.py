@@ -1497,14 +1497,14 @@ def test_encoded_range_count_three_way_split(ray_session, tmp_path):
     assert counters["chunks_scanned"] == 0
 
 
-def test_range_scan_prunes_and_filters(ray_session, tmp_path):
-    """``range_scan`` counts the chunks its zone filter keeps, and the
-    decoded rows of those chunks, row-filtered, equal the pandas
-    selection; a disjoint range keeps no chunk."""
+def _clustered_kv(tmp_path):
+    """(frame, encoded dir, zone maps): 8192 rows in 16 chunks of 512,
+    ``key`` sorted over 0..39 and ``v`` uniform over -50..49; the zone
+    maps are ``{col: (chunk mins, chunk maxes)}``."""
     import pandas as pd
     import ray.data
 
-    from tokrle.pipelines.table_encode import encode_table_columns, range_scan
+    from tokrle.pipelines.table_encode import encode_table_columns
 
     rng = np.random.default_rng(33)
     df = pd.DataFrame({
@@ -1514,18 +1514,76 @@ def test_range_scan_prunes_and_filters(ray_session, tmp_path):
     out_dir = str(tmp_path / "rscan")
     encode_table_columns(ray.data.from_pandas(df), ["key", "v"],
                          batch_size=512).write_parquet(out_dir)
-    ds, stats = range_scan(out_dir, ["key", "v"],
-                           [("key", 10, 20), ("v", 0, 49)])
-    got = ds.to_pandas().sort_values(["key", "v"]).reset_index(drop=True)
+    zones = {c: (x.min(axis=1), x.max(axis=1)) for c, x in
+             ((c, df[c].to_numpy().reshape(16, 512)) for c in df)}
+    return df, out_dir, zones
+
+
+def _zone_overlaps(zones, ranges) -> int:
+    """Chunks whose zone maps overlap every ``(col, lo, hi)``."""
+    keep = np.ones(16, bool)
+    for c, lo, hi in ranges:
+        keep &= (zones[c][1] >= lo) & (zones[c][0] <= hi)
+    return int(keep.sum())
+
+
+def test_zone_pruned_ranges_rows_and_counts(ray_session, tmp_path):
+    """An ``and`` of two ``range`` leaves: the rows ``encoded_scan_where``
+    returns equal the pandas selection, and ``encoded_boolean_agg``
+    counts them and the chunks the zone filter keeps; a disjoint range
+    keeps no chunk."""
+    import pandas as pd
+
+    from tokrle.pipelines.table_encode import (encoded_boolean_agg,
+                                               encoded_scan_where)
+
+    df, out_dir, zones = _clustered_kv(tmp_path)
+    expr = ("and", ("range", "key", 10, 20), ("range", "v", 0, 49))
+    got = encoded_scan_where(out_dir, expr, ["key", "v"]).to_pandas() \
+        .sort_values(["key", "v"]).reset_index(drop=True)
     want = df[df["key"].between(10, 20) & df["v"].between(0, 49)] \
         .sort_values(["key", "v"]).reset_index(drop=True)
     pd.testing.assert_frame_equal(got, want)
-    keys = df["key"].to_numpy().reshape(16, 512)
-    assert stats == {"chunks_total": 16, "chunks_scanned": int(
-        ((keys.max(axis=1) >= 10) & (keys.min(axis=1) <= 20)).sum())}
+    agg, stats = encoded_boolean_agg(out_dir, expr, [])
+    assert int(agg["n_match"].iloc[0]) == len(want)
+    assert stats["chunks_total"] == 16
+    assert stats["chunks_scanned"] == _zone_overlaps(
+        zones, [("key", 10, 20), ("v", 0, 49)])
     assert 0 < stats["chunks_scanned"] < 16
-    _, stats = range_scan(out_dir, ["key"], [("key", 100, 200)])
-    assert stats == {"chunks_total": 16, "chunks_scanned": 0}
+    _, stats = encoded_boolean_agg(out_dir, ("range", "key", 100, 200), [])
+    assert (stats["chunks_total"], stats["chunks_scanned"]) == (16, 0)
+
+
+def test_cli_table_scan_counts_pruned_ranges(ray_session, tmp_path,
+                                             capsys):
+    """``tokrle table-scan`` with two ``--where`` ranges prints its four
+    JSON keys, the pandas row count and the zone-overlap chunk count; a
+    disjoint range prints 0 rows and 0 scanned chunks."""
+    import json
+
+    from tokrle import cli
+
+    df, out_dir, zones = _clustered_kv(tmp_path)
+
+    def scan(*where):
+        argv = ["table-scan", "--encoded", out_dir]
+        for w in where:
+            argv += ["--where", w]
+        assert cli.main(argv) == 0
+        return json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+
+    got = scan("key:10:20", "v:-5:30")
+    assert list(got) == ["status", "n_rows", "chunks_total",
+                         "chunks_scanned"]
+    assert got["status"] == "ok" and got["chunks_total"] == 16
+    assert got["n_rows"] == int((df["key"].between(10, 20)
+                                 & df["v"].between(-5, 30)).sum())
+    assert got["chunks_scanned"] == _zone_overlaps(
+        zones, [("key", 10, 20), ("v", -5, 30)])
+    assert 0 < got["chunks_scanned"] < 16
+    assert scan("key:100:200", "v:-5:30") == {
+        "status": "ok", "n_rows": 0, "chunks_total": 16,
+        "chunks_scanned": 0}
 
 
 @pytest.fixture
@@ -1618,6 +1676,13 @@ def _rows(name: str):
             seen[0][1]
 
     return run
+
+
+def _chunk_rows(enc_dir: str) -> int:
+    """Chunk rows of a table-encode directory."""
+    import pyarrow.parquet as pq
+
+    return pq.read_table(enc_dir, columns=["n_rows"]).num_rows
 
 
 def _entry(fn):
@@ -1791,7 +1856,7 @@ def test_null_group_key_raises(ray_session, tmp_path, fn):
     table_encode.encode_table_columns(
         ray.data.from_arrow(tbl), ["g", "v"],
         batch_size=128).write_parquet(out_dir)
-    assert table_encode._n_chunks(out_dir) == 4
+    assert _chunk_rows(out_dir) == 4
     args = {"encoded_group_agg": ("g", ["v"]),
             "encoded_filtered_group_agg": ("g", ("range", "v", 0, 7),
                                            ["v"]),
@@ -1923,14 +1988,12 @@ def test_scan_counters_add_up(nullable_kv, case):
     """Every scan core counts chunks alike: scanned plus skipped chunks
     are the directory's chunks, and the chunks a core answered whole or
     through a selection run-list are among the scanned ones."""
-    from tokrle.pipelines import table_encode
-
     fn, args, kwargs = _SCANS[case]
     _, out_dir = nullable_kv
     _, ctr = _entry(fn)(out_dir, *args, **kwargs)
     assert ctr["chunks_scanned"] > 0
     assert ctr["chunks_scanned"] + ctr["chunks_skipped"] == \
-        ctr["chunks_total"] == table_encode._n_chunks(out_dir)
+        ctr["chunks_total"] == _chunk_rows(out_dir)
     if "all_hit_chunks" in ctr and "run_chunks" in ctr:
         assert ctr["all_hit_chunks"] + ctr["run_chunks"] <= \
             ctr["chunks_scanned"]
@@ -3019,6 +3082,74 @@ def test_encoded_topk_rows_matches_pandas(ray_session, tmp_path,
     empty = tmp_path / "empty"
     empty.mkdir()
     assert set(encoded_topk_rows(str(empty), "k", 3)[1]) == set(c)
+
+
+def test_topk_nullable_and_uint64_match_duckdb(ray_session, tmp_path,
+                                              any_batching):
+    """The one top-k on a nullable column and on uint64 equals DuckDB's
+    ``ORDER BY c DESC LIMIT k`` over the non-NULL rows.  Chunk 0 holds
+    -10..-5 and is 90% NULL: its 0 filler lifts its vmax, and its 512
+    slots would cover k = 500 if NULL slots counted, setting T to -10 and
+    wrongly pruning chunk 1 (-30..-20, no NULLs).  Only null-free rows
+    cover k, so T is -30 and the two null-free chunks below it are the
+    ones skipped.  uint64 has no zone map, so no threshold; ``k = 0``
+    raises for both entry points, and the counter keys are the same
+    with a predicate, without one and on an empty directory."""
+    import duckdb
+    import ray.data
+
+    from tokrle.pipelines.table_encode import (encode_table_columns,
+                                               encoded_boolean_topk,
+                                               encoded_topk_rows)
+
+    rng = np.random.default_rng(61)
+    m = 512
+    c = np.concatenate([rng.integers(-10, -4, m), rng.integers(-30, -19, m),
+                        rng.integers(-100, -39, 4 * m)])
+    null = np.zeros(6 * m, bool)
+    null[:m] = rng.random(m) < 0.9
+    null[4 * m:] = rng.random(2 * m) < 0.2
+    h = rng.integers(0, 1 << 63, 6 * m, dtype=np.uint64)
+    h[::3] |= np.uint64(1) << np.uint64(63)
+    tbl = pa.table({"c": pa.array(c, mask=null),
+                    "key": pa.array(np.repeat(np.arange(6), m)),
+                    "h": pa.array(h)})
+    out_dir = str(tmp_path / "ntopk")
+    encode_table_columns(ray.data.from_arrow(tbl), ["c", "key", "h"],
+                         batch_size=m).write_parquet(out_dir)
+    con = duckdb.connect()
+    con.register("t", tbl)
+
+    def want(col, k, where="true"):
+        return con.sql(f"""
+            select v, count(*) from (select {col} v from t
+            where {col} is not null and {where} order by v desc limit {k})
+            group by 1 order by 1 desc""").fetchall()
+
+    def pairs(top):
+        return [(int(v), int(n)) for v, n in zip(top["value"], top["n"])]
+
+    n_valid = int((~null).sum())
+    for k in (40, 500, n_valid - 1, n_valid + 100):
+        top, ctr = any_batching(encoded_topk_rows, out_dir, "c", k)
+        assert pairs(top) == want("c", k), (k, ctr)
+        assert int(top["n"].sum()) == min(k, n_valid)
+    _, ctr = any_batching(encoded_topk_rows, out_dir, "c", 500)
+    assert ctr["threshold"] == -30 and ctr["chunks_skipped"] == 2, ctr
+    top, where_ctr = any_batching(encoded_boolean_topk, out_dir,
+                                  ("range", "key", 0, 4), "c", 300)
+    assert pairs(top) == want("c", 300, "key between 0 and 4")
+    top, u_ctr = any_batching(encoded_topk_rows, out_dir, "h", 17)
+    assert pairs(top) == want("h", 17)
+    assert u_ctr["threshold"] is None and u_ctr["chunks_skipped"] == 0
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    assert set(ctr) == set(where_ctr) == set(u_ctr) == \
+        set(encoded_topk_rows(str(empty), "c", 3)[1])
+    with pytest.raises(ValueError, match="k must be positive"):
+        encoded_topk_rows(out_dir, "c", 0)
+    with pytest.raises(ValueError, match="k must be positive"):
+        encoded_boolean_topk(out_dir, ("range", "key", 0, 4), "c", 0)
 
 
 def test_encoded_boolean_agg_in_leaf(ray_session, tmp_path):

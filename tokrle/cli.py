@@ -128,11 +128,9 @@ def main(argv=None) -> int:
     te.add_argument("--num-cpus", type=int, default=None)
 
     ts = sub.add_parser("table-scan",
-                        help="zone-map pruned range scan over a "
+                        help="zone-map pruned range count over a "
                              "table-encode dir")
     ts.add_argument("--encoded", required=True)
-    ts.add_argument("--columns", required=True,
-                    help="comma-separated columns to decode")
     ts.add_argument("--where", required=True, action="append",
                     help="col:lo:hi inclusive range (repeatable; "
                          "conjunction)")
@@ -375,16 +373,18 @@ def main(argv=None) -> int:
                 "ratio": round(stats["raw"] / max(stats["enc"], 1), 3),
             }))
         elif args.cmd == "table-scan":
-            from tokrle.pipelines.table_encode import range_scan
+            from tokrle.pipelines.table_encode import \
+                encoded_conjunction_agg
 
-            cols = args.columns.split(",")
             preds = []
             for w in args.where:
                 c, lo, hi = w.rsplit(":", 2)
-                preds.append((c, int(lo), int(hi)))
-            scan, stats = range_scan(args.encoded, cols, preds)
-            print(json.dumps({"status": "ok", "n_rows": scan.count(),
-                              **stats}))
+                preds.append(("range", c, int(lo), int(hi)))
+            df, stats = encoded_conjunction_agg(args.encoded, preds, [])
+            print(json.dumps({
+                "status": "ok", "n_rows": int(df["n_match"].iloc[0]),
+                "chunks_total": stats["chunks_total"],
+                "chunks_scanned": stats["chunks_scanned"]}))
         elif args.cmd == "table-verify":
             import ray.data
 

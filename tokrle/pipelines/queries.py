@@ -1819,40 +1819,25 @@ def zonemap_pruned_scan_stats(sf_dir: str) -> pd.DataFrame:
     l_suppkey (the layout-optimization step), table-encode so every chunk
     carries its column extrema, then answer a range query by pushing the
     zone-map predicate (vmax >= lo AND vmin <= hi) into the Parquet scan
-    — non-overlapping chunks' payloads never leave storage, and only the
-    surviving chunks are decoded and row-filtered.  Asserts that pruning
-    actually skipped chunks before returning the SQL-comparable row."""
-    from ray.data.aggregate import Sum
-
-    from tokrle.pipelines.table_encode import range_scan
+    — non-overlapping chunks' payloads never leave storage, and the
+    surviving chunks count and sum on their codec streams
+    (``encoded_boolean_agg``).  Asserts that pruning actually skipped
+    chunks before returning the SQL-comparable row."""
+    from tokrle.pipelines.table_encode import encoded_boolean_agg
 
     cols = ["l_orderkey", "l_partkey", "l_suppkey"]
     lo, hi = ZONEMAP_LO, ZONEMAP_HI
     enc_dir = _encoded_fixture(sf_dir, "zonemap", "lineitem", cols, 2048,
                                sort="l_suppkey")
 
-    scan, stats = range_scan(enc_dir, cols, [("l_suppkey", lo, hi)])
+    df, stats = encoded_boolean_agg(enc_dir, ("range", "l_suppkey", lo, hi),
+                                    ["l_orderkey", "l_partkey"])
     if stats["chunks_total"] > 4:
         assert stats["chunks_scanned"] < stats["chunks_total"], \
             f"zone-map filter pruned nothing ({stats})"
-
-    def per_batch(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "n_rows": pa.array([len(batch)], type=pa.int64()),
-            "sum_orderkey": pa.array(
-                [int(batch.column("l_orderkey").to_numpy().sum())
-                 if len(batch) else 0], type=pa.int64()),
-            "sum_partkey": pa.array(
-                [int(batch.column("l_partkey").to_numpy().sum())
-                 if len(batch) else 0], type=pa.int64()),
-        })
-
-    row = scan.map_batches(per_batch, batch_format="pyarrow").aggregate(
-        Sum("n_rows", alias_name="n_rows"),
-        Sum("sum_orderkey", alias_name="sum_orderkey"),
-        Sum("sum_partkey", alias_name="sum_partkey"))
-    return pd.DataFrame({k: [int(row[k] or 0)]
-                         for k in ("n_rows", "sum_orderkey", "sum_partkey")})
+    return df.rename(columns={"n_match": "n_rows",
+                              "sum_l_orderkey": "sum_orderkey",
+                              "sum_l_partkey": "sum_partkey"})
 
 
 BPE_MERGES = 6
@@ -2335,8 +2320,9 @@ def encoded_where_histogram_stats(sf_dir: str) -> pd.DataFrame:
 def encoded_where_topk_stats(sf_dir: str) -> pd.DataFrame:
     """ORDER BY col DESC LIMIT k under a predicate tree, as an exactly
     tie-trimmed value multiset — the filtered top-k (the zone-map
-    exclusion threshold is unsound under a predicate, so it derives
-    from the filtered histogram; predicate zone pruning still fires)."""
+    exclusion threshold is unsound under a predicate, so each chunk's
+    filtered histogram is trimmed to its own k rows instead; predicate
+    zone pruning still fires)."""
     from tokrle.pipelines.table_encode import encoded_boolean_topk
 
     cols = ["l_suppkey", "l_linenumber", "l_partkey"]
@@ -2834,13 +2820,13 @@ def encoded_scan_where_stats(sf_dir: str) -> pd.DataFrame:
 def encoded_topk_stats(sf_dir: str) -> pd.DataFrame:
     """ORDER BY col DESC LIMIT k against the encoded layout with
     metadata-only pruning: the exclusion threshold T comes from
-    (n_rows, vmin) zone maps alone — once >= k rows provably sit at or
-    above T, every chunk with vmax < T never leaves storage — and the
-    survivors answer from their codec streams (value_counts) trimmed to
-    a per-chunk k-row budget, so the exchange is bounded by
-    #chunks x k pairs.  On the l_suppkey-clustered layout the key's
-    top-k prunes almost everything; asserts the pruning actually
-    happened."""
+    (n_rows, vmin, valid) chunk metadata alone — once >= k non-NULL rows
+    provably sit at or above T, every chunk with vmax < T never leaves
+    storage — and the survivors answer from their codec streams
+    (value_counts) trimmed to a per-chunk k-row budget, so the partials
+    are bounded by #chunks x k pairs.  On the l_suppkey-clustered
+    layout the key's top-k prunes almost everything; asserts the
+    pruning actually happened."""
     from tokrle.pipelines.table_encode import encoded_topk_rows
 
     cols = ["l_suppkey", "l_partkey"]
@@ -3388,12 +3374,11 @@ def zorder_scan_stats(sf_dir: str) -> pd.DataFrame:
     (l_suppkey, l_partkey), table-encode with zone maps, and answer a
     2-D range query by pruning on BOTH columns' chunk extrema — a
     single-column sort can only prune one of them.  The surviving chunks
-    decode and row-filter; the result matches the plain SQL aggregate."""
-    from ray.data.aggregate import Sum
-
+    count and sum on their codec streams; the result matches the plain
+    SQL aggregate."""
     from tokrle.functions.layout import cluster_zorder
     from tokrle.pipelines.table_encode import (encode_table_columns,
-                                               range_scan)
+                                               encoded_boolean_agg)
 
     cols = ["l_orderkey", "l_partkey", "l_suppkey"]
     (slo, shi), (plo, phi) = ZORDER_SUPP, ZORDER_PART
@@ -3402,25 +3387,14 @@ def zorder_scan_stats(sf_dir: str) -> pd.DataFrame:
                         "l_suppkey", "l_partkey")
     encode_table_columns(ds, cols, batch_size=2048).write_parquet(enc_dir)
 
-    scan, stats = range_scan(enc_dir, cols, [("l_suppkey", slo, shi),
-                                             ("l_partkey", plo, phi)])
+    df, stats = encoded_boolean_agg(
+        enc_dir, ("and", ("range", "l_suppkey", slo, shi),
+                  ("range", "l_partkey", plo, phi)), ["l_orderkey"])
     if stats["chunks_total"] > 4:
         assert stats["chunks_scanned"] < stats["chunks_total"], \
             f"z-order zone maps pruned nothing ({stats})"
-
-    def per_batch(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "n_rows": pa.array([len(batch)], type=pa.int64()),
-            "sum_orderkey": pa.array(
-                [int(batch.column("l_orderkey").to_numpy().sum())
-                 if len(batch) else 0], type=pa.int64()),
-        })
-
-    row = scan.map_batches(per_batch, batch_format="pyarrow").aggregate(
-        Sum("n_rows", alias_name="n_rows"),
-        Sum("sum_orderkey", alias_name="sum_orderkey"))
-    return pd.DataFrame({k: [int(row[k] or 0)]
-                         for k in ("n_rows", "sum_orderkey")})
+    return df.rename(columns={"n_match": "n_rows",
+                              "sum_l_orderkey": "sum_orderkey"})
 
 
 SPLIT_MAX_LEN = 32

@@ -331,44 +331,6 @@ def decode_table_columns(encoded_ds, columns: list[str]):
                                   batch_format="pyarrow")
 
 
-def range_scan(enc_dir: str, columns: list[str],
-               preds: list[tuple[str, int, int]]):
-    """Zone-map pruned range scan over a table-encode directory.
-
-    ``preds`` is a conjunction of inclusive ranges ``(col, lo, hi)`` on
-    integer columns.  The chunk-level predicate ``vmax >= lo AND vmin <=
-    hi`` (per range) is pushed into the Parquet scan, so non-overlapping
-    chunks' payloads never leave storage; surviving chunks decode and
-    row-filter.  Returns ``(Dataset, {"chunks_total", "chunks_scanned"})``
-    — the counts come from the footers and the zone-map columns, read in
-    the caller, and let callers assert the layout actually pruned.
-    """
-    import pyarrow.compute as pc
-    import pyarrow.dataset as pds
-    import ray.data
-
-    keep = None
-    for c, lo, hi in preds:
-        e = (pc.field(f"{c}__vmax") >= lo) & (pc.field(f"{c}__vmin") <= hi)
-        keep = e if keep is None else keep & e
-    files = _table_files(enc_dir)
-    n_total = _n_chunks(enc_dir)
-    n_kept = pds.dataset(files, format="parquet").count_rows(filter=keep) \
-        if files else 0
-    dec = decode_table_columns(
-        ray.data.read_parquet(enc_dir, filter=keep), columns)
-
-    def row_filter(batch: pa.Table) -> pa.Table:
-        m = np.ones(len(batch), dtype=bool)
-        for c, lo, hi in preds:
-            x = batch.column(c).to_numpy(zero_copy_only=False)
-            m &= (x >= lo) & (x <= hi)
-        return batch.filter(pa.array(m))
-
-    return dec.map_batches(row_filter, batch_format="pyarrow"), \
-        {"chunks_total": n_total, "chunks_scanned": n_kept}
-
-
 def encoded_column_agg(enc_dir: str, columns: list[str]):
     """COUNT/SUM/MIN/MAX over encoded integer columns WITHOUT decoding:
     the ``expr=None`` case of :func:`encoded_boolean_agg` with MIN/MAX.
@@ -533,22 +495,10 @@ def _hist_rank_idx(cum: np.ndarray, n: int, q_num: int,
     return int(np.searchsorted(cum, k + 1))
 
 
-def _hist_rank(values: np.ndarray, cum: np.ndarray, n: int,
-               q_num: int, q_den: int) -> int:
-    """Integer-valued :func:`_hist_rank_idx` lookup."""
-    return int(values[_hist_rank_idx(cum, n, q_num, q_den)])
-
-
 def _hist_bias_u64(v: np.ndarray) -> np.ndarray:
     """Order-preserving uint64 -> int64 bijection (xor 2^63), so uint64
     histograms fold and rank in int64 exchanges without wrapping."""
     return (v.astype(np.uint64) ^ _U64_BIAS).view(np.int64)
-
-
-def _hist_unbias_u64(x: int) -> int:
-    """Inverse of :func:`_hist_bias_u64` for a single driver-side
-    value."""
-    return int(np.int64(x).view(np.uint64) ^ _U64_BIAS)
 
 
 def _agg_fold_u64(v: np.ndarray) -> np.ndarray:
@@ -569,35 +519,48 @@ def _group_value_run_fold(g: np.ndarray, v: np.ndarray):
                                                          [len(g)])))
 
 
-def _group_quantile_frame(hist, qs: tuple, group_col: str,
-                          is_u64: bool):
-    """Driver fold shared by the grouped quantile paths: per-group rank
-    selection over the folded (grp, v, c) histogram + dtype-safe
-    assembly (explicit quantile dtype — pandas inference would round
-    >2^63 values through float64)."""
+def _quantile_frame(values: np.ndarray, counts: np.ndarray, qs: tuple,
+                    is_u64: bool):
+    """``DataFrame(q_num, q_den, quantile, n_rows)`` of one folded
+    (value, count) histogram: the SQL ``quantile_disc`` of each
+    ``(num, den)`` of ``qs`` (``values`` ascending, uint64 in the
+    xor-2^63 image when ``is_u64``) and the histogram's row count.  The
+    ``quantile`` dtype is explicit, since pandas inference would round
+    values past 2^63 through float64: object holding None (SQL NULL)
+    when the histogram is empty, else uint64 or int64.  Every integer
+    quantile path builds its frame here."""
     import pandas as pd
 
-    rows, quants = [], []
-    for grp, sub in hist.groupby("grp", sort=True):
-        values = sub["v"].to_numpy()
-        cum = np.cumsum(sub["c"].to_numpy())
-        n = int(cum[-1])
-        for q_num, q_den in qs:
-            # a group whose values are all NULL has no quantile (NULL)
-            q = None if n == 0 else _hist_rank(values, cum, n, q_num,
-                                               q_den)
-            quants.append(_hist_unbias_u64(q) if is_u64 and n else q)
-            rows.append({group_col: int(grp), "q_num": q_num,
-                         "q_den": q_den, "n_rows": n})
-    out = pd.DataFrame(rows, columns=[group_col, "q_num", "q_den",
-                                      "n_rows"])
-    for c in out.columns:
-        out[c] = out[c].astype("int64")
-    out.insert(3, "quantile", pd.Series(quants, dtype=object)
-               if None in quants else
-               np.array(quants, dtype=np.uint64 if is_u64 else np.int64))
-    return out.sort_values([group_col, "q_num", "q_den"]) \
-        .reset_index(drop=True)
+    cum = np.cumsum(counts)
+    n = int(cum[-1]) if len(cum) else 0
+    if is_u64:
+        values = values.view(np.uint64) ^ _U64_BIAS
+    quants = [None if n == 0 else
+              int(values[_hist_rank_idx(cum, n, q_num, q_den)])
+              for q_num, q_den in qs]
+    return pd.DataFrame({
+        "q_num": np.array([q for q, _ in qs], np.int64),
+        "q_den": np.array([d for _, d in qs], np.int64),
+        "quantile": pd.Series(quants, dtype=object) if None in quants
+        else np.array(quants, np.uint64 if is_u64 else np.int64),
+        "n_rows": np.full(len(qs), n, np.int64)})
+
+
+def _group_quantile_frame(hist, qs: tuple, group_col: str,
+                          is_u64: bool):
+    """Caller-side fold shared by the grouped quantile paths: one
+    :func:`_quantile_frame` per group of the folded (grp, v, c)
+    histogram, with the group id in front, sorted by group and q."""
+    import pandas as pd
+
+    frames = [_quantile_frame(sub["v"].to_numpy(), sub["c"].to_numpy(),
+                              qs, is_u64).assign(**{group_col: grp})
+              for grp, sub in hist.groupby("grp", sort=True)] or \
+        [_quantile_frame(np.empty(0, np.int64), np.empty(0, np.int64), (),
+                         is_u64).assign(**{group_col: 0})]
+    out = pd.concat(frames, ignore_index=True)
+    return out[[group_col, "q_num", "q_den", "quantile", "n_rows"]] \
+        .sort_values([group_col, "q_num", "q_den"]).reset_index(drop=True)
 
 
 def _col_dtype_probe(enc_dir: str, col: str) -> "np.dtype | None":
@@ -641,53 +604,31 @@ def encoded_quantiles(enc_dir: str, col: str,
     quantile, sum_v, sum_v2, n_rows), counters)`` with one row per
     requested quantile (no ``sum_v``/``sum_v2`` columns without
     moments)."""
-    import pandas as pd
-
-    hist, counters = encoded_histogram(enc_dir, col)
-    values = hist["value"].to_numpy()
-    if values.dtype.kind == "M":
+    values, counts, counters, dt = _boolean_value_hist(enc_dir, None, col)
+    is_u64 = dt == np.uint64
+    if dt is not None and dt.kind == "M":
         # datetime histograms rank identically in their int64 epoch
         # image; present quantiles as exact epoch MICROSECONDS
         # (DuckDB's internal timestamp unit, = epoch_us(...))
-        unit = np.datetime_data(values.dtype)[0]
-        factor = {"s": 1_000_000, "ms": 1_000, "us": 1}.get(unit)
-        values = values.view(np.int64) // 1_000 if factor is None \
-            else values.view(np.int64) * factor
-    counts = hist["n"].to_numpy()
-    cum = np.cumsum(counts)
-    n = int(cum[-1]) if len(cum) else 0
-    # exact integer moments over the histogram (Python ints: no 2^53
-    # float ceiling, no silent int64 wrap mid-fold)
-    sum_v = sum_v2 = 0
+        factor = {"s": 1_000_000, "ms": 1_000, "us": 1}.get(
+            np.datetime_data(dt)[0])
+        values = values // 1_000 if factor is None else values * factor
+    df = _quantile_frame(values, counts, qs, is_u64)
+    counters["n_rows"] = int(counts.sum())
     if with_moments:
-        sum_v = sum(int(v) * int(c) for v, c in zip(values, counts))
-        sum_v2 = sum(int(v) * int(v) * int(c)
-                     for v, c in zip(values, counts))
-        for name, s in (("sum_v", sum_v), ("sum_v2", sum_v2)):
+        # exact integer moments over the histogram (Python ints: no
+        # 2^53 float ceiling, no silent int64 wrap mid-fold)
+        plain = values.view(np.uint64) ^ _U64_BIAS if is_u64 else values
+        sums = {"sum_v": sum(int(v) * int(c) for v, c in zip(plain, counts)),
+                "sum_v2": sum(int(v) * int(v) * int(c)
+                              for v, c in zip(plain, counts))}
+        for j, (name, s) in enumerate(sums.items()):
             if not (-(1 << 63) <= s < (1 << 63)):
                 raise OverflowError(
                     f"column {col!r}: {name}={s} exceeds int64; "
                     "aggregate in a wider representation before "
                     "presenting")
-    rows = []
-    quants = []
-    for q_num, q_den in qs:
-        quants.append(None if n == 0 else _hist_rank(values, cum, n,
-                                                     q_num, q_den))
-        rows.append({"q_num": q_num, "q_den": q_den,
-                     **({"sum_v": sum_v, "sum_v2": sum_v2}
-                        if with_moments else {}),
-                     "n_rows": n})
-    counters["n_rows"] = n
-    df = pd.DataFrame(rows)
-    # explicit dtype: pandas would otherwise round >2^63 uint64 values
-    # through float64 during inference, corrupting the low bits
-    if n == 0:
-        df.insert(2, "quantile", pd.Series(quants, dtype="object"))
-    else:
-        df.insert(2, "quantile", np.array(
-            quants, dtype=np.uint64 if values.dtype == np.uint64
-            else np.int64))
+            df.insert(3 + j, name, s)
     return df, counters
 
 
@@ -723,7 +664,8 @@ def encoded_group_quantiles(enc_dir: str, group_col: str, agg_col: str,
                                          agg_col, qs)
 
 
-def _boolean_value_hist(enc_dir: str, expr: tuple | None, agg_col: str):
+def _boolean_value_hist(enc_dir: str, expr: tuple | None, agg_col: str,
+                        k: int | None = None, floor: int | None = None):
     """Shared core of the histogram family: evaluate the predicate TREE
     per chunk (zone-map leaf short-circuits, 3VL on nullable predicate
     columns, conservative scan filter — exactly as in
@@ -740,10 +682,17 @@ def _boolean_value_hist(enc_dir: str, expr: tuple | None, agg_col: str):
     The scan (:func:`_scan_partials`, in the caller) returns (value,
     partial_count) pairs bounded by chunk cardinality — never rows —
     and the caller sums the counts per value.  uint64 agg columns fold
-    in the order-preserving xor-2^63 image.  Returns ``(values, counts,
-    counters, dtype)``: the folded int64 values (biased for uint64) in
-    ascending order, their exact int64 counts, and ``agg_col``'s stored
-    dtype (None for a directory without rows)."""
+    in the order-preserving xor-2^63 image.
+
+    The top-k core (:func:`encoded_boolean_topk`) passes ``k``: each
+    chunk keeps only its own k largest rows, since the table's k
+    largest are among them; and ``floor``: values below it are dropped
+    and chunks with ``vmax < floor`` are not read.  Returns ``(values,
+    counts, counters, dtype)``: the folded int64 values (biased for
+    uint64) in ascending order, their exact int64 counts, and
+    ``agg_col``'s stored dtype (None for a directory without rows)."""
+    import pyarrow.compute as pc
+
     from tokrle.codecs.core import gather_runs, value_counts
 
     def partial(batch: pa.Table):
@@ -759,13 +708,24 @@ def _boolean_value_hist(enc_dir: str, expr: tuple | None, agg_col: str):
             else:
                 v, c = np.unique(gather_runs(codec, payload, n, dt, *sel),
                                  return_counts=True)
-            vs.append(_agg_fold_u64(v))
+            v = _agg_fold_u64(v)
+            if floor is not None:
+                keep = v >= floor
+                v, c = v[keep], c[keep]
+            if k is not None:
+                # the largest values until k rows are covered
+                cut = int(np.searchsorted(np.cumsum(c[::-1]), k)) + 1
+                v, c = v[-cut:], c[-cut:]
+            vs.append(v)
             cs.append(c)
         return (_cat(vs), _cat(cs)), _hit_counts(chunks)
 
+    flt = _expr_zone_filter(expr)
+    if floor is not None:
+        above = pc.field(f"{agg_col}__vmax") >= floor
+        flt = above if flt is None else flt & above
     parts, counters = _scan_partials(
-        enc_dir, _scan_columns(expr, [agg_col]), _expr_zone_filter(expr),
-        partial)
+        enc_dir, _scan_columns(expr, [agg_col]), flt, partial)
     values, counts = _sum_by(_cat(v for v, _ in parts),
                              _cat(c for _, c in parts))
     counters["hist_rows"] = len(values)
@@ -783,32 +743,9 @@ def encoded_boolean_quantiles(enc_dir: str, expr: tuple, agg_col: str,
     non-NULL selected values).  Returns
     ``(DataFrame(q_num, q_den, quantile, n_rows), counters)``;
     ``quantile`` is None when nothing matches (SQL NULL)."""
-    import pandas as pd
-
     values, counts, counters, dt = _boolean_value_hist(enc_dir, expr,
                                                        agg_col)
-    is_u64 = dt == np.uint64
-    cum = np.cumsum(counts)
-    n = int(cum[-1]) if len(cum) else 0
-
-    def _pick(q_num, q_den):
-        q = _hist_rank(values, cum, n, q_num, q_den)
-        return _hist_unbias_u64(q) if is_u64 else q
-
-    rows = [{"q_num": q_num, "q_den": q_den, "n_rows": n}
-            for q_num, q_den in qs]
-    quants = [None if n == 0 else _pick(q_num, q_den)
-              for q_num, q_den in qs]
-    df = pd.DataFrame(rows)
-    # explicit dtype: pandas would otherwise round >2^63 values through
-    # float64 during inference, corrupting the low bits; empty
-    # selections keep None (SQL NULL) in an object column
-    if n == 0:
-        df.insert(2, "quantile", pd.Series(quants, dtype="object"))
-    else:
-        df.insert(2, "quantile", np.array(
-            quants, dtype=np.uint64 if is_u64 else np.int64))
-    return df, counters
+    return _quantile_frame(values, counts, qs, dt == np.uint64), counters
 
 
 def encoded_boolean_histogram(enc_dir: str, expr: tuple, agg_col: str):
@@ -831,33 +768,57 @@ def encoded_boolean_histogram(enc_dir: str, expr: tuple, agg_col: str):
     return out.reset_index(drop=True), counters
 
 
-def encoded_boolean_topk(enc_dir: str, expr: tuple, col: str, k: int):
-    """``ORDER BY col DESC LIMIT k`` over only the rows WHERE a boolean
-    predicate TREE holds, as a (value, count) multiset with exact tie
-    trimming — the filtered sibling of :func:`encoded_topk_rows`.
+def encoded_boolean_topk(enc_dir: str, expr: tuple | None, col: str,
+                         k: int):
+    """``ORDER BY col DESC LIMIT k`` over the rows WHERE a boolean
+    predicate TREE holds (``expr=None``: every row), as a (value, count)
+    multiset with exact tie trimming; NULL values never rank.  The one
+    top-k: :func:`_boolean_value_hist` with each chunk trimmed to its
+    own k largest rows, so the partials hold at most #chunks x k pairs.
 
-    Unlike the unfiltered top-k, the metadata-only exclusion threshold
-    is unsound here (a chunk's zone map cannot bound how many of its
-    rows SURVIVE the predicate), so this derives from the full filtered
-    histogram — the partials stay bounded by chunk value cardinality
-    and the predicate's zone pruning still skips non-overlapping
-    chunks.  Returns ``(DataFrame(value, n) sorted desc with
-    sum(n) == min(k, selected rows), counters)``."""
-    values, counts, counters, dt = _boolean_value_hist(enc_dir, expr, col)
-    values, counts = values[::-1], counts[::-1]   # descending
-    cum = np.cumsum(counts)
-    cut = int(np.searchsorted(cum, k))            # first idx covering k
-    values, counts, cum = (values[:cut + 1], counts[:cut + 1],
-                           cum[:cut + 1])
-    if len(counts) and cum[-1] > k:               # exact tie trim
-        counts[-1] -= int(cum[-1] - k)
+    Without a predicate, a metadata pass first derives the exclusion
+    threshold T from ``(n_rows, vmin, valid)`` of a zone-mapped column:
+    sort chunks by vmin descending and cumsum the rows of null-free
+    chunks (a NULL slot never ranks) — once >= k rows provably hold
+    values >= T, no value below T ranks and no chunk with ``vmax < T``
+    is read.  Under a predicate the threshold is unsound (a chunk's
+    zone map cannot bound how many of its rows SURVIVE the predicate),
+    so the predicate's own zone pruning is all that skips chunks.
+
+    ``k <= 0`` raises ``ValueError``.  Returns ``(DataFrame(value, n)
+    sorted desc with sum(n) == min(k, selected non-NULL rows),
+    counters)``; ``counters["threshold"]`` is T (None when it was not
+    derived)."""
     import pandas as pd
+    import pyarrow.compute as pc
+    import pyarrow.dataset as pds
 
+    k = int(k)
+    if k <= 0:
+        raise ValueError("k must be positive")
+    floor = None
+    if expr is None and f"{col}__vmin" in _footer_fields(enc_dir)[0]:
+        m = pds.dataset(_table_files(enc_dir), format="parquet").to_table(
+            columns=["n_rows", f"{col}__vmin", f"{col}__valid"])
+        vmin = m.column(1).to_numpy()
+        order = np.argsort(vmin)[::-1]
+        null_free = pc.binary_length(m.column(2)).to_numpy() == 0
+        rows = np.where(null_free, m.column(0).to_numpy(), 0)
+        covered = int(np.searchsorted(np.cumsum(rows[order]), k))
+        if covered < len(order):        # first cumsum >= k
+            floor = int(vmin[order[covered]])
+    values, counts, counters, dt = _boolean_value_hist(enc_dir, expr, col,
+                                                       k, floor)
+    values, counts = values[::-1], counts[::-1]   # descending
+    cut = int(np.searchsorted(np.cumsum(counts), k)) + 1
+    values, counts = values[:cut], counts[:cut]
+    excess = int(counts.sum()) - k
+    if excess > 0:                                # exact tie trim
+        counts[-1] -= excess
     if dt == np.uint64:
         values = values.view(np.uint64) ^ _U64_BIAS
-    out = pd.DataFrame({"value": values, "n": counts})
-    out = out[out["n"] > 0]
-    return out.reset_index(drop=True), counters
+    counters["threshold"] = floor
+    return pd.DataFrame({"value": values, "n": counts}), counters
 
 
 def encoded_group_where_quantiles(enc_dir: str, expr: tuple | None,
@@ -977,15 +938,6 @@ def _table_files(enc_dir: str) -> list[str]:
 
     return sorted(glob.glob(os.path.join(enc_dir, "**", "*.parquet"),
                             recursive=True))
-
-
-def _n_chunks(enc_dir: str) -> int:
-    """Number of chunk rows in a table-encode directory, from the
-    Parquet footers alone — no Ray job, no column read."""
-    import pyarrow.parquet as pq
-
-    return sum(pq.ParquetFile(f).metadata.num_rows
-               for f in _table_files(enc_dir))
 
 
 # Chunk rows per call of a scan core's per-batch function.  A batch
@@ -2219,88 +2171,12 @@ def encoded_lookup_join(enc_dir: str, key_col: str, dim, dim_key: str,
 
 
 def encoded_topk_rows(enc_dir: str, col: str, k: int):
-    """The k largest values of ``col`` (row multiset, ties by count)
-    over a table-encode directory — ``ORDER BY col DESC LIMIT k``
-    answered with METADATA-ONLY pruning first, codec streams second:
-
-    - pass 0 reads just ``(n_rows, vmin)`` and derives the exclusion
-      threshold T: sort chunks by vmin descending and cumsum their row
-      counts — once >= k rows provably have values >= T (every row of a
-      chunk is >= its vmin), any chunk with ``vmax < T`` cannot
-      contribute and never leaves storage;
-    - surviving chunks answer from their codec streams via
-      :func:`tokrle.codecs.core.value_counts` (dict: dictionary + code
-      bincount; rle: run fold — no decode), keep only values >= T, and
-      TRIM to their own top-k row budget (sorted desc, cumulative count
-      cut at k), so the partials hold at most #chunks x k pairs;
-    - the caller sums the pairs per value and cuts the global multiset
-      at exactly k rows.
-
-    Both passes read the table's files in the caller, with no Ray job.
-    Returns ``(DataFrame(value, n) sorted desc with sum(n) == min(k,
-    total rows), counters)``; ``counters["threshold"]`` is T (None when
-    every chunk is scanned).
-    Integer zone-mapped columns only; nullable chunks raise."""
-    import pandas as pd
-    import pyarrow.compute as pc
-    import pyarrow.dataset as pds
-
-    from tokrle.codecs.core import value_counts
-
-    k = int(k)
-    if k <= 0:
-        raise ValueError("k must be positive")
-    # pass 0 reads two tiny int columns (at 1e8 chunks still two int64
-    # vectors); fewer than k rows (or none) exist: scan all
-    files = _table_files(enc_dir)
-    t_bound = None
-    if files:
-        m = pds.dataset(files, format="parquet") \
-            .to_table(columns=["n_rows", f"{col}__vmin"]).to_pandas() \
-            .sort_values(f"{col}__vmin", ascending=False)
-        covered = m["n_rows"].cumsum().searchsorted(k)  # first cumsum >= k
-        if covered < len(m):
-            t_bound = int(m[f"{col}__vmin"].iloc[covered])
-
-    need = ["n_rows"] + [f"{col}__{p}"
-                         for p in ("codec", "payload", "dtype", "valid")]
-    flt = None if t_bound is None else \
-        (pc.field(f"{col}__vmax") >= t_bound)
-
-    def partial(batch: pa.Table):
-        vs, cs = [], []
-        for i, n, _ in _chunk_sels(batch, None):
-            if _chunk_valid(batch, col, i):
-                raise ValueError(
-                    f"column {col!r}: nullable chunks not supported by "
-                    "the compressed-domain top-k")
-            codec, payload, dt = _chunk_col(batch, col, i)
-            vals, counts = value_counts(codec, payload, n, dt)
-            if t_bound is not None:
-                keep = vals >= vals.dtype.type(t_bound)
-                vals, counts = vals[keep], counts[keep]
-            if len(vals) == 0:
-                continue
-            # per-chunk row budget: largest values until k rows covered
-            vals, counts = vals[::-1], counts[::-1]     # descending
-            cut = int(np.searchsorted(np.cumsum(counts), k)) + 1
-            vs.append(vals[:cut])
-            cs.append(counts[:cut])
-        return (_cat(vs), _cat(cs)), {}
-
-    parts, counters = _scan_partials(enc_dir, need, flt, partial)
-    values, counts = _sum_by(_cat(v for v, _ in parts),
-                             _cat(c for _, c in parts))
-    values, counts = values[::-1], counts[::-1]         # descending
-    cum = np.cumsum(counts)
-    # k past the table size keeps every row (cut clamps to the
-    # histogram length; nothing to trim since cumsum never reaches k)
-    cut = min(int(np.searchsorted(cum, k)) + 1, len(values))
-    top = pd.DataFrame({"value": values[:cut], "n": counts[:cut]})
-    if cut and int(cum[cut - 1]) > k:
-        top.loc[cut - 1, "n"] -= int(cum[cut - 1]) - k
-    counters["threshold"] = t_bound
-    return top, counters
+    """The k largest values of ``col`` (row multiset, ties by count),
+    ``ORDER BY col DESC LIMIT k``: the ``expr=None`` case of
+    :func:`encoded_boolean_topk`, whose vmin threshold keeps chunks
+    that cannot rank from leaving storage.  Returns ``(DataFrame(value,
+    n) sorted desc with sum(n) == min(k, non-NULL rows), counters)``."""
+    return encoded_boolean_topk(enc_dir, None, col, k)
 
 
 def _column_checksums(ds, columns: list[str]) -> dict:

@@ -129,9 +129,10 @@ def profile_chunk(x: np.ndarray) -> ChunkProfile:
         max_run = 1       # high-entropy: rle cannot win; skip the exact scan
         runs_exact = False
     # cardinality: O(n) bincount when the value span is small, else sample
+    # (offsets in int64: an int8/int16 span can exceed the dtype's range)
     if 0 <= span < (1 << 20) and span < 8 * n:
-        card = int(np.count_nonzero(np.bincount((x - vmin).astype(np.int64),
-                                                minlength=span + 1)))
+        card = int(np.count_nonzero(np.bincount(
+            x.astype(np.int64) - np.int64(vmin), minlength=span + 1)))
         card_exact = True
     else:
         sample = x[:: max(1, n // _SAMPLE)]
