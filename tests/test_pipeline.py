@@ -1220,6 +1220,143 @@ def test_decode_tokens_small_corpus_runs_no_ray_job(ray_session, tmp_path):
         assert np.array_equal(t, want[d]), d
 
 
+@pytest.mark.parametrize("case", ["fresh", "plain", "tmp_leftover",
+                                  "columns", "empty"])
+def test_read_corpus_matches_read_parquet(ray_session, tmp_path, case):
+    """read_corpus builds its read from the footers, with no Ray task,
+    yet gives what ``read_parquet`` of the live-view files gives: the
+    same schema, count and rows, the hive ``group`` column included."""
+    import ray.data
+
+    from tokrle.pipelines.corpus import (_publish_groups, corpus_files,
+                                         read_corpus)
+
+    columns = None
+    if case == "empty":
+        enc = str(tmp_path / "enc_empty")
+        _publish_groups(enc, [])
+    else:
+        enc, _ = _encoded_corpus(
+            tmp_path, "plain" if case == "plain" else "grouped")
+    if case == "tmp_leftover":
+        _plant_tmp_group(enc)
+    elif case == "columns":
+        columns = ["chunk_id", "codec", "payload", "n_tokens", "doc_id"]
+
+    def rows(ds):
+        tables = [t for t in ray.get(ds.to_arrow_refs()) if t.num_rows]
+        return pa.concat_tables(tables).sort_by("chunk_id") if tables \
+            else None
+
+    ours = read_corpus(enc, columns=columns)
+    ref = ray.data.read_parquet(corpus_files(enc), columns=columns)
+    assert ours.schema() == ref.schema()
+    assert ours.count() == ref.count()
+    if case == "empty":
+        assert ours.count() == 0 and rows(ours) is None
+        return
+    got, want = rows(ours), rows(ref)
+    assert got.equals(want)
+    assert ("group" in got.column_names) == (case in ("fresh",
+                                                      "tmp_leftover"))
+
+
+def test_read_corpus_ray_decode_is_one_fused_operator(ray_session, tmp_path,
+                                                      monkeypatch):
+    """Above the ceiling a multi-file corpus decodes in ONE fused
+    ``ReadParquet->MapBatches(_decode_block)`` operator, bit-identical
+    to the caller-side decode: one read task per file when there are at
+    least two per CPU, so Ray does not split the read's blocks."""
+    import re
+
+    import pyarrow.parquet as pq
+
+    from tokrle.pipelines import encode as E
+    from tokrle.pipelines.corpus import corpus_files, encode_corpus, \
+        read_corpus
+    from tokrle.sources.tokens import documents_to_tokens
+
+    df = documents_to_tokens(SF).to_pandas()
+    in_dir = str(tmp_path / "in")
+    os.makedirs(in_dir)
+    for k in range(8):
+        pq.write_table(pa.Table.from_pandas(df.iloc[k::8]),
+                       f"{in_dir}/{k}.parquet")
+    enc = str(tmp_path / "enc")
+    encode_corpus(in_dir, enc, batch_size=64, group_files=1)
+    assert len(corpus_files(enc)) == 8
+
+    sides = {}
+    for ceiling in (0, float("inf")):
+        monkeypatch.setattr(E, "_LOCAL_DECODE_BYTES", ceiling)
+        sides[ceiling] = E.decode_tokens(read_corpus(enc)).materialize()
+    ops = re.findall(r"^Operator \d+ (\S+):", sides[0].stats(), re.M)
+    assert ops == ["ReadParquet->MapBatches(_decode_block)"], ops
+    slow = _tokens_by_doc(sides[0].to_pandas())
+    fast = _tokens_by_doc(sides[float("inf")].to_pandas())
+    want = {str(d): t for d, t in _tokens_by_doc(df).items()}
+    assert set(slow) == set(fast) == set(want)
+    for d, t in want.items():
+        assert slow[d].dtype == fast[d].dtype == np.int32
+        assert np.array_equal(slow[d], t) and np.array_equal(fast[d], t), d
+
+
+def test_caller_answers_start_no_ray_task(ray_session, tmp_path,
+                                          monkeypatch):
+    """Below the ceiling the read path and the row scans build their
+    answer Datasets in the caller: with ``ray.data.read_parquet`` and
+    ``ray.data.from_arrow`` (which starts a metadata task per table)
+    made to raise, every answer still equals its source."""
+    import pandas as pd
+    import ray.data
+
+    from tokrle.pipelines.corpus import read_corpus
+    from tokrle.pipelines.encode import (build_doc_index, decode_tokens,
+                                         fetch_docs, fetch_docs_indexed)
+    from tokrle.pipelines.table_encode import (encoded_lookup_join,
+                                               encoded_scan_where)
+
+    enc, tok = _encoded_corpus(tmp_path, "grouped")
+    build_doc_index(enc, n_buckets=8)
+    src = tok.to_pandas()
+    want = {str(d): t for d, t in _tokens_by_doc(src).items()}
+    kv, kv_dir, _ = _clustered_kv(tmp_path)
+
+    def boom(*a, **kw):
+        raise AssertionError("started a Ray task")
+
+    monkeypatch.setattr(ray.data, "read_parquet", boom)
+    monkeypatch.setattr(ray.data, "from_arrow", boom)
+
+    def same_docs(ds, ids):
+        got = _tokens_by_doc(ds.to_pandas())
+        assert set(got) == set(ids)
+        for d in ids:
+            assert got[d].dtype == np.int32
+            assert np.array_equal(got[d], want[d]), d
+
+    same_docs(decode_tokens(read_corpus(enc)), want)
+    ids = [str(d) for d in src["doc_id"].iloc[[3, 117, 499]]]
+    same_docs(fetch_docs_indexed(enc, ids), ids)
+    assert fetch_docs_indexed(enc, []).count() == 0
+    same_docs(fetch_docs(enc, ids), ids)
+
+    expr = ("and", ("range", "key", 10, 20), ("range", "v", 0, 49))
+    got = encoded_scan_where(kv_dir, expr, ["key", "v"]).to_pandas() \
+        .sort_values(["key", "v"]).reset_index(drop=True)
+    sel = kv[kv["key"].between(10, 20) & kv["v"].between(0, 49)] \
+        .sort_values(["key", "v"]).reset_index(drop=True)
+    pd.testing.assert_frame_equal(got, sel)
+
+    dim = pd.DataFrame({"dk": np.arange(5, 9), "attr": np.arange(4) * 10})
+    got = encoded_lookup_join(kv_dir, "key", dim, "dk", ["attr"], ["v"]) \
+        .to_pandas().sort_values(["key", "v"]).reset_index(drop=True)
+    joined = kv.merge(dim, left_on="key", right_on="dk")[
+        ["key", "v", "attr"]].sort_values(["key", "v"]) \
+        .reset_index(drop=True)
+    pd.testing.assert_frame_equal(got, joined)
+
+
 def test_cli_and_bench_decode_read_the_live_view(ray_session, tmp_path,
                                                  capsys):
     """The CLI ``decode`` and ``verify`` commands and bench.py's
@@ -1584,6 +1721,47 @@ def test_cli_table_scan_counts_pruned_ranges(ray_session, tmp_path,
     assert scan("key:100:200", "v:-5:30") == {
         "status": "ok", "n_rows": 0, "chunks_total": 16,
         "chunks_scanned": 0}
+
+
+def test_cli_table_scan_and_agg_start_no_ray_session(ray_session, tmp_path,
+                                                     capsys, monkeypatch):
+    """``table-scan`` and the three ``table-agg`` modes scan in the
+    caller, so they start no Ray session: with ``_ray_up`` made to raise
+    they still print their pandas answers, and the caller's session is
+    still up afterwards."""
+    import json
+
+    import ray
+
+    from tokrle import cli
+
+    df, out_dir, _ = _clustered_kv(tmp_path)
+
+    def no_ray(num_cpus):
+        raise AssertionError("started a Ray session")
+
+    monkeypatch.setattr(cli, "_ray_up", no_ray)
+
+    def run(*argv):
+        assert cli.main(list(argv)) == 0
+        got = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert got["status"] == "ok"
+        return got
+
+    hit = df["key"].between(10, 20)
+    got = run("table-scan", "--encoded", out_dir, "--where", "key:10:20")
+    assert got["n_rows"] == int(hit.sum())
+    agg = "table-agg", "--encoded", out_dir, "--columns", "v"
+    assert run(*agg)["rows"] == [{
+        "col": "v", "n": len(df), "sum_val": int(df["v"].sum()),
+        "min_val": int(df["v"].min()), "max_val": int(df["v"].max())}]
+    assert run(*agg, "--where", "key:10:20")["rows"] == [{
+        "n_rows": int(hit.sum()), "sum_v": int(df["v"][hit].sum())}]
+    by_key = df.groupby("key")["v"].agg(["size", "sum"])
+    assert run(*agg, "--group-by", "key")["rows"] == [
+        {"key": int(k), "n": int(n), "sum_v": int(s)}
+        for k, n, s in by_key.itertuples()]
+    assert ray.is_initialized()
 
 
 @pytest.fixture
@@ -2214,6 +2392,37 @@ def test_encoded_quantiles_match_duckdb(ray_session, tmp_path):
         assert int(got["sum_v"].iloc[0]) == int(want[3]), col
         assert int(got["sum_v2"].iloc[0]) == int(want[4]), col
         assert int(got["n_rows"].iloc[0]) == n, col
+
+
+def test_encoded_quantiles_datetime_any_unit(ray_session, tmp_path):
+    """Datetime quantiles come back as epoch microseconds whatever the
+    column's unit: date32 (numpy ``D``) and s, ms, us and ns timestamps
+    holding the same dates, pre-1970 ones included, all rank to the
+    same answer."""
+    import ray.data
+
+    from tokrle.pipelines.table_encode import (encode_table_columns,
+                                               encoded_quantiles)
+
+    days = np.repeat(np.array(
+        ["1961-07-14", "1969-12-31", "1999-02-28", "2020-01-01",
+         "2020-06-01", "2021-01-01", "2022-03-04"], dtype="datetime64[D]"),
+        [3, 1, 2, 2, 5, 1, 4])
+    units = {"d": "D", "s": "s", "ms": "ms", "us": "us", "ns": "ns"}
+    t = pa.table({c: pa.array(days.astype(f"datetime64[{u}]"))
+                  for c, u in units.items()})
+    assert t.schema.field("d").type == pa.date32()
+    out_dir = str(tmp_path / "dates")
+    encode_table_columns(ray.data.from_arrow(t), list(units),
+                         batch_size=8).write_parquet(out_dir)
+
+    qs = ((1, 18), (1, 4), (1, 2), (3, 4), (1, 1))
+    ordered = np.sort(days.astype("datetime64[us]").view(np.int64))
+    want = [int(ordered[-(-num * len(days) // den) - 1])
+            for num, den in qs]
+    for c in units:
+        got, _ = encoded_quantiles(out_dir, c, qs, with_moments=False)
+        assert got["quantile"].tolist() == want, c
 
 
 def test_encoded_group_quantiles_match_duckdb(ray_session, tmp_path):

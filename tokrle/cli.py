@@ -41,6 +41,11 @@ def _ray_up(num_cpus: int | None) -> bool:
     return started
 
 
+#: Subcommands that only scan in the calling process with pyarrow: they
+#: start no Ray session (starting and stopping one costs seconds).
+_CALLER_ONLY = {"table-scan", "table-agg"}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(prog="tokrle")
     sub = ap.add_subparsers(dest="cmd", required=True)
@@ -210,9 +215,7 @@ def main(argv=None) -> int:
     rm.add_argument("--num-cpus", type=int, default=None)
 
     args = ap.parse_args(argv)
-    owns_ray = _ray_up(args.num_cpus)
-    import ray
-
+    owns_ray = args.cmd not in _CALLER_ONLY and _ray_up(args.num_cpus)
     try:
         if args.cmd == "encode":
             from tokrle.pipelines.corpus import encode_corpus
@@ -467,6 +470,8 @@ def main(argv=None) -> int:
                               "out": args.out_dir}))
     finally:
         if owns_ray:
+            import ray
+
             ray.shutdown()
     return 0
 

@@ -739,9 +739,114 @@ def corpus_files(enc_dir: str) -> list[str] | str:
 _CORPUS_READS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
+def _dir_parquet_files(d: str) -> list[str]:
+    """The files under a plain ``write_parquet`` directory, as
+    ``read_parquet`` lists them: recursive, sorted, and skipping every
+    name that starts with ``.`` or ``_``."""
+    out = []
+    for root, dirs, names in os.walk(d):
+        dirs[:] = [x for x in dirs if not x.startswith((".", "_"))]
+        out += [os.path.join(root, n) for n in names
+                if not n.startswith((".", "_"))]
+    return sorted(out)
+
+
+def _hive_parts(path: str) -> dict:
+    """The ``key=value`` directory segments of ``path``: the string
+    columns ``read_parquet``'s default hive partitioning adds."""
+    return dict(s.split("=") for s in os.path.dirname(path).split("/")
+                if s.count("=") == 1)
+
+
+def _read_corpus_files(paths: list, columns: list[str] | None):
+    """One read task of :func:`read_corpus`: each file one row group at
+    a time, with its hive path segments appended as string columns."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    for path in paths:
+        with pq.ParquetFile(path) as pf:
+            names = pf.schema_arrow.names
+            parts = {k: v for k, v in _hive_parts(path).items()
+                     if k not in names and (columns is None or k in columns)}
+            for i in range(pf.num_row_groups):
+                t = pf.read_row_group(i, columns=None if columns is None
+                                      else [c for c in columns if c in names])
+                if not t.num_rows:
+                    continue
+                for k, v in parts.items():
+                    t = t.append_column(k, pa.array([v] * t.num_rows,
+                                                    pa.string()))
+                yield t if columns is None else t.select(columns)
+
+
+@functools.cache
+def _corpus_source_cls():
+    """The Datasource behind :func:`read_corpus`, defined on first use so
+    importing this module does not import Ray."""
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    from ray.data.block import BlockMetadata
+    from ray.data.datasource import Datasource, ReadTask
+
+    class _CorpusSource(Datasource):
+        """The live-view files of a corpus with their footers read once:
+        row counts, sizes and the projected schema come from the footers,
+        so building the read starts no Ray task and ``schema()`` and
+        ``count()`` read no data."""
+
+        def __init__(self, files, columns):
+            self._paths = (_dir_parquet_files(files)
+                           if isinstance(files, str) else list(files))
+            self._columns = columns
+            metas = [pq.read_metadata(p) for p in self._paths]
+            self._rows = [m.num_rows for m in metas]
+            self._bytes = [sum(m.row_group(g).total_byte_size
+                               for g in range(m.num_row_groups))
+                           for m in metas]
+            self._schema = None
+            if metas:
+                schema = metas[0].schema.to_arrow_schema()
+                for k in _hive_parts(self._paths[0]):
+                    if k not in schema.names:
+                        schema = schema.append(pa.field(k, pa.string()))
+                self._schema = schema if columns is None else pa.schema(
+                    [schema.field(c) for c in columns], schema.metadata)
+
+        def get_name(self) -> str:
+            return "Parquet"
+
+        def estimate_inmemory_data_size(self) -> int:
+            return sum(self._bytes)
+
+        def get_read_tasks(self, parallelism: int) -> list:
+            tasks = []
+            for idx in np.array_split(np.arange(len(self._paths)),
+                                      parallelism):
+                if not len(idx):
+                    continue
+                paths = [self._paths[i] for i in idx]
+                meta = BlockMetadata(
+                    num_rows=sum(self._rows[i] for i in idx),
+                    size_bytes=sum(self._bytes[i] for i in idx),
+                    exec_stats=None, input_files=paths)
+                tasks.append(ReadTask(
+                    functools.partial(_read_corpus_files, paths,
+                                      self._columns),
+                    meta, schema=self._schema))
+            return tasks
+
+    return _CorpusSource
+
+
 def read_corpus(enc_dir: str, columns: list[str] | None = None):
-    """Encoded-corpus Dataset over the LIVE groups only: a lazy
-    ``ray.data.read_parquet`` of :func:`corpus_files`.
+    """Encoded-corpus Dataset over the LIVE groups only: a lazy read of
+    :func:`corpus_files` with ``read_parquet``'s rows, hive ``group``
+    column, schema and operator name (``ReadParquet``), built from the
+    files' footers with no Ray task (``read_parquet`` samples files in
+    Ray tasks to estimate sizes).  Each read task reads its files one
+    row group at a time.  An empty live view reads as zero blocks.
 
     The Dataset also remembers its file list and ``columns``, so
     ``decode_tokens(read_corpus(d))`` can decode a corpus of at most
@@ -751,7 +856,7 @@ def read_corpus(enc_dir: str, columns: list[str] | None = None):
     import ray.data
 
     files = corpus_files(enc_dir)
-    ds = ray.data.read_parquet(files, columns=columns)
+    ds = ray.data.read_datasource(_corpus_source_cls()(files, columns))
     _CORPUS_READS[ds] = (files, columns)
     return ds
 

@@ -88,9 +88,10 @@ def decode_tokens(encoded_ds):
     decoded tokens take at most ``_LOCAL_DECODE_BYTES`` (4 bytes per
     token, summed from the ``n_tokens`` column) decodes in the calling
     process with no Ray job: its files are read with ``pyarrow.dataset``
-    and decoded by :func:`_decode_block`, and the answer is
-    ``ray.data.from_arrow`` of ONE table (a per-block fixed cost is most
-    of a small epoch).  An empty live view gives an empty token table.
+    and decoded by :func:`_decode_block`, and the answer is ONE table
+    made a Dataset by :func:`_answer_dataset`, with no Ray task (a
+    per-block fixed cost is most of a small epoch).  An empty live view
+    gives an empty token table.
 
     Every other input maps whole blocks (no ``batch_size``), so Ray fuses
     a Parquet read with the decode into ONE task per read block and no
@@ -113,17 +114,25 @@ def _decode_in_caller(files, columns):
     corpus decodes to more than ``_LOCAL_DECODE_BYTES``."""
     import pyarrow.compute as pc
     import pyarrow.dataset as pds
-    import ray.data
 
     dset = pds.dataset(files, format="parquet")
     if not dset.files:
-        return ray.data.from_arrow(TOKEN_SCHEMA.empty_table())
+        return _answer_dataset([TOKEN_SCHEMA.empty_table()])
     n_tokens = pc.sum(dset.to_table(columns=["n_tokens"])
                       .column("n_tokens")).as_py() or 0
     if 4 * n_tokens > _LOCAL_DECODE_BYTES:
         return None
-    return ray.data.from_arrow(pa.concat_tables(
-        _decode_block(dset.to_table(columns=columns))))
+    return _answer_dataset([pa.concat_tables(
+        _decode_block(dset.to_table(columns=columns)))])
+
+
+def _answer_dataset(tables: list):
+    """The one way a caller-built answer becomes a ``ray.data.Dataset``:
+    exactly these blocks, put and described in the caller with no Ray
+    task (``ray.data.from_arrow`` starts one metadata task per table)."""
+    import ray.data
+
+    return ray.data.from_blocks(tables)
 
 
 def _decode_block(block: pa.Table):
@@ -240,13 +249,12 @@ def _fetch_chunks(enc_dir: str, chunk_ids: list, wanted_arr: pa.Array):
     that raises rather than silently dropping the docs it held."""
     import pyarrow.compute as pc
     import pyarrow.dataset as pds
-    import ray.data
 
     from tokrle.codecs.core import decode_range
     from tokrle.pipelines.corpus import corpus_files
 
     if not chunk_ids:       # empty isin set is a null-typed Arrow error
-        return ray.data.from_arrow(TOKEN_SCHEMA.empty_table())
+        return _answer_dataset([TOKEN_SCHEMA.empty_table()])
     t = pds.dataset(corpus_files(enc_dir), format="parquet").to_table(
         columns=["chunk_id", "codec", "payload", "n_tokens", "row_offsets",
                  "doc_id", "doc_source"],
@@ -274,7 +282,7 @@ def _fetch_chunks(enc_dir: str, chunk_ids: list, wanted_arr: pa.Array):
             offs[j].as_py(), offs[j + 1].as_py()))
     lens = np.array([len(x) for x in toks], dtype=np.int32)
     sel = pa.array(hits, type=pa.int64())
-    return ray.data.from_arrow(pa.table({
+    return _answer_dataset([pa.table({
         "doc_id": flat.take(sel).cast(pa.string()),
         "tokens": pa.ListArray.from_arrays(
             pa.array(np.concatenate(([0], np.cumsum(lens))), pa.int32()),
@@ -282,7 +290,7 @@ def _fetch_chunks(enc_dir: str, chunk_ids: list, wanted_arr: pa.Array):
         "n_tok": pa.array(lens, type=pa.int32()),
         "source": t.column("doc_source").combine_chunks().flatten()
         .take(sel).cast(pa.string()),
-    }))
+    })])
 
 
 def build_doc_index(enc_dir: str, index_dir: str | None = None, *,

@@ -609,10 +609,9 @@ def encoded_quantiles(enc_dir: str, col: str,
     if dt is not None and dt.kind == "M":
         # datetime histograms rank identically in their int64 epoch
         # image; present quantiles as exact epoch MICROSECONDS
-        # (DuckDB's internal timestamp unit, = epoch_us(...))
-        factor = {"s": 1_000_000, "ms": 1_000, "us": 1}.get(
-            np.datetime_data(dt)[0])
-        values = values // 1_000 if factor is None else values * factor
+        # (DuckDB's internal timestamp unit, = epoch_us(...)); numpy
+        # floors a finer unit and scales a coarser one, days included
+        values = values.view(dt).astype("datetime64[us]").view(np.int64)
     df = _quantile_frame(values, counts, qs, is_u64)
     counters["n_rows"] = int(counts.sum())
     if with_moments:
@@ -2098,13 +2097,13 @@ def encoded_scan_where(enc_dir: str, expr: tuple, out_cols: list[str]):
     selected rows).  Predicate columns evaluate under SQL three-valued
     logic, and NULL slots of projected columns come back as NULL.  The
     scan runs in the caller, and the matching rows are collected there:
-    returns a ``ray.data.Dataset`` built with ``ray.data.from_arrow``,
-    one block per scan batch of at most :data:`_SCAN_BATCH_CHUNKS`
-    chunks."""
-    import ray.data
+    returns a ``ray.data.Dataset`` of one block per scan batch of at most
+    :data:`_SCAN_BATCH_CHUNKS` chunks, built in the caller with no Ray
+    task (:func:`tokrle.pipelines.encode._answer_dataset`)."""
+    from tokrle.pipelines.encode import _answer_dataset
 
     tables, _ = _scan_rows(enc_dir, expr, out_cols)
-    return ray.data.from_arrow(tables)
+    return _answer_dataset(tables)
 
 
 def encoded_lookup_join(enc_dir: str, key_col: str, dim, dim_key: str,
@@ -2126,14 +2125,15 @@ def encoded_lookup_join(enc_dir: str, key_col: str, dim, dim_key: str,
 
     Returns a ``ray.data.Dataset`` of joined rows (``key_col`` +
     ``out_cols`` from the fact side, ``dim_cols`` from the dimension),
-    built with ``ray.data.from_arrow``, one block per scan batch of at
-    most :data:`_SCAN_BATCH_CHUNKS` chunks.  Dimension keys must be
-    unique; fact out columns may be integer OR string (string
+    one block per scan batch of at most :data:`_SCAN_BATCH_CHUNKS`
+    chunks, built in the caller with no Ray task
+    (:func:`tokrle.pipelines.encode._answer_dataset`).  Dimension keys
+    must be unique; fact out columns may be integer OR string (string
     projections late-materialize via
     :func:`tokrle.codecs.core.gather_str_runs`).  A NULL fact key never
     matches, ``expr`` follows SQL three-valued logic, and NULL slots of
     ``out_cols`` come back as NULL."""
-    import ray.data
+    from tokrle.pipelines.encode import _answer_dataset
 
     keys = np.asarray(dim[dim_key], dtype=np.int64)
     if len(np.unique(keys)) != len(keys):
@@ -2167,7 +2167,7 @@ def encoded_lookup_join(enc_dir: str, key_col: str, dim, dim_key: str,
             t = t.append_column(c, pa.array(dvals[c][idx]))
         return t
 
-    return ray.data.from_arrow([attach(t) for t in tables])
+    return _answer_dataset([attach(t) for t in tables])
 
 
 def encoded_topk_rows(enc_dir: str, col: str, k: int):
