@@ -1878,3 +1878,72 @@ def test_training_examples_doc_ids_unique_across_sources(ray_session,
                             eval_mask=None).to_pandas()
     assert out["doc_id"].is_unique
     assert {d.split("#")[0] for d in out["doc_id"]} == {"sA", "sB"}
+
+
+#: one query per hash-exchange family, as ``answers()`` -> JSON-able dict
+_EXCHANGES = '''
+def answers():
+    import pandas as pd
+    import ray.data
+
+    from tokrle.functions.dedup import anti_join, exact_dedup, semi_join
+    from tokrle.pipelines.rle_table import coverage_by_key
+
+    def ids(ds):
+        return sorted(ds.to_pandas()["doc_id"].tolist())
+
+    data = ray.data.from_pandas(pd.DataFrame(
+        {"doc_id": range(100), "v": [i % 7 for i in range(100)]}))
+    keys = ray.data.from_pandas(pd.DataFrame({"doc_id": [3, 40]}))
+    docs = ray.data.from_pandas(pd.DataFrame(
+        {"doc_id": range(60), "text": [f"t{i % 13}" for i in range(60)]}))
+    iv = ray.data.from_pandas(pd.DataFrame(
+        {"k": [f"c{i % 3}" for i in range(30)], "s": range(30),
+         "e": [i + 5 for i in range(30)]}))
+    cov = coverage_by_key(iv, "k", "s", "e").to_pandas()
+    return {"semi": ids(semi_join(data, keys)),
+            "anti": ids(anti_join(data, keys)),
+            "dedup": ids(exact_dedup(docs)),
+            "coverage": sorted([str(k), [int(x) for x in r],
+                                [float(x) for x in v]]
+                               for k, r, v in cov[["key", "runs", "values"]]
+                               .itertuples(index=False))}
+'''
+
+
+def test_hash_exchanges_finish_on_one_cpu(ray_session):
+    """Every hash-exchange family (semi and anti join, exact dedup, an
+    RLE-table fold) finishes on a 1-CPU Ray session with the answers of
+    the 4-CPU session.  The exchange's aggregator actors reserve no
+    CPU, so its 1-CPU map tasks can always schedule.  The 1-CPU session
+    runs in a subprocess under a timeout, since the shared one has 4
+    CPUs."""
+    import json
+    import os
+    import signal
+    import subprocess
+    import sys
+
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    scope: dict = {}
+    exec(_EXCHANGES, scope)
+    want = json.loads(json.dumps(scope["answers"]()))
+    script = _EXCHANGES + (
+        "\nimport json, ray\n"
+        "ray.init(address='local', num_cpus=1, include_dashboard=False,\n"
+        "         logging_level='ERROR')\n"
+        "ray.data.DataContext.get_current().enable_progress_bars = False\n"
+        "print(json.dumps(answers()))\n"
+        "ray.shutdown()\n")
+    proc = subprocess.Popen(
+        [sys.executable, "-c", script], stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True, start_new_session=True,
+        env=dict(os.environ, PYTHONPATH=repo), cwd=repo)
+    try:
+        out, err = proc.communicate(timeout=300)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("a hash exchange did not finish on a 1-CPU session")
+    assert proc.returncode == 0, err[-2000:]
+    assert json.loads(out.strip().splitlines()[-1]) == want

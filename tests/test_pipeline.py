@@ -458,6 +458,32 @@ def test_ray_free_consumer_api(ray_session, token_ds, tmp_path):
     assert summ["encoded_bytes"] < summ["raw_bytes"]
 
 
+def test_ray_free_consumer_reads_the_live_view(ray_session, tmp_path):
+    """The Ray-free consumer and the compression report read the live
+    view: a crashed upsert's 'group=<gid>.tmp' copy of a group adds no
+    doc, no token and no chunk."""
+    import importlib.util
+
+    from tokrle.sources.encoded import iter_decoded, lineage_summary
+
+    enc, tok = _encoded_corpus(tmp_path, "grouped")
+    df = tok.to_pandas()
+    _plant_tmp_group(enc)
+    got = list(iter_decoded(enc))
+    assert len(got) == len(df)
+    want = _tokens_by_doc(df)
+    for d, t in got:
+        assert np.array_equal(t, want[d]), d
+    assert lineage_summary(enc)["n_tokens"] == int(df["n_tok"].sum())
+    spec = importlib.util.spec_from_file_location(
+        "compression_report", os.path.join(
+            os.path.dirname(__file__), "..", "tools",
+            "compression_report.py"))
+    report = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(report)
+    assert report.report(enc)["n_tokens"] == int(df["n_tok"].sum())
+
+
 def test_crashed_group_leaves_no_duplicates(ray_session, token_ds, tmp_path):
     """A group that wrote files but died before publishing its manifest row
     must be fully redone without duplicating chunks."""
@@ -1949,6 +1975,20 @@ _NULL_SKIP_CASES = {
         "encoded_group_where_quantiles",
         (("not", ("eq", "k", 5)), "g", "v"), {},
         _quartile_sql("g", "v", "NOT (k = 5)")),
+    "encoded_group_agg-null_key": (
+        "encoded_group_agg", ("k", ["v", "w"]), {"with_minmax": True},
+        "SELECT k, count(*), coalesce(sum(v), 0), coalesce(sum(w), 0), "
+        "min(v), min(w), max(v), max(w) FROM t GROUP BY k"),
+    "encoded_filtered_group_agg-null_key": (
+        "encoded_filtered_group_agg", ("k", ("range", "v", -1, 2), ["w"]),
+        {"with_minmax": True},
+        "SELECT k, count(*), coalesce(sum(w), 0), min(w), max(w) FROM t "
+        "WHERE v BETWEEN -1 AND 2 GROUP BY k"),
+    "encoded_group_quantiles-null_key": (
+        "encoded_group_quantiles", ("k", "v"), {}, _quartile_sql("k", "v")),
+    "encoded_group_where_quantiles-null_key": (
+        "encoded_group_where_quantiles", (("range", "v", -1, 2), "k", "w"),
+        {}, _quartile_sql("k", "w", "v BETWEEN -1 AND 2")),
     "encoded_distinct_count": (
         "encoded_distinct_count", ("w",), {},
         "SELECT count(DISTINCT w) FROM t"),
@@ -1960,6 +2000,12 @@ _NULL_SKIP_CASES = {
         {"expr": ("range", "k", 0, 3)},
         "SELECT g, count(*), coalesce(sum(v), 0), coalesce(sum(w), 0) "
         "FROM t WHERE k BETWEEN 0 AND 3 GROUP BY g"),
+    "encoded_group_by_str-null_key": (
+        "encoded_group_by_str", ("s", ["w"]), {},
+        "SELECT s, count(*), coalesce(sum(w), 0) FROM t GROUP BY s"),
+    "encoded_group_by_str-null_composite": (
+        "encoded_group_by_str", (["s", "g"], ["v"]), {},
+        "SELECT s, g, count(*), coalesce(sum(v), 0) FROM t GROUP BY s, g"),
     "encoded_str_distinct-where": (
         "encoded_str_distinct", ("s",), {"expr": ("range", "k", 0, 3)},
         "SELECT count(DISTINCT s) FROM t WHERE k BETWEEN 0 AND 3"),
@@ -2016,12 +2062,15 @@ def test_null_skipping_aggregates_match_duckdb(nullable_kv, any_batching,
                                 "encoded_filtered_group_agg",
                                 "encoded_group_quantiles",
                                 "encoded_group_where_quantiles"])
-def test_null_group_key_raises(ray_session, tmp_path, fn):
-    """A NULL group key never lands in group 0: the encoder fills NULL
-    slots with 0, so an all-NULL key chunk looks group-pure (zone map
-    0..0) next to a real group-0 chunk.  Every grouped entry point
-    raises from the shared GROUP BY key check instead of merging
-    them."""
+def test_null_group_key_is_its_own_group(ray_session, tmp_path,
+                                         any_batching, fn):
+    """A NULL group key is its own group, as in SQL, and sorts last.
+    The encoder fills NULL slots with 0, so the all-NULL key chunk here
+    has the zone map 0..0 of a group-pure chunk, next to real group-0
+    chunks: a key step that took it for pure would put its rows into
+    group 0.  Every grouped entry point matches DuckDB per chunk and
+    per batch."""
+    import duckdb
     import ray.data
 
     from tokrle.pipelines import table_encode
@@ -2035,14 +2084,31 @@ def test_null_group_key_raises(ray_session, tmp_path, fn):
         ray.data.from_arrow(tbl), ["g", "v"],
         batch_size=128).write_parquet(out_dir)
     assert _chunk_rows(out_dir) == 4
-    args = {"encoded_group_agg": ("g", ["v"]),
-            "encoded_filtered_group_agg": ("g", ("range", "v", 0, 7),
-                                           ["v"]),
-            "encoded_group_quantiles": ("g", "v"),
-            "encoded_group_where_quantiles": (("range", "v", 0, 7), "g",
-                                              "v")}[fn]
-    with pytest.raises(Exception, match="GROUP BY key"):
-        getattr(table_encode, fn)(out_dir, *args)
+    args, kwargs, sql = {
+        "encoded_group_agg": (("g", ["v"]), {"with_minmax": True},
+                              "SELECT g, count(*), sum(v), min(v), max(v) "
+                              "FROM t GROUP BY g"),
+        "encoded_filtered_group_agg": (
+            ("g", ("range", "v", 1, 7), ["v"]), {},
+            "SELECT g, count(*), sum(v) FROM t WHERE v BETWEEN 1 AND 7 "
+            "GROUP BY g"),
+        "encoded_group_quantiles": (("g", "v"), {}, _quartile_sql("g", "v")),
+        "encoded_group_where_quantiles": (
+            (("range", "v", 1, 7), "g", "v"), {},
+            _quartile_sql("g", "v", "v BETWEEN 1 AND 7"))}[fn]
+    got, counters = any_batching(getattr(table_encode, fn), out_dir, *args,
+                                 **kwargs)
+    con = duckdb.connect()
+    con.register("t", tbl)
+    want = con.execute(sql).fetchall()
+    rows = [tuple(None if v is None else int(v) for v in row)
+            for row in got.itertuples(index=False)]
+    assert sorted(rows, key=repr) == sorted(want, key=repr)
+    # the NULL group sorts last, its key an object column holding None
+    keys = [r[0] for r in rows]
+    first_null = keys.index(None)
+    assert got["g"].dtype == object and set(keys[first_null:]) == {None}
+    assert keys[:first_null] == sorted(keys[:first_null])
 
 
 #: core -> (entry point, args after enc_dir, kwargs, columns and dtypes
@@ -2074,7 +2140,7 @@ _PRUNED_CASES = {
     "encoded_group_by_str": (
         "encoded_group_by_str", ("g", ["w"]), {"expr": _PRUNED},
         [("g", "int64"), ("n", "int64"), ("sum_w", "int64")], [],
-        {"all_hit_chunks": 0, "run_chunks": 0}),
+        {"all_hit_chunks": 0, "run_chunks": 0, "pure_group_chunks": 0}),
     "encoded_distinct_count": (
         "encoded_distinct_count", ("w",), {"expr": _PRUNED},
         [("n_distinct", "int64")], [[0]],
@@ -3526,16 +3592,6 @@ def test_str_leaves_nullable_follow_3vl(nullable_kv, any_batching, case):
     assert want and norm(rows.itertuples(index=False)) == norm(want)
 
 
-def test_null_str_group_key_raises(nullable_kv):
-    """A nullable STRING group key raises from the shared GROUP BY key
-    check, as an integer one does."""
-    from tokrle.pipelines.table_encode import encoded_group_by_str
-
-    _, out_dir = nullable_kv
-    with pytest.raises(Exception, match="GROUP BY key"):
-        encoded_group_by_str(out_dir, "s", ["w"])
-
-
 def test_prefix_str_leaf_and_group_by_str(ray_session, tmp_path):
     """prefix_str leaves (match_prefix_str: lengths-stream >=len
     prefilter + first-bytes compare) and GROUP BY a string column
@@ -4215,6 +4271,48 @@ def test_encoded_group_by_str_no_aggs(ray_session, tmp_path):
     eg = df.groupby("lang").size()
     assert list(g["lang"]) == list(eg.index)
     assert list(g["n"]) == list(eg)
+
+
+def test_group_by_str_pure_string_chunks(ray_session, tmp_path,
+                                         any_batching):
+    """On a table sorted by a string key, chunks that hold one key
+    value take it from the string zone map (``smin == smax``) without
+    decoding the key: ``pure_group_chunks`` counts them, and the
+    answers match DuckDB with and without a predicate, for the string
+    key alone and with an integer key next to it, per chunk and per
+    batch."""
+    import duckdb
+    import ray.data
+
+    from tokrle.pipelines.table_encode import (encode_table_columns,
+                                               encoded_group_by_str)
+
+    rng = np.random.default_rng(131)
+    n = 6000
+    tbl = pa.table({
+        "lang": np.sort(rng.choice(["de", "en", "fr", "zh"], n,
+                                   p=[0.2, 0.5, 0.2, 0.1])),
+        "k": np.repeat(np.arange(6), n // 6),
+        "v": rng.integers(-50, 50, n)})
+    out_dir = str(tmp_path / "gpure_str")
+    encode_table_columns(ray.data.from_arrow(tbl), ["lang", "k", "v"],
+                         batch_size=256).write_parquet(out_dir)
+    con = duckdb.connect()
+    con.register("t", tbl)
+    for keys, expr, where in (
+            (["lang"], None, "true"),
+            (["lang", "k"], None, "true"),
+            (["lang"], ("range", "v", -10, 30), "v BETWEEN -10 AND 30"),
+            (["lang", "k"], ("not", ("eq_str", "lang", "fr")),
+             "NOT (lang = 'fr')")):
+        got, counters = any_batching(encoded_group_by_str, out_dir, keys,
+                                     ["v"], expr=expr)
+        cols = ", ".join(keys)
+        want = con.execute(
+            f"SELECT {cols}, count(*), sum(v) FROM t WHERE {where} "
+            f"GROUP BY {cols} ORDER BY {cols}").fetchall()
+        assert [tuple(r) for r in got.itertuples(index=False)] == want, keys
+        assert counters["pure_group_chunks"] > 0, (keys, counters)
 
 
 def test_suffix_and_contains_leaves(ray_session, tmp_path):

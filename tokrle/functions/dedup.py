@@ -123,6 +123,11 @@ def _group_blocks(ds, keys: list[str], num_partitions: int | None = None):
     from ray.data.context import ShuffleStrategy
 
     ds.context.shuffle_strategy = ShuffleStrategy.HASH_SHUFFLE
+    # the aggregator actors reserve no CPU: by default they hold a share
+    # of the cluster's CPUs, which on a 1-CPU session leaves the
+    # exchange's 1-CPU map task unschedulable, and the job never ends
+    ds.context.hash_shuffle_operator_actor_num_cpus_per_partition_override = 0
+    ds.context.hash_aggregate_operator_actor_num_cpus_per_partition_override = 0
     n = _join_partitions(num_partitions, size_bytes=_upstream_size_hint(ds))
     ds.context.max_hash_shuffle_aggregators = n
     # any DOWNSTREAM hash aggregate in the same plan inherits this context;

@@ -496,8 +496,7 @@ def upsert_corpus(enc_dir: str, delta_ds, *,
 
     # scan the LIVE view only (post-compaction the pointer is
     # authoritative; superseded member dirs may still exist mid-GC)
-    files = [f for g in live_groups(enc_dir)
-             for f in sorted(glob.glob(os.path.join(g, "*.parquet")))]
+    files = [f for g in live_groups(enc_dir) for f in _group_files(g)]
     hits = encode._doc_id_hits(files, wanted)
     run["docs_replaced"] = int(pc.sum(hits.column("n_hit")).as_py() or 0)
     group_dirs = sorted({os.path.dirname(p)
@@ -530,8 +529,7 @@ def upsert_corpus(enc_dir: str, delta_ds, *,
         # decode->drop->re-encode->write tasks (one per member file);
         # each group's atomic swap publishes the moment its last file
         # reports — same executor as encode_corpus/compact
-        group_files = {g: sorted(glob.glob(os.path.join(g, "*.parquet")))
-                       for g in group_dirs}
+        group_files = {g: _group_files(g) for g in group_dirs}
         for g in group_dirs:
             shutil.rmtree(g + ".tmp", ignore_errors=True)
         _run_file_tasks(
@@ -718,6 +716,11 @@ def _publish_groups(enc_dir: str, names: list[str]) -> None:
     os.replace(tmp, ptr)  # atomic commit point
 
 
+def _group_files(g: str) -> list[str]:
+    """The Parquet files of group directory ``g``, sorted."""
+    return sorted(glob.glob(os.path.join(g, "*.parquet")))
+
+
 def corpus_files(enc_dir: str) -> list[str] | str:
     """Parquet paths of the corpus's LIVE view — what every reader of an
     encoded dir must scan instead of ``enc_dir`` itself: while an upsert's
@@ -729,8 +732,7 @@ def corpus_files(enc_dir: str) -> list[str] | str:
     groups = live_groups(enc_dir)
     if not groups:
         return enc_dir
-    return [f for g in groups
-            for f in sorted(glob.glob(os.path.join(g, "*.parquet")))]
+    return [f for g in groups for f in _group_files(g)]
 
 
 #: read_corpus Dataset -> (live-view files, columns) it reads.  Keyed
@@ -919,8 +921,7 @@ def compact_corpus(enc_dir: str, *, target_bytes: int = GROUP_TARGET_BYTES,
     # double-counted between its final rename and the pointer publish
     if groups and not os.path.exists(_groups_pointer(enc_dir)):
         _publish_groups(enc_dir, [os.path.basename(g) for g in groups])
-    sizes = {g: sum(os.path.getsize(f)
-                    for f in glob.glob(os.path.join(g, "*.parquet")))
+    sizes = {g: sum(os.path.getsize(f) for f in _group_files(g))
              for g in groups}
     small = [g for g in groups if sizes[g] < target_bytes // 2]
     run = {"groups_before": len(groups), "groups_after": len(groups),
@@ -951,8 +952,7 @@ def compact_corpus(enc_dir: str, *, target_bytes: int = GROUP_TARGET_BYTES,
             h.update(b"\x00")
         new_name = f"group=compact-{h.hexdigest()}"
         new_dir = os.path.join(enc_dir, new_name)
-        files = [f for g in members
-                 for f in sorted(glob.glob(os.path.join(g, "*.parquet")))]
+        files = [f for g in members for f in _group_files(g)]
         # write-to-tmp + atomic rename: the pointer is pinned (above), so
         # the renamed dir stays invisible until the publish below — and a
         # crash mid-write leaves only a .tmp that recover_groups GCs

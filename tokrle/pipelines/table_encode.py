@@ -508,17 +508,6 @@ def _agg_fold_u64(v: np.ndarray) -> np.ndarray:
         else v.astype(np.int64)
 
 
-def _group_value_run_fold(g: np.ndarray, v: np.ndarray):
-    """One lexsort run-length fold of parallel (group, value) arrays to
-    per-(group, value) triples ``(groups, values, counts)``."""
-    order = np.lexsort((v, g))
-    g, v = g[order], v[order]
-    starts = np.flatnonzero(np.concatenate(
-        ([True], (g[1:] != g[:-1]) | (v[1:] != v[:-1]))))
-    return g[starts], v[starts], np.diff(np.concatenate((starts,
-                                                         [len(g)])))
-
-
 def _quantile_frame(values: np.ndarray, counts: np.ndarray, qs: tuple,
                     is_u64: bool):
     """``DataFrame(q_num, q_den, quantile, n_rows)`` of one folded
@@ -546,21 +535,30 @@ def _quantile_frame(values: np.ndarray, counts: np.ndarray, qs: tuple,
         "n_rows": np.full(len(qs), n, np.int64)})
 
 
-def _group_quantile_frame(hist, qs: tuple, group_col: str,
+def _group_quantile_frame(hist: pa.Table, qs: tuple, group_col: str,
                           is_u64: bool):
-    """Caller-side fold shared by the grouped quantile paths: one
+    """Caller-side fold of the grouped quantile paths: one
     :func:`_quantile_frame` per group of the folded (grp, v, c)
-    histogram, with the group id in front, sorted by group and q."""
+    histogram (sorted by grp then v, the NULL group last), with the
+    group key in front, sorted by group and q.  Returns ``(frame,
+    number of groups)``."""
     import pandas as pd
 
-    frames = [_quantile_frame(sub["v"].to_numpy(), sub["c"].to_numpy(),
-                              qs, is_u64).assign(**{group_col: grp})
-              for grp, sub in hist.groupby("grp", sort=True)] or \
+    grp = hist.column("grp")
+    v, c = (hist.column(nm).to_numpy() for nm in ("v", "c"))
+    n_key = len(grp) - grp.null_count
+    k = grp.slice(0, n_key).to_numpy()
+    starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]]).tolist() \
+        if n_key else []
+    starts += [n_key] if grp.null_count else []
+    frames = [_quantile_frame(v[s:e], c[s:e], sorted(qs), is_u64)
+              .assign(**{group_col: k[s] if s < n_key else None})
+              for s, e in zip(starts, starts[1:] + [len(grp)])] or \
         [_quantile_frame(np.empty(0, np.int64), np.empty(0, np.int64), (),
                          is_u64).assign(**{group_col: 0})]
     out = pd.concat(frames, ignore_index=True)
-    return out[[group_col, "q_num", "q_den", "quantile", "n_rows"]] \
-        .sort_values([group_col, "q_num", "q_den"]).reset_index(drop=True)
+    return out[[group_col, "q_num", "q_den", "quantile", "n_rows"]], \
+        len(starts)
 
 
 def _col_dtype_probe(enc_dir: str, col: str) -> "np.dtype | None":
@@ -635,13 +633,13 @@ def encoded_group_agg(enc_dir: str, group_col: str, agg_cols: list[str],
                       *, with_minmax: bool = False):
     """GROUP BY ``group_col`` with COUNT/SUM (and, with ``with_minmax``,
     MIN/MAX) of ``agg_cols``: the ``expr=None`` case of
-    :func:`encoded_filtered_group_agg`.  Group-pure chunks (group zone
-    map ``vmin == vmax``, the common case on a table clustered by the
-    key) take the group id from the zone map, SUM from
+    :func:`encoded_filtered_group_agg`.  Group-pure chunks (null-free
+    key with zone map ``vmin == vmax``, the common case on a table
+    clustered by the key) take the group from the zone map, SUM from
     :func:`tokrle.codecs.core.agg_sum` and MIN/MAX from the aggregate
     column's zone map — nothing decodes; mixed chunks decode and fold
-    with one argsort + ``reduceat``.  A nullable group key raises; NULL
-    aggregate values are skipped.  Returns ``(DataFrame(group_col, n,
+    by hash.  A NULL key is its own group, sorted last; NULL aggregate
+    values are skipped.  Returns ``(DataFrame(group_col, n,
     sum_<c>..., [min_<c>..., max_<c>...]) sorted by group,
     counters)``."""
     return encoded_filtered_group_agg(enc_dir, group_col, None, agg_cols,
@@ -653,10 +651,10 @@ def encoded_group_quantiles(enc_dir: str, group_col: str, agg_col: str,
     """Exact per-group discrete quantiles (SQL ``quantile_disc``) of
     ``agg_col`` GROUP BY ``group_col``: the ``expr=None`` case of
     :func:`encoded_group_where_quantiles`.  Group-pure chunks take the
-    group id from the zone map and the agg histogram from the codec
-    streams (``closed_form_chunks``); mixed chunks fold one lexsort
-    run-length count.  A nullable group key raises; NULL aggregate
-    values are skipped (``n_rows`` counts the non-NULL values).
+    group from the zone map and the agg histogram from the codec
+    streams (``closed_form_chunks``); mixed chunks fold by hash.  A
+    NULL key is its own group, sorted last; NULL aggregate values are
+    skipped (``n_rows`` counts the non-NULL values).
     Returns ``(DataFrame(group_col, q_num, q_den, quantile, n_rows),
     counters)`` with one row per (group, q)."""
     return encoded_group_where_quantiles(enc_dir, None, group_col,
@@ -832,101 +830,78 @@ def encoded_group_where_quantiles(enc_dir: str, expr: tuple | None,
       short-circuits, 3VL nullable predicates, conservative scan
       filter; ``expr=None`` selects every row), and the selection
       drops the rows whose ``agg_col`` is NULL;
-    - ALL-selected null-free chunks that are also GROUP-PURE (group
-      zone map ``vmin == vmax``) take the agg histogram from the codec
-      streams (:func:`value_counts` closed forms) with the group id
-      from the zone map — neither column decodes;
-    - every other surviving chunk late-materializes ONLY the selected
-      positions of both columns (:func:`gather_runs`) and folds one
-      lexsort run-length count.
+    - the GROUP BY key step (:func:`_key_step`) names the group of a
+      PURE chunk from its zone map; if the selection is also ALL-valid
+      the agg histogram comes from the codec streams
+      (:func:`value_counts` closed forms) and neither column decodes;
+    - every other chunk late-materializes ONLY the selected positions
+      of both columns and counts (group, value) pairs.
 
-    The scan (:func:`_scan_partials`, in the caller) returns (group,
-    value, count) triples per batch; the caller sums them per
-    (group, value) and folds the per-group ranks with the shared
-    integer ceil-division.
-    Integer group column (zone maps required; a nullable group chunk
-    with a non-empty selection raises); integer or uint64 agg column
-    (uint64 folds in the xor-2^63 image), NULL values skipped so
-    ``n_rows`` counts the non-NULL selected values (a group with none
-    reports ``n_rows`` 0 and ``quantile`` None, as SQL).  Returns
-    ``(DataFrame(group_col, q_num, q_den, quantile, n_rows),
-    counters)``."""
-    import pandas as pd
-
-    from tokrle.codecs.core import decode as codec_decode
+    The scan (:func:`_scan_partials`, in the caller) returns one folded
+    (group, value, count) table per batch; the caller sums them and
+    folds the per-group ranks with the shared integer ceil-division.
+    Integer group column; a NULL key is its own group, sorted last.
+    Integer or uint64 agg column (uint64 folds in the xor-2^63 image),
+    NULL values skipped so ``n_rows`` counts the non-NULL selected
+    values (a group with none reports ``n_rows`` 0 and ``quantile``
+    None, as SQL).  Returns ``(DataFrame(group_col, q_num, q_den,
+    quantile, n_rows), counters)``."""
     from tokrle.codecs.core import gather_runs, value_counts
 
+    keys = _group_keys(enc_dir, group_col)
+    schema = pa.schema([("grp", keys[0][1]), ("v", pa.int64()),
+                        ("c", pa.int64())])
+
     def partial(batch: pa.Table):
-        gzmin, gzmax = _zone_maps(batch, [group_col])
-        gs, vs, cs = [], [], []
+        rows = [schema.empty_table()]
         closed = gathered = 0
+        key_of = _key_step(batch, keys)
         for i, n, sel in _chunk_sels(batch, expr):
-            _check_group_key(batch, group_col, i)
-            is_all = isinstance(sel, str)
             vb = _chunk_valid(batch, agg_col, i)
-            ac, ap, adt = _chunk_col(batch, agg_col, i)
-            gmin = int(gzmin[group_col][i])
-            if gmin == gzmax[group_col][i]:
-                # the zone map names the single group — the group
-                # column NEVER decodes on pure chunks, whatever the
-                # selection shape
-                if vb:
-                    # a zero-count marker: the group reports (n_rows
-                    # 0, quantile NULL) even if all its values are NULL
-                    gs.append([gmin])
-                    vs.append([0])
-                    cs.append([0])
+            key = key_of(i, n, sel)
+            if isinstance(key, tuple):
+                ac, ap, adt = _chunk_col(batch, agg_col, i)
                 sv = _valid_sel(sel, vb, n)
                 if isinstance(sv, str):
                     closed += 1
                     v, c = value_counts(ac, ap, n, adt)
-                    v = _agg_fold_u64(v)
                 else:
                     gathered += 1
-                    v, c = np.unique(
-                        _agg_fold_u64(gather_runs(ac, ap, n, adt, *sv)),
-                        return_counts=True)
-                gs.append(np.full(len(v), gmin, np.int64))
-                vs.append(v)
-                cs.append(c)
+                    v, c = np.unique(gather_runs(ac, ap, n, adt, *sv),
+                                     return_counts=True)
+                v = _agg_fold_u64(v)
+                if vb:
+                    # a zero-count marker: the group reports (n_rows
+                    # 0, quantile NULL) even if all its values are NULL
+                    v, c = np.append(v, 0), np.append(c, 0)
+                rows.append(pa.table([pa.repeat(pa.scalar(
+                    key[0], keys[0][1]), len(v)), v, c], schema=schema))
                 continue
             gathered += 1
-            gc, gp, gdt = _chunk_col(batch, group_col, i)
-            if is_all:
-                # wholly selected, group-mixed: straight decode beats a
-                # synthetic full-range gather
-                g = codec_decode(gc, gp, n, gdt).astype(np.int64)
-                v = _agg_fold_u64(codec_decode(ac, ap, n, adt))
-            else:
-                g = gather_runs(gc, gp, n, gdt, *sel).astype(np.int64)
-                v = _agg_fold_u64(gather_runs(ac, ap, n, adt, *sel))
+            g, v = key[0], _agg_fold_u64(_col_at(batch, agg_col, i, n, sel))
             if vb:
                 # zero-count markers for every selected group, then
                 # drop the NULL values
-                gs.append(np.unique(g))
-                vs.append(np.zeros(len(gs[-1]), np.int64))
-                cs.append(vs[-1])
+                rows.append(pa.table([g, np.zeros(len(v), np.int64),
+                                      np.zeros(len(v), np.int64)],
+                                     schema=schema))
                 ok = _sel_valid_mask(vb, n, sel)
-                g, v = g[ok], v[ok]
-            if len(g):
-                g, v, c = _group_value_run_fold(g, v)
-                gs.append(g)
-                vs.append(v)
-                cs.append(c)
-        return (_cat(gs), _cat(vs), _cat(cs)), \
+                g, v = g.filter(pa.array(ok)), v[ok]
+            rows.append(pa.table([g, v, np.ones(len(v), np.int64)],
+                                 schema=schema))
+        return _group_fold(rows, ["grp", "v"], {"c": "sum"}), \
             {"closed_form_chunks": closed, "gathered_chunks": gathered}
 
     parts, counters = _scan_partials(
-        enc_dir, _scan_columns(expr, [group_col, agg_col],
-                               zone_cols=[group_col]),
+        enc_dir, _scan_columns(expr, [agg_col], keys=keys),
         _expr_zone_filter(expr), partial)
-    hist = pd.DataFrame({nm: _cat(p[j] for p in parts)
-                         for j, nm in enumerate(("grp", "v", "c"))}) \
-        .groupby(["grp", "v"], sort=True)["c"].sum().reset_index()
-    counters["groups"] = int(hist["grp"].nunique())
-    counters["hist_rows"] = int(len(hist))
+    hist = _group_fold(parts, ["grp", "v"], {"c": "sum"}).sort_by(
+        [("grp", "ascending"), ("v", "ascending")])
     is_u64 = _col_dtype_probe(enc_dir, agg_col) == np.dtype(np.uint64)
-    return _group_quantile_frame(hist, qs, group_col, is_u64), counters
+    out, counters["groups"] = _group_quantile_frame(hist, qs, group_col,
+                                                    is_u64)
+    counters["hist_rows"] = hist.num_rows
+    return out, counters
 
 
 def _table_files(enc_dir: str) -> list[str]:
@@ -1186,24 +1161,122 @@ def _sel_valid_mask(vb: bytes, n: int, sel) -> np.ndarray:
     return ok if isinstance(sel, str) else ok[_runs_to_indices(*sel)]
 
 
-def _check_group_key(batch: pa.Table, group_col: str, i: int) -> None:
-    """The GROUP BY key contract shared by the grouped cores: a nullable
-    key chunk raises.  The encoder fills NULL keys with 0, so they would
-    otherwise join group 0 — an all-NULL chunk even looks group-pure on
-    its zone map, so this runs before the pure-chunk shortcut."""
-    if _chunk_valid(batch, group_col, i):
-        raise ValueError(
-            f"column {group_col!r}: nullable chunks not supported as a "
-            "GROUP BY key (encode fills nulls with 0)")
+def _col_at(batch: pa.Table, c: str, i: int, n: int, sel,
+            is_str: bool = False):
+    """Values of column ``c`` of chunk ``i`` at selection ``sel``, NULL
+    slots holding the encoder's filler: a straight decode when ``sel``
+    is ``_ALL`` (cheaper than a full-range gather), else a late
+    materialization of the selected positions only (numpy from
+    :func:`gather_runs`; a string column is an Arrow ``large_string``
+    array from :func:`gather_str_runs`)."""
+    from tokrle.codecs.core import gather_runs, gather_str_runs
+
+    if is_str:
+        spec, lp, tp = _chunk_str_col(batch, c, i)
+        return gather_str_runs(spec, lp, tp, n, *_sel_runs(sel, n))
+    codec, payload, dt = _chunk_col(batch, c, i)
+    return codec_decode(codec, payload, n, dt) if isinstance(sel, str) \
+        else gather_runs(codec, payload, n, dt, *sel)
 
 
-def _scan_columns(expr, value_cols, zone_cols=(), str_cols=()) -> list:
+def _null_at(v, vb: bytes, n: int, sel) -> pa.Array:
+    """Values ``v`` that :func:`_col_at` gathered at ``sel`` from a
+    column chunk with validity bitmap ``vb``, as an Arrow array whose
+    NULL slots are null."""
+    import pyarrow.compute as pc
+
+    if not isinstance(v, pa.Array):
+        return pa.array(v, mask=~_sel_valid_mask(vb, n, sel) if vb else None)
+    return pc.if_else(pa.array(_sel_valid_mask(vb, n, sel)), v,
+                      pa.scalar(None, v.type)) if vb else v
+
+
+def _group_keys(enc_dir: str, group_col) -> list:
+    """``[(col, type, zone map fields or None)]`` of the GROUP BY key
+    column(s) ``group_col`` (a name or a list), from a footer probe: a
+    string key (it has ``__lens_payload``) folds as ``large_string``
+    with the zone map ``__smin``/``__smax``; any other key folds as
+    int64 with ``__vmin``/``__vmax``, which uint64 and float columns do
+    not have."""
+    fields, _ = _footer_fields(enc_dir)
+    keys = []
+    for g in [group_col] if isinstance(group_col, str) else group_col:
+        is_str = f"{g}__lens_payload" in fields
+        zone = tuple(f"{g}__{p}" for p in (("smin", "smax") if is_str
+                                           else ("vmin", "vmax")))
+        keys.append((g, pa.large_utf8() if is_str else pa.int64(),
+                     zone if zone[0] in fields else None))
+    return keys
+
+
+def _key_step(batch: pa.Table, keys: list):
+    """The GROUP BY key step of the grouped cores over one scanned
+    batch: ``key(i, n, sel)`` of chunk ``i`` under selection ``sel`` is
+    the key TUPLE when the chunk is PURE — every key column chunk
+    null-free with a one-value zone map — and no key column decodes;
+    otherwise a list holding each key column at ``sel`` as an Arrow
+    array of its key type, NULL slots null.  Purity is decided on
+    null-free chunks only: the encoder fills NULL slots with 0 (or
+    ``''``), so an all-NULL chunk has a one-value zone map too."""
+    zones = {g: [batch.column(f).to_pylist() for f in z]
+             for g, _, z in keys if z}
+
+    def key(i: int, n: int, sel):
+        pure = []
+        for g, _, z in keys:
+            if z is None or _chunk_valid(batch, g, i) or \
+                    zones[g][0][i] != zones[g][1][i]:
+                break
+            pure.append(zones[g][0][i])
+        else:
+            return tuple(pure)
+        out = []
+        for g, t, _ in keys:
+            v = _col_at(batch, g, i, n, sel, t == pa.large_utf8())
+            out.append(_null_at(v if t == pa.large_utf8() else
+                                v.astype(np.int64),
+                                _chunk_valid(batch, g, i), n, sel))
+        return out
+
+    return key
+
+
+def _group_fold(parts: list, keys: list[str], how: dict) -> pa.Table:
+    """One hash GROUP BY ``keys`` of tables that share a schema: ``how``
+    maps each value column to its fold (``sum``, ``min`` or ``max``;
+    NULLs are skipped, and a group without a value folds to NULL), and
+    a NULL key is a group of its own.  The result keeps the column
+    names, so folds compose: each batch folds its rows, then the caller
+    folds the batches."""
+    out = pa.concat_tables(parts).group_by(keys, use_threads=False) \
+        .aggregate(list(how.items()))
+    return out.select(keys + [f"{c}_{h}" for c, h in how.items()]) \
+        .rename_columns(keys + list(how))
+
+
+def _frame_col(col: pa.ChunkedArray):
+    """An answer column in pandas: int64 (or str) when no slot is NULL,
+    else object holding None."""
+    import pandas as pd
+
+    return col.to_pandas() if not col.null_count else \
+        pd.Series(col.to_pylist(), dtype=object)
+
+
+def _scan_columns(expr, value_cols, zone_cols=(), str_cols=(),
+                  keys=()) -> list:
     """Parquet columns a predicate-tree scan reads: ``n_rows``; zone maps
     of the tree's integer columns and of ``zone_cols``; codec, payload,
     dtype and validity of those tree columns and of the integer
     ``value_cols``; codec, payload, lengths and validity of the tree's
     string columns and of the string ``str_cols``; validity of the
-    ``is_null``/``not_null`` columns.  ``expr`` may be None."""
+    ``is_null``/``not_null`` columns; the GROUP BY ``keys``
+    (:func:`_group_keys`) as value or string columns, with their zone
+    maps.  ``expr`` may be None."""
+    str_keys = [g for g, t, _ in keys if t == pa.large_utf8()]
+    value_cols = list(value_cols) + [g for g, _, _ in keys
+                                     if g not in str_keys]
+    str_cols = list(str_cols) + str_keys
     pred_cols = _expr_pred_cols(expr)
     need = ["n_rows"]
     need += [f"{c}__{p}" for c in dict.fromkeys(pred_cols + list(zone_cols))
@@ -1213,6 +1286,7 @@ def _scan_columns(expr, value_cols, zone_cols=(), str_cols=()) -> list:
     need += [f"{c}__{p}" for c in _expr_str_cols(expr) + list(str_cols)
              for p in ("codec", "payload", "lens_payload", "valid")]
     need += [f"{c}__valid" for c in _expr_null_cols(expr)]
+    need += [f for _, _, z in keys if z for f in z]
     return list(dict.fromkeys(need))
 
 
@@ -1586,141 +1660,110 @@ def encoded_conjunction_agg(enc_dir: str, predicates: list[tuple],
     return encoded_boolean_agg(enc_dir, expr, agg_cols)
 
 
-def encoded_filtered_group_agg(enc_dir: str, group_col: str,
+def encoded_filtered_group_agg(enc_dir: str, group_col: str | list[str],
                                expr: tuple | None, agg_cols: list[str],
                                with_minmax: bool = False):
-    """``SELECT group_col, count(*), sum(agg_cols...) [WHERE <predicate
-    tree>] GROUP BY group_col`` over a table-encode directory — the
-    grouped sibling of :func:`encoded_boolean_agg`, and with
-    ``expr=None`` (every row) the engine of :func:`encoded_group_agg`.
-    The predicate evaluates per chunk to the ``_ALL`` sentinel or a
-    selection run-list (zone-map short-circuits included, conservative
-    zone scan filter pushed into the Parquet read), then the grouping
-    splits on the GROUP column's zone map:
+    """``SELECT group_col(s), count(*), sum(agg_cols...) [WHERE
+    <predicate tree>] GROUP BY group_col(s)`` over a table-encode
+    directory: the one GROUP BY COUNT/SUM/MIN/MAX core, behind
+    :func:`encoded_group_agg` (``expr=None``) and
+    :func:`encoded_group_by_str`.  ``group_col`` is one column or a list
+    (composite keys), each an integer or a string column.  The predicate
+    evaluates per chunk as in :func:`encoded_boolean_agg`, then the
+    GROUP BY key step (:func:`_key_step`) splits the chunks:
 
-    - GROUP-PURE chunks (``vmin == vmax`` — the common case when the
-      table is clustered on the group key): the group id comes from the
-      zone map, the count from the selection alone, and each SUM from
-      :func:`agg_sum` (ALL) / :func:`agg_sum_runs` (run-list) — the
-      group column never decodes and the agg columns never expand;
-    - MIXED chunks materialize the group/agg columns ONLY at the
-      selected positions (:func:`gather_runs` late materialization)
-      and fold with one argsort + ``add.reduceat`` over the selected
-      subset, never the full chunk.
+    - PURE chunks (every key null-free with zone map ``vmin == vmax``,
+      or ``smin == smax`` for a string — the common case when the table
+      is clustered on the key): the group comes from the zone maps, the
+      count from the selection alone, and each SUM from :func:`agg_sum`
+      (ALL) / :func:`agg_sum_runs` (run-list) — the key columns never
+      decode and the agg columns never expand;
+    - MIXED chunks materialize the key and agg columns ONLY at the
+      selected positions (late materialization), and each batch folds
+      its rows with one hash GROUP BY.
 
-    ``with_minmax=True`` adds per-group ``min_<c>``/``max_<c>``:
-    group-pure ALL-selected null-free chunks answer from the aggregate
-    column's own zone map (zero decode), every other chunk from the
-    gathered values (``minimum/maximum.reduceat`` on mixed chunks).
+    ``with_minmax=True`` adds per-group ``min_<c>``/``max_<c>``: pure
+    ALL-selected null-free chunks answer from the aggregate column's
+    own zone map (zero decode), every other chunk from the gathered
+    values.
 
-    NULLs follow :func:`encoded_boolean_agg`: predicate columns under
-    three-valued logic, aggregate NULLs skipped (SUM over no valid
-    value is emitted as 0 and MIN/MAX as None); a nullable GROUP
-    column chunk with a non-empty selection raises.  The batches'
-    (group, count, partial) arrays, from :func:`_scan_partials`, are
-    folded by one pandas groupby in the calling process — never table
-    rows.  Returns
-    ``(DataFrame, counters)`` with int64 ``group_col``/``n``/``sum_<c>``
-    (then ``min_<c>``, ``max_<c>``) columns sorted by group; integer
-    columns only."""
+    NULLs follow SQL: predicate columns under three-valued logic,
+    aggregate NULLs skipped (SUM over no valid value is emitted as 0
+    and MIN/MAX as None), and a NULL key is its own group, sorted last.
+    The caller folds the batches' groups from :func:`_scan_partials`,
+    never table rows.  Returns ``(DataFrame, counters)`` sorted by the
+    keys: the keys (int64 or str; object holding None when a key is
+    NULL), int64 ``n``/``sum_<c>``, then ``min_<c>``/``max_<c>`` (int64,
+    or object holding None when a group has no valid value); integer
+    aggregate columns only."""
     import pandas as pd
 
-    from tokrle.codecs.core import (agg_sum, agg_sum_runs,
-                                    decode as codec_decode, gather_runs)
+    from tokrle.codecs.core import agg_sum, agg_sum_runs, gather_runs
 
-    imax, imin = np.iinfo(np.int64).max, np.iinfo(np.int64).min
-    # partial column -> its fold across chunks (nv_: valid-value count)
-    stats = [("sum", "sum")] + ([("min", "min"), ("max", "max"),
-                                 ("nv", "sum")] if with_minmax else [])
-    fold = {"n": "sum", **{f"{s}_{c}": how for s, how in stats
-                           for c in agg_cols}}
-    cols = ["grp"] + list(fold)
+    keys = _group_keys(enc_dir, group_col)
+    gnames = [f"g{j}" for j in range(len(keys))]
+    how = {"n": "sum", **{f"sum_{c}": "sum" for c in agg_cols}}
+    if with_minmax:
+        how.update({f"{s}_{c}": s for s in ("min", "max") for c in agg_cols})
+    schema = pa.schema([(nm, t) for nm, (_, t, _) in zip(gnames, keys)] +
+                       [(nm, pa.int64()) for nm in how])
 
     def partial(batch: pa.Table):
-        gzmin, gzmax = _zone_maps(batch, [group_col])
-        parts = {nm: [] for nm in cols}
-        n_pure = 0
+        pure = {nm: [] for nm in schema.names}    # one row per pure chunk
+        mixed = []              # one table of selected rows per chunk
+        key_of = _key_step(batch, keys)
         chunks = _chunk_sels(batch, expr)
         for i, n, sel in chunks:
-            _check_group_key(batch, group_col, i)
             is_all = isinstance(sel, str)
-            gmin = int(gzmin[group_col][i])
-            if gmin == gzmax[group_col][i]:
-                # group-pure: zone map names the group; nothing decodes
-                n_pure += 1
-                parts["grp"].append([gmin])
-                parts["n"].append([n if is_all else int(sel[1].sum())])
+            key = key_of(i, n, sel)
+            if isinstance(key, tuple):
+                for nm, k in zip(gnames, key):
+                    pure[nm].append(k)
+                pure["n"].append(n if is_all else int(sel[1].sum()))
                 for c in agg_cols:
                     codec, payload, dt = _chunk_col(batch, c, i)
-                    vb = _chunk_valid(batch, c, i)
                     # the encoder fills NULL slots with 0, so the sum
                     # over the selection is SQL's NULL-skipping SUM
-                    parts[f"sum_{c}"].append(
-                        [agg_sum(codec, payload, n, dt) if is_all else
-                         agg_sum_runs(codec, payload, n, dt, *sel)])
+                    pure[f"sum_{c}"].append(
+                        agg_sum(codec, payload, n, dt) if is_all else
+                        agg_sum_runs(codec, payload, n, dt, *sel))
                     if not with_minmax:
                         continue
+                    vb = _chunk_valid(batch, c, i)
                     if is_all and not vb:
                         # whole chunk selected: its zone map IS exact
-                        nv = n
-                        mn = int(batch.column(f"{c}__vmin")[i].as_py())
-                        mx = int(batch.column(f"{c}__vmax")[i].as_py())
+                        mn = batch.column(f"{c}__vmin")[i].as_py()
+                        mx = batch.column(f"{c}__vmax")[i].as_py()
                     else:
                         v = gather_runs(codec, payload, n, dt,
                                         *_valid_sel(sel, vb, n))
-                        nv = len(v)
-                        mn, mx = (int(v.min()), int(v.max())) if nv \
-                            else (imax, imin)
-                    parts[f"min_{c}"].append([mn])
-                    parts[f"max_{c}"].append([mx])
-                    parts[f"nv_{c}"].append([nv])
+                        mn, mx = (int(v.min()), int(v.max())) if len(v) \
+                            else (None, None)
+                    pure[f"min_{c}"].append(mn)
+                    pure[f"max_{c}"].append(mx)
                 continue
-            # mixed chunk: late-materialize group + agg values at the
-            # selected positions only, then one sorted fold
-            gc, gp, gdt = _chunk_col(batch, group_col, i)
-            g = (codec_decode(gc, gp, n, gdt) if is_all else
-                 gather_runs(gc, gp, n, gdt, *sel)).astype(np.int64)
-            order = np.argsort(g, kind="mergesort")
-            gs = g[order]
-            starts = np.flatnonzero(
-                np.concatenate(([True], gs[1:] != gs[:-1])))
-            parts["grp"].append(gs[starts])
-            parts["n"].append(np.diff(np.concatenate((starts, [len(gs)]))))
+            rows = dict(zip(gnames, key))
+            rows["n"] = np.ones(len(key[0]), np.int64)
             for c in agg_cols:
-                codec, payload, dt = _chunk_col(batch, c, i)
-                v = (codec_decode(codec, payload, n, dt) if is_all else
-                     gather_runs(codec, payload, n, dt, *sel)) \
-                    .astype(np.int64)[order]
-                parts[f"sum_{c}"].append(np.add.reduceat(v, starts))
-                if not with_minmax:
-                    continue
-                vb = _chunk_valid(batch, c, i)
-                ok = _sel_valid_mask(vb, n, sel)[order] if vb else \
-                    np.ones(len(v), bool)
-                parts[f"min_{c}"].append(
-                    np.minimum.reduceat(np.where(ok, v, imax), starts))
-                parts[f"max_{c}"].append(
-                    np.maximum.reduceat(np.where(ok, v, imin), starts))
-                parts[f"nv_{c}"].append(
-                    np.add.reduceat(ok.astype(np.int64), starts))
-        return {nm: _cat(p) for nm, p in parts.items()}, \
-            {**_hit_counts(chunks), "pure_group_chunks": n_pure}
+                v = _col_at(batch, c, i, n, sel).astype(np.int64)
+                rows[f"sum_{c}"] = v    # NULL slots hold the filler 0
+                if with_minmax:
+                    rows[f"min_{c}"] = rows[f"max_{c}"] = _null_at(
+                        v, _chunk_valid(batch, c, i), n, sel)
+            mixed.append(pa.table(rows, schema=schema))
+        return _group_fold([pa.table(pure, schema=schema)] + mixed, gnames,
+                           how), \
+            {**_hit_counts(chunks), "pure_group_chunks": len(pure["n"])}
 
     parts, counters = _scan_partials(
-        enc_dir, _scan_columns(
-            expr, [group_col] + list(agg_cols),
-            zone_cols=[group_col] + (list(agg_cols) if with_minmax
-                                     else [])),
+        enc_dir, _scan_columns(expr, agg_cols, keys=keys,
+                               zone_cols=agg_cols if with_minmax else ()),
         _expr_zone_filter(expr), partial)
-    df = pd.DataFrame({nm: _cat(p[nm] for p in parts) for nm in cols}) \
-        .groupby("grp", sort=True).agg(fold)
-    for c in agg_cols if with_minmax else ():
-        nv = df.pop(f"nv_{c}")
-        if (nv == 0).any():
-            # SQL MIN/MAX over a group with no valid value is NULL
-            for nm in (f"min_{c}", f"max_{c}"):
-                df[nm] = df[nm].astype(object).where(nv > 0, None)
-    return df.rename_axis(group_col).reset_index(), counters
+    t = _group_fold(parts, gnames, how).sort_by(
+        [(nm, "ascending") for nm in gnames])
+    names = [g for g, _, _ in keys] + list(how)
+    return pd.DataFrame(dict(zip(names, map(_frame_col, t.columns)))), \
+        counters
 
 
 def _footer_fields(enc_dir: str) -> tuple[set, str | None]:
@@ -1924,88 +1967,14 @@ def encoded_str_minmax(enc_dir: str, col: str):
 
 def encoded_group_by_str(enc_dir: str, group_col,
                          agg_cols: list[str], expr: tuple | None = None):
-    """``SELECT group_col(s), count(*), sum(agg_cols...) [WHERE
-    <predicate tree>] GROUP BY group_col(s)`` where the GROUP
-    column(s) are STRINGS — the string sibling of
-    :func:`encoded_filtered_group_agg`.  ``group_col`` may be one
-    column name or a LIST (composite grouping, e.g. (lang, source)),
-    and list entries may MIX string and integer columns (a footer
-    schema probe classifies them; integer keys gather through
-    gather_runs and fold as int64).
-    The predicate (integer and/or string leaves) evaluates to a
-    selection run-list per chunk; each group column late-materializes
-    ONLY the selected rows (:func:`tokrle.codecs.core.gather_str_runs`
-    — one lengths decode + one vectorized byte gather, or a dictionary
-    take on sdict chunks), integer agg columns gather the same
-    positions, and each batch folds to (group tuple, count, partial
-    sums) rows — the partials of :func:`_scan_partials` hold per-batch
-    distinct group tuples, never table rows, and the caller sums them
-    per group.  Predicate columns evaluate under SQL three-valued
-    logic and aggregate SUMs skip NULLs; a nullable GROUP BY key chunk
-    raises.  Returns ``(DataFrame, counters)`` sorted by the group
-    columns."""
-    import pandas as pd
-
-    from tokrle.codecs.core import (decode as codec_decode,
-                                    gather_runs, gather_str_runs)
-
-    gcols = [group_col] if isinstance(group_col, str) else list(group_col)
-    gnames = [f"g{j}" for j in range(len(gcols))]
-    # footer-schema probe: group columns may mix strings and integers
-    fields, _ = _footer_fields(enc_dir)
-    g_str = {g for g in gcols if f"{g}__lens_payload" in fields}
-    g_int = [g for g in gcols if g not in g_str]
-    sum_names = [f"sum_{c}" for c in agg_cols]
-
-    def partial(batch: pa.Table):
-        grp_parts: dict = {g: [] for g in gcols}
-        val_parts = {c: [] for c in agg_cols}
-        chunks = _chunk_sels(batch, expr)
-        for i, n, sel in chunks:
-            is_all = isinstance(sel, str)
-            runs = _sel_runs(sel, n)
-            for g in gcols:
-                _check_group_key(batch, g, i)
-                if g in g_str:
-                    spec, lp, tp = _chunk_str_col(batch, g, i)
-                    grp_parts[g].append(
-                        gather_str_runs(spec, lp, tp, n, *runs))
-                else:
-                    codec, payload, dt = _chunk_col(batch, g, i)
-                    grp_parts[g].append(
-                        (codec_decode(codec, payload, n, dt) if is_all
-                         else gather_runs(codec, payload, n, dt,
-                                          *runs)).astype(np.int64))
-            for c in agg_cols:
-                # the encoder fills NULL slots with 0, so the group sums
-                # are SQL's NULL-skipping SUM
-                codec, payload, dt = _chunk_col(batch, c, i)
-                v = (codec_decode(codec, payload, n, dt) if is_all
-                     else gather_runs(codec, payload, n, dt, *runs))
-                val_parts[c].append(v.astype(np.int64))
-        fold = pd.DataFrame(
-            {nm: (pa.chunked_array(grp_parts[g], type=pa.large_utf8())
-                  .to_pandas() if g in g_str else _cat(grp_parts[g]))
-             for nm, g in zip(gnames, gcols)})
-        for c in agg_cols:
-            fold[c] = _cat(val_parts[c])
-        return fold.groupby(gnames, sort=False).agg(
-            n=(gnames[0], "size"),
-            **{f"sum_{c}": (c, "sum") for c in agg_cols}).reset_index(), \
-            _hit_counts(chunks)
-
-    parts, counters = _scan_partials(
-        enc_dir, _scan_columns(expr, list(agg_cols) + g_int,
-                               str_cols=sorted(g_str)),
-        _expr_zone_filter(expr), partial)
-    df = pd.concat(parts).groupby(gnames, sort=True)[["n"] + sum_names].sum() \
-        .reset_index().rename(columns=dict(zip(gnames, gcols)))
-    for g in gcols:
-        df[g] = df[g].astype(str) if g in g_str \
-            else df[g].astype("int64")
-    for c in ["n"] + sum_names:
-        df[c] = df[c].astype("int64")
-    return df, counters
+    """GROUP BY STRING key columns, one or a list (e.g. (lang, source),
+    integer keys mixed in): :func:`encoded_filtered_group_agg` without
+    MIN/MAX.  A pure chunk takes its key from the string zone map
+    (``smin == smax``); any other chunk gathers it at the selection
+    (:func:`tokrle.codecs.core.gather_str_runs`).  A NULL key is its
+    own group, sorted last.  Returns ``(DataFrame(keys..., n,
+    sum_<c>...), counters)`` sorted by the keys."""
+    return encoded_filtered_group_agg(enc_dir, group_col, expr, agg_cols)
 
 
 def _scan_rows(enc_dir: str, expr, cols: list[str]):
@@ -2019,11 +1988,7 @@ def _scan_rows(enc_dir: str, expr, cols: list[str]):
     Returns ``(tables, counters)``: one table per scan batch that
     selected a row, or one empty table typed from the footer when none
     did."""
-    import pyarrow.compute as pc
     import pyarrow.parquet as pq
-
-    from tokrle.codecs.core import decode as codec_decode
-    from tokrle.codecs.core import gather_runs, gather_str_runs
 
     # footer-schema probe (no data read): a column with a __lens_payload
     # field is a string/list column; the first row group's dtypes type
@@ -2043,34 +2008,13 @@ def _scan_rows(enc_dir: str, expr, cols: list[str]):
                       else pa.array(np.empty(0, np.dtype(dtypes[c])))
                       for c in cols})
     def gather(batch: pa.Table):
-        vals: dict = {c: [] for c in cols}
-        oks: dict = {c: [] for c in cols}
         chunks = _chunk_sels(batch, expr)
-        for i, n, sel in chunks:
-            runs = _sel_runs(sel, n)
-            for c in cols:
-                if c in str_cols:
-                    spec, lp, tp = _chunk_str_col(batch, c, i)
-                    v = gather_str_runs(spec, lp, tp, n, *runs)
-                else:
-                    codec, payload, dt = _chunk_col(batch, c, i)
-                    v = codec_decode(codec, payload, n, dt) \
-                        if isinstance(sel, str) \
-                        else gather_runs(codec, payload, n, dt, *runs)
-                vals[c].append(v)
-                vb = _chunk_valid(batch, c, i)
-                oks[c].append(_sel_valid_mask(vb, n, sel) if vb
-                              else np.ones(len(v), bool))
         if not chunks:
             return None, _hit_counts(chunks)
-        out = {}
-        for c in cols:
-            arr = pa.concat_arrays(vals[c]) if c in str_cols \
-                else pa.array(np.concatenate(vals[c]))
-            ok = np.concatenate(oks[c])
-            out[c] = arr if ok.all() else \
-                pc.if_else(ok, arr, pa.scalar(None, arr.type))
-        return pa.table(out), _hit_counts(chunks)
+        return pa.table({c: pa.concat_arrays([
+            _null_at(_col_at(batch, c, i, n, sel, c in str_cols),
+                     _chunk_valid(batch, c, i), n, sel)
+            for i, n, sel in chunks]) for c in cols}), _hit_counts(chunks)
 
     tables, counters = _scan_partials(
         enc_dir, _scan_columns(expr, [c for c in cols if c not in str_cols],

@@ -13,43 +13,47 @@ consumes distributed; this is the single-process edge of that contract.
 
 from __future__ import annotations
 
-import glob
-import os
 from collections.abc import Iterator
 
 import numpy as np
+import pyarrow as pa
 import pyarrow.parquet as pq
 
-from tokrle.codecs.core import decode as codec_decode
+from tokrle.stages.encoder import decode_chunks
 
 
 def chunk_files(enc_dir: str) -> list[str]:
-    files = sorted(glob.glob(os.path.join(enc_dir, "group=*", "*.parquet")))
-    return files or sorted(glob.glob(os.path.join(enc_dir, "*.parquet")))
+    """The Parquet files of the corpus's LIVE view
+    (:func:`tokrle.pipelines.corpus.corpus_files`): a crashed upsert's
+    ``group=<gid>.tmp``, a swapped-out ``.old`` group and the members of
+    a published compaction are never read.  A plain ``write_parquet``
+    directory lists as ``read_parquet`` lists it."""
+    from tokrle.pipelines.corpus import _dir_parquet_files, corpus_files
+
+    files = corpus_files(enc_dir)
+    return _dir_parquet_files(files) if isinstance(files, str) else files
 
 
 def read_chunk_table(enc_dir: str, columns=None):
     """All chunk rows (lineage + payloads) as one pyarrow Table."""
-    import pyarrow as pa
-
     tables = [pq.read_table(f, columns=columns) for f in chunk_files(enc_dir)]
     return pa.concat_tables(tables) if tables else None
 
 
 def iter_decoded(enc_dir: str) -> Iterator[tuple[str, np.ndarray]]:
-    """Stream (doc_id, tokens int32) pairs, one chunk in memory at a time."""
+    """Stream (doc_id, tokens int32) pairs, one chunk in memory at a time,
+    decoded by the same stage as :func:`tokrle.pipelines.encode.decode_tokens`
+    (:func:`tokrle.stages.encoder.decode_chunks`)."""
     for f in chunk_files(enc_dir):
-        t = pq.read_table(f)
-        for i in range(t.num_rows):
-            codec = t.column("codec")[i].as_py()
-            payload = t.column("payload")[i].as_py()
-            n_tokens = t.column("n_tokens")[i].as_py()
-            values = codec_decode(codec, payload, n_tokens, np.int32)
-            offsets = np.asarray(t.column("row_offsets")[i].as_py(),
-                                 dtype=np.int64)
-            doc_ids = t.column("doc_id")[i].as_py()
-            for d, (s, e) in enumerate(zip(offsets[:-1], offsets[1:])):
-                yield doc_ids[d], values[s:e]
+        for b in pq.ParquetFile(f).iter_batches(batch_size=1, columns=[
+                "codec", "payload", "n_tokens", "row_offsets", "doc_id",
+                "doc_source"]):
+            t = decode_chunks(pa.Table.from_batches([b]))
+            tokens = t.column("tokens").combine_chunks()
+            values = tokens.values.to_numpy()
+            offsets = tokens.offsets.to_numpy()
+            for d, doc_id in enumerate(t.column("doc_id").to_pylist()):
+                yield doc_id, values[offsets[d]:offsets[d + 1]]
 
 
 def lineage_summary(enc_dir: str) -> dict:

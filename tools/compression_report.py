@@ -10,26 +10,33 @@ mix and per-codec ratios from the lineage columns alone (no payload read).
 from __future__ import annotations
 
 import json
+import os
 import sys
+
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 import duckdb
 
+from tokrle.sources.encoded import chunk_files
+
 
 def report(out_dir: str) -> dict:
-    glob = f"{out_dir}/group=*/*.parquet" if "group=" not in out_dir \
-        else f"{out_dir}/*.parquet"
-    base = duckdb.sql(f"""
+    # the live view only: a crashed upsert's group=<gid>.tmp or the
+    # members of a published compaction would count their chunks twice
+    files = [chunk_files(out_dir)]
+    con = duckdb.connect()
+    base = con.execute("""
         SELECT sum(n_tokens) AS n_tokens,
                sum(raw_bytes) AS raw_bytes,
                sum(encoded_bytes) AS encoded_bytes,
                sum(n_runs) * 16 AS pyrle_repr_bytes
-        FROM '{glob}'
-    """).fetchone()
-    by_codec = duckdb.sql(f"""
+        FROM read_parquet(?)
+    """, files).fetchone()
+    by_codec = con.execute("""
         SELECT codec, count(*) AS chunks, sum(n_tokens) AS n_tokens,
                round(sum(raw_bytes) * 1.0 / sum(encoded_bytes), 2) AS ratio
-        FROM '{glob}' GROUP BY codec ORDER BY n_tokens DESC
-    """).fetchall()
+        FROM read_parquet(?) GROUP BY codec ORDER BY n_tokens DESC
+    """, files).fetchall()
     n_tokens, raw, enc, pyrle_bytes = (int(v) for v in base)
     return {
         "n_tokens": n_tokens,
