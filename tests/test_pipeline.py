@@ -1790,34 +1790,6 @@ def test_cli_table_scan_and_agg_start_no_ray_session(ray_session, tmp_path,
     assert ray.is_initialized()
 
 
-@pytest.fixture
-def any_batching(monkeypatch):
-    """``run(fn, *args, **kwargs)`` calls a pushdown entry point twice,
-    with ``_SCAN_BATCH_CHUNKS`` at 1 (one partial per chunk) and at its
-    default (a small table is one batch), asserts that the answers
-    (dtypes included) and the counter dicts are equal, and returns the
-    default's ``(answer, counters)`` (counters ``{}`` for an entry
-    point that returns a bare frame)."""
-    import pandas as pd
-
-    from tokrle.pipelines import table_encode
-
-    default = table_encode._SCAN_BATCH_CHUNKS
-
-    def run(fn, *args, **kwargs):
-        res = []
-        for b in (1, default):
-            monkeypatch.setattr(table_encode, "_SCAN_BATCH_CHUNKS", b)
-            r = fn(*args, **kwargs)
-            res.append(r if isinstance(r, tuple) else (r, {}))
-        (one_df, one_ctr), (df, ctr) = res
-        pd.testing.assert_frame_equal(one_df, df)
-        assert one_ctr == ctr
-        return res[1]
-
-    return run
-
-
 @pytest.fixture(scope="module")
 def nullable_kv(ray_session, tmp_path_factory):
     """(table, encoded dir) with NULLs in both ``k`` and ``v``; the
@@ -2120,36 +2092,39 @@ _PRUNED_CASES = {
         "encoded_boolean_agg", (_PRUNED, ["w"]), {"with_minmax": True},
         [("n_match", "int64"), ("sum_w", "int64"), ("min_w", "object"),
          ("max_w", "object")], [[0, 0, None, None]],
-        {"all_hit_chunks": 0, "run_chunks": 0, "nvalid_w": 0}),
-    "_boolean_value_hist": (
+        {"all_hit_chunks": 0, "run_chunks": 0, "pure_group_chunks": 0,
+         "nvalid_w": 0}),
+    "_hist_core": (
         "encoded_boolean_histogram", (_PRUNED, "w"), {},
         [("value", "int64"), ("n", "int64")], [],
-        {"all_hit_chunks": 0, "run_chunks": 0, "hist_rows": 0}),
+        {"all_hit_chunks": 0, "run_chunks": 0, "closed_form_chunks": 0,
+         "gathered_chunks": 0, "hist_rows": 0}),
     "encoded_filtered_group_agg": (
         "encoded_filtered_group_agg", ("g", _PRUNED, ["w"]),
         {"with_minmax": True},
         [("g", "int64"), ("n", "int64"), ("sum_w", "int64"),
          ("min_w", "int64"), ("max_w", "int64")], [],
-        {"all_hit_chunks": 0, "run_chunks": 0, "pure_group_chunks": 0}),
+        {"all_hit_chunks": 0, "run_chunks": 0, "pure_group_chunks": 0,
+         "nvalid_w": 0}),
     "encoded_group_where_quantiles": (
         "encoded_group_where_quantiles", (_PRUNED, "g", "w"), {},
         [("g", "int64"), ("q_num", "int64"), ("q_den", "int64"),
          ("quantile", "int64"), ("n_rows", "int64")], [],
-        {"closed_form_chunks": 0, "gathered_chunks": 0, "groups": 0,
-         "hist_rows": 0}),
+        {"all_hit_chunks": 0, "run_chunks": 0, "closed_form_chunks": 0,
+         "gathered_chunks": 0, "groups": 0, "hist_rows": 0}),
     "encoded_group_by_str": (
         "encoded_group_by_str", ("g", ["w"]), {"expr": _PRUNED},
         [("g", "int64"), ("n", "int64"), ("sum_w", "int64")], [],
-        {"all_hit_chunks": 0, "run_chunks": 0, "pure_group_chunks": 0}),
+        {"all_hit_chunks": 0, "run_chunks": 0, "pure_group_chunks": 0,
+         "nvalid_w": 0}),
     "encoded_distinct_count": (
         "encoded_distinct_count", ("w",), {"expr": _PRUNED},
         [("n_distinct", "int64")], [[0]],
-        {"chunks_closed_form": 0, "chunks_decoded": 0,
-         "chunks_gathered": 0}),
+        {"closed_form_chunks": 0, "gathered_chunks": 0}),
     "encoded_str_distinct": (
         "encoded_str_distinct", ("s",), {"expr": _PRUNED},
         [("n_distinct", "int64")], [[0]],
-        {"chunks_header_only": 0, "chunks_decoded": 0}),
+        {"closed_form_chunks": 0, "gathered_chunks": 0}),
     "encoded_scan_where": (
         _rows("encoded_scan_where"), (_PRUNED, ["k", "w", "s"]), {},
         [("k", "int64"), ("w", "int64"), ("s", "object")], [],
@@ -2182,7 +2157,7 @@ _SCANS = {
     "encoded_boolean_agg": ("encoded_boolean_agg",
                             (("range", "k", 0, 3), ["v", "w"]),
                             {"with_minmax": True}),
-    "_boolean_value_hist": ("encoded_boolean_quantiles",
+    "_hist_core": ("encoded_boolean_quantiles",
                             (("not", ("eq", "k", 5)), "w"), {}),
     "encoded_filtered_group_agg": ("encoded_filtered_group_agg",
                                    ("g", ("range", "k", 0, 3), ["w"]), {}),
@@ -2243,6 +2218,179 @@ def test_scan_counters_add_up(nullable_kv, case):
             ctr["chunks_scanned"]
 
 
+#: scan case -> (its core, the keys its entry point adds to the core's)
+_CORE_OF = {
+    "encoded_boolean_agg": ("count_sum", set()),
+    "encoded_filtered_group_agg": ("count_sum", set()),
+    "encoded_group_by_str": ("count_sum", set()),
+    "encoded_string_value_count": ("count_sum", set()),
+    "_hist_core": ("histogram", set()),
+    "encoded_group_where_quantiles": ("histogram", {"groups"}),
+    "encoded_topk_rows": ("histogram", {"threshold"}),
+    "encoded_str_quantiles": ("histogram", set()),
+    "encoded_distinct_count": ("distinct", set()),
+    "encoded_str_distinct": ("distinct", set()),
+}
+
+#: core -> its counter keys beyond chunks_total/scanned/skipped (and,
+#: for COUNT/SUM, one nvalid_<c> per aggregate column)
+_CORE_KEYS = {
+    "count_sum": {"all_hit_chunks", "run_chunks", "pure_group_chunks"},
+    "histogram": {"all_hit_chunks", "run_chunks", "closed_form_chunks",
+                  "gathered_chunks", "hist_rows"},
+    "distinct": {"closed_form_chunks", "gathered_chunks"},
+}
+
+
+@pytest.mark.parametrize("core", list(_CORE_KEYS))
+def test_scan_counter_keys_per_core(nullable_kv, core):
+    """Every entry point of a core returns that core's counter keys:
+    the three scan keys, the core's own, ``nvalid_<c>`` for each
+    aggregate column of a COUNT/SUM call, and only the documented key
+    its wrapper adds."""
+    _, out_dir = nullable_kv
+    cases = [c for c, (cr, _) in _CORE_OF.items() if cr == core]
+    assert len(cases) >= 2
+    for case in cases:
+        fn, args, kwargs = _SCANS[case]
+        _, ctr = _entry(fn)(out_dir, *args, **kwargs)
+        aggs = args[-1] if core == "count_sum" and \
+            isinstance(args[-1], list) else []
+        assert set(ctr) == {"chunks_total", "chunks_scanned",
+                            "chunks_skipped"} | _CORE_KEYS[core] | \
+            {f"nvalid_{c}" for c in aggs} | _CORE_OF[case][1], case
+
+
+def test_uint64_sum_raises_before_any_chunk(ray_session, tmp_path,
+                                            monkeypatch):
+    """A SUM over a full-range uint64 column can exceed the int64 answer
+    column, so every COUNT/SUM entry point raises ``TypeError`` from the
+    footer probe, before a chunk is read — the grouped ones included,
+    which used to return wrapped int64 sums.  The uint64 histogram and
+    its distinct count still answer."""
+    import ray.data
+
+    from tokrle.pipelines import table_encode as te
+
+    u = np.uint64(1 << 63) + np.arange(512, dtype=np.uint64) * \
+        np.uint64(337)
+    tbl = pa.table({"u": pa.array(u), "g": pa.array(np.arange(512) % 3)})
+    out_dir = str(tmp_path / "u64sum")
+    te.encode_table_columns(ray.data.from_arrow(tbl), ["u", "g"],
+                            batch_size=256).write_parquet(out_dir)
+    hist, _ = te.encoded_histogram(out_dir, "u")
+    assert hist["value"].tolist() == sorted(int(x) for x in u)
+    assert te.encoded_distinct_count(out_dir, "u")[0].loc[0,
+                                                          "n_distinct"] == 512
+
+    def no_scan(*a, **kw):
+        raise AssertionError("a chunk was read")
+
+    monkeypatch.setattr(te, "_scan_partials", no_scan)
+    for call in (lambda: te.encoded_filtered_group_agg(out_dir, "g", None,
+                                                       ["u"]),
+                 lambda: te.encoded_group_agg(out_dir, "g", ["u"]),
+                 lambda: te.encoded_group_by_str(out_dir, "g", ["u"]),
+                 lambda: te.encoded_boolean_agg(out_dir, None, ["u"]),
+                 lambda: te.encoded_column_agg(out_dir, ["u"])):
+        with pytest.raises(TypeError, match="uint64 sums"):
+            call()
+
+
+def test_int64_sum_past_range_raises(ray_session, tmp_path, monkeypatch,
+                                     any_batching):
+    """Sums fold exactly: 8 rows of 2^61 in 2-row chunks sum to 2^64
+    while every chunk's sum fits in int64, so every COUNT/SUM path —
+    ungrouped (closed form, run list, MIN/MAX gather), grouped by a pure
+    key and by a mixed one — raises ``OverflowError`` per chunk and per
+    batch instead of wrapping.  A sum whose running total leaves int64
+    but whose total fits comes out exact."""
+    import ray.data
+
+    from tokrle.pipelines import table_encode as te
+
+    big = 1 << 61
+    tbl = pa.table({"b": pa.array([big] * 8, pa.int64()),
+                    "s": pa.array([big, big, big, big, -big, -big, -big, 5],
+                                  pa.int64()),
+                    "k": pa.array([0, 1] * 4, pa.int64()),
+                    "one": pa.array([0] * 8, pa.int64()),
+                    "r": pa.array([0, 1, 2, 3, 4, 5, 6, 7], pa.int64())})
+    out_dir = str(tmp_path / "i64sum")
+    te.encode_table_columns(ray.data.from_arrow(tbl), tbl.column_names,
+                            batch_size=2).write_parquet(out_dir)
+    # chunks 0 and 2 select one row of two: run lists, not ALL
+    run_list = ("in", "r", [0, 2, 3, 4, 6, 7])
+    calls = [lambda: te.encoded_boolean_agg(out_dir, None, ["b"]),
+             lambda: te.encoded_boolean_agg(out_dir, None, ["b"],
+                                            with_minmax=True),
+             lambda: te.encoded_boolean_agg(out_dir, ("range", "r", 1, 7),
+                                            ["b"]),
+             lambda: te.encoded_boolean_agg(out_dir, ("range", "r", 1, 7),
+                                            ["b"], with_minmax=True),
+             lambda: te.encoded_column_agg(out_dir, ["b"]),
+             lambda: te.encoded_group_agg(out_dir, "one", ["b"]),
+             lambda: te.encoded_group_agg(out_dir, "k", ["b"]),
+             lambda: te.encoded_filtered_group_agg(out_dir, "k", run_list,
+                                                   ["b"], with_minmax=True)]
+    for b in (1, te._SCAN_BATCH_CHUNKS):
+        monkeypatch.setattr(te, "_SCAN_BATCH_CHUNKS", b)
+        for call in calls:
+            with pytest.raises(OverflowError, match="'b'"):
+                call()
+    got, _ = any_batching(te.encoded_boolean_agg, out_dir, None, ["s"],
+                          with_minmax=True)
+    assert got.loc[0, "sum_s"] == big + 5
+    got, _ = any_batching(te.encoded_group_agg, out_dir, "one", ["s"])
+    assert got["sum_s"].tolist() == [big + 5]
+
+
+def test_siblings_present_timestamps_and_narrow_ints_alike(ray_session,
+                                                           tmp_path):
+    """The histogram, quantile and top-k entry points present a
+    ``timestamp[ns]`` and an ``int8`` column alike: quantiles in epoch
+    microseconds (int64), histogram and top-k values in the stored
+    dtype, with a predicate, with a GROUP BY and without either."""
+    import pandas as pd
+    import ray.data
+
+    from tokrle.pipelines import table_encode as te
+
+    sec = np.arange(512) * 7 % 13
+    ts = np.datetime64("2020-01-01T00:00:00", "ns") + \
+        (sec * 1_000_000_000 + 999).astype("timedelta64[ns]")
+    tbl = pa.table({"ts": pa.array(ts),
+                    "i8": pa.array((np.arange(512) % 11 - 5)
+                                   .astype(np.int8)),
+                    "one": pa.array(np.zeros(512, np.int64))})
+    out_dir = str(tmp_path / "present")
+    te.encode_table_columns(ray.data.from_arrow(tbl), ["ts", "i8", "one"],
+                            batch_size=256).write_parquet(out_dir)
+    every = ("range", "one", 0, 0)
+    for col, stored in (("ts", np.dtype("datetime64[ns]")),
+                        ("i8", np.dtype(np.int8))):
+        plain = np.sort(tbl[col].to_numpy().astype(
+            "datetime64[us]" if col == "ts" else np.int64).astype(np.int64))
+        want, _ = te.encoded_quantiles(out_dir, col, with_moments=False)
+        assert want["quantile"].dtype == np.int64
+        assert want["quantile"].tolist() == [
+            int(plain[-(-a * 512 // b) - 1]) for a, b in ((1, 4), (1, 2),
+                                                          (3, 4))]
+        got, _ = te.encoded_boolean_quantiles(out_dir, every, col)
+        pd.testing.assert_frame_equal(got, want)
+        got, _ = te.encoded_group_where_quantiles(out_dir, every, "one", col)
+        pd.testing.assert_frame_equal(
+            got.drop(columns="one"),
+            want.sort_values(["q_num", "q_den"], ignore_index=True))
+        hist, _ = te.encoded_histogram(out_dir, col)
+        assert hist["value"].dtype == stored
+        got, _ = te.encoded_boolean_histogram(out_dir, every, col)
+        pd.testing.assert_frame_equal(got, hist)
+        top, _ = te.encoded_topk_rows(out_dir, col, 3)
+        assert top["value"].dtype == stored
+        assert top["value"].tolist() == hist["value"].tolist()[::-1][:1]
+
+
 def test_scan_batches_bound_chunks(ray_session, tmp_path, monkeypatch):
     """A scan core's per-batch function sees at most
     ``_SCAN_BATCH_CHUNKS`` chunk rows, however well they compress: a
@@ -2282,7 +2430,10 @@ def test_encoded_distinct_count_closed_form(ray_session, tmp_path):
     """Exact distinct counts from the encoded layout: clustered
     low-cardinality columns answer via dict/rle closed forms, arbitrary
     columns via decode fallback — both match pandas nunique."""
+    import glob
+
     import pandas as pd
+    import pyarrow.parquet as pq
     import ray.data
 
     from tokrle.pipelines.table_encode import (encode_table_columns,
@@ -2305,7 +2456,15 @@ def test_encoded_distinct_count_closed_form(ray_session, tmp_path):
 
     got, counters = encoded_distinct_count(out_dir, "label")
     assert int(got["n_distinct"].iloc[0]) == df["label"].nunique()
-    assert counters["chunks_closed_form"] > 0, counters
+    # every chunk answers from its closed form, and the label chunks
+    # are dict/rle ones: ``closed_form_chunks`` counts any null-free
+    # chunk selected whole, so the codec check pins the dictionary path
+    codecs = [c for f in sorted(glob.glob(out_dir + "/*.parquet"))
+              for c in pq.read_table(f, columns=["label__codec"])
+              .column(0).to_pylist()]
+    assert codecs and set(codecs) <= {"dict", "rle"}, set(codecs)
+    assert counters["closed_form_chunks"] == counters["chunks_total"] \
+        == len(codecs), counters
 
     # sorted key lands on delta-family codecs (decode fallback) and a
     # wide uniform column on bitpack — both still exact
@@ -2349,12 +2508,11 @@ def test_encoded_distinct_count_filtered(ray_session, tmp_path):
     # the clustered whole-range case must keep the closed form
     _, c = encoded_distinct_count(out_dir, "label",
                                   expr=("range", "key", 0, 49))
-    assert c["chunks_closed_form"] > 0 and c["chunks_gathered"] == 0, c
+    assert c["closed_form_chunks"] > 0 and c["gathered_chunks"] == 0, c
     # disjoint range: nothing scans
     _, c = encoded_distinct_count(out_dir, "label",
                                   expr=("range", "key", 500, 900))
-    assert c["chunks_closed_form"] + c["chunks_decoded"] + \
-        c["chunks_gathered"] == 0, c
+    assert c["closed_form_chunks"] + c["gathered_chunks"] == 0, c
 
 
 def test_encoded_distinct_filtered_uint64_mixed_batches(ray_session,
@@ -2822,11 +2980,11 @@ def test_encoded_str_quantiles_match_duckdb(ray_session, tmp_path):
         assert (got["n_rows"] == int(want[3])).all()
     # null-free low-cardinality column: the sdict CODE-ONLY closed form
     # must actually run (text never decodes beyond the dictionary)
-    assert seen["catn"]["chunks_code_only"] > 0, seen["catn"]
+    assert seen["catn"]["closed_form_chunks"] > 0, seen["catn"]
     # high-cardinality long values must never probe the dictionary, and
     # nullable chunks must take the decode path (null skip gathers)
-    assert seen["wide"]["chunks_code_only"] == 0, seen["wide"]
-    assert seen["cat"]["chunks_decoded"] > 0, seen["cat"]
+    assert seen["wide"]["closed_form_chunks"] == 0, seen["wide"]
+    assert seen["cat"]["gathered_chunks"] > 0, seen["cat"]
 
 
 def test_encoded_quantiles_overflow_guard(ray_session, tmp_path):
@@ -3961,11 +4119,11 @@ def test_encoded_str_distinct(ray_session, tmp_path):
 
     d, ctr = encoded_str_distinct(out_dir, "src")
     assert d["n_distinct"].iloc[0] == df["src"].nunique()
-    assert ctr["chunks_header_only"] == ctr["chunks_total"]
+    assert ctr["closed_form_chunks"] == ctr["chunks_total"]
 
     d, ctr = encoded_str_distinct(out_dir, "t")
     assert d["n_distinct"].iloc[0] == df["t"].nunique()
-    assert ctr["chunks_header_only"] == 0
+    assert ctr["closed_form_chunks"] == 0
 
     df2 = pd.DataFrame({
         "s": pd.array(["a", None, "bb", "a"] * 250, dtype="string")})
@@ -4212,7 +4370,7 @@ def test_encoded_str_distinct_filtered(ray_session, tmp_path):
     d, ctr = encoded_str_distinct(out_dir, "lang",
                                   expr=("range", "k", 0, 49))
     assert d["n_distinct"].iloc[0] == df["lang"].nunique()
-    assert ctr["chunks_header_only"] == ctr["chunks_total"]
+    assert ctr["closed_form_chunks"] == ctr["chunks_total"]
 
     d, _ = encoded_str_distinct(out_dir, "lang", expr=("eq", "k", 999))
     assert d["n_distinct"].iloc[0] == 0

@@ -2115,7 +2115,7 @@ def encoded_distinct_stats(sf_dir: str) -> pd.DataFrame:
     for col in cols:
         df, counters = encoded_distinct_count(enc_dir, col)
         assert counters["chunks_total"] == \
-            counters["chunks_closed_form"] + counters["chunks_decoded"]
+            counters["closed_form_chunks"] + counters["gathered_chunks"]
         rows.append({"col": col,
                      "n_distinct": int(df["n_distinct"].iloc[0])})
     out = pd.DataFrame(rows)
@@ -2284,11 +2284,10 @@ def encoded_where_distinct_stats(sf_dir: str) -> pd.DataFrame:
         df, counters = encoded_distinct_count(enc_dir, "l_partkey",
                                               expr=expr)
         if name == "empty":
-            assert counters["chunks_closed_form"] + \
-                counters["chunks_decoded"] + \
-                counters["chunks_gathered"] == 0, counters
+            assert counters["closed_form_chunks"] + \
+                counters["gathered_chunks"] == 0, counters
         if name == "and_not" and counters["chunks_total"] > 8:
-            assert counters["chunks_gathered"] > 0, counters
+            assert counters["gathered_chunks"] > 0, counters
         rows.append({"case": name,
                      "n_distinct": int(df["n_distinct"].iloc[0])})
     out = pd.DataFrame(rows)
@@ -2491,12 +2490,12 @@ def encoded_str_quantile_stats(sf_dir: str) -> pd.DataFrame:
     frames = []
     for col in ("source", "lang"):
         df, counters = encoded_str_quantiles(enc_dir, col)
-        # empty / all-null chunks count under NEITHER class, so the
-        # split is bounded by, not equal to, the chunk total
-        assert counters["chunks_code_only"] + \
-            counters["chunks_decoded"] <= counters["chunks_total"]
-        assert counters["chunks_code_only"] + \
-            counters["chunks_decoded"] > 0
+        # empty chunks count under NEITHER class, so the split is
+        # bounded by, not equal to, the chunk total
+        assert counters["closed_form_chunks"] + \
+            counters["gathered_chunks"] <= counters["chunks_total"]
+        assert counters["closed_form_chunks"] + \
+            counters["gathered_chunks"] > 0
         df.insert(0, "col", col)
         frames.append(df)
     out = pd.concat(frames, ignore_index=True)
@@ -3068,7 +3067,7 @@ def encoded_str_distinct_stats(sf_dir: str) -> pd.DataFrame:
     rows = []
     for col in cols:
         df, counters = encoded_str_distinct(enc_dir, col)
-        assert counters["chunks_header_only"] > 0, \
+        assert counters["closed_form_chunks"] > 0, \
             f"{col}: dictionary headers never answered: {counters}"
         rows.append({"col": col,
                      "n_distinct": int(df["n_distinct"].iloc[0])})

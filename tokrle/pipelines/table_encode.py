@@ -346,11 +346,6 @@ def encoded_column_agg(enc_dir: str, columns: list[str]):
     ``(col, n, sum_val, min_val, max_val)``."""
     import pandas as pd
 
-    for c in columns:
-        if _col_dtype_probe(enc_dir, c) == np.uint64:
-            raise TypeError(
-                f"column {c!r}: uint64 sums can exceed the int64 "
-                "answer column; decode and reduce instead")
     df, _ = encoded_boolean_agg(enc_dir, None, columns, with_minmax=True)
     out = pd.DataFrame({
         "col": columns,
@@ -368,77 +363,66 @@ def encoded_column_agg(enc_dir: str, columns: list[str]):
 def encoded_distinct_count(enc_dir: str, col: str,
                            expr: tuple | None = None):
     """Exact COUNT(DISTINCT col) over a table-encode directory without
-    decoding: each chunk's distinct set comes from the codec's own
-    streams via :func:`tokrle.codecs.core.distinct_values` (dict chunks
-    never read their code stream — the dictionary IS the distinct set;
-    rle chunks read the O(#runs) value stream), per-batch sets union in
-    the scan (:func:`_scan_partials`, in the caller), and the caller
-    counts the distinct values of their union — the partials hold at
-    most (#batches x chunk cardinality) values, never rows.
+    decoding: the one distinct core, for integer and string columns
+    (:func:`encoded_str_distinct` is its string-only name).  Per chunk
+    the value step (:func:`_value_step`) answers a null-free chunk the
+    predicate selects whole from the codec's closed form —
+    :func:`tokrle.codecs.core.distinct_values` (dict: the dictionary IS
+    the distinct set, the code stream is never read; rle: the O(#runs)
+    value stream; other codecs decode) or an ``sdict`` string chunk's
+    dictionary header — and late-materializes only the selected
+    positions of any other chunk.
+    Per-batch sets union in the scan (:func:`_scan_partials`, in the
+    caller), and the caller counts the distinct values of their union —
+    the partials hold at most (#batches x chunk cardinality) values,
+    never rows.
 
-    ``expr`` (optional boolean predicate TREE, the integer sibling of
-    :func:`encoded_str_distinct`'s filter): chunks the tree excludes
-    via zone maps never leave storage, wholly-matching chunks keep the
-    closed-form distinct, and run-list chunks late-materialize only
-    the selected positions (:func:`gather_runs`) before the local
-    unique.
-
-    Intended for low/moderate-cardinality columns (keys, labels, enum
-    codes); for high-cardinality columns the distinct set itself is the
-    data — use the HLL sketch (`functions.sketch`) there.  Integer
-    columns; only the ``expr`` columns need zone maps.  NULLs follow
-    SQL ``COUNT(DISTINCT)``: predicate columns evaluate under
-    three-valued logic, and NULL slots of ``col`` are skipped (a
-    nullable chunk gathers only its valid selected positions, so the
-    encoder's 0 filler never counts).  Returns
-    ``(DataFrame(n_distinct), counters)`` where counters report how
-    many chunks answered from a closed form (dict/rle, wholly selected
-    and null-free) vs decode/gather."""
+    ``expr`` (optional boolean predicate TREE): chunks the tree excludes
+    via zone maps never leave storage.  Intended for low/moderate-
+    cardinality columns (keys, labels, enum codes); for high-cardinality
+    columns the distinct set itself is the data — use the HLL sketch
+    (`functions.sketch`) there.  NULLs follow SQL ``COUNT(DISTINCT)``:
+    predicate columns evaluate under three-valued logic, and NULL slots
+    of ``col`` are skipped.  Returns ``(DataFrame(n_distinct),
+    counters)``: ``closed_form_chunks`` counts the chunks answered from
+    a closed form (an empty chunk among them: its set is known without
+    a read), ``gathered_chunks`` the selected chunks that gathered."""
     import pandas as pd
+    import pyarrow.compute as pc
 
-    from tokrle.codecs.core import distinct_values, gather_runs
+    _, types = _footer(enc_dir, [col])
+    is_str = types[col] == "str"
+    vtype = pa.large_utf8() if is_str else pa.int64()
 
     def partial(batch: pa.Table):
-        codecs = batch.column(f"{col}__codec").to_pylist()
-        # an empty chunk is trivially answered; classify it so
-        # closed+decoded keeps summing to chunks_total when unfiltered
-        empty = np.flatnonzero(batch.column("n_rows").to_numpy(
-            zero_copy_only=False) == 0)
-        closed = sum(codecs[i] in ("dict", "rle") for i in empty)
-        decoded, gathered = len(empty) - closed, 0
-        parts = []
-        for i, n, sel in _chunk_sels(batch, expr):
-            sel = _valid_sel(sel, _chunk_valid(batch, col, i), n)
-            if isinstance(sel, str):
-                if codecs[i] in ("dict", "rle"):
-                    closed += 1
-                else:
-                    decoded += 1
-            elif len(sel[0]):
-                gathered += 1
-            else:
-                continue
-            codec, payload, dt = _chunk_col(batch, col, i)
-            u = distinct_values(codec, payload, n, dt) \
-                if isinstance(sel, str) else \
-                np.unique(gather_runs(codec, payload, n, dt, *sel))
-            # normalize every dtype into the int64 image before the
-            # fold (uint64 via the order-preserving bias, datetime via
-            # its epoch counts)
-            if u.dtype == np.uint64:
-                u = _hist_bias_u64(u)
-            elif u.dtype.kind == "M":
-                u = u.view(np.int64)
-            parts.append(u)
-        return np.unique(_cat(parts)), {"chunks_closed_form": closed,
-                                        "chunks_decoded": decoded,
-                                        "chunks_gathered": gathered}
+        empty = int((batch.column("n_rows").to_numpy(
+            zero_copy_only=False) == 0).sum())
+        parts, closed = [], 0
+        chunks = _chunk_sels(batch, expr)
+        for i, n, sel in chunks:
+            v, c, is_closed = _value_step(batch, col, i, n, sel, is_str,
+                                          hist=False)
+            closed += is_closed
+            parts.append(v if is_closed else pc.filter(v, c > 0))
+        return pc.unique(pa.chunked_array(parts, vtype)), \
+            {"closed_form_chunks": empty + closed,
+             "gathered_chunks": len(chunks) - closed}
 
     parts, counters = _scan_partials(
-        enc_dir, _scan_columns(expr, [col]), _expr_zone_filter(expr),
-        partial)
-    return pd.DataFrame({"n_distinct": [len(np.unique(_cat(parts)))]}), \
-        counters
+        enc_dir, _scan_columns(expr, [] if is_str else [col],
+                               str_cols=[col] if is_str else []),
+        _expr_zone_filter(expr), partial)
+    n = len(pc.unique(pa.chunked_array(parts, vtype)))
+    return pd.DataFrame({"n_distinct": [n]}), counters
+
+
+def _require_str(enc_dir: str, col: str) -> None:
+    """Raise ``TypeError`` unless ``col`` is a string column (footer
+    probe; a directory without rows passes)."""
+    _, types = _footer(enc_dir, [col])
+    if types[col] not in ("str", None):
+        raise TypeError(f"column {col!r}: not a string column "
+                        f"({types[col]})")
 
 
 def encoded_string_value_count(enc_dir: str, col: str, value: str):
@@ -448,40 +432,18 @@ def encoded_string_value_count(enc_dir: str, col: str, value: str):
     :func:`tokrle.codecs.core.match_eq_str`, never decodes the text of a
     chunk without a row of ``value``'s byte length, and answers
     ``sdict:`` chunks on their code stream.  Null slots never match (SQL
-    ``col = ''`` never matches NULL).  Returns ``(DataFrame(n_match),
-    counters)``."""
-    # validate the column kind up front from the footer schema: an
-    # integer column has no __lens_payload, and the read below would
-    # fail with an opaque missing-column error instead of naming the
-    # contract
-    fields, first_file = _footer_fields(enc_dir)
-    if first_file is not None and f"{col}__lens_payload" not in fields:
-        raise TypeError(f"column {col!r}: not a string column")
+    ``col = ''`` never matches NULL).  A non-string column raises
+    ``TypeError`` before any chunk is read.  Returns
+    ``(DataFrame(n_match), counters)``."""
+    _require_str(enc_dir, col)
     return encoded_boolean_agg(enc_dir, ("eq_str", col, value), [])
 
 
 def encoded_histogram(enc_dir: str, col: str):
     """Exact GROUP BY ``col`` COUNT(*) over a table-encode directory: the
-    ``expr=None`` case of :func:`_boolean_value_hist`, so each chunk's
-    (value, count) histogram comes from the codec streams via
-    :func:`tokrle.codecs.core.value_counts` (dict: dictionary + one
-    bincount over the narrow code stream; rle: run-length fold per
-    unique run value) and the caller sums the cardinality-bounded pairs.
-
-    NULLs are skipped (the histogram of the non-NULL values — what
-    ``quantile_disc`` and ``COUNT(DISTINCT)`` see), and ``value`` keeps
-    the column's stored dtype (uint64 unbiased, datetime columns as
-    datetime64).  Same cardinality guidance as
-    :func:`encoded_distinct_count`.  Returns ``(DataFrame(value, n)
-    sorted by value, counters)``."""
-    import pandas as pd
-
-    values, counts, counters, dt = _boolean_value_hist(enc_dir, None, col)
-    if dt == np.uint64:
-        values = values.view(np.uint64) ^ _U64_BIAS
-    elif dt is not None:
-        values = values.astype(dt)
-    return pd.DataFrame({"value": values, "n": counts}), counters
+    ``expr=None`` case of :func:`encoded_boolean_histogram`.  Returns
+    ``(DataFrame(value, n) sorted by value, counters)``."""
+    return encoded_boolean_histogram(enc_dir, None, col)
 
 
 def _hist_rank_idx(cum: np.ndarray, n: int, q_num: int,
@@ -489,100 +451,107 @@ def _hist_rank_idx(cum: np.ndarray, n: int, q_num: int,
     """Histogram index of the SQL ``quantile_disc`` element: the 0-based
     rank is ``ceil(q*n) - 1`` of the sorted multiset (exact integer
     ceil-division), and the lookup is the first histogram row whose
-    cumulative count covers it.  Shared by the integer, grouped,
-    filtered and string quantile paths so the rank rule exists once."""
+    cumulative count covers it (a zero-count row never is)."""
     k = max((q_num * n + q_den - 1) // q_den - 1, 0)
     return int(np.searchsorted(cum, k + 1))
 
 
-def _hist_bias_u64(v: np.ndarray) -> np.ndarray:
-    """Order-preserving uint64 -> int64 bijection (xor 2^63), so uint64
-    histograms fold and rank in int64 exchanges without wrapping."""
-    return (v.astype(np.uint64) ^ _U64_BIAS).view(np.int64)
+def _flip_u64(v: np.ndarray) -> np.ndarray:
+    """xor 2^63 on the uint64 bit pattern of ``v``: the order-preserving
+    bijection between uint64 values and their int64 fold image, both
+    ways (it is its own inverse)."""
+    return v.view(np.uint64) ^ _U64_BIAS
 
 
-def _agg_fold_u64(v: np.ndarray) -> np.ndarray:
-    """uint64 agg values fold in the order-preserving xor-2^63 image
-    (the driver unbiases); anything else is plain int64."""
-    return _hist_bias_u64(v) if v.dtype == np.uint64 \
-        else v.astype(np.int64)
+def _image(v):
+    """Values of a column chunk in the one image the pushdown cores
+    fold, sort and rank in: int64, uint64 through :func:`_flip_u64` and
+    datetime as its int64 counts; a string chunk's values stay an Arrow
+    ``large_string`` array."""
+    if isinstance(v, pa.Array):
+        return v
+    return _flip_u64(v).view(np.int64) if v.dtype == np.uint64 \
+        else v.astype(np.int64, copy=False)
 
 
-def _quantile_frame(values: np.ndarray, counts: np.ndarray, qs: tuple,
-                    is_u64: bool):
-    """``DataFrame(q_num, q_den, quantile, n_rows)`` of one folded
-    (value, count) histogram: the SQL ``quantile_disc`` of each
-    ``(num, den)`` of ``qs`` (``values`` ascending, uint64 in the
-    xor-2^63 image when ``is_u64``) and the histogram's row count.  The
-    ``quantile`` dtype is explicit, since pandas inference would round
-    values past 2^63 through float64: object holding None (SQL NULL)
-    when the histogram is empty, else uint64 or int64.  Every integer
-    quantile path builds its frame here."""
+def _present(v, dt):
+    """The inverse of :func:`_image` for an answer: fold-image values in
+    the column's stored dtype ``dt`` (uint64 unbiased, datetime64 from
+    its counts, narrow integers narrowed).  Strings, and a directory
+    without rows (``dt`` None), pass through."""
+    if not isinstance(dt, np.dtype):
+        return v
+    return _flip_u64(v) if dt == np.uint64 else v.astype(dt)
+
+
+def _quantile_values(v, dt):
+    """Fold-image values as a quantile answer presents them: the stored
+    value (:func:`_present`) as int64, a datetime as exact epoch
+    MICROSECONDS (DuckDB's internal timestamp unit, = ``epoch_us(...)``;
+    numpy floors a finer unit and scales a coarser one, days included);
+    uint64 stays uint64 and strings stay str."""
+    v = _present(v, dt)
+    if v.dtype.kind == "M":
+        v = v.astype("datetime64[us]")
+    return v if v.dtype in (np.uint64, object) else v.astype(np.int64)
+
+
+def _quantile_frame(hist: pa.Table, qs: tuple, dt,
+                    group_col: str | None = None):
+    """``DataFrame([group_col,] q_num, q_den, quantile, n_rows)`` of a
+    folded histogram of :func:`_hist_core` (``g0`` the key when
+    ``group_col`` is given, sorted by it, NULL last, then by ``v``): per
+    group the SQL ``quantile_disc`` of each ``(num, den)`` of ``qs`` and
+    the group's count of values.  Without a key the whole histogram is
+    one group, answered even when it is empty.  ``quantile`` holds
+    :func:`_quantile_values`: int64, uint64 or str, or object holding
+    None (SQL NULL) when the group has no value — pandas inference
+    would round values past 2^63 through float64.  Every quantile entry
+    point builds its frame here.  Returns ``(frame, number of
+    groups)``."""
     import pandas as pd
 
-    cum = np.cumsum(counts)
-    n = int(cum[-1]) if len(cum) else 0
-    if is_u64:
-        values = values.view(np.uint64) ^ _U64_BIAS
-    quants = [None if n == 0 else
-              int(values[_hist_rank_idx(cum, n, q_num, q_den)])
-              for q_num, q_den in qs]
-    return pd.DataFrame({
-        "q_num": np.array([q for q, _ in qs], np.int64),
-        "q_den": np.array([d for _, d in qs], np.int64),
-        "quantile": pd.Series(quants, dtype=object) if None in quants
-        else np.array(quants, np.uint64 if is_u64 else np.int64),
-        "n_rows": np.full(len(qs), n, np.int64)})
-
-
-def _group_quantile_frame(hist: pa.Table, qs: tuple, group_col: str,
-                          is_u64: bool):
-    """Caller-side fold of the grouped quantile paths: one
-    :func:`_quantile_frame` per group of the folded (grp, v, c)
-    histogram (sorted by grp then v, the NULL group last), with the
-    group key in front, sorted by group and q.  Returns ``(frame,
-    number of groups)``."""
-    import pandas as pd
-
-    grp = hist.column("grp")
-    v, c = (hist.column(nm).to_numpy() for nm in ("v", "c"))
-    n_key = len(grp) - grp.null_count
-    k = grp.slice(0, n_key).to_numpy()
-    starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]]).tolist() \
-        if n_key else []
-    starts += [n_key] if grp.null_count else []
-    frames = [_quantile_frame(v[s:e], c[s:e], sorted(qs), is_u64)
-              .assign(**{group_col: k[s] if s < n_key else None})
-              for s, e in zip(starts, starts[1:] + [len(grp)])] or \
-        [_quantile_frame(np.empty(0, np.int64), np.empty(0, np.int64), (),
-                         is_u64).assign(**{group_col: 0})]
-    out = pd.concat(frames, ignore_index=True)
-    return out[[group_col, "q_num", "q_den", "quantile", "n_rows"]], \
-        len(starts)
-
-
-def _col_dtype_probe(enc_dir: str, col: str) -> "np.dtype | None":
-    """The stored numpy dtype of ``col`` from one footer row — a
-    single-row column-pruned read of the first file's ``{col}__dtype``
-    (the layout is dtype-uniform per column by construction)."""
-    import pyarrow.parquet as _pq
-
-    for path in _table_files(enc_dir):
-        t = _pq.read_table(path, columns=[f"{col}__dtype"])
-        if t.num_rows:
-            return np.dtype(t.column(0)[0].as_py())
-    return None
+    v = _quantile_values(hist.column("v").to_numpy(), dt)
+    c = hist.column("c").to_numpy()
+    starts, labels = [0], [None]
+    if group_col is not None:
+        grp = hist.column("g0")
+        n_key = len(grp) - grp.null_count
+        k = grp.slice(0, n_key).to_numpy()
+        starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]]).tolist() \
+            if n_key else []
+        labels = k[starts].tolist() + [None] * (grp.null_count > 0)
+        starts += [n_key] * (grp.null_count > 0)
+    quants, keys, ns = [], [], []
+    for s, e, label in zip(starts, starts[1:] + [len(c)], labels):
+        cum = np.cumsum(c[s:e])
+        n = int(cum[-1]) if e > s else 0
+        quants += [v[s + _hist_rank_idx(cum, n, a, b)] if n else None
+                   for a, b in qs]
+        keys += [label] * len(qs)
+        ns += [n] * len(qs)
+    out = pd.DataFrame({
+        "q_num": np.array([a for a, _ in qs] * len(starts), np.int64),
+        "q_den": np.array([b for _, b in qs] * len(starts), np.int64),
+        "quantile": _frame_col(pa.array(
+            quants, pa.large_utf8() if v.dtype == object
+            else pa.from_numpy_dtype(v.dtype))),
+        "n_rows": np.array(ns, np.int64)})
+    if group_col is not None:
+        out.insert(0, group_col, _frame_col(pa.array(keys, grp.type)))
+    return out, len(starts)
 
 
 def encoded_quantiles(enc_dir: str, col: str,
                       qs: tuple = ((1, 4), (1, 2), (3, 4)),
                       with_moments: bool = True):
     """Exact discrete quantiles AND exact power sums (Σv, Σv²) of ``col``
-    from a table-encode directory WITHOUT decoding: the per-chunk
-    (value, count) histograms of :func:`encoded_histogram` are a
-    sufficient statistic for any order statistic and any moment, so the
-    scan's partials hold only cardinality-bounded pairs and the caller
-    folds the global histogram — values themselves never move.
+    from a table-encode directory WITHOUT decoding: the ``expr=None``
+    histogram of :func:`_hist_core` (per-chunk (value, count) pairs from
+    the codec streams) is a sufficient statistic for any order
+    statistic and any moment, so the scan's partials hold only
+    cardinality-bounded pairs and the caller folds the global
+    histogram — values themselves never move.
 
     Quantile semantics match SQL ``quantile_disc(col, q)``: the element
     at 0-based rank ``ceil(q*n) - 1`` of the sorted multiset.  Each
@@ -590,32 +559,26 @@ def encoded_quantiles(enc_dir: str, col: str,
     computed in integer arithmetic (no float rounding at rank
     boundaries).  Power sums fold in Python integers (arbitrary
     precision) and are range-checked into int64 — Σv² of a large-value
-    column that would overflow raises rather than wrapping.
+    column that would overflow raises rather than wrapping.  Datetime
+    quantiles (and power sums) are in epoch microseconds.
 
     ``with_moments=False`` skips the power sums (and their int64 range
     check) — the right mode for timestamp-typed columns, whose
     microsecond epoch sums overflow int64 by construction while their
     order statistics stay perfectly well-defined.
 
-    Same cardinality guidance and null contract as
-    :func:`encoded_histogram`.  Returns ``(DataFrame(q_num, q_den,
-    quantile, sum_v, sum_v2, n_rows), counters)`` with one row per
-    requested quantile (no ``sum_v``/``sum_v2`` columns without
-    moments)."""
-    values, counts, counters, dt = _boolean_value_hist(enc_dir, None, col)
-    is_u64 = dt == np.uint64
-    if dt is not None and dt.kind == "M":
-        # datetime histograms rank identically in their int64 epoch
-        # image; present quantiles as exact epoch MICROSECONDS
-        # (DuckDB's internal timestamp unit, = epoch_us(...)); numpy
-        # floors a finer unit and scales a coarser one, days included
-        values = values.view(dt).astype("datetime64[us]").view(np.int64)
-    df = _quantile_frame(values, counts, qs, is_u64)
+    NULLs are skipped (``n_rows`` counts the non-NULL values).  Returns
+    ``(DataFrame(q_num, q_den, quantile, sum_v, sum_v2, n_rows),
+    counters)`` with one row per requested quantile (no
+    ``sum_v``/``sum_v2`` columns without moments)."""
+    hist, counters, dt = _hist_core(enc_dir, None, col)
+    df, _ = _quantile_frame(hist, qs, dt)
+    counts = hist.column("c").to_numpy()
     counters["n_rows"] = int(counts.sum())
     if with_moments:
         # exact integer moments over the histogram (Python ints: no
         # 2^53 float ceiling, no silent int64 wrap mid-fold)
-        plain = values.view(np.uint64) ^ _U64_BIAS if is_u64 else values
+        plain = _quantile_values(hist.column("v").to_numpy(), dt)
         sums = {"sum_v": sum(int(v) * int(c) for v, c in zip(plain, counts)),
                 "sum_v2": sum(int(v) * int(v) * int(c)
                               for v, c in zip(plain, counts))}
@@ -661,108 +624,136 @@ def encoded_group_quantiles(enc_dir: str, group_col: str, agg_col: str,
                                          agg_col, qs)
 
 
-def _boolean_value_hist(enc_dir: str, expr: tuple | None, agg_col: str,
-                        k: int | None = None, floor: int | None = None):
-    """Shared core of the histogram family: evaluate the predicate TREE
-    per chunk (zone-map leaf short-circuits, 3VL on nullable predicate
-    columns, conservative scan filter — exactly as in
-    :func:`encoded_boolean_agg`; ``expr=None`` selects every row) and
-    fold the (value, count) histogram of ``agg_col`` over ONLY the
-    selected rows whose ``agg_col`` is not NULL:
+def _hist_core(enc_dir: str, expr: tuple | None, col: str,
+               group_col: str | None = None, k: int | None = None,
+               floor: int | None = None):
+    """The one histogram core: the (value, count) histogram of ``col``
+    over the rows WHERE a boolean predicate TREE holds (``expr=None``:
+    every row), per group of ``group_col`` when one is given — the
+    sufficient statistic of every histogram, quantile and top-k entry
+    point, for integer and string columns.  Per chunk, after the
+    predicate (:func:`_chunk_sels`: zone-map leaf short-circuits, SQL
+    3VL, conservative scan filter):
 
-    - ALL-match null-free chunks take their histogram from
-      :func:`tokrle.codecs.core.value_counts` (dict/rle closed forms —
-      zero decode);
-    - every other chunk late-materializes ONLY the selected valid
-      positions (:func:`gather_runs`) and folds their counts.
+    - the GROUP BY key step (:func:`_key_step`) names the group of a
+      PURE chunk from its zone maps (with no key, every chunk is pure);
+    - the value step (:func:`_value_step`) answers a pure null-free
+      chunk selected whole from the codec's closed form
+      (``closed_form_chunks``: integer :func:`value_counts`, or an
+      ``sdict`` chunk's code histogram) and gathers every other chunk
+      at its selection (``gathered_chunks``), a mixed chunk's values
+      aligned with its gathered keys.
 
-    The scan (:func:`_scan_partials`, in the caller) returns (value,
-    partial_count) pairs bounded by chunk cardinality — never rows —
-    and the caller sums the counts per value.  uint64 agg columns fold
-    in the order-preserving xor-2^63 image.
+    A NULL value counts 0: its zero-count row keeps an all-NULL group
+    visible (SQL reports it with ``n_rows`` 0), and is dropped from an
+    ungrouped histogram; ``hist_rows`` counts the rows with a count.
+    Each batch folds its ``(key, v, c)`` rows with one hash GROUP BY
+    and the caller folds the batches (:func:`_group_fold`): pairs
+    bounded by chunk cardinality, never rows, with values in the one
+    image of :func:`_image`.
 
-    The top-k core (:func:`encoded_boolean_topk`) passes ``k``: each
-    chunk keeps only its own k largest rows, since the table's k
-    largest are among them; and ``floor``: values below it are dropped
-    and chunks with ``vmax < floor`` are not read.  Returns ``(values,
-    counts, counters, dtype)``: the folded int64 values (biased for
-    uint64) in ascending order, their exact int64 counts, and
-    ``agg_col``'s stored dtype (None for a directory without rows)."""
+    The top-k entry point passes ``k``: each chunk keeps only its own k
+    largest rows, since the table's k largest are among them; and
+    ``floor``: values below it are dropped and chunks with ``vmax <
+    floor`` are not read (integer columns only).  Returns ``(hist,
+    counters, dtype)``: the folded table ``([g0,] v, c)`` sorted by key
+    (NULL last) then ``v``, and ``col``'s stored type
+    (:func:`_footer`)."""
     import pyarrow.compute as pc
 
-    from tokrle.codecs.core import gather_runs, value_counts
+    fields, types = _footer(enc_dir, [col])
+    keys = _group_keys(fields, group_col)
+    is_str = types[col] == "str"
+    if is_str and k is not None:
+        raise TypeError(f"column {col!r}: top-k needs an integer column")
+    gnames = [f"g{j}" for j in range(len(keys))]
+    schema = pa.schema([(nm, t) for nm, (_, t, _) in zip(gnames, keys)] +
+                       [("v", pa.large_utf8() if is_str else pa.int64()),
+                        ("c", pa.int64())])
 
     def partial(batch: pa.Table):
-        vs, cs = [], []
+        rows = {nm: [] for nm in schema.names}
+        closed = 0
+        key_of = _key_step(batch, keys)
         chunks = _chunk_sels(batch, expr)
         for i, n, sel in chunks:
-            sel = _valid_sel(sel, _chunk_valid(batch, agg_col, i), n)
-            if _rp_empty(sel):
-                continue
-            codec, payload, dt = _chunk_col(batch, agg_col, i)
-            if isinstance(sel, str):
-                v, c = value_counts(codec, payload, n, dt)
-            else:
-                v, c = np.unique(gather_runs(codec, payload, n, dt, *sel),
-                                 return_counts=True)
-            v = _agg_fold_u64(v)
+            key = key_of(i, n, sel)
+            pure = isinstance(key, tuple)
+            # a mixed chunk's values align with its gathered keys: the
+            # full run-list gathers even where sel is _ALL
+            v, c, is_closed = _value_step(
+                batch, col, i, n, sel if pure else _sel_runs(sel, n), is_str)
+            closed += is_closed
             if floor is not None:
                 keep = v >= floor
                 v, c = v[keep], c[keep]
             if k is not None:
+                if not is_closed:       # gathered values are in row order
+                    o = np.argsort(v, kind="stable")
+                    v, c = v[o], c[o]
                 # the largest values until k rows are covered
                 cut = int(np.searchsorted(np.cumsum(c[::-1]), k)) + 1
                 v, c = v[-cut:], c[-cut:]
-            vs.append(v)
-            cs.append(c)
-        return (_cat(vs), _cat(cs)), _hit_counts(chunks)
+            for nm, g, (_, t, _) in zip(gnames, key, keys):
+                rows[nm].append(pa.repeat(pa.scalar(g, t), len(v))
+                                if pure else g)
+            rows["v"].append(v)
+            rows["c"].append(c)
+        t = pa.table([_concat(rows[f.name], f.type) for f in schema],
+                     schema=schema)
+        return _group_fold([t], gnames + ["v"], {"c": "sum"}), \
+            {**_hit_counts(chunks), "closed_form_chunks": closed,
+             "gathered_chunks": len(chunks) - closed}
 
     flt = _expr_zone_filter(expr)
     if floor is not None:
-        above = pc.field(f"{agg_col}__vmax") >= floor
+        above = pc.field(f"{col}__vmax") >= floor
         flt = above if flt is None else flt & above
     parts, counters = _scan_partials(
-        enc_dir, _scan_columns(expr, [agg_col]), flt, partial)
-    values, counts = _sum_by(_cat(v for v, _ in parts),
-                             _cat(c for _, c in parts))
-    counters["hist_rows"] = len(values)
-    return values, counts, counters, _col_dtype_probe(enc_dir, agg_col)
+        enc_dir, _scan_columns(expr, [] if is_str else [col],
+                               str_cols=[col] if is_str else [], keys=keys),
+        flt, partial)
+    hist = _group_fold(parts, gnames + ["v"], {"c": "sum"}).sort_by(
+        [(nm, "ascending") for nm in gnames + ["v"]])
+    counted = pc.greater(hist.column("c"), 0)
+    counters["hist_rows"] = int(pc.sum(counted).as_py() or 0)
+    return (hist if keys else hist.filter(counted)), counters, types[col]
 
 
-def encoded_boolean_quantiles(enc_dir: str, expr: tuple, agg_col: str,
+def encoded_boolean_quantiles(enc_dir: str, expr: tuple | None,
+                              agg_col: str,
                               qs: tuple = ((1, 4), (1, 2), (3, 4))):
     """Exact discrete quantiles of ``agg_col`` over the rows WHERE a
     boolean predicate TREE holds — order statistics joining the
-    predicate algebra over the :func:`_boolean_value_hist` sufficient
-    statistic; the driver folds ranks with the shared exact integer
-    ceil-division.  Integer agg columns; NULLs on either side follow
-    SQL (3VL predicates, NULL agg values skipped, ``n_rows`` counts the
-    non-NULL selected values).  Returns
-    ``(DataFrame(q_num, q_den, quantile, n_rows), counters)``;
-    ``quantile`` is None when nothing matches (SQL NULL)."""
-    values, counts, counters, dt = _boolean_value_hist(enc_dir, expr,
-                                                       agg_col)
-    return _quantile_frame(values, counts, qs, dt == np.uint64), counters
+    predicate algebra over the :func:`_hist_core` sufficient statistic;
+    the caller folds ranks with the shared exact integer ceil-division.
+    Integer or string agg columns (:func:`_quantile_values`: datetime
+    in epoch microseconds); NULLs on either side follow SQL (3VL
+    predicates, NULL agg values skipped, ``n_rows`` counts the non-NULL
+    selected values).  Returns ``(DataFrame(q_num, q_den, quantile,
+    n_rows), counters)``; ``quantile`` is None when nothing matches
+    (SQL NULL)."""
+    hist, counters, dt = _hist_core(enc_dir, expr, agg_col)
+    return _quantile_frame(hist, qs, dt)[0], counters
 
 
-def encoded_boolean_histogram(enc_dir: str, expr: tuple, agg_col: str):
+def encoded_boolean_histogram(enc_dir: str, expr: tuple | None,
+                              agg_col: str):
     """Exact GROUP BY value COUNT(*) over only the rows WHERE a boolean
-    predicate TREE holds — :func:`encoded_histogram` joined with the
-    predicate algebra via :func:`_boolean_value_hist` (ALL-match chunks
-    histogram from the codec streams with zero decode, run chunks
-    late-materialize selected positions only).  Same cardinality
-    guidance as the unfiltered histogram.  Returns
+    predicate TREE holds (``expr=None``: every row) — the ungrouped
+    :func:`_hist_core`: ALL-match null-free chunks histogram from the
+    codec streams with zero decode, run chunks late-materialize
+    selected positions only.  NULLs are skipped (the histogram of the
+    non-NULL values — what ``quantile_disc`` and ``COUNT(DISTINCT)``
+    see), and ``value`` keeps the column's stored dtype (uint64
+    unbiased, datetime columns as datetime64, strings as str).  Same
+    cardinality guidance as :func:`encoded_distinct_count`.  Returns
     ``(DataFrame(value, n) sorted by value, counters)``."""
     import pandas as pd
 
-    values, counts, counters, dt = _boolean_value_hist(enc_dir, expr,
-                                                       agg_col)
-    if dt == np.uint64:
-        values = (values.view(np.uint64) ^ _U64_BIAS)
-    out = pd.DataFrame({"value": values, "n": counts})
-    # the biased int64 sort order IS the uint64 order, so re-sorting
-    # after the unbias is unnecessary — values are already ascending
-    return out.reset_index(drop=True), counters
+    hist, counters, dt = _hist_core(enc_dir, expr, agg_col)
+    return pd.DataFrame({"value": _present(hist.column("v").to_numpy(), dt),
+                         "n": hist.column("c").to_numpy()}), counters
 
 
 def encoded_boolean_topk(enc_dir: str, expr: tuple | None, col: str,
@@ -770,8 +761,8 @@ def encoded_boolean_topk(enc_dir: str, expr: tuple | None, col: str,
     """``ORDER BY col DESC LIMIT k`` over the rows WHERE a boolean
     predicate TREE holds (``expr=None``: every row), as a (value, count)
     multiset with exact tie trimming; NULL values never rank.  The one
-    top-k: :func:`_boolean_value_hist` with each chunk trimmed to its
-    own k largest rows, so the partials hold at most #chunks x k pairs.
+    top-k: :func:`_hist_core` with each chunk trimmed to its own k
+    largest rows, so the partials hold at most #chunks x k pairs.
 
     Without a predicate, a metadata pass first derives the exclusion
     threshold T from ``(n_rows, vmin, valid)`` of a zone-mapped column:
@@ -782,10 +773,10 @@ def encoded_boolean_topk(enc_dir: str, expr: tuple | None, col: str,
     zone map cannot bound how many of its rows SURVIVE the predicate),
     so the predicate's own zone pruning is all that skips chunks.
 
-    ``k <= 0`` raises ``ValueError``.  Returns ``(DataFrame(value, n)
-    sorted desc with sum(n) == min(k, selected non-NULL rows),
-    counters)``; ``counters["threshold"]`` is T (None when it was not
-    derived)."""
+    Integer columns; ``k <= 0`` raises ``ValueError``.  Returns
+    ``(DataFrame(value, n) sorted desc with sum(n) == min(k, selected
+    non-NULL rows), value in the stored dtype, counters)``;
+    ``counters["threshold"]`` is T (None when it was not derived)."""
     import pandas as pd
     import pyarrow.compute as pc
     import pyarrow.dataset as pds
@@ -794,7 +785,7 @@ def encoded_boolean_topk(enc_dir: str, expr: tuple | None, col: str,
     if k <= 0:
         raise ValueError("k must be positive")
     floor = None
-    if expr is None and f"{col}__vmin" in _footer_fields(enc_dir)[0]:
+    if expr is None and f"{col}__vmin" in _footer(enc_dir)[0]:
         m = pds.dataset(_table_files(enc_dir), format="parquet").to_table(
             columns=["n_rows", f"{col}__vmin", f"{col}__valid"])
         vmin = m.column(1).to_numpy()
@@ -804,18 +795,17 @@ def encoded_boolean_topk(enc_dir: str, expr: tuple | None, col: str,
         covered = int(np.searchsorted(np.cumsum(rows[order]), k))
         if covered < len(order):        # first cumsum >= k
             floor = int(vmin[order[covered]])
-    values, counts, counters, dt = _boolean_value_hist(enc_dir, expr, col,
-                                                       k, floor)
-    values, counts = values[::-1], counts[::-1]   # descending
+    hist, counters, dt = _hist_core(enc_dir, expr, col, k=k, floor=floor)
+    values = hist.column("v").to_numpy()[::-1]      # descending
+    counts = hist.column("c").to_numpy()[::-1]
     cut = int(np.searchsorted(np.cumsum(counts), k)) + 1
-    values, counts = values[:cut], counts[:cut]
+    values, counts = values[:cut], counts[:cut].copy()
     excess = int(counts.sum()) - k
     if excess > 0:                                # exact tie trim
         counts[-1] -= excess
-    if dt == np.uint64:
-        values = values.view(np.uint64) ^ _U64_BIAS
     counters["threshold"] = floor
-    return pd.DataFrame({"value": values, "n": counts}), counters
+    return pd.DataFrame({"value": _present(values, dt), "n": counts}), \
+        counters
 
 
 def encoded_group_where_quantiles(enc_dir: str, expr: tuple | None,
@@ -823,84 +813,26 @@ def encoded_group_where_quantiles(enc_dir: str, expr: tuple | None,
                                   qs: tuple = ((1, 4), (1, 2), (3, 4))):
     """Per-group exact quantiles of ``agg_col`` over only the rows WHERE
     a boolean predicate TREE holds — the full composition: predicate
-    algebra x GROUP BY x order statistics.  Per chunk:
+    algebra x GROUP BY x order statistics, the grouped case of
+    :func:`_hist_core`.  Per chunk the tree evaluates to ``_ALL`` / a
+    selection run-list / empty (zone-map leaf short-circuits, 3VL
+    nullable predicates, conservative scan filter; ``expr=None``
+    selects every row); a PURE chunk (:func:`_key_step`) wholly
+    selected and null-free takes its agg histogram from the codec
+    streams and neither column decodes (``closed_form_chunks``); every
+    other chunk late-materializes ONLY the selected positions of both
+    columns (``gathered_chunks``).  The caller folds the per-group
+    ranks with the shared integer ceil-division.
 
-    - the tree evaluates to ``_ALL`` / a selection run-list / empty
-      exactly as in :func:`encoded_boolean_agg` (zone-map leaf
-      short-circuits, 3VL nullable predicates, conservative scan
-      filter; ``expr=None`` selects every row), and the selection
-      drops the rows whose ``agg_col`` is NULL;
-    - the GROUP BY key step (:func:`_key_step`) names the group of a
-      PURE chunk from its zone map; if the selection is also ALL-valid
-      the agg histogram comes from the codec streams
-      (:func:`value_counts` closed forms) and neither column decodes;
-    - every other chunk late-materializes ONLY the selected positions
-      of both columns and counts (group, value) pairs.
-
-    The scan (:func:`_scan_partials`, in the caller) returns one folded
-    (group, value, count) table per batch; the caller sums them and
-    folds the per-group ranks with the shared integer ceil-division.
-    Integer group column; a NULL key is its own group, sorted last.
-    Integer or uint64 agg column (uint64 folds in the xor-2^63 image),
-    NULL values skipped so ``n_rows`` counts the non-NULL selected
-    values (a group with none reports ``n_rows`` 0 and ``quantile``
-    None, as SQL).  Returns ``(DataFrame(group_col, q_num, q_den,
-    quantile, n_rows), counters)``."""
-    from tokrle.codecs.core import gather_runs, value_counts
-
-    keys = _group_keys(enc_dir, group_col)
-    schema = pa.schema([("grp", keys[0][1]), ("v", pa.int64()),
-                        ("c", pa.int64())])
-
-    def partial(batch: pa.Table):
-        rows = [schema.empty_table()]
-        closed = gathered = 0
-        key_of = _key_step(batch, keys)
-        for i, n, sel in _chunk_sels(batch, expr):
-            vb = _chunk_valid(batch, agg_col, i)
-            key = key_of(i, n, sel)
-            if isinstance(key, tuple):
-                ac, ap, adt = _chunk_col(batch, agg_col, i)
-                sv = _valid_sel(sel, vb, n)
-                if isinstance(sv, str):
-                    closed += 1
-                    v, c = value_counts(ac, ap, n, adt)
-                else:
-                    gathered += 1
-                    v, c = np.unique(gather_runs(ac, ap, n, adt, *sv),
-                                     return_counts=True)
-                v = _agg_fold_u64(v)
-                if vb:
-                    # a zero-count marker: the group reports (n_rows
-                    # 0, quantile NULL) even if all its values are NULL
-                    v, c = np.append(v, 0), np.append(c, 0)
-                rows.append(pa.table([pa.repeat(pa.scalar(
-                    key[0], keys[0][1]), len(v)), v, c], schema=schema))
-                continue
-            gathered += 1
-            g, v = key[0], _agg_fold_u64(_col_at(batch, agg_col, i, n, sel))
-            if vb:
-                # zero-count markers for every selected group, then
-                # drop the NULL values
-                rows.append(pa.table([g, np.zeros(len(v), np.int64),
-                                      np.zeros(len(v), np.int64)],
-                                     schema=schema))
-                ok = _sel_valid_mask(vb, n, sel)
-                g, v = g.filter(pa.array(ok)), v[ok]
-            rows.append(pa.table([g, v, np.ones(len(v), np.int64)],
-                                 schema=schema))
-        return _group_fold(rows, ["grp", "v"], {"c": "sum"}), \
-            {"closed_form_chunks": closed, "gathered_chunks": gathered}
-
-    parts, counters = _scan_partials(
-        enc_dir, _scan_columns(expr, [agg_col], keys=keys),
-        _expr_zone_filter(expr), partial)
-    hist = _group_fold(parts, ["grp", "v"], {"c": "sum"}).sort_by(
-        [("grp", "ascending"), ("v", "ascending")])
-    is_u64 = _col_dtype_probe(enc_dir, agg_col) == np.dtype(np.uint64)
-    out, counters["groups"] = _group_quantile_frame(hist, qs, group_col,
-                                                    is_u64)
-    counters["hist_rows"] = hist.num_rows
+    One integer or string group column; a NULL key is its own group,
+    sorted last.  NULL agg values are skipped, so ``n_rows`` counts the
+    non-NULL selected values (a group with none reports ``n_rows`` 0 and
+    ``quantile`` None, as SQL).  Returns ``(DataFrame(group_col, q_num,
+    q_den, quantile, n_rows) sorted by group and q, counters)``;
+    ``counters["groups"]`` is the number of groups."""
+    hist, counters, dt = _hist_core(enc_dir, expr, agg_col, group_col)
+    out, counters["groups"] = _quantile_frame(hist, tuple(sorted(qs)), dt,
+                                              group_col)
     return out, counters
 
 
@@ -1020,19 +952,13 @@ def _expr_pred_cols(expr) -> list[str]:
                           and lf[0] not in _NULL_LEAVES)))
 
 
-def _expr_null_cols(expr) -> list[str]:
-    """Distinct columns of ``is_null`` / ``not_null`` leaves — these
-    need only ``{col}__valid`` (the codec payload is never read)."""
+def _expr_leaf_cols(expr, kinds) -> list[str]:
+    """Distinct columns of a tree's leaves of ``kinds``: the STRING
+    leaves (lengths-stream prefilter instead of zone maps) or the
+    ``is_null`` / ``not_null`` ones (only ``{col}__valid`` is read, the
+    codec payload never)."""
     return list(dict.fromkeys(lf[1] for lf in _expr_leaves(expr)
-                              if lf[0] in _NULL_LEAVES))
-
-
-def _expr_str_cols(expr) -> list[str]:
-    """Distinct STRING predicate columns of a tree (``eq_str`` /
-    ``prefix_str`` leaves: lengths-stream prefilter instead of zone
-    maps)."""
-    return list(dict.fromkeys(lf[1] for lf in _expr_leaves(expr)
-                              if lf[0] in _STR_LEAVES))
+                              if lf[0] in kinds))
 
 
 def _chunk_col(batch: pa.Table, c: str, i: int):
@@ -1060,12 +986,6 @@ def _chunk_str_col(batch: pa.Table, c: str, i: int):
     return (batch.column(f"{c}__codec")[i].as_py(),
             memoryview(batch.column(f"{c}__lens_payload")[i].as_buffer()),
             memoryview(batch.column(f"{c}__payload")[i].as_buffer()))
-
-
-def _zone_maps(batch: pa.Table, cols) -> tuple[dict, dict]:
-    """``({col: vmin array}, {col: vmax array})`` of a scanned batch."""
-    return tuple({c: batch.column(f"{c}__{p}").to_numpy(
-        zero_copy_only=False) for c in cols} for p in ("vmin", "vmax"))
 
 
 def _chunk_sel(expr, batch: pa.Table, i: int, n: int, zmin: dict,
@@ -1099,7 +1019,9 @@ def _chunk_sels(batch: pa.Table, expr) -> list:
     and chunks whose :func:`_chunk_sel` is empty.  ``expr=None``
     selects every row of every non-empty chunk."""
     nrows = batch.column("n_rows").to_numpy(zero_copy_only=False)
-    zmin, zmax = _zone_maps(batch, _expr_pred_cols(expr))
+    zmin, zmax = ({c: batch.column(f"{c}__{p}").to_numpy(
+        zero_copy_only=False) for c in _expr_pred_cols(expr)}
+        for p in ("vmin", "vmax"))
     out = []
     for i, n in enumerate(nrows.tolist()):
         if n:
@@ -1115,22 +1037,6 @@ def _hit_counts(chunks: list) -> dict:
     (``run_chunks``)."""
     n_all = sum(isinstance(sel, str) for _, _, sel in chunks)
     return {"all_hit_chunks": n_all, "run_chunks": len(chunks) - n_all}
-
-
-def _cat(arrays) -> np.ndarray:
-    """Concatenation of int64 arrays; an empty int64 array for none."""
-    arrays = list(arrays)
-    return np.concatenate(arrays).astype(np.int64, copy=False) if arrays \
-        else np.empty(0, np.int64)
-
-
-def _sum_by(keys: np.ndarray, counts: np.ndarray):
-    """``(sorted distinct keys, int64 sum of counts per key)`` of two
-    parallel arrays — how the histogram cores fold their batches."""
-    u, inv = np.unique(keys, return_inverse=True)
-    sums = np.zeros(len(u), np.int64)
-    np.add.at(sums, inv, counts)
-    return u, sums
 
 
 def _sel_runs(sel, n: int):
@@ -1191,16 +1097,53 @@ def _null_at(v, vb: bytes, n: int, sel) -> pa.Array:
                       pa.scalar(None, v.type)) if vb else v
 
 
-def _group_keys(enc_dir: str, group_col) -> list:
+def _value_step(batch: pa.Table, c: str, i: int, n: int, sel,
+                is_str: bool, hist: bool = True):
+    """The value step of the histogram and distinct cores: column ``c``
+    of chunk ``i`` under selection ``sel`` as ``(values, counts,
+    closed)``, values in the fold image (:func:`_image`).  A null-free
+    chunk selected whole (``sel`` is ``_ALL``) answers from the codec's
+    closed form and ``closed`` is True: an integer chunk's
+    :func:`value_counts` (``hist``) or :func:`distinct_values` (counts
+    None), an ``sdict`` string chunk's code histogram plus one
+    dictionary take, or its dictionary header — no code stream read.
+    Any other chunk gathers ``c`` at ``sel`` (:func:`_col_at`), and
+    ``counts`` is 1 at a valid slot and 0 at a NULL one."""
+    from tokrle.codecs.core import (_sdict_distinct_array, distinct_values,
+                                    sdict_unpack, value_counts)
+
+    vb = _chunk_valid(batch, c, i)
+    if isinstance(sel, str) and not vb and not is_str:
+        codec, payload, dt = _chunk_col(batch, c, i)
+        if not hist:
+            return _image(distinct_values(codec, payload, n, dt)), None, True
+        v, counts = value_counts(codec, payload, n, dt)
+        return _image(v), counts, True
+    if isinstance(sel, str) and not vb:
+        spec, _, tp = _chunk_str_col(batch, c, i)
+        if spec.startswith("sdict:"):
+            ccodec, codes, dlens, dbytes = sdict_unpack(spec, tp)
+            dist = _sdict_distinct_array(dlens, dbytes)
+            if not hist:
+                return dist, None, True
+            u, counts = value_counts(ccodec, codes, n, np.int64)
+            return dist.take(pa.array(u)), counts, True
+    v = _image(_col_at(batch, c, i, n, sel, is_str))
+    return v, (_sel_valid_mask(vb, n, sel).astype(np.int64) if vb
+               else np.ones(len(v), np.int64)), False
+
+
+def _group_keys(fields: set, group_col) -> list:
     """``[(col, type, zone map fields or None)]`` of the GROUP BY key
-    column(s) ``group_col`` (a name or a list), from a footer probe: a
-    string key (it has ``__lens_payload``) folds as ``large_string``
-    with the zone map ``__smin``/``__smax``; any other key folds as
-    int64 with ``__vmin``/``__vmax``, which uint64 and float columns do
-    not have."""
-    fields, _ = _footer_fields(enc_dir)
+    column(s) ``group_col`` (None, a name or a list) from the footer
+    fields of :func:`_footer`: a string key (it has
+    ``__lens_payload``) folds as ``large_string`` with the zone map
+    ``__smin``/``__smax``; any other key folds as int64 with
+    ``__vmin``/``__vmax``, which uint64 and float columns do not
+    have."""
     keys = []
-    for g in [group_col] if isinstance(group_col, str) else group_col:
+    for g in [] if group_col is None else \
+            [group_col] if isinstance(group_col, str) else group_col:
         is_str = f"{g}__lens_payload" in fields
         zone = tuple(f"{g}__{p}" for p in (("smin", "smax") if is_str
                                            else ("vmin", "vmax")))
@@ -1241,6 +1184,14 @@ def _key_step(batch: pa.Table, keys: list):
     return key
 
 
+def _concat(parts: list, typ) -> pa.Array:
+    """The per-chunk pieces of one column of a scan batch, numpy arrays
+    or Arrow arrays of type ``typ``, as one Arrow array."""
+    if parts and isinstance(parts[0], np.ndarray):
+        return pa.array(np.concatenate(parts), typ)
+    return pa.concat_arrays(parts) if parts else pa.array([], typ)
+
+
 def _group_fold(parts: list, keys: list[str], how: dict) -> pa.Table:
     """One hash GROUP BY ``keys`` of tables that share a schema: ``how``
     maps each value column to its fold (``sum``, ``min`` or ``max``;
@@ -1263,6 +1214,13 @@ def _frame_col(col: pa.ChunkedArray):
         pd.Series(col.to_pylist(), dtype=object)
 
 
+def _frame(t: pa.Table):
+    """An answer table as a pandas frame of :func:`_frame_col` columns."""
+    import pandas as pd
+
+    return pd.DataFrame(dict(zip(t.column_names, map(_frame_col, t.columns))))
+
+
 def _scan_columns(expr, value_cols, zone_cols=(), str_cols=(),
                   keys=()) -> list:
     """Parquet columns a predicate-tree scan reads: ``n_rows``; zone maps
@@ -1276,16 +1234,16 @@ def _scan_columns(expr, value_cols, zone_cols=(), str_cols=(),
     str_keys = [g for g, t, _ in keys if t == pa.large_utf8()]
     value_cols = list(value_cols) + [g for g, _, _ in keys
                                      if g not in str_keys]
-    str_cols = list(str_cols) + str_keys
+    str_cols = _expr_leaf_cols(expr, _STR_LEAVES) + list(str_cols) + str_keys
     pred_cols = _expr_pred_cols(expr)
     need = ["n_rows"]
     need += [f"{c}__{p}" for c in dict.fromkeys(pred_cols + list(zone_cols))
              for p in ("vmin", "vmax")]
     need += [f"{c}__{p}" for c in pred_cols + list(value_cols)
              for p in ("codec", "payload", "dtype", "valid")]
-    need += [f"{c}__{p}" for c in _expr_str_cols(expr) + list(str_cols)
+    need += [f"{c}__{p}" for c in str_cols
              for p in ("codec", "payload", "lens_payload", "valid")]
-    need += [f"{c}__valid" for c in _expr_null_cols(expr)]
+    need += [f"{c}__valid" for c in _expr_leaf_cols(expr, _NULL_LEAVES)]
     need += [f for _, _, z in keys if z for f in z]
     return list(dict.fromkeys(need))
 
@@ -1511,10 +1469,11 @@ def encoded_boolean_agg(enc_dir: str, expr: tuple | None,
     and/or of the leaves' overlap tests, while any ``not`` branch is
     unprunable (the complement of a zone test is not sound) and reads
     everything.  ``expr=None`` selects every row (the engine of
-    :func:`encoded_column_agg`).  The scan (:func:`_scan_partials`, in
-    the caller) yields one partial per batch — the match count and, per
-    aggregate column, SUM, valid-value count, MIN and MAX — which the
-    caller folds; integer aggregate columns only.
+    :func:`encoded_column_agg`).  An ungrouped aggregate is a GROUP BY
+    with no key: this is :func:`encoded_filtered_group_agg` with
+    ``group_col=[]``, where every chunk is pure and answers in closed
+    form (:func:`agg_sum` / :func:`agg_sum_runs`); integer aggregate
+    columns only, and a uint64 one raises ``TypeError``.
 
     ``with_minmax=True`` adds exact per-column MIN/MAX of the selected
     rows: ALL-match chunks answer from the aggregate column's own zone
@@ -1531,87 +1490,22 @@ def encoded_boolean_agg(enc_dir: str, expr: tuple | None,
     null slots exactly like SQL: SUM stays exact because the encoder's
     null filler is 0, MIN/MAX gather only valid selected positions,
     and both return NULL when NO selected row holds a valid value
-    (``n_valid_<c>`` carries that count; SUM over an all-null
+    (``nvalid_<c>`` carries that count; SUM over an all-null
     selection is emitted as 0 — pair it with ``coalesce`` in an
-    oracle)."""
-    import pandas as pd
-
-    from tokrle.codecs.core import agg_sum, agg_sum_runs, gather_runs
-
-    need = _scan_columns(expr, agg_cols,
-                         zone_cols=agg_cols if with_minmax else ())
-    imax = np.iinfo(np.int64).max
-
-    def partial(batch: pa.Table):
-        n_match = 0
-        # per aggregate column [SUM, valid count, MIN, MAX]; the sentinel
-        # extrema of a batch without a valid value fold away
-        acc = {c: [0, 0, imax, -imax - 1] for c in agg_cols}
-        chunks = _chunk_sels(batch, expr)
-        for i, n, sel in chunks:
-            is_all = isinstance(sel, str)
-            n_match += n if is_all else int(sel[1].sum())
-            for c in agg_cols:
-                codec, payload, dt = _chunk_col(batch, c, i)
-                vb = _chunk_valid(batch, c, i)
-                a = acc[c]
-                if is_all and not vb:
-                    # whole null-free chunk selected: the closed-form
-                    # sum, and its zone map IS the exact extrema
-                    a[0] += agg_sum(codec, payload, n, dt)
-                    a[1] += n
-                    if with_minmax:
-                        a[2] = min(a[2], int(
-                            batch.column(f"{c}__vmin")[i].as_py()))
-                        a[3] = max(a[3], int(
-                            batch.column(f"{c}__vmax")[i].as_py()))
-                    continue
-                # restrict to VALID selected positions on nullable
-                # chunks — null slots neither count nor aggregate
-                sv = _valid_sel(sel, vb, n)
-                nv = int(sv[1].sum())
-                a[1] += nv
-                if not nv:
-                    continue
-                if with_minmax:
-                    # min/max need the gathered values anyway — reuse
-                    # them for the sum instead of a second decode
-                    v = gather_runs(codec, payload, n, dt, *sv)
-                    a[0] += int(v.sum(dtype=np.int64))
-                    a[2] = min(a[2], int(v.min()))
-                    a[3] = max(a[3], int(v.max()))
-                elif is_all:
-                    # the encoder fills null slots with 0, so the
-                    # whole-payload sum equals SQL's null-skipping SUM
-                    a[0] += agg_sum(codec, payload, n, dt)
-                else:
-                    a[0] += agg_sum_runs(codec, payload, n, dt, *sv)
-        return (n_match, acc), _hit_counts(chunks)
-
-    parts, counters = _scan_partials(enc_dir, need, _expr_zone_filter(expr),
-                                     partial)
-    data = {"n_match": [sum(m for m, _ in parts)]}
-    for c in agg_cols:
-        accs = [acc[c] for _, acc in parts]
-        nv = sum(a[1] for a in accs)
-        data[f"sum_{c}"] = [sum(a[0] for a in accs)]
-        # valid-value count per aggregate column (== SQL COUNT(col));
-        # rides in counters so the DataFrame schema stays stable for
-        # null-free callers
-        counters[f"nvalid_{c}"] = nv
-        if with_minmax:
-            # SQL MIN/MAX over zero VALID values is NULL, even when
-            # null-valued rows were selected
-            data[f"min_{c}"] = [min(a[2] for a in accs) if nv else None]
-            data[f"max_{c}"] = [max(a[3] for a in accs) if nv else None]
-    return pd.DataFrame(data), counters
+    oracle).  Returns ``(DataFrame(n_match, sum_<c>, [min_<c>,
+    max_<c>]...), counters)``."""
+    t, counters = _agg_core(enc_dir, [], expr, agg_cols, with_minmax)
+    parts = ("sum", "min", "max") if with_minmax else ("sum",)
+    cols = [f"{p}_{c}" for c in agg_cols for p in parts]
+    return _frame(t.select(["n"] + cols).rename_columns(["n_match"] + cols)), \
+        counters
 
 
 # Single-predicate and conjunctive entry points: each is one predicate
 # tree handed to encoded_boolean_agg, so they share its zone-map
 # pruning, its run-list evaluation, its SQL null semantics and its
 # counters (chunks_total / chunks_scanned / chunks_skipped /
-# all_hit_chunks / run_chunks / nvalid_<c>).
+# all_hit_chunks / run_chunks / pure_group_chunks / nvalid_<c>).
 
 def encoded_range_agg(enc_dir: str, key_col: str, lo: int, hi: int,
                       agg_cols: list[str]):
@@ -1665,243 +1559,203 @@ def encoded_filtered_group_agg(enc_dir: str, group_col: str | list[str],
                                with_minmax: bool = False):
     """``SELECT group_col(s), count(*), sum(agg_cols...) [WHERE
     <predicate tree>] GROUP BY group_col(s)`` over a table-encode
-    directory: the one GROUP BY COUNT/SUM/MIN/MAX core, behind
-    :func:`encoded_group_agg` (``expr=None``) and
-    :func:`encoded_group_by_str`.  ``group_col`` is one column or a list
+    directory: the one COUNT/SUM/MIN/MAX core, behind
+    :func:`encoded_group_agg` (``expr=None``),
+    :func:`encoded_group_by_str` and, with no key (``group_col=[]``),
+    :func:`encoded_boolean_agg`.  ``group_col`` is one column or a list
     (composite keys), each an integer or a string column.  The predicate
     evaluates per chunk as in :func:`encoded_boolean_agg`, then the
     GROUP BY key step (:func:`_key_step`) splits the chunks:
 
     - PURE chunks (every key null-free with zone map ``vmin == vmax``,
       or ``smin == smax`` for a string — the common case when the table
-      is clustered on the key): the group comes from the zone maps, the
-      count from the selection alone, and each SUM from :func:`agg_sum`
-      (ALL) / :func:`agg_sum_runs` (run-list) — the key columns never
-      decode and the agg columns never expand;
+      is clustered on the key; with no key, every chunk): the group
+      comes from the zone maps, the count from the selection alone, and
+      each SUM from :func:`agg_sum` (ALL) / :func:`agg_sum_runs`
+      (run-list) — the key columns never decode and the agg columns
+      never expand;
     - MIXED chunks materialize the key and agg columns ONLY at the
-      selected positions (late materialization), and each batch folds
-      its rows with one hash GROUP BY.
+      selected positions (late materialization).
 
-    ``with_minmax=True`` adds per-group ``min_<c>``/``max_<c>``: pure
-    ALL-selected null-free chunks answer from the aggregate column's
-    own zone map (zero decode), every other chunk from the gathered
-    values.
+    Each batch folds its rows with one hash GROUP BY, and the caller
+    folds the batches' groups from :func:`_scan_partials`, never table
+    rows.  ``with_minmax=True`` adds per-group ``min_<c>``/``max_<c>``:
+    pure ALL-selected null-free chunks answer from the aggregate
+    column's own zone map (zero decode), every other chunk from the
+    gathered values, which then give its SUM too.
 
     NULLs follow SQL: predicate columns under three-valued logic,
     aggregate NULLs skipped (SUM over no valid value is emitted as 0
-    and MIN/MAX as None), and a NULL key is its own group, sorted last.
-    The caller folds the batches' groups from :func:`_scan_partials`,
-    never table rows.  Returns ``(DataFrame, counters)`` sorted by the
-    keys: the keys (int64 or str; object holding None when a key is
-    NULL), int64 ``n``/``sum_<c>``, then ``min_<c>``/``max_<c>`` (int64,
-    or object holding None when a group has no valid value); integer
-    aggregate columns only."""
-    import pandas as pd
+    and MIN/MAX as None; ``nvalid_<c>`` counts the valid values), and a
+    NULL key is its own group, sorted last.  Integer aggregate columns
+    only: a uint64 one raises ``TypeError`` before any chunk is read
+    (its sums can exceed the int64 answer column).  Sums fold exactly,
+    and a SUM outside int64 raises ``OverflowError``.  Returns
+    ``(DataFrame, counters)`` sorted by the keys: the keys (int64 or
+    str; object holding None when a key is NULL), int64
+    ``n``/``sum_<c>``, then ``min_<c>``/``max_<c>`` (int64, or object
+    holding None when a group has no valid value) — with no key, one
+    row."""
+    t, counters = _agg_core(enc_dir, group_col, expr, agg_cols, with_minmax)
+    return _frame(t), counters
 
-    from tokrle.codecs.core import agg_sum, agg_sum_runs, gather_runs
 
-    keys = _group_keys(enc_dir, group_col)
+def _agg_core(enc_dir: str, group_col, expr: tuple | None,
+              agg_cols: list[str], with_minmax: bool):
+    """:func:`encoded_filtered_group_agg` as ``(Arrow table, counters)``,
+    the table's columns named like the frame's."""
+    import pyarrow.compute as pc
+
+    from tokrle.codecs.core import (agg_sum, agg_sum_runs, exact_sum_int,
+                                    gather_runs)
+
+    # an ungrouped count (no key, no aggregate column) needs no probe
+    fields, types = _footer(enc_dir, agg_cols) if group_col or agg_cols \
+        else (set(), {})
+    for c in agg_cols:
+        if types[c] == np.uint64:
+            raise TypeError(
+                f"column {c!r}: uint64 sums can exceed the int64 "
+                "answer column; decode and reduce instead")
+    keys = _group_keys(fields, group_col)
     gnames = [f"g{j}" for j in range(len(keys))]
     how = {"n": "sum", **{f"sum_{c}": "sum" for c in agg_cols}}
     if with_minmax:
         how.update({f"{s}_{c}": s for s in ("min", "max") for c in agg_cols})
-    schema = pa.schema([(nm, t) for nm, (_, t, _) in zip(gnames, keys)] +
-                       [(nm, pa.int64()) for nm in how])
+    # sums fold as decimal128(38, 0), exact for any int64 column of
+    # fewer than 10^19 rows, and are range-checked into int64 at the end
+    dec = pa.decimal128(38, 0)
+    schema = pa.schema([(nm, t) for nm, (_, t, _) in zip(gnames, keys)] + [
+        (nm, dec if nm.startswith("sum_") else pa.int64()) for nm in how])
 
     def partial(batch: pa.Table):
         pure = {nm: [] for nm in schema.names}    # one row per pure chunk
-        mixed = []              # one table of selected rows per chunk
+        mixed = {nm: [] for nm in schema.names}   # selected rows, arrays
+        nvalid = dict.fromkeys(agg_cols, 0)
         key_of = _key_step(batch, keys)
         chunks = _chunk_sels(batch, expr)
         for i, n, sel in chunks:
             is_all = isinstance(sel, str)
             key = key_of(i, n, sel)
-            if isinstance(key, tuple):
-                for nm, k in zip(gnames, key):
-                    pure[nm].append(k)
-                pure["n"].append(n if is_all else int(sel[1].sum()))
+            if not isinstance(key, tuple):
+                for nm, g in zip(gnames, key):
+                    mixed[nm].append(g)
+                mixed["n"].append(pa.array(np.ones(len(key[0]), np.int64)))
                 for c in agg_cols:
-                    codec, payload, dt = _chunk_col(batch, c, i)
-                    # the encoder fills NULL slots with 0, so the sum
-                    # over the selection is SQL's NULL-skipping SUM
-                    pure[f"sum_{c}"].append(
-                        agg_sum(codec, payload, n, dt) if is_all else
-                        agg_sum_runs(codec, payload, n, dt, *sel))
-                    if not with_minmax:
-                        continue
-                    vb = _chunk_valid(batch, c, i)
-                    if is_all and not vb:
-                        # whole chunk selected: its zone map IS exact
-                        mn = batch.column(f"{c}__vmin")[i].as_py()
-                        mx = batch.column(f"{c}__vmax")[i].as_py()
-                    else:
-                        v = gather_runs(codec, payload, n, dt,
-                                        *_valid_sel(sel, vb, n))
-                        mn, mx = (int(v.min()), int(v.max())) if len(v) \
-                            else (None, None)
-                    pure[f"min_{c}"].append(mn)
-                    pure[f"max_{c}"].append(mx)
+                    # NULL slots null: SUM, MIN and MAX skip them
+                    v = _null_at(_col_at(batch, c, i, n, sel).astype(np.int64),
+                                 _chunk_valid(batch, c, i), n, sel)
+                    nvalid[c] += len(v) - v.null_count
+                    mixed[f"sum_{c}"].append(v.cast(dec))
+                    if with_minmax:
+                        mixed[f"min_{c}"].append(v)
+                        mixed[f"max_{c}"].append(v)
                 continue
-            rows = dict(zip(gnames, key))
-            rows["n"] = np.ones(len(key[0]), np.int64)
+            for nm, g in zip(gnames, key):
+                pure[nm].append(g)
+            pure["n"].append(n if is_all else int(sel[1].sum()))
             for c in agg_cols:
-                v = _col_at(batch, c, i, n, sel).astype(np.int64)
-                rows[f"sum_{c}"] = v    # NULL slots hold the filler 0
+                codec, payload, dt = _chunk_col(batch, c, i)
+                sv = _valid_sel(sel, _chunk_valid(batch, c, i), n)
+                nvalid[c] += n if isinstance(sv, str) else int(sv[1].sum())
+                if with_minmax and not isinstance(sv, str):
+                    # MIN/MAX gather the valid selected values anyway:
+                    # the SUM comes from them, not from a second pass
+                    v = gather_runs(codec, payload, n, dt, *sv)
+                    pure[f"sum_{c}"].append(exact_sum_int(v))
+                    pure[f"min_{c}"].append(int(v.min()) if len(v) else None)
+                    pure[f"max_{c}"].append(int(v.max()) if len(v) else None)
+                    continue
+                # the encoder fills NULL slots with 0, so the sum over
+                # the selection is SQL's NULL-skipping SUM
+                pure[f"sum_{c}"].append(
+                    agg_sum(codec, payload, n, dt) if is_all else
+                    agg_sum_runs(codec, payload, n, dt, *sel))
                 if with_minmax:
-                    rows[f"min_{c}"] = rows[f"max_{c}"] = _null_at(
-                        v, _chunk_valid(batch, c, i), n, sel)
-            mixed.append(pa.table(rows, schema=schema))
-        return _group_fold([pa.table(pure, schema=schema)] + mixed, gnames,
-                           how), \
-            {**_hit_counts(chunks), "pure_group_chunks": len(pure["n"])}
+                    # whole null-free chunk selected: its zone map IS exact
+                    pure[f"min_{c}"].append(
+                        batch.column(f"{c}__vmin")[i].as_py())
+                    pure[f"max_{c}"].append(
+                        batch.column(f"{c}__vmax")[i].as_py())
+        t = pa.table([_concat([pa.array(pure[f.name], f.type)] +
+                              mixed[f.name], f.type) for f in schema],
+                     schema=schema)
+        return _group_fold([t], gnames, how), \
+            {**_hit_counts(chunks), "pure_group_chunks": len(pure["n"]),
+             **{f"nvalid_{c}": nv for c, nv in nvalid.items()}}
 
     parts, counters = _scan_partials(
         enc_dir, _scan_columns(expr, agg_cols, keys=keys,
                                zone_cols=agg_cols if with_minmax else ()),
         _expr_zone_filter(expr), partial)
-    t = _group_fold(parts, gnames, how).sort_by(
-        [(nm, "ascending") for nm in gnames])
-    names = [g for g, _, _ in keys] + list(how)
-    return pd.DataFrame(dict(zip(names, map(_frame_col, t.columns)))), \
-        counters
+    t = _group_fold(parts, gnames, how)
+    if gnames:
+        t = t.sort_by([(nm, "ascending") for nm in gnames])
+    # with no key an empty input folds to one row of NULLs, and a group
+    # whose values are all NULL sums to NULL: SQL's count and our sum
+    # are 0 there; a decimal sum outside int64 fails its cast
+    for j, nm in enumerate(["n"] + [f"sum_{c}" for c in agg_cols],
+                           len(gnames)):
+        try:
+            t = t.set_column(j, nm, pc.fill_null(t.column(j), 0).cast(
+                pa.int64()))
+        except pa.ArrowInvalid:
+            raise OverflowError(f"column {nm[4:]!r}: a SUM exceeds "
+                                "int64") from None
+    return t.rename_columns([g for g, _, _ in keys] + list(how)), counters
 
 
-def _footer_fields(enc_dir: str) -> tuple[set, str | None]:
-    """``(field names, first file path)`` of a table-encode directory's
-    footer schema (first file only — the layout is uniform by
-    construction).  Used to classify columns (a ``__lens_payload``
-    field marks a string/list column) without reading any data; the
-    path supports follow-up single-row probes (dtypes)."""
-    import pyarrow.parquet as _pq
+def _footer(enc_dir: str, cols=()) -> tuple[set, dict]:
+    """The one footer probe of a table-encode directory: ``(field names,
+    {col: stored type})``.  The field names are the first file's footer
+    schema (the layout is uniform by construction; a ``__lens_payload``
+    field marks a string or list column, ``__vmin`` a zone-mapped one).
+    The stored type of each of ``cols`` is its ``__dtype`` in the first
+    chunk: a numpy dtype, ``"str"`` for a string column and
+    ``"list:<dtype>"`` for a list one; None in a directory without a
+    chunk.  No chunk payload is read."""
+    import pyarrow.parquet as pq
 
-    files = _table_files(enc_dir)
-    if not files:
-        return set(), None
-    return set(_pq.ParquetFile(files[0]).schema_arrow.names), files[0]
+    fields, types = set(), dict.fromkeys(cols)
+    for path in _table_files(enc_dir):
+        f = pq.ParquetFile(path)
+        fields = fields or set(f.schema_arrow.names)
+        if not cols or f.metadata.num_rows:
+            break
+    else:
+        return fields, types
+    if cols:
+        row = f.read_row_group(0, columns=[f"{c}__dtype" for c in cols])
+        for c in cols:
+            s = row.column(f"{c}__dtype")[0].as_py()
+            types[c] = s if s == "str" or s.startswith("list:") \
+                else np.dtype(s)
+    return fields, types
 
 
 def encoded_str_distinct(enc_dir: str, col: str,
                          expr: tuple | None = None):
-    """Exact DISTINCT over a STRING column of a table-encode directory
-    — the string sibling of :func:`encoded_distinct_count`.  ``sdict``
-    chunks the predicate matches WHOLLY (or with no predicate) answer
-    from the dictionary HEADER alone (the distinct set rides ahead of
-    the code stream and contains exactly the present values — the code
-    stream never decodes); predicate-selected sdict chunks gather only
-    the selected CODES and dedup those (codes -> values via one
-    dictionary take); plain ``str`` chunks decode and dedup locally.
-    The partials of :func:`_scan_partials` hold per-batch distinct
-    value sets (cardinality-bounded), never rows.  Null slots are
-    excluded (SQL ``COUNT(DISTINCT col)`` ignores NULLs), with or
-    without a predicate, and predicate columns evaluate under SQL
-    three-valued logic.  Returns ``(DataFrame(n_distinct), counters)``."""
-    import pandas as pd
-    import pyarrow.compute as pc
-
-    from tokrle.codecs.core import (_sdict_distinct_array, gather_str_runs,
-                                    sdict_unpack)
-
-    def partial(batch: pa.Table):
-        vals, header_only = [], 0
-        for i, n, sel in _chunk_sels(batch, expr):
-            spec, lp, tp = _chunk_str_col(batch, col, i)
-            if not spec.startswith(("str:", "sdict:")):
-                raise TypeError(
-                    f"column {col!r}: not a string column ({spec})")
-            sel = _valid_sel(sel, _chunk_valid(batch, col, i), n)
-            if _rp_empty(sel):
-                continue
-            if spec.startswith("sdict:") and isinstance(sel, str):
-                # header-only: the dictionary IS the present-value set
-                # (dictionary_encode emits exactly the values that
-                # occur) — the code stream never decodes
-                _, _, dlens, dbytes = sdict_unpack(spec, tp)
-                vals.append(_sdict_distinct_array(dlens, dbytes))
-                header_only += 1
-                continue
-            vals.append(pc.unique(gather_str_runs(spec, lp, tp, n,
-                                                  *_sel_runs(sel, n))))
-        u = pc.unique(pa.chunked_array(vals, type=pa.large_utf8()))
-        return u, {"chunks_header_only": header_only,
-                   "chunks_decoded": len(vals) - header_only}
-
-    parts, counters = _scan_partials(
-        enc_dir, _scan_columns(expr, [], str_cols=[col]),
-        _expr_zone_filter(expr), partial)
-    u = pc.unique(pa.chunked_array(parts, type=pa.large_utf8()))
-    return pd.DataFrame({"n_distinct": [len(u)]}), counters
+    """Exact COUNT(DISTINCT) of a STRING column:
+    :func:`encoded_distinct_count` on a column that must be a string
+    one (else ``TypeError``).  Wholly selected ``sdict`` chunks answer
+    from the dictionary HEADER alone (the code stream never decodes),
+    other sdict chunks gather only the selected CODES, plain ``str``
+    chunks decode.  Returns ``(DataFrame(n_distinct), counters)``."""
+    _require_str(enc_dir, col)
+    return encoded_distinct_count(enc_dir, col, expr)
 
 
 def encoded_str_quantiles(enc_dir: str, col: str,
                           qs: tuple = ((1, 4), (1, 2), (3, 4))):
-    """Exact discrete quantiles of a STRING column (binary-collation
-    order, SQL ``quantile_disc`` semantics) from the encoded layout:
-    ``sdict`` chunks histogram their integer CODE stream
-    (:func:`tokrle.codecs.core.value_counts` closed forms — the text
-    never decodes beyond the dictionary header) and map codes to the
-    distinct set; plain ``str`` chunks decode once and fold with Arrow
-    ``value_counts``.  The partials of :func:`_scan_partials` hold
-    (string value, count) pairs bounded by chunk cardinality, never
-    rows; the caller sorts the folded histogram in UTF-8 byte order
-    (== code-point order, so Python/pandas sorting matches DuckDB's
-    binary collation) and picks ranks with the shared integer
-    ceil-division.  Null slots are
-    skipped like SQL; the returned ``n_rows`` counts non-null values.
-    Returns ``(DataFrame(q_num, q_den, quantile, n_rows), counters)``
-    with ``quantile`` None when every value is NULL."""
-    import pandas as pd
-    import pyarrow.compute as pc
-
-    from tokrle.codecs.core import (_sdict_distinct_array, gather_str_runs,
-                                    sdict_unpack, value_counts)
-
-    def partial(batch: pa.Table):
-        vs, cs = [], []
-        code_only = 0
-        for i, n, _ in _chunk_sels(batch, None):
-            spec, lp, tp = _chunk_str_col(batch, col, i)
-            if not spec.startswith(("str:", "sdict:")):
-                raise TypeError(
-                    f"column {col!r}: not a string column ({spec})")
-            vb = _chunk_valid(batch, col, i)
-            if spec.startswith("sdict:") and not vb:
-                # closed form: histogram the integer code stream, then
-                # one dictionary take — zero text gather
-                ccodec, codes_p, dlens, dbytes = sdict_unpack(spec, tp)
-                u, c = value_counts(ccodec, codes_p, n, np.int64)
-                dist = _sdict_distinct_array(dlens, dbytes)
-                vs.append(dist.take(pa.array(u)))
-                cs.append(c)
-                code_only += 1
-                continue
-            sel = _valid_sel(_ALL, vb, n)   # SQL quantiles skip NULLs
-            if _rp_empty(sel):
-                continue
-            vc = pc.value_counts(gather_str_runs(spec, lp, tp, n,
-                                                 *_sel_runs(sel, n)))
-            vs.append(vc.field("values"))
-            cs.append(vc.field("counts").to_numpy(zero_copy_only=False))
-        return (vs, cs), {"chunks_code_only": code_only,
-                          "chunks_decoded": len(vs) - code_only}
-
-    parts, counters = _scan_partials(
-        enc_dir, _scan_columns(None, [], str_cols=[col]), None, partial)
-    # np.unique sorts str by code point == UTF-8 byte order (binary
-    # collation), so the rank lookup below matches DuckDB
-    values, counts = _sum_by(
-        pa.chunked_array([v for vs, _ in parts for v in vs],
-                         type=pa.large_utf8()).to_numpy(
-                             zero_copy_only=False),
-        _cat(c for _, cs in parts for c in cs))
-    cum = np.cumsum(counts)
-    n = int(cum[-1]) if len(cum) else 0
-    rows = [{"q_num": q_num, "q_den": q_den,
-             "quantile": None if n == 0 else str(
-                 values[_hist_rank_idx(cum, n, q_num, q_den)]),
-             "n_rows": n}
-            for q_num, q_den in qs]
-    counters["hist_rows"] = len(values)
-    return pd.DataFrame(rows), counters
+    """Exact discrete quantiles (SQL ``quantile_disc``) of a STRING
+    column: the ``expr=None`` case of :func:`encoded_boolean_quantiles`
+    on a column that must be a string one (else ``TypeError``).
+    Null-free ``sdict`` chunks histogram their CODE stream, other
+    chunks decode; the histogram sorts in UTF-8 byte order (==
+    code-point order == DuckDB's binary collation).  Returns
+    ``(DataFrame(q_num, q_den, quantile, n_rows), counters)``."""
+    _require_str(enc_dir, col)
+    return encoded_boolean_quantiles(enc_dir, None, col, qs)
 
 
 def encoded_str_minmax(enc_dir: str, col: str):
@@ -1988,24 +1842,18 @@ def _scan_rows(enc_dir: str, expr, cols: list[str]):
     Returns ``(tables, counters)``: one table per scan batch that
     selected a row, or one empty table typed from the footer when none
     did."""
-    import pyarrow.parquet as pq
-
-    # footer-schema probe (no data read): a column with a __lens_payload
-    # field is a string/list column; the first row group's dtypes type
-    # an empty answer and reject list columns before any chunk is read
-    fields, first_file = _footer_fields(enc_dir)
+    # footer probe (no payload read): a column with a __lens_payload
+    # field is a string/list column; the stored dtypes type an empty
+    # answer and reject list columns before any chunk is read
+    fields, types = _footer(enc_dir, cols)
     str_cols = [c for c in cols if f"{c}__lens_payload" in fields]
-    dtypes = {c: "int64" for c in cols}     # empty directory
-    if first_file is not None:
-        first = pq.ParquetFile(first_file).read_row_group(
-            0, columns=[f"{c}__dtype" for c in cols])
-        dtypes = {c: first.column(f"{c}__dtype")[0].as_py() for c in cols}
     for c in str_cols:
-        if dtypes[c] != "str":
+        if types[c] not in ("str", None):
             raise TypeError(f"column {c!r}: only string and integer "
-                            f"projections supported (dtype {dtypes[c]})")
+                            f"projections supported (dtype {types[c]})")
     empty = pa.table({c: pa.array([], pa.large_utf8()) if c in str_cols
-                      else pa.array(np.empty(0, np.dtype(dtypes[c])))
+                      else pa.array(np.empty(0, np.int64 if types[c] is None
+                                             else types[c]))
                       for c in cols})
     def gather(batch: pa.Table):
         chunks = _chunk_sels(batch, expr)
@@ -2090,8 +1938,7 @@ def encoded_lookup_join(enc_dir: str, key_col: str, dim, dim_key: str,
     if overlap:
         raise ValueError(f"dim_cols collide with fact columns: "
                          f"{sorted(overlap)}")
-    fields, _ = _footer_fields(enc_dir)
-    if f"{key_col}__lens_payload" in fields:
+    if f"{key_col}__lens_payload" in _footer(enc_dir)[0]:
         raise TypeError(f"join key {key_col!r} must be an integer "
                         "column")
 

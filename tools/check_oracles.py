@@ -1,6 +1,11 @@
-"""Local stand-in for the driver's correctness gate: run every queries()
-entry at the given sf and compare to its oracle_sql() via DuckDB
-(row count + sorted-column value comparison)."""
+"""Run every queries() entry at the given sf and compare it to its
+oracle_sql() via DuckDB (row count + sorted-column value comparison).
+
+Each result line on stdout ends with ``hash=<16 hex>``, a content hash
+of the answer (:func:`answer_hash`), and each query's wall time goes to
+stderr, so two runs answer alike exactly when their stdout is equal:
+``python tools/check_oracles.py SF > a.txt`` in two checkouts, then
+``diff a.txt b.txt``."""
 
 from __future__ import annotations
 
@@ -42,6 +47,19 @@ def canon(df: pd.DataFrame) -> pd.DataFrame:
         .reset_index(drop=True)
 
 
+def answer_hash(raw: pd.DataFrame, got: pd.DataFrame) -> str:
+    """Content hash of one answer: its canonical frame's values plus the
+    raw frame's column names and dtypes, so two runs (say, of two
+    commits) that print the same hash for a query returned the same
+    answer, dtypes included."""
+    import hashlib
+
+    h = hashlib.sha256(repr(list(raw.dtypes.astype(str).items())).encode())
+    h.update(pd.util.hash_pandas_object(got, index=False).to_numpy()
+             .tobytes())
+    return h.hexdigest()[:16]
+
+
 def main(sf_dir: str, only: list[str] | None = None) -> int:
     """``only``: optional list of substrings — run just the queries whose
     name contains any of them (fast re-check after a targeted change)."""
@@ -58,18 +76,23 @@ def main(sf_dir: str, only: list[str] | None = None) -> int:
             continue
         t0 = time.perf_counter()
         try:
-            got = canon(to_df(fn(sf_dir)))
+            raw = to_df(fn(sf_dir))
+            got = canon(raw)
         except Exception as exc:  # noqa: BLE001
             print(f"FAIL {name}: query raised {type(exc).__name__}: {exc}")
             failures += 1
             continue
         dt = time.perf_counter() - t0
+        # the wall time goes to stderr, so two runs' stdout diff clean
+        print(f"  [{dt:.1f}s] {name}", file=sys.stderr)
+        digest = answer_hash(raw, got)
         if name not in sqls:
-            print(f"ok(rows-only) {name}: {len(got)} rows   [{dt:.1f}s]")
+            print(f"ok(rows-only) {name}: {len(got)} rows  hash={digest}")
             continue
         want = canon(con.sql(sqls[name]).df())
         if len(got) != len(want):
-            print(f"FAIL {name}: rows {len(got)} != {len(want)}  [{dt:.1f}s]")
+            print(f"FAIL {name}: rows {len(got)} != {len(want)}  "
+                  f"hash={digest}")
             failures += 1
             continue
         if list(got.columns) != list(want.columns):
@@ -91,7 +114,8 @@ def main(sf_dir: str, only: list[str] | None = None) -> int:
                 print("  want:", b.head(8).tolist())
                 eq = False
         if eq:
-            print(f"OK   {name}: {len(got)} rows match oracle  [{dt:.1f}s]")
+            print(f"OK   {name}: {len(got)} rows match oracle  "
+                  f"hash={digest}")
         else:
             failures += 1
     return failures
