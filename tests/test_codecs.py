@@ -1224,8 +1224,7 @@ def test_runs_union_merges_touching_intervals():
 @pytest.mark.parametrize("codec", list(CODECS))
 def test_gather_runs_matches_decode_on_corpora(codec):
     """Late materialization: gather_runs over sparse AND dense
-    selections must equal the positional gather of a full decode —
-    both the per-run decode_range path and the decode+gather path."""
+    selections must equal the positional gather of a full decode."""
     from tokrle.codecs.core import gather_runs
 
     rng = np.random.default_rng(51)
@@ -1247,6 +1246,38 @@ def test_gather_runs_matches_decode_on_corpora(codec):
             got = gather_runs(codec, payload, len(x), x.dtype, s, l)
             assert got.dtype == x.dtype, name
             assert np.array_equal(got, dec[mask]), (name, mask.sum())
+
+
+@pytest.mark.parametrize("codec", list(CODECS))
+def test_gather_runs_is_one_decode_and_take(codec, monkeypatch):
+    """gather_runs reads a chunk with one decode and one take, whatever
+    the selection: with every codec class's decode_range raising, a
+    sparse and a many-run selection still answer on every codec, and
+    gather_str_runs still answers on an sdict chunk (its code stream
+    gathers through gather_runs)."""
+    from tokrle.codecs.core import gather_runs, gather_str_runs
+
+    def no_range(*args, **kwargs):
+        raise AssertionError("decode_range called")
+
+    for c in CODECS.values():
+        if hasattr(type(c), "decode_range"):
+            monkeypatch.setattr(type(c), "decode_range", no_range)
+    x = np.arange(4096, dtype=np.int64) * 7919 % 1000
+    payload = encode(codec, x)
+    sparse = np.zeros(len(x), bool)
+    sparse[[5, 900, 901, 3000, 4095]] = True
+    many = np.arange(len(x)) % 7 == 3
+    for mask in (sparse, many):
+        got = gather_runs(codec, payload, len(x), x.dtype,
+                          *_runs_oracle(mask))
+        assert np.array_equal(got, x[mask]), mask.sum()
+    vals = [["en", "de", "fr", "es", "it"][i * 7 % 5] for i in range(400)]
+    spec, lp, tp = _encode_str_chunk(vals, "sdict")
+    assert spec.startswith("sdict:")
+    mask = np.arange(len(vals)) % 9 == 4
+    got = gather_str_runs(spec, lp, tp, len(vals), *_runs_oracle(mask))
+    assert got.to_pylist() == [v for v, m in zip(vals, mask) if m]
 
 
 @pytest.mark.parametrize("name", sorted(_U64_CASES))

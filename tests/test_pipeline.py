@@ -2297,6 +2297,51 @@ def test_uint64_sum_raises_before_any_chunk(ray_session, tmp_path,
             call()
 
 
+def test_uint64_group_key_keeps_its_order(ray_session, tmp_path,
+                                          any_batching):
+    """A uint64 GROUP BY key at or above 2^63 folds in the xor-2^63
+    image, so it sorts after the smaller keys, and comes back as its
+    uint64 value: keys 1, 2^63+5 and 7 in 8-row chunks (a uint64 key
+    has no zone map, so every chunk gathers it) through the COUNT/SUM
+    core with and without a predicate and through the quantile core,
+    against DuckDB."""
+    import duckdb
+    import ray.data
+
+    from tokrle.pipelines import table_encode as te
+
+    keys = np.array([1, (1 << 63) + 5, 7], np.uint64)[np.arange(32) * 5 % 3]
+    tbl = pa.table({"g": pa.array(keys),
+                    "v": pa.array(np.arange(32) * 3 % 11, pa.int64())})
+    out_dir = str(tmp_path / "u64key")
+    te.encode_table_columns(ray.data.from_arrow(tbl), ["g", "v"],
+                            batch_size=8).write_parquet(out_dir)
+    con = duckdb.connect()
+    con.register("t", tbl)
+
+    def rows(df):
+        return [tuple(map(int, r)) for r in df.itertuples(index=False)]
+
+    got, _ = any_batching(te.encoded_group_agg, out_dir, "g", ["v"],
+                          with_minmax=True)
+    assert got["g"].dtype == np.uint64
+    assert rows(got) == con.execute(
+        "select g, count(*), sum(v), min(v), max(v) from t group by g "
+        "order by g").fetchall()
+    got, _ = any_batching(te.encoded_filtered_group_agg, out_dir, "g",
+                          ("range", "v", 2, 8), ["v"])
+    assert rows(got) == con.execute(
+        "select g, count(*), sum(v) from t where v between 2 and 8 "
+        "group by g order by g").fetchall()
+    got, _ = any_batching(te.encoded_group_quantiles, out_dir, "g", "v")
+    want = con.execute(
+        "select g, quantile_disc(v, 0.25), quantile_disc(v, 0.5), "
+        "quantile_disc(v, 0.75), count(v) from t group by g order by g"
+    ).fetchall()
+    assert rows(got) == sorted((g, a, b, q, n) for g, *qs, n in want for
+                               (a, b), q in zip(((1, 4), (1, 2), (3, 4)), qs))
+
+
 def test_int64_sum_past_range_raises(ray_session, tmp_path, monkeypatch,
                                      any_batching):
     """Sums fold exactly: 8 rows of 2^61 in 2-row chunks sum to 2^64

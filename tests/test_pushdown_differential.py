@@ -4,9 +4,12 @@ Hypothesis draws small nullable tables (int8, int64, full-range uint64,
 ``timestamp[us]`` and short strings, so ``sdict`` and plain ``str``
 string chunks both occur, plus an int64 column of multiples of 2^61
 whose sums often leave int64), a chunk size and a predicate tree of
-``eq``/``range``/``in``/``is_null`` leaves under ``and``/``or``/``not``,
-encodes the table in the caller and checks the COUNT/SUM/MIN/MAX,
-histogram and distinct cores against DuckDB, per chunk and per batch.
+``eq``/``range``/``in``/``is_null`` leaves and the string leaves
+``eq_str``/``in_str``/``prefix_str``/``suffix_str``/``contains_str``
+under ``and``/``or``/``not``, encodes the table in the caller and
+checks the COUNT/SUM/MIN/MAX (integer, string, uint64 and composite
+GROUP BY keys), histogram, quantile, distinct and row-scan answers
+against DuckDB, per chunk and per batch.
 """
 
 import numpy as np
@@ -23,6 +26,9 @@ _SQL_COL = {"i8": "i8", "i64": "i64", "u64": "u64", "ts": "epoch_us(ts)",
 #: integer columns with zone maps: the predicate leaves' columns
 _LEAF_COLS = {"i8": (-6, 6), "i64": (-50, 50), "ts": (0, 40)}
 _STRINGS = ["", "a", "ab", "b", "zz", "é"]
+#: string leaf -> its DuckDB function (literal matches, not LIKE)
+_STR_SQL = {"prefix_str": "starts_with", "suffix_str": "ends_with",
+            "contains_str": "contains"}
 _I64 = (-(1 << 63), (1 << 63) - 1)
 
 
@@ -72,27 +78,44 @@ def _tables(draw):
     return table, int(rng.choice([4, 8, 16, 32]))
 
 
-@st.composite
-def _exprs(draw, depth=0):
-    kind = draw(st.sampled_from(["leaf"] * 3 + (["and", "or", "not"]
-                                                 if depth < 3 else [])))
+def _expr(rng, depth=0):
+    kind = rng.choice(["leaf"] * 3 + (["and", "or", "not"] if depth < 3
+                                      else []))
     if kind in ("and", "or"):
-        return (kind, draw(_exprs(depth + 1)), draw(_exprs(depth + 1)))
+        return (kind, _expr(rng, depth + 1), _expr(rng, depth + 1))
     if kind == "not":
-        return ("not", draw(_exprs(depth + 1)))
-    leaf = draw(st.sampled_from(["eq", "range", "in", "is_null"]))
+        return ("not", _expr(rng, depth + 1))
+    leaf = rng.choice(["eq", "range", "in", "is_null", "eq_str", "in_str",
+                       *_STR_SQL])
+    if leaf.endswith("_str"):
+        # probe strings: present ones and absent ones
+        words = _STRINGS + ["z", "x"]
+        if leaf == "in_str":
+            return (leaf, "s", [str(w) for w in
+                                rng.choice(words, rng.integers(1, 4))])
+        return (leaf, "s", str(rng.choice(words)))
     if leaf == "is_null":
-        return ("is_null", draw(st.sampled_from(list(_SQL_COL))))
-    col = draw(st.sampled_from(list(_LEAF_COLS)))
+        return ("is_null", str(rng.choice(list(_SQL_COL))))
+    col = str(rng.choice(list(_LEAF_COLS)))
     lo, hi = _LEAF_COLS[col]
     scale = 1_000_003 if col == "i64" else 1
-    value = st.integers(lo, hi).map(lambda v: v * scale)
+
+    def value():
+        return int(rng.integers(lo, hi + 1)) * scale
+
     if leaf == "eq":
-        return ("eq", col, draw(value))
+        return ("eq", col, value())
     if leaf == "in":
-        return ("in", col, draw(st.lists(value, min_size=1, max_size=4)))
-    a, b = sorted((draw(value), draw(value)))
+        return ("in", col, [value() for _ in range(rng.integers(1, 5))])
+    a, b = sorted((value(), value()))
     return ("range", col, a, b)
+
+
+@st.composite
+def _exprs(draw):
+    """A predicate tree of depth at most 3 from a seeded generator, so
+    the derandomized gate draws every leaf kind (see :func:`_tables`)."""
+    return _expr(np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
 
 
 def _sql(e) -> str:
@@ -105,6 +128,12 @@ def _sql(e) -> str:
     col = _SQL_COL[e[1]]
     if e[0] == "is_null":
         return f"({col} is null)"
+    if e[0] == "eq_str":
+        return f"({col} = '{e[2]}')"
+    if e[0] == "in_str":
+        return f"({col} in ({', '.join(repr(v) for v in e[2])}))"
+    if e[0] in _STR_SQL:
+        return f"{_STR_SQL[e[0]]}({col}, '{e[2]}')"
     if e[0] == "eq":
         return f"({col} = {e[2]})"
     if e[0] == "in":
@@ -150,8 +179,8 @@ def _want_or_overflow(want: list, sum_at: int) -> list:
           suppress_health_check=[HealthCheck.function_scoped_fixture,
                                  HealthCheck.too_slow])
 @given(case=_tables(), expr=_exprs() | st.none(), k=st.integers(1, 12))
-def test_folded_cores_match_duckdb(tmp_path_factory, any_batching, case,
-                                   expr, k):
+def test_folded_cores_match_duckdb(ray_session, tmp_path_factory,
+                                   any_batching, case, expr, k):
     import duckdb
 
     from tokrle.pipelines import table_encode as te
@@ -186,7 +215,7 @@ def test_folded_cores_match_duckdb(tmp_path_factory, any_batching, case,
                    (", min(big), max(big)" if minmax else "") +
                    f" from t where {where}")
         assert _rows(got) == _want_or_overflow(want, 1), (expr, minmax)
-    for keys in (["i8"], ["s"], ["s", "i8"]):
+    for keys in (["i8"], ["s"], ["u64"], ["s", "i8"]):
         got, _ = any_batching(te.encoded_filtered_group_agg, enc,
                               keys if len(keys) > 1 else keys[0], expr,
                               ["i64"], with_minmax=True)
@@ -224,6 +253,16 @@ def test_folded_cores_match_duckdb(tmp_path_factory, any_batching, case,
             f"select v, count(*) from (select {sql_col} v from t where "
             f"{where} and {col} is not null order by v desc limit {k}) "
             "group by v"), (col, expr, k)
+    proj = ["i64", "u64", "s"]
+
+    def scan(*args):
+        rows = te.encoded_scan_where(*args).take_all()
+        return pd.DataFrame({"row": sorted(
+            (tuple(_py(r[c]) for c in proj) for r in rows), key=repr)}), {}
+
+    got, _ = any_batching(scan, enc, expr, proj)
+    assert got["row"].tolist() == sql(
+        f"select {', '.join(proj)} from t where {where}"), expr
     got, _ = any_batching(te.encoded_str_distinct, enc, "s", expr)
     assert got["n_distinct"].tolist() == [con.execute(
         f"select count(distinct s) from t where {where}").fetchone()[0]]

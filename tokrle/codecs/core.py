@@ -1843,30 +1843,17 @@ def decode_range(codec: str, payload: bytes, n: int, dtype,
 
 def gather_runs(codec: str, payload: bytes, n: int, dtype,
                 starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Decode ONLY the positions inside a canonical selection run-list
-    (as produced by :func:`match_eq` / :func:`match_range`) — late
-    materialization for predicate scans.  Bit-addressable codecs
-    (plain/bitpack/for/dict/pfor) fetch each run via
-    :func:`decode_range`, touching O(selected) payload bytes; the
-    sequential codecs (rle/delta/fsst*) decode once and gather, never
-    once per run.  Concatenated in position order."""
-    dtype = np.dtype(dtype)
-    starts = np.asarray(starts, dtype=np.int64)
-    lengths = np.asarray(lengths, dtype=np.int64)
+    """The values at the positions of a canonical selection run-list
+    (as produced by :func:`match_eq` / :func:`match_range`), in position
+    order — late materialization for predicate scans: one
+    :func:`decode` and one take, for every codec and every selection.
+    A per-run :func:`decode_range` pays a Python call per run, which
+    loses to the one vectorized decode as soon as a selection has more
+    than a run or two."""
     if n == 0 or len(starts) == 0:
         return np.empty(0, dtype=dtype)
-    has_ra = getattr(
-        CODECS[codec], "decode_range", None) is not None
-    total = int(lengths.sum())
-    # per-run random access only pays when the codec supports it AND
-    # the selection is sparse; otherwise one decode + vectorized gather
-    if has_ra and total * 4 < n:
-        parts = [decode_range(codec, payload, n, dtype, int(s),
-                              int(s + ln))
-                 for s, ln in zip(starts, lengths)]
-        return np.concatenate(parts)
-    return decode(codec, payload, n, dtype)[
-        _runs_to_indices(starts, lengths)]
+    return decode(codec, payload, n, dtype)[_runs_to_indices(
+        np.asarray(starts, np.int64), np.asarray(lengths, np.int64))]
 
 
 def agg_sum(codec: str, payload: bytes, n: int, dtype) -> int:
@@ -1994,29 +1981,6 @@ def match_in(codec: str, payload: bytes, n: int, dtype,
                                   np.array(tgt, dtype=np.int64))
 
 
-def match_eq_str(spec: str, lens_payload: bytes, text_payload: bytes,
-                 n: int, value: str) -> tuple[np.ndarray, np.ndarray]:
-    """Canonical run-list of the positions where a STRING chunk equals
-    ``value`` — the string-equality predicate leaf, the one-value case
-    of :func:`match_in_str`.  ``spec`` is the table-encode string codec
-    spec (``"str:<lens_codec>:<text_codec>"``, see
-    tokrle/pipelines/table_encode.py).  The integer LENGTHS stream is
-    the compressed-domain prefilter: a chunk with no row of the right
-    byte length (:func:`count_eq`, the summed runs of one
-    :func:`match_range` over the narrow lengths payload, is 0) answers
-    empty without ever decoding its text bytes.
-    Surviving chunks decode lengths + flat bytes and byte-compare only
-    the length-matching candidate rows, vectorized.  On a nullable
-    chunk the null slots hold the encoder's ``''`` filler and match
-    like any ``''`` row: the caller intersects the matches with the
-    validity runs (three-valued logic, which also keeps ``NOT`` over
-    this leaf sound — SQL's ``<>`` excludes NULLs).  ``sdict:`` chunks
-    answer on the CODE stream: the value maps to its dictionary code
-    (or misses entirely) and :func:`match_in` runs on the integer
-    codes — the text bytes are never touched."""
-    return match_in_str(spec, lens_payload, text_payload, n, [value])
-
-
 def sdict_pack(codes_payload: bytes, dlens_payload: bytes,
                dbytes_payload: bytes, n_distinct: int) -> bytes:
     """Frame a STRING-DICTIONARY chunk payload: the distinct set's
@@ -2034,9 +1998,21 @@ def sdict_pack(codes_payload: bytes, dlens_payload: bytes,
         + bytes(codes_payload)
 
 
+def _strings(lens: np.ndarray, data: np.ndarray):
+    """Row byte lengths and their flat UTF-8 bytes as one pyarrow
+    ``large_string`` array over the same memory (the bytes are not
+    copied)."""
+    import pyarrow as pa
+
+    offs = np.zeros(len(lens) + 1, dtype=np.int64)
+    np.cumsum(lens, out=offs[1:])
+    return pa.Array.from_buffers(pa.large_utf8(), len(lens), [
+        None, pa.py_buffer(offs), pa.py_buffer(np.ascontiguousarray(data))])
+
+
 def sdict_unpack(spec: str, payload: bytes):
     """Inverse of :func:`sdict_pack`: ``(codes_codec, codes_payload,
-    dlens int64[k], dbytes uint8[...])`` with the distinct set decoded
+    distinct)``, the distinct set decoded as a ``large_string`` array
     (it is small by construction — the encoder only picks sdict for
     low-cardinality chunks)."""
     _, ccodec, lcodec, tcodec = spec.split(":", 3)
@@ -2050,290 +2026,155 @@ def sdict_unpack(spec: str, payload: bytes):
     dbytes_p = mv[off:off + tlen]
     off += tlen
     dlens = decode(lcodec, dlens_p, k, np.int64)
-    dbytes = decode(tcodec, dbytes_p, int(dlens.sum()),
-                    np.int8).view(np.uint8)
-    return ccodec, mv[off:], dlens, dbytes
+    return ccodec, mv[off:], _strings(
+        dlens, decode(tcodec, dbytes_p, int(dlens.sum()), np.int8))
 
 
-def _sdict_distinct_array(dlens: np.ndarray, dbytes: np.ndarray):
-    """The distinct set as a pyarrow large_string array."""
+def _str_codecs(fn: str, spec: str) -> list[str]:
+    """``[lens_codec, text_codec]`` of a plain
+    ``str:<lens_codec>:<text_codec>`` spec; any other spec raises
+    ``TypeError`` naming ``fn``."""
+    if not spec.startswith("str:"):
+        raise TypeError(f"{fn} needs a string chunk, got {spec!r}")
+    return spec.split(":", 2)[1:]
+
+
+def _str_rows(lcodec: str, tcodec: str, lens_payload: bytes,
+              text_payload: bytes, n: int):
+    """The rows of a plain ``str:`` chunk as a ``large_string`` array
+    whose buffers are the decoded streams."""
+    lens = decode(lcodec, lens_payload, n, np.int64)
+    return _strings(lens, decode(tcodec, text_payload, int(lens.sum()),
+                                 np.int8))
+
+
+def _str_test(kind: str, arr, arg) -> np.ndarray:
+    """Boolean mask of the strings of ``arr`` (a ``large_string`` array
+    built by :func:`_strings`) that pass the :func:`match_str` test
+    ``kind``.  ``contains`` finds every occurrence with one C-speed
+    ``bytes.find`` pass over the flat bytes (iterations == occurrences,
+    not rows), maps each to its row with one ``searchsorted`` against
+    the offsets and keeps the hits that do not straddle a row end."""
     import pyarrow as pa
+    import pyarrow.compute as pc
 
-    offs = np.concatenate(([0], np.cumsum(dlens))).astype(np.int64)
-    return pa.Array.from_buffers(
-        pa.large_utf8(), len(dlens),
-        [None, pa.py_buffer(offs.tobytes()),
-         pa.py_buffer(np.ascontiguousarray(dbytes).tobytes())])
+    if kind == "in":
+        hit = pc.is_in(arr, value_set=pa.array(list(arg), pa.large_utf8()))
+    elif kind == "prefix":
+        hit = pc.starts_with(arr, pattern=arg)
+    elif kind == "suffix":
+        hit = pc.ends_with(arr, pattern=arg)
+    else:
+        needle = arg.encode("utf-8")
+        offs = np.frombuffer(arr.buffers()[1], np.int64, len(arr) + 1)
+        buf = arr.buffers()[2].to_pybytes()
+        hits, p = [], buf.find(needle)
+        while p >= 0:
+            hits.append(p)
+            p = buf.find(needle, p + 1)
+        ph = np.asarray(hits, dtype=np.int64)
+        rows = np.searchsorted(offs, ph, side="right") - 1
+        mask = np.zeros(len(arr), dtype=bool)
+        mask[rows[ph + len(needle) <= offs[rows + 1]]] = True
+        return mask
+    return hit.to_numpy(zero_copy_only=False)
 
 
-def _sdict_match(spec: str, text_payload: bytes, n: int,
-                 pred) -> tuple[np.ndarray, np.ndarray]:
-    """Every string leaf on an ``sdict:`` chunk: ``pred`` tests the
-    bytes of each string in the (small) distinct set, then
-    :func:`match_in` selects the rows whose code passed — the text
-    bytes are never touched per row."""
-    ccodec, codes_p, dlens, dbytes = sdict_unpack(spec, text_payload)
-    offs = np.concatenate(([0], np.cumsum(dlens)))
-    buf = dbytes.tobytes()
-    return match_in(ccodec, codes_p, n, np.int64,
-                    [j for j in range(len(dlens))
-                     if pred(buf[offs[j]:offs[j + 1]])])
+def match_str(kind: str, spec: str, lens_payload: bytes,
+              text_payload: bytes, n: int,
+              arg) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical run-list of the positions where a STRING chunk passes
+    one test — the one string predicate.  ``kind`` is ``"in"`` (``arg``
+    a list of str: SQL ``col IN (...)``; equality is one value),
+    ``"prefix"``, ``"suffix"`` or ``"contains"`` (``arg`` a str: a
+    literal starts-with, ends-with or substring test; ``''`` matches
+    every row).  ``spec`` is the table-encode string codec spec.  An
+    ``sdict:`` chunk tests its (small) distinct set and runs
+    :func:`match_in` on the integer code stream.  A plain
+    ``str:<lens_codec>:<text_codec>`` chunk prefilters on its LENGTHS
+    stream — with no row of a candidate byte length (:func:`count_eq`)
+    or of at least ``len(arg)`` bytes (:func:`count_range`) it answers
+    empty without decoding its text — and otherwise tests its decoded
+    rows (:func:`_str_rows`, :func:`_str_test`).  Null slots hold the
+    encoder's ``''`` filler and match like any ``''`` row: the caller
+    intersects the matches with the validity runs (three-valued logic,
+    which also keeps ``NOT`` over a leaf sound)."""
+    if n == 0 or (kind == "in" and not arg):
+        return _EMPTY_RUNS
+    if not arg:
+        return _full_run(n)
+    if spec.startswith("sdict:"):
+        ccodec, codes, dist = sdict_unpack(spec, text_payload)
+        return match_in(ccodec, codes, n, np.int64,
+                        np.flatnonzero(_str_test(kind, dist, arg)))
+    lcodec, tcodec = _str_codecs("match_str", spec)
+    if kind == "in":
+        live = any(count_eq(lcodec, lens_payload, n, np.int64, ln)
+                   for ln in {len(v.encode("utf-8")) for v in arg})
+    else:
+        live = count_range(lcodec, lens_payload, n, np.int64,
+                           len(arg.encode("utf-8")), np.iinfo(np.int64).max)
+    if not live:
+        return _EMPTY_RUNS
+    return _mask_to_runs(_str_test(
+        kind, _str_rows(lcodec, tcodec, lens_payload, text_payload, n), arg))
+
+
+def match_eq_str(spec: str, lens_payload: bytes, text_payload: bytes,
+                 n: int, value: str) -> tuple[np.ndarray, np.ndarray]:
+    """SQL ``col = value``: :func:`match_str` ``"in"`` of one value."""
+    return match_str("in", spec, lens_payload, text_payload, n, [value])
 
 
 def match_in_str(spec: str, lens_payload: bytes, text_payload: bytes,
                  n: int, values: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Canonical run-list of the positions where a STRING chunk equals
-    ANY of ``values`` (SQL ``col IN (...)``) — evaluated in ONE pass:
-    the lengths stream prefilters per distinct VALUE LENGTH (a chunk
-    with no row of any candidate byte length answers empty without
-    decoding text), the text decodes at most once, and each length
-    class byte-compares its candidate rows against only the values of
-    that length.  Equivalent to an OR-chain of :func:`match_eq_str`
-    but without re-decoding the text per value.  Null slots match as
-    the ``''`` filler; the caller applies the validity (see
-    :func:`match_eq_str`).  ``sdict:`` chunks test the values against
-    the distinct set and run :func:`match_in` on the integer code
-    stream — no text decode."""
-    if n == 0 or not values:
-        return _EMPTY_RUNS
-    if spec.startswith("sdict:"):
-        targets = {v.encode("utf-8") for v in values}
-        return _sdict_match(spec, text_payload, n, targets.__contains__)
-    if not spec.startswith("str:"):
-        raise TypeError(f"match_in_str needs a string chunk, got {spec!r}")
-    _, lcodec, tcodec = spec.split(":", 2)
-    by_len: dict[int, list[bytes]] = {}
-    for v in dict.fromkeys(values):
-        b = v.encode("utf-8")
-        by_len.setdefault(len(b), []).append(b)
-    # lengths prefilter per candidate byte length; text decodes only
-    # if at least one length class has candidate rows
-    live = [ln for ln in by_len
-            if ln == 0 or count_eq(lcodec, lens_payload, n,
-                                   np.int64, ln) > 0]
-    if not live:
-        return _EMPTY_RUNS
-    lens = decode(lcodec, lens_payload, n, np.int64)
-    mask = np.zeros(n, dtype=bool)
-    data = None
-    for ln in live:
-        cand_idx = np.flatnonzero(lens == ln)
-        if not len(cand_idx):
-            continue
-        if ln == 0:
-            mask[cand_idx] = True        # '' is the only 0-byte value
-            continue
-        if data is None:
-            data = decode(tcodec, text_payload, int(lens.sum()),
-                          np.int8).view(np.uint8)
-            offs = np.concatenate(([0], np.cumsum(lens)))
-        idx = offs[:-1][cand_idx][:, None] + np.arange(ln)
-        window = data[idx]
-        hit = np.zeros(len(cand_idx), dtype=bool)
-        for vb in by_len[ln]:
-            hit |= (window == np.frombuffer(vb, dtype=np.uint8)) \
-                .all(axis=1)
-        mask[cand_idx[hit]] = True
-    return _mask_to_runs(mask)
+    """SQL ``col IN (values)``: :func:`match_str` ``"in"``."""
+    return match_str("in", spec, lens_payload, text_payload, n, values)
 
 
 def match_prefix_str(spec: str, lens_payload: bytes, text_payload: bytes,
                      n: int, prefix: str) -> tuple[np.ndarray, np.ndarray]:
-    """Canonical run-list of the positions where a STRING chunk STARTS
-    WITH ``prefix`` (SQL ``LIKE 'prefix%'``) — the prefix predicate
-    leaf, sibling of :func:`match_eq_str`.  The lengths stream is again
-    the compressed-domain prefilter: a chunk with no row of at least
-    ``len(prefix)`` bytes (:func:`count_range`, the summed runs of one
-    :func:`match_range` over the narrow lengths payload, is 0) answers
-    empty without decoding its text bytes; surviving
-    chunks byte-compare only the first ``len(prefix)`` bytes of the
-    long-enough candidate rows, vectorized.  Null slots match as the
-    ``''`` filler; the caller applies the validity (see
-    :func:`match_eq_str`).  ``sdict:``
-    chunks prefix-test only the (small) distinct set, then run
-    :func:`match_in` on the matching codes — no per-row text work."""
-    pbytes = prefix.encode("utf-8")
-    plen = len(pbytes)
-    if n == 0:
-        return _EMPTY_RUNS
-    if plen == 0:
-        return (np.array([0], dtype=np.int64),
-                np.array([n], dtype=np.int64))   # '' prefixes every row
-    if spec.startswith("sdict:"):
-        return _sdict_match(spec, text_payload, n,
-                            lambda b: b.startswith(pbytes))
-    if not spec.startswith("str:"):
-        raise TypeError(
-            f"match_prefix_str needs a string chunk, got {spec!r}")
-    _, lcodec, tcodec = spec.split(":", 2)
-    if count_range(lcodec, lens_payload, n, np.int64, plen,
-                   np.iinfo(np.int64).max) == 0:
-        return _EMPTY_RUNS
-    lens = decode(lcodec, lens_payload, n, np.int64)
-    cand = lens >= plen
-    data = decode(tcodec, text_payload, int(lens.sum()),
-                  np.int8).view(np.uint8)
-    offs = np.concatenate(([0], np.cumsum(lens)))
-    cand_idx = np.flatnonzero(cand)
-    idx = offs[:-1][cand_idx][:, None] + np.arange(plen)
-    eq = (data[idx] == np.frombuffer(pbytes, dtype=np.uint8)) \
-        .all(axis=1)
-    mask = np.zeros(n, dtype=bool)
-    mask[cand_idx[eq]] = True
-    return _mask_to_runs(mask)
+    """``starts_with(col, prefix)``: :func:`match_str` ``"prefix"``."""
+    return match_str("prefix", spec, lens_payload, text_payload, n, prefix)
 
 
 def match_suffix_str(spec: str, lens_payload: bytes, text_payload: bytes,
                      n: int, suffix: str) -> tuple[np.ndarray, np.ndarray]:
-    """Canonical run-list of the positions where a STRING chunk ENDS
-    WITH ``suffix`` (SQL ``LIKE '%s'``) — the mirror of
-    :func:`match_prefix_str`: the lengths stream prefilters (no row of
-    at least ``len(suffix)`` bytes -> empty without text decode),
-    survivors byte-compare only the LAST ``len(suffix)`` bytes of the
-    long-enough candidate rows.  ``sdict:`` chunks suffix-test the
-    distinct set and run :func:`match_in` on the matching codes.
-    Null slots match as the ``''`` filler; the caller applies the
-    validity (see :func:`match_eq_str`)."""
-    sbytes = suffix.encode("utf-8")
-    slen = len(sbytes)
-    if n == 0:
-        return _EMPTY_RUNS
-    if slen == 0:
-        return (np.array([0], dtype=np.int64),
-                np.array([n], dtype=np.int64))   # '' suffixes every row
-    if spec.startswith("sdict:"):
-        return _sdict_match(spec, text_payload, n,
-                            lambda b: b.endswith(sbytes))
-    if not spec.startswith("str:"):
-        raise TypeError(
-            f"match_suffix_str needs a string chunk, got {spec!r}")
-    _, lcodec, tcodec = spec.split(":", 2)
-    if count_range(lcodec, lens_payload, n, np.int64, slen,
-                   np.iinfo(np.int64).max) == 0:
-        return _EMPTY_RUNS
-    lens = decode(lcodec, lens_payload, n, np.int64)
-    cand = lens >= slen
-    data = decode(tcodec, text_payload, int(lens.sum()),
-                  np.int8).view(np.uint8)
-    ends = np.cumsum(lens)
-    cand_idx = np.flatnonzero(cand)
-    idx = (ends[cand_idx] - slen)[:, None] + np.arange(slen)
-    eq = (data[idx] == np.frombuffer(sbytes, dtype=np.uint8)) \
-        .all(axis=1)
-    mask = np.zeros(n, dtype=bool)
-    mask[cand_idx[eq]] = True
-    return _mask_to_runs(mask)
+    """``ends_with(col, suffix)``: :func:`match_str` ``"suffix"``."""
+    return match_str("suffix", spec, lens_payload, text_payload, n, suffix)
 
 
 def match_contains_str(spec: str, lens_payload: bytes,
                        text_payload: bytes, n: int,
                        needle: str) -> tuple[np.ndarray, np.ndarray]:
-    """Canonical run-list of the positions where a STRING chunk
-    CONTAINS ``needle`` (SQL ``LIKE '%s%'``).  Plain chunks decode the
-    flat text ONCE and find every occurrence with C-speed
-    ``bytes.find`` over the whole buffer (iterations == occurrence
-    count, not row count), mapping each hit to its row via one
-    ``searchsorted`` against the row offsets and keeping only hits
-    that do not straddle a row boundary.  ``sdict:`` chunks substring-
-    test the (small) distinct set and run :func:`match_in` on the
-    matching codes.  Null slots match as the ``''`` filler; the caller
-    applies the validity (see :func:`match_eq_str`)."""
-    nbytes_ = needle.encode("utf-8")
-    nlen = len(nbytes_)
-    if n == 0:
-        return _EMPTY_RUNS
-    if nlen == 0:
-        return (np.array([0], dtype=np.int64),
-                np.array([n], dtype=np.int64))   # every row contains ''
-    if spec.startswith("sdict:"):
-        return _sdict_match(spec, text_payload, n,
-                            lambda b: nbytes_ in b)
-    if not spec.startswith("str:"):
-        raise TypeError(
-            f"match_contains_str needs a string chunk, got {spec!r}")
-    _, lcodec, tcodec = spec.split(":", 2)
-    if count_range(lcodec, lens_payload, n, np.int64, nlen,
-                   np.iinfo(np.int64).max) == 0:
-        return _EMPTY_RUNS
-    lens = decode(lcodec, lens_payload, n, np.int64)
-    data = decode(tcodec, text_payload, int(lens.sum()),
-                  np.int8).view(np.uint8)
-    buf = data.tobytes()
-    offs = np.concatenate(([0], np.cumsum(lens)))
-    hits = []
-    p = buf.find(nbytes_)
-    while p >= 0:
-        hits.append(p)
-        p = buf.find(nbytes_, p + 1)
-    if not hits:
-        return _EMPTY_RUNS
-    ph = np.asarray(hits, dtype=np.int64)
-    rows = np.searchsorted(offs, ph, side="right") - 1
-    inside = ph + nlen <= offs[rows + 1]
-    mask = np.zeros(n, dtype=bool)
-    mask[rows[inside]] = True
-    return _mask_to_runs(mask)
+    """``contains(col, needle)``: :func:`match_str` ``"contains"``."""
+    return match_str("contains", spec, lens_payload, text_payload, n,
+                     needle)
 
 
 def gather_str_runs(spec: str, lens_payload: bytes, text_payload: bytes,
                     n: int, starts: np.ndarray, lengths: np.ndarray):
-    """Late-materialize a STRING chunk at the positions of a canonical
-    selection run-list: returns a ``pyarrow`` ``large_string`` array of
-    the selected rows, in position order — the string sibling of
-    :func:`gather_runs`.  Decodes the lengths stream once, then copies
-    ONLY the selected rows' byte ranges out of the decoded flat text
-    (one vectorized gather; zero-length rows are handled by the
-    repeat-based index construction).  Pass the FULL-chunk run-list to
-    decode everything.  ``sdict:`` chunks gather CODES at the selected
-    positions (:func:`gather_runs` on the integer code stream) and
-    take from the distinct-set array — selected text bytes are never
-    copied row by row."""
+    """The rows of a STRING chunk at the positions of a canonical
+    selection run-list, as a ``pyarrow`` ``large_string`` array in
+    position order — the string sibling of :func:`gather_runs`.  An
+    ``sdict:`` chunk gathers its CODES (:func:`gather_runs` on the
+    integer code stream) and takes them from the distinct set; a plain
+    ``str:`` chunk is one :func:`_str_rows` array, taken at the
+    selection or returned whole when the run-list covers the chunk."""
     import pyarrow as pa
 
-    if spec.startswith("sdict:"):
-        ccodec, codes_p, dlens, dbytes = sdict_unpack(spec, text_payload)
-        if n == 0 or (len(starts) == 0):
-            return pa.array([], type=pa.large_utf8())
-        codes_sel = gather_runs(ccodec, codes_p, n, np.int64,
-                                starts, lengths)
-        dist = _sdict_distinct_array(dlens, dbytes)
-        return dist.take(pa.array(codes_sel))
-    if not spec.startswith("str:"):
-        raise TypeError(
-            f"gather_str_runs needs a string chunk, got {spec!r}")
-    _, lcodec, tcodec = spec.split(":", 2)
     if n == 0 or not len(starts):
         return pa.array([], type=pa.large_utf8())
-    lens = decode(lcodec, lens_payload, n, np.int64)
-    data = decode(tcodec, text_payload, int(lens.sum()),
-                  np.int8).view(np.uint8)
-    if len(starts) == 1 and starts[0] == 0 and lengths[0] == n:
-        # full-chunk selection (the ALL path): the decoded buffers ARE
-        # the answer — skip the per-byte gather entirely
-        offs = np.concatenate(([0], np.cumsum(lens))).astype(np.int64)
-        return pa.Array.from_buffers(
-            pa.large_utf8(), n,
-            [None, pa.py_buffer(offs.tobytes()),
-             pa.py_buffer(np.ascontiguousarray(data).tobytes())])
-    idx = _runs_to_indices(starts, lengths)
-    offs = np.concatenate(([0], np.cumsum(lens)))
-    sel_lens = lens[idx]
-    byte_starts = offs[:-1][idx]
-    cs = np.cumsum(sel_lens)
-    total = int(cs[-1]) if len(cs) else 0
-    if total:
-        out_idx = (np.repeat(byte_starts, sel_lens)
-                   + np.arange(total, dtype=np.int64)
-                   - np.repeat(cs - sel_lens, sel_lens))
-        sel_bytes = np.ascontiguousarray(data[out_idx])
-    else:
-        sel_bytes = np.empty(0, dtype=np.uint8)
-    value_offsets = np.concatenate(
-        ([0], cs)).astype(np.int64)
-    return pa.Array.from_buffers(
-        pa.large_utf8(), len(idx),
-        [None, pa.py_buffer(value_offsets.tobytes()),
-         pa.py_buffer(sel_bytes.tobytes())])
+    if spec.startswith("sdict:"):
+        ccodec, codes, dist = sdict_unpack(spec, text_payload)
+        return dist.take(pa.array(gather_runs(ccodec, codes, n, np.int64,
+                                              starts, lengths)))
+    rows = _str_rows(*_str_codecs("gather_str_runs", spec), lens_payload,
+                     text_payload, n)
+    if int(np.sum(lengths)) == n:
+        return rows
+    return rows.take(pa.array(_runs_to_indices(
+        np.asarray(starts, np.int64), np.asarray(lengths, np.int64))))
 
 
 def agg_sum_runs(codec: str, payload: bytes, n: int, dtype,

@@ -2785,9 +2785,9 @@ def encoded_group_where_stats(sf_dir: str) -> pd.DataFrame:
 def encoded_scan_where_stats(sf_dir: str) -> pd.DataFrame:
     """Row retrieval under a boolean predicate tree with LATE
     MATERIALIZATION: the predicate evaluates to selection run-lists on
-    the encoded layout and only then are the projected columns decoded,
-    only at the selected positions (bit-addressable codecs fetch each
-    run via decode_range — O(selected) payload bytes).  The retrieved
+    the encoded layout, and only the chunks that select a row decode
+    the projected columns, each with one decode and one take at the
+    selected positions.  The retrieved
     row set streams into one deterministic aggregate row the SQL oracle
     reproduces over the same predicate."""
     from ray.data.aggregate import Count, Max, Min, Sum

@@ -290,33 +290,10 @@ def decode_table_columns(encoded_ds, columns: list[str]):
                         cols[c] = pa.LargeListArray.from_arrays(
                             pa.array(offs), pa.array(v), mask=mask)
                     continue
-                if codec.startswith("sdict:"):
-                    from tokrle.codecs.core import (_sdict_distinct_array,
-                                                    sdict_unpack)
-                    ccodec, codes_p, dlens, dbytes = sdict_unpack(
-                        codec, payload)
-                    codes_v = codec_decode(ccodec, codes_p, n, np.int64)
-                    arr = _sdict_distinct_array(dlens, dbytes) \
-                        .take(pa.array(codes_v))
+                if codec.startswith(("str:", "sdict:")):
+                    arr = _col_at(batch, c, i, n, _ALL, is_str=True)
                     if arr.nbytes < 2**31:
                         arr = arr.cast(pa.string())
-                    cols[c] = _apply_validity(arr, vbits)
-                    continue
-                if codec.startswith("str:"):
-                    _, lcodec, tcodec = codec.split(":")
-                    lpayload = memoryview(
-                        batch.column(f"{c}__lens_payload")[i].as_buffer())
-                    lens = codec_decode(lcodec, lpayload, n, np.int64)
-                    nbytes = int(lens.sum())
-                    data = codec_decode(tcodec, payload, nbytes, np.int8)
-                    offs = np.zeros(n + 1, dtype=np.int64)
-                    np.cumsum(lens, out=offs[1:])
-                    arr = pa.StringArray.from_buffers(
-                        n, pa.py_buffer(offs.astype(np.int32).tobytes()),
-                        pa.py_buffer(data.tobytes())) if offs[-1] < 2**31 \
-                        else pa.LargeStringArray.from_buffers(
-                            n, pa.py_buffer(offs.tobytes()),
-                            pa.py_buffer(data.tobytes()))
                     cols[c] = _apply_validity(arr, vbits)
                     continue
                 dtype = np.dtype(batch.column(f"{c}__dtype")[i].as_py())
@@ -661,8 +638,7 @@ def _hist_core(enc_dir: str, expr: tuple | None, col: str,
     (:func:`_footer`)."""
     import pyarrow.compute as pc
 
-    fields, types = _footer(enc_dir, [col])
-    keys = _group_keys(fields, group_col)
+    keys, types = _group_keys(enc_dir, group_col, [col])
     is_str = types[col] == "str"
     if is_str and k is not None:
         raise TypeError(f"column {col!r}: top-k needs an integer column")
@@ -715,6 +691,7 @@ def _hist_core(enc_dir: str, expr: tuple | None, col: str,
         flt, partial)
     hist = _group_fold(parts, gnames + ["v"], {"c": "sum"}).sort_by(
         [(nm, "ascending") for nm in gnames + ["v"]])
+    hist = _present_keys(hist, keys, types)
     counted = pc.greater(hist.column("c"), 0)
     counters["hist_rows"] = int(pc.sum(counted).as_py() or 0)
     return (hist if keys else hist.filter(counted)), counters, types[col]
@@ -934,9 +911,12 @@ def _expr_leaf_bounds(e):
     raise ValueError(f"unknown predicate kind {e[0]!r}")
 
 
-#: leaf kinds that test a STRING column (lengths-stream prefilter
-#: instead of zone maps; see match_eq_str / match_prefix_str)
-_STR_LEAVES = ("eq_str", "prefix_str", "in_str", "suffix_str", "contains_str")
+#: leaf kinds that test a STRING column -> their
+#: :func:`tokrle.codecs.core.match_str` kind (an ``eq_str`` value is a
+#: one-value ``in`` list); they prune on string zone maps and the
+#: lengths-stream prefilter instead of integer zone maps
+_STR_LEAVES = {"eq_str": "in", "in_str": "in", "prefix_str": "prefix",
+               "suffix_str": "suffix", "contains_str": "contains"}
 
 #: leaf kinds that test the VALIDITY BITMAP alone (payload-free; any
 #: column type).  ``("is_null", col)`` / ``("not_null", col)``.
@@ -978,7 +958,7 @@ def _chunk_valid(batch: pa.Table, c: str, i: int) -> bytes:
 
 def _chunk_str_col(batch: pa.Table, c: str, i: int):
     """(spec, lens_payload, text_payload) of string chunk ``i`` — the
-    inputs of the :mod:`tokrle.codecs.core` ``match_*_str`` kernels and
+    inputs of :func:`tokrle.codecs.core.match_str` and
     :func:`tokrle.codecs.core.gather_str_runs`.  Null slots read as the
     encoder's ``''`` filler; null-aware callers pair it with
     :func:`_chunk_valid` (the predicate evaluator intersects a leaf's
@@ -995,8 +975,8 @@ def _chunk_sel(expr, batch: pa.Table, i: int, n: int, zmin: dict,
     is SQL-TRUE (``_ALL`` when ``expr`` is None, no predicate).  Leaves
     short-circuit on zone maps; ``and`` skips its right branch on an
     empty left, ``or`` on an ALL left; string leaves prune via the
-    lengths-stream prefilter inside the ``match_*_str`` kernels instead
-    of zone maps.
+    lengths-stream prefilter inside :func:`tokrle.codecs.core.match_str`
+    instead of zone maps.
 
     The tree evaluates under SQL THREE-VALUED LOGIC
     (:func:`_expr_eval3`, which reads each column's validity bitmap),
@@ -1109,8 +1089,7 @@ def _value_step(batch: pa.Table, c: str, i: int, n: int, sel,
     dictionary take, or its dictionary header — no code stream read.
     Any other chunk gathers ``c`` at ``sel`` (:func:`_col_at`), and
     ``counts`` is 1 at a valid slot and 0 at a NULL one."""
-    from tokrle.codecs.core import (_sdict_distinct_array, distinct_values,
-                                    sdict_unpack, value_counts)
+    from tokrle.codecs.core import distinct_values, sdict_unpack, value_counts
 
     vb = _chunk_valid(batch, c, i)
     if isinstance(sel, str) and not vb and not is_str:
@@ -1122,8 +1101,7 @@ def _value_step(batch: pa.Table, c: str, i: int, n: int, sel,
     if isinstance(sel, str) and not vb:
         spec, _, tp = _chunk_str_col(batch, c, i)
         if spec.startswith("sdict:"):
-            ccodec, codes, dlens, dbytes = sdict_unpack(spec, tp)
-            dist = _sdict_distinct_array(dlens, dbytes)
+            ccodec, codes, dist = sdict_unpack(spec, tp)
             if not hist:
                 return dist, None, True
             u, counts = value_counts(ccodec, codes, n, np.int64)
@@ -1133,23 +1111,41 @@ def _value_step(batch: pa.Table, c: str, i: int, n: int, sel,
                else np.ones(len(v), np.int64)), False
 
 
-def _group_keys(fields: set, group_col) -> list:
-    """``[(col, type, zone map fields or None)]`` of the GROUP BY key
-    column(s) ``group_col`` (None, a name or a list) from the footer
-    fields of :func:`_footer`: a string key (it has
+def _group_keys(enc_dir: str, group_col, cols=()) -> tuple[list, dict]:
+    """The footer probe of the grouped cores (:func:`_footer` of
+    ``cols`` and the GROUP BY key column(s) ``group_col``: None, a name
+    or a list): ``(keys, types)``, ``keys`` holding ``(col, type, zone
+    map fields or None)`` per key.  A string key (it has
     ``__lens_payload``) folds as ``large_string`` with the zone map
-    ``__smin``/``__smax``; any other key folds as int64 with
-    ``__vmin``/``__vmax``, which uint64 and float columns do not
-    have."""
+    ``__smin``/``__smax``; any other key folds as int64 in the image of
+    :func:`_image` with ``__vmin``/``__vmax``, which uint64 and float
+    columns do not have, and :func:`_present_keys` turns a uint64 key
+    back."""
+    names = [] if group_col is None else \
+        [group_col] if isinstance(group_col, str) else list(group_col)
+    fields, types = _footer(enc_dir, list(dict.fromkeys([*cols, *names])))
     keys = []
-    for g in [] if group_col is None else \
-            [group_col] if isinstance(group_col, str) else group_col:
+    for g in names:
         is_str = f"{g}__lens_payload" in fields
         zone = tuple(f"{g}__{p}" for p in (("smin", "smax") if is_str
                                            else ("vmin", "vmax")))
         keys.append((g, pa.large_utf8() if is_str else pa.int64(),
                      zone if zone[0] in fields else None))
-    return keys
+    return keys, types
+
+
+def _present_keys(t: pa.Table, keys: list, types: dict) -> pa.Table:
+    """A folded table whose first columns are ``keys`` in the fold
+    image, with each uint64 key presented in uint64 (xor 2^63 undone,
+    NULLs kept); the other integer keys stay int64."""
+    import pyarrow.compute as pc
+
+    for j, (g, _, _) in enumerate(keys):
+        if types[g] == np.uint64:
+            t = t.set_column(j, t.field(j).name, pc.bit_wise_xor(
+                t.column(j).cast(pa.uint64(), safe=False),
+                pa.scalar(1 << 63, pa.uint64())))
+    return t
 
 
 def _key_step(batch: pa.Table, keys: list):
@@ -1158,7 +1154,8 @@ def _key_step(batch: pa.Table, keys: list):
     the key TUPLE when the chunk is PURE — every key column chunk
     null-free with a one-value zone map — and no key column decodes;
     otherwise a list holding each key column at ``sel`` as an Arrow
-    array of its key type, NULL slots null.  Purity is decided on
+    array of its key type (an integer key in the image of
+    :func:`_image`), NULL slots null.  Purity is decided on
     null-free chunks only: the encoder fills NULL slots with 0 (or
     ``''``), so an all-NULL chunk has a one-value zone map too."""
     zones = {g: [batch.column(f).to_pylist() for f in z]
@@ -1175,10 +1172,9 @@ def _key_step(batch: pa.Table, keys: list):
             return tuple(pure)
         out = []
         for g, t, _ in keys:
-            v = _col_at(batch, g, i, n, sel, t == pa.large_utf8())
-            out.append(_null_at(v if t == pa.large_utf8() else
-                                v.astype(np.int64),
-                                _chunk_valid(batch, g, i), n, sel))
+            out.append(_null_at(
+                _image(_col_at(batch, g, i, n, sel, t == pa.large_utf8())),
+                _chunk_valid(batch, g, i), n, sel))
         return out
 
     return key
@@ -1354,11 +1350,9 @@ def _expr_eval3(e, i: int, n: int, zmin: dict, zmax: dict, chunk_col,
     (a comparison against NULL is unknown).  ``is_null`` / ``not_null``
     leaves read the validity bitmap alone — payload-free, and
     two-valued: a null TEST is never unknown."""
-    from tokrle.codecs.core import (match_contains_str, match_eq,
-                                    match_eq_str, match_in,
-                                    match_in_str, match_prefix_str,
-                                    match_range, match_suffix_str,
-                                    runs_complement, valid_to_runs)
+    from tokrle.codecs.core import (match_eq, match_in, match_range,
+                                    match_str, runs_complement,
+                                    valid_to_runs)
 
     kind = e[0]
     if kind == "and":
@@ -1402,17 +1396,8 @@ def _expr_eval3(e, i: int, n: int, zmin: dict, zmax: dict, chunk_col,
     # value / string leaf: match the (null-filled) payload streams,
     # then wrap with the chunk's validity if it carries nulls
     if kind in _STR_LEAVES:
-        spec, lp, tp = str_chunk(col, i)
-        if kind == "eq_str":
-            m = match_eq_str(spec, lp, tp, n, e[2])
-        elif kind == "in_str":
-            m = match_in_str(spec, lp, tp, n, e[2])
-        elif kind == "suffix_str":
-            m = match_suffix_str(spec, lp, tp, n, e[2])
-        elif kind == "contains_str":
-            m = match_contains_str(spec, lp, tp, n, e[2])
-        else:
-            m = match_prefix_str(spec, lp, tp, n, e[2])
+        m = match_str(_STR_LEAVES[kind], *str_chunk(col, i), n,
+                      [e[2]] if kind == "eq_str" else e[2])
     else:
         _, lo, hi = _expr_leaf_bounds(e)
         cmin, cmax = int(zmin[col][i]), int(zmax[col][i])
@@ -1591,8 +1576,9 @@ def encoded_filtered_group_agg(enc_dir: str, group_col: str | list[str],
     only: a uint64 one raises ``TypeError`` before any chunk is read
     (its sums can exceed the int64 answer column).  Sums fold exactly,
     and a SUM outside int64 raises ``OverflowError``.  Returns
-    ``(DataFrame, counters)`` sorted by the keys: the keys (int64 or
-    str; object holding None when a key is NULL), int64
+    ``(DataFrame, counters)`` sorted by the keys: the keys (int64,
+    uint64 for a uint64 key, or str; object holding None when a key is
+    NULL), int64
     ``n``/``sum_<c>``, then ``min_<c>``/``max_<c>`` (int64, or object
     holding None when a group has no valid value) — with no key, one
     row."""
@@ -1610,14 +1596,13 @@ def _agg_core(enc_dir: str, group_col, expr: tuple | None,
                                     gather_runs)
 
     # an ungrouped count (no key, no aggregate column) needs no probe
-    fields, types = _footer(enc_dir, agg_cols) if group_col or agg_cols \
-        else (set(), {})
+    keys, types = _group_keys(enc_dir, group_col, agg_cols) \
+        if group_col or agg_cols else ([], {})
     for c in agg_cols:
         if types[c] == np.uint64:
             raise TypeError(
                 f"column {c!r}: uint64 sums can exceed the int64 "
                 "answer column; decode and reduce instead")
-    keys = _group_keys(fields, group_col)
     gnames = [f"g{j}" for j in range(len(keys))]
     how = {"n": "sum", **{f"sum_{c}": "sum" for c in agg_cols}}
     if with_minmax:
@@ -1690,7 +1675,8 @@ def _agg_core(enc_dir: str, group_col, expr: tuple | None,
         _expr_zone_filter(expr), partial)
     t = _group_fold(parts, gnames, how)
     if gnames:
-        t = t.sort_by([(nm, "ascending") for nm in gnames])
+        t = _present_keys(t.sort_by([(nm, "ascending") for nm in gnames]),
+                          keys, types)
     # with no key an empty input folds to one row of NULLs, and a group
     # whose values are all NULL sums to NULL: SQL's count and our sum
     # are 0 there; a decimal sum outside int64 fails its cast
@@ -1772,8 +1758,6 @@ def encoded_str_minmax(enc_dir: str, col: str):
     import pandas as pd
     import pyarrow.compute as pc
 
-    from tokrle.codecs.core import gather_str_runs
-
     nullable = pc.binary_length(pc.field(f"{col}__valid")) > 0
 
     def meta_fold(batch: pa.Table):
@@ -1791,9 +1775,7 @@ def encoded_str_minmax(enc_dir: str, col: str):
             sel = _valid_sel(_ALL, _chunk_valid(batch, col, i), n)
             if _rp_empty(sel):   # all-NULL chunk contributes nothing
                 continue
-            spec, lp, tp = _chunk_str_col(batch, col, i)
-            mm = pc.min_max(gather_str_runs(spec, lp, tp, n,
-                                            *_sel_runs(sel, n)))
+            mm = pc.min_max(_col_at(batch, col, i, n, sel, is_str=True))
             lo.append(mm["min"].as_py())
             hi.append(mm["max"].as_py())
         return ((min(lo), max(hi)) if lo else None), \
@@ -1835,10 +1817,11 @@ def _scan_rows(enc_dir: str, expr, cols: list[str]):
     """Late materialization shared by :func:`encoded_scan_where` and
     :func:`encoded_lookup_join`: ``expr`` (SQL three-valued logic,
     zone-map short-circuits and scan filter included) evaluates to a
-    selection per chunk, and only then are ``cols`` decoded, and only
-    at the selected positions (:func:`tokrle.codecs.core.gather_runs`
-    for integer columns, :func:`tokrle.codecs.core.gather_str_runs` for
-    string ones).  NULL slots of a nullable column come back as NULL.
+    selection per chunk, and only then are ``cols`` read, each with one
+    decode and one take at the selected positions
+    (:func:`tokrle.codecs.core.gather_runs` for integer columns,
+    :func:`tokrle.codecs.core.gather_str_runs` for string ones).  NULL
+    slots of a nullable column come back as NULL.
     Returns ``(tables, counters)``: one table per scan batch that
     selected a row, or one empty table typed from the footer when none
     did."""
@@ -1877,16 +1860,16 @@ def encoded_scan_where(enc_dir: str, expr: tuple, out_cols: list[str]):
     :func:`encoded_boolean_agg`, with LATE MATERIALIZATION
     (:func:`_scan_rows`): the predicate evaluates to a selection
     run-list per chunk (zone-map short-circuits included), and only
-    then are the projected columns decoded, and only at the selected
-    positions (:func:`tokrle.codecs.core.gather_runs` — bit-addressable
-    codecs fetch each run via decode_range, touching O(selected)
-    payload bytes; sequential codecs decode once and gather).  Chunks
-    the scan filter or the evaluator rules out never decode anything.
+    the chunks that select a row decode the projected columns, each
+    with one decode and one take at the selected positions
+    (:func:`tokrle.codecs.core.gather_runs`).  Chunks the scan filter
+    or the evaluator rules out never decode anything.
 
-    Projection columns may be integer OR string (string projections
-    late-materialize via :func:`tokrle.codecs.core.gather_str_runs` —
-    one lengths decode + one vectorized byte gather of only the
-    selected rows).  Predicate columns evaluate under SQL three-valued
+    Projection columns may be integer OR string (a string projection
+    is :func:`tokrle.codecs.core.gather_str_runs`: an ``sdict`` chunk
+    gathers its codes and takes them from its distinct set, a plain
+    chunk takes the selected rows of its one decoded Arrow array).
+    Predicate columns evaluate under SQL three-valued
     logic, and NULL slots of projected columns come back as NULL.  The
     scan runs in the caller, and the matching rows are collected there:
     returns a ``ray.data.Dataset`` of one block per scan batch of at most
@@ -1908,21 +1891,20 @@ def encoded_lookup_join(enc_dir: str, key_col: str, dim, dim_key: str,
     ANDed with ``expr``), so membership evaluates on the codec streams
     (rle: O(#runs); dict: sorted-set intersection + boolean-table code
     lookup) with zone-map chunk pruning; only then are ``key_col`` and
-    ``out_cols`` late-materialized at the matching positions
-    (:func:`_scan_rows`), and the dimension attributes ``dim_cols``
-    attach via one ``searchsorted`` against the sorted keys.  The fact
-    table never shuffles and never decodes non-matching rows; the scan
-    and the attach run in the caller, so the dimension is never
-    shipped anywhere.
+    ``out_cols`` read at the matching positions, one decode and one
+    take per chunk with a match (:func:`_scan_rows`), and the dimension
+    attributes ``dim_cols`` attach via one ``searchsorted`` against the
+    sorted keys.  The fact table never shuffles and never decodes a
+    chunk without a matching row; the scan and the attach run in the
+    caller, so the dimension is never shipped anywhere.
 
     Returns a ``ray.data.Dataset`` of joined rows (``key_col`` +
     ``out_cols`` from the fact side, ``dim_cols`` from the dimension),
     one block per scan batch of at most :data:`_SCAN_BATCH_CHUNKS`
     chunks, built in the caller with no Ray task
     (:func:`tokrle.pipelines.encode._answer_dataset`).  Dimension keys
-    must be unique; fact out columns may be integer OR string (string
-    projections late-materialize via
-    :func:`tokrle.codecs.core.gather_str_runs`).  A NULL fact key never
+    must be unique; fact out columns may be integer OR string
+    (:func:`tokrle.codecs.core.gather_str_runs`).  A NULL fact key never
     matches, ``expr`` follows SQL three-valued logic, and NULL slots of
     ``out_cols`` come back as NULL."""
     from tokrle.pipelines.encode import _answer_dataset
